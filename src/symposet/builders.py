@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .linalg import canonical_span_basis, matrix_rank
+from .linalg import PackedSpace, matrix_rank
 from .posets import FinitePoset, PosetMap, barycentric_subdivision
 from .rings import EuclideanScalarRing, PrimeField, ZZ
 from .snf import dense_smith
@@ -349,7 +349,7 @@ def is_partial_basis(ring: EuclideanScalarRing, rows: Sequence, n: int) -> bool:
         return False
     if ring.is_field():
         return matrix_rank(ring, rows, n) == len(rows)
-    inv, _, _ = dense_smith([list(r) for r in rows], n)
+    inv = dense_smith([list(r) for r in rows], n)
     return len(inv) == len(rows) and all(v == 1 for v in inv)
 
 
@@ -359,7 +359,9 @@ def build_O(n: int, ring: EuclideanScalarRing, bound: int = None,
     by subword; ``bound`` caps the norm of the last coordinate.
 
     Over the integers an explicit finite ``pool`` of candidate vectors is
-    required; finite fields enumerate the whole module.
+    required; finite fields enumerate the whole module.  Over a field the
+    span of the current sequence is carried as a ``PackedSpace`` bitmask,
+    and a vector extends the partial basis exactly when its bit is clear.
     """
     frozen = tuple(tuple(v) for v in frozen)
     assert is_partial_basis(ring, frozen, n), "frozen suffix must be a partial basis"
@@ -372,26 +374,30 @@ def build_O(n: int, ring: EuclideanScalarRing, bound: int = None,
     if bound is not None:
         pool = [v for v in pool if ring.norm(v[n - 1]) <= bound]
 
+    if ring.is_field():
+        packed = PackedSpace(ring.p, n)
+        start = packed.span_mask(frozen)
+        fits = lambda span, v: not span >> packed.index[v] & 1
+        extend = packed.extend
+    else:
+        start = list(frozen)
+        fits = lambda rows, v: is_partial_basis(ring, rows + [v], n)
+        extend = lambda rows, v: rows + [v]
     elements: List[Tuple] = []
+    room = n - len(frozen)
 
-    def grow(seq):
-        stacked = list(seq) + list(frozen)
+    def grow(seq, span):
         for v in pool:
-            if v in seq:
-                continue
-            if not is_partial_basis(ring, stacked + [v], n):
+            if v in seq or not fits(span, v):
                 continue
             elements.append(seq + (v,))
-            grow(seq + (v,))
+            if len(seq) + 1 < room:  # a basis extends no further
+                grow(seq + (v,), extend(span, v))
 
-    grow(())
+    grow((), start)
     rel = _subword_relations(elements, set(elements))
     heights = {s: len(s) - 1 for s in elements}
     return FinitePoset(elements, rel, heights)
-
-
-def o_norm_bound_ok(ring: EuclideanScalarRing, seq: Sequence, n: int, k: int) -> bool:
-    return all(ring.norm(v[n - 1]) <= k for v in seq)
 
 
 def rho_vector(ring: EuclideanScalarRing, w_i: Sequence, v: Sequence, n: int):

@@ -12,7 +12,8 @@ from .posets import FinitePoset, _label_key
 
 DEFAULT_BUDGET = 5_000_000
 
-# full dd=0 recomputation is quadratic in simplex count; cap the check
+# the dd=0 self-check is linear in the simplex count, about k^2 face pairs
+# per k-simplex; cap its cost on large complexes
 _DD_CHECK_LIMIT = 60_000
 
 

@@ -48,12 +48,6 @@ class HomologyProfile:
         assert self.knows(k), f"degree {k} was not computed"
         return self.torsion.get(k, ())
 
-    def is_trivial_through(self, d: int) -> bool:
-        for k in range(-1, d + 1):
-            if self.betti_number(k) or self.torsion_at(k):
-                return False
-        return True
-
     def first_nonzero_through(self, d: int):
         for k in range(-1, d + 1):
             if self.betti_number(k) or self.torsion_at(k):
@@ -280,8 +274,8 @@ def _cm_tasks(P: FinitePoset, n: int):
 
 
 def _cm_run_one(args):
-    kind, tag, sub, target = args
-    v = homology_spherical(sub, target, probe=False)
+    kind, tag, sub, target, budget = args
+    v = homology_spherical(sub, target, budget=budget, probe=False)
     return kind, tag, v
 
 
@@ -291,12 +285,13 @@ def cohen_macaulay_check(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
 
     The whole poset, every lower and upper link, and every open interval
     must be spherical of the dimension dictated by the standard heights.
-    Purely homological; no group probes on the links.
+    Purely homological; no group probes on the links.  Each link gets the
+    whole ``budget``, on the pool path too.
     """
     if P.dim() != n:
         return ConnectivityVerdict(n, "refuted", "dimension",
                                    {"dim": P.dim(), "expected": n})
-    tasks = list(_cm_tasks(P, n))
+    tasks = [task + (budget,) for task in _cm_tasks(P, n)]
     results = []
     if workers > 1:
         import multiprocessing

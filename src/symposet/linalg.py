@@ -2,11 +2,15 @@
 
 Matrices are lists of row lists of ints.  The empty matrix [] is allowed
 everywhere; functions that cannot infer the column count from the data take
-an explicit ``ncols`` argument.  Row operations are the only tool: every
-routine here is a variation on "reduce rows, remember the transform".
+an explicit ``ncols`` argument.  Row operations are the main tool: most
+routines here are a variation on "reduce rows, remember the transform".
+The exception is ``PackedSpace``, which holds subspaces of a small F_p^n
+as bitmasks over its p^n vectors.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .rings import EuclideanScalarRing
 
@@ -39,25 +43,6 @@ def mat_mul(ring, A, B, bcols=None):
 
 def vec_mat(ring, v, M, ncols=None):
     return mat_mul(ring, [list(v)], M, bcols=ncols)[0]
-
-
-def mat_vec(ring, M, v):
-    return [ring.reduce(sum(a * b for a, b in zip(row, v))) for row in M]
-
-
-def dot(ring, u, v):
-    assert len(u) == len(v)
-    return ring.reduce(sum(a * b for a, b in zip(u, v)))
-
-
-def vec_add(ring, u, v):
-    return [ring.add(a, b) for a, b in zip(u, v)]
-
-def vec_sub(ring, u, v):
-    return [ring.sub(a, b) for a, b in zip(u, v)]
-
-def vec_scale(ring, c, v):
-    return [ring.mul(c, x) for x in v]
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +98,66 @@ def field_solve_left(field, A, b, ncols=None):
         if yi:
             x = [field.add(xv, field.mul(yi, tv)) for xv, tv in zip(x, trow)]
     return x
+
+
+class PackedSpace:
+    """F_p^n with its p^n vectors numbered in base-p order.
+
+    Vector i is the i-th tuple of ``itertools.product(range(p), repeat=n)``:
+    the first coordinate is the most significant digit.  A subset of the
+    space, typically a subspace, packs into a Python int whose bit i is set
+    when vector i belongs to it, so a subspace costs p^n bits and
+    containment and intersection become integer bit operations.
+
+    Because the numbering is base-p, the nonzero vectors whose first
+    nonzero coordinate sits at position j are exactly the numbers in
+    [p^(n-1-j), p^(n-j)); ``lead[j]`` is the mask of that range.
+    """
+
+    def __init__(self, p: int, n: int):
+        self.p = p
+        self.vectors = list(itertools.product(range(p), repeat=n))
+        self.index = {v: i for i, v in enumerate(self.vectors)}
+        self.lead = [(1 << p ** (n - j)) - (1 << p ** (n - 1 - j))
+                     for j in range(n)]
+
+    def index_of(self, v) -> int:
+        return self.index[tuple(x % self.p for x in v)]
+
+    def extend(self, mask: int, v) -> int:
+        """Mask of span(S + v), given the mask of a subspace S."""
+        p = self.p
+        multiples = [[c * x % p for x in v] for c in range(1, p)]
+        out = mask
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = self.vectors[low.bit_length() - 1]
+            for cv in multiples:
+                out |= 1 << self.index[tuple((a + b) % p
+                                             for a, b in zip(w, cv))]
+        return out
+
+    def span_mask(self, rows) -> int:
+        mask = 1  # the zero vector
+        for r in rows:
+            mask = self.extend(mask, r)
+        return mask
+
+    def spanning_rows(self, mask: int):
+        """One member of the subspace ``mask`` per leading position.
+
+        Members with distinct leading positions are independent, and every
+        pivot column of the subspace's echelon form leads some member, so
+        these rows are a basis.
+        """
+        rows = []
+        for lead in self.lead:
+            hit = mask & lead
+            if hit:
+                rows.append(list(self.vectors[(hit & -hit).bit_length() - 1]))
+        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,6 @@ class NerveHypothesesReport:
     def hypotheses_hold(self) -> bool:
         return all(r["verdict"].ok() for r in self.rows)
 
-    def failures(self) -> List[dict]:
-        return [r for r in self.rows if not r["verdict"].ok()]
-
 
 def check_nerve_hypotheses(F: CoverFamily, n: int, t_X=None, t_A=None,
                            budget=DEFAULT_BUDGET) -> NerveHypothesesReport:

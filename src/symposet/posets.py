@@ -8,8 +8,8 @@ a trusted path that still checks irreflexivity and antisymmetry, plus full
 transitivity when the poset is small enough for that to be cheap.
 
 Heights are data: by default the standard height (longest chain ending at
-the element), but a poset can carry explicit heights, which truncations
-respect.  The dimension is always the length of the longest chain.
+the element), but a poset can carry explicit heights, which induced
+subposets keep.  The dimension is always the length of the longest chain.
 """
 
 from __future__ import annotations
@@ -187,9 +187,6 @@ class FinitePoset:
     def subposet_gt(self, x):
         return self.induced(self._above[x])
 
-    def subposet_le(self, x):
-        return self.induced(self.below(x) | {x})
-
     def subposet_ge(self, x):
         return self.induced(self._above[x] | {x})
 
@@ -200,10 +197,6 @@ class FinitePoset:
     def link(self, x):
         """Induced subposet of everything comparable to x, x removed."""
         return self.induced(self._above[x] | self.below(x))
-
-    def height_truncate(self, k) -> "FinitePoset":
-        h = self.heights()
-        return self.induced([x for x in self._elements if h[x] <= k])
 
     def covers(self, x):
         """Elements immediately above x."""

@@ -68,9 +68,6 @@ class EuclideanScalarRing:
     def is_field(self) -> bool:
         return self.kind == "prime_field"
 
-    def euclid_r(self, a: int, b: int) -> int:
-        return self.sub(a, self.mul(self.euclid_q(a, b), b))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 

@@ -1,37 +1,26 @@
 """Smith normal form over the integers, tuned for boundary matrices.
 
-Two routes that check each other:
+A sparse phase splits off diagonal blocks using unit (+-1) pivots only,
+which is where simplicial boundary matrices spend almost all of their
+mass; a dense textbook algorithm finishes whatever survives, and also
+serves small dense matrices directly.
 
-* a sparse phase that splits off diagonal blocks using unit (+-1) pivots
-  only, which is where simplicial boundary matrices spend almost all of
-  their mass, followed by a dense textbook finish on whatever survives;
-* a dense algorithm with accumulated transforms, certified by
-  re-multiplication and unimodularity of the transforms, used on small
-  matrices and in tests.
-
-Only the invariant factors come out of the sparse route; ranks and torsion
-are read off them.
+Only the invariant factors come out; ranks and torsion are read off them.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .linalg import bareiss_det, identity, mat_mul
-from .rings import ZZ
 
+def dense_smith(A, ncols=None):
+    """The nonzero diagonal entries of the Smith form of A.
 
-def dense_smith(A, ncols=None, track=False):
-    """Return (diag, U, V) with U @ A @ V diagonal, diag the nonzero entries.
-
-    diag satisfies the divisibility chain d1 | d2 | ... with positive
-    entries.  U and V are None unless track is set.
+    They are positive and satisfy the divisibility chain d1 | d2 | ...
     """
     n = len(A)
     m = ncols if ncols is not None else (len(A[0]) if A else 0)
     M = [[int(x) for x in row] for row in A]
-    U = identity(n) if track else None
-    V = identity(m) if track else None
     diag = []
     t = 0
     while t < min(n, m):
@@ -48,14 +37,9 @@ def dense_smith(A, ncols=None, track=False):
             break
         if bi != t:
             M[t], M[bi] = M[bi], M[t]
-            if track:
-                U[t], U[bi] = U[bi], U[t]
         if bj != t:
             for row in M:
                 row[t], row[bj] = row[bj], row[t]
-            if track:
-                for row in V:
-                    row[t], row[bj] = row[bj], row[t]
         while True:
             again = False
             for i in range(t + 1, n):
@@ -63,12 +47,8 @@ def dense_smith(A, ncols=None, track=False):
                     q = M[i][t] // M[t][t]
                     if q:
                         M[i] = [a - q * b for a, b in zip(M[i], M[t])]
-                        if track:
-                            U[i] = [a - q * b for a, b in zip(U[i], U[t])]
                     if M[i][t]:
                         M[t], M[i] = M[i], M[t]
-                        if track:
-                            U[t], U[i] = U[i], U[t]
                         again = True
                         break
             if again:
@@ -79,15 +59,9 @@ def dense_smith(A, ncols=None, track=False):
                     if q:
                         for row in M:
                             row[j] -= q * row[t]
-                        if track:
-                            for row in V:
-                                row[j] -= q * row[t]
                     if M[t][j]:
                         for row in M:
                             row[t], row[j] = row[j], row[t]
-                        if track:
-                            for row in V:
-                                row[t], row[j] = row[j], row[t]
                         again = True
                         break
             if again:
@@ -101,35 +75,12 @@ def dense_smith(A, ncols=None, track=False):
             if bad is None:
                 break
             M[t] = [a + b for a, b in zip(M[t], M[bad])]
-            if track:
-                U[t] = [a + b for a, b in zip(U[t], U[bad])]
         if M[t][t] < 0:
             M[t] = [-a for a in M[t]]
-            if track:
-                U[t] = [-a for a in U[t]]
         diag.append(M[t][t])
         t += 1
     assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1))
-    return diag, U, V
-
-
-def smith_with_transform(A, ncols=None):
-    """Certified dense Smith form: (diag, U, V) with U @ A @ V diagonal.
-
-    Asserts the factorization by re-multiplication and checks both
-    transforms are unimodular.
-    """
-    n = len(A)
-    m = ncols if ncols is not None else (len(A[0]) if A else 0)
-    diag, U, V = dense_smith(A, m, track=True)
-    D = mat_mul(ZZ, mat_mul(ZZ, U, [list(r) for r in A], bcols=m), V, bcols=m)
-    for i in range(n):
-        for j in range(m):
-            want = diag[i] if i == j and i < len(diag) else 0
-            assert D[i][j] == want, "smith transform certificate failed"
-    assert abs(bareiss_det(U)) == 1
-    assert abs(bareiss_det(V)) == 1
-    return diag, U, V
+    return diag
 
 
 def smith_invariants(rows, ncols=None):
@@ -213,16 +164,6 @@ def smith_invariants(rows, ncols=None):
     for i, r in enumerate(rl):
         for c, v in rows[r].items():
             dense[i][cidx[c]] = v
-    rest, _, _ = dense_smith(dense, len(cols))
+    rest = dense_smith(dense, len(cols))
     return [1] * ones + rest
 
-
-def smith_from_triplets(triplets):
-    seen = set()
-    rows = {}
-    for r, c, v in triplets:
-        assert (r, c) not in seen, "duplicate entry"
-        seen.add((r, c))
-        if v:
-            rows.setdefault(r, {})[c] = v
-    return smith_invariants(rows)

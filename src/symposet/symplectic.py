@@ -6,6 +6,15 @@ anything else.  Submodules are always saturated spans in canonical form
 (reduced echelon over a field, Hermite over the integers), so equal
 submodules have equal basis tuples and the basis tuple can serve as a
 dictionary key or poset label.
+
+Over a prime field F_p a submodule of F_p^n also carries, built on first
+use, its member bitmask: bit i is set when the i-th vector of F_p^n in
+base-p order (``linalg.PackedSpace``) lies in the span.  A mask costs p^n
+bits, 64 at genus 3 over F_2, and the module caches the vector/index
+table it refers to.  Containment of a vector or a submodule is then a bit
+test and an intersection is an AND of two masks, followed by one echelon
+call for the canonical basis.  Over the integers the module is infinite,
+so these operations stay with Hermite-form linear algebra.
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ import itertools
 from typing import List, Sequence, Tuple
 
 from . import linalg
-from .linalg import (bareiss_det, canonical_span_basis, left_kernel, mat_mul,
-                     matrix_rank, solve_left, transpose)
+from .linalg import (PackedSpace, bareiss_det, canonical_span_basis,
+                     left_kernel, mat_mul, matrix_rank, solve_left, transpose)
 from .rings import EuclideanScalarRing, PrimeField, ZZ
 from .snf import dense_smith
 
@@ -40,8 +49,9 @@ class SymplecticModule:
         if form_rank % 2 != 0:
             raise ValueError("form rank is odd")  # cannot happen for alternating
         self.genus = form_rank // 2
+        self._packed = None
         if not ring.is_field():
-            inv, _, _ = dense_smith(gram, n)
+            inv = dense_smith(gram, n)
             if any(v != 1 for v in inv):
                 raise ValueError(
                     "form is not quasi-unimodular: invariant factors "
@@ -83,10 +93,16 @@ class SymplecticModule:
     def full_submodule(self) -> "Submodule":
         return Submodule(self, linalg.identity(self.rank))
 
-    def vectors(self):
-        """All vectors; finite fields only."""
+    def packed(self) -> PackedSpace:
+        """The numbering of all p^rank vectors; finite fields only."""
         assert isinstance(self.ring, PrimeField), "infinite ring"
-        return itertools.product(range(self.ring.p), repeat=self.rank)
+        if self._packed is None:
+            self._packed = PackedSpace(self.ring.p, self.rank)
+        return self._packed
+
+    def vectors(self):
+        """All vectors in base-p order; finite fields only."""
+        return iter(self.packed().vectors)
 
     def __eq__(self, other):
         return (isinstance(other, SymplecticModule)
@@ -94,10 +110,6 @@ class SymplecticModule:
 
     def __repr__(self):
         return f"SymplecticModule({self.ring.name}, rank {self.rank}, genus {self.genus})"
-
-
-def radical_and_genus(L: SymplecticModule):
-    return L.radical(), L.genus
 
 
 class Submodule:
@@ -111,14 +123,27 @@ class Submodule:
             self.basis = canonical_span_basis(
                 module.ring, [list(r) for r in rows], module.rank)
         self.rank = len(self.basis)
+        self._mask = None
+        self._perp = None
 
     def key(self) -> Tuple:
         return self.basis
 
+    def members(self) -> int:
+        """Bitmask of the vectors in the span; finite fields only."""
+        if self._mask is None:
+            self._mask = self.module.packed().span_mask(self.basis)
+        return self._mask
+
     def contains(self, v) -> bool:
-        return linalg.span_contains(self.module.ring, self.basis, v, self.module.rank)
+        M = self.module
+        if M.ring.is_field():
+            return bool(self.members() >> M.packed().index_of(v) & 1)
+        return linalg.span_contains(M.ring, self.basis, v, M.rank)
 
     def contains_submodule(self, other: "Submodule") -> bool:
+        if self.module.ring.is_field():
+            return other.members() & ~self.members() == 0
         return all(self.contains(r) for r in other.basis)
 
     def restricted_gram(self):
@@ -143,13 +168,16 @@ class Submodule:
         return self.rank // 2
 
     def perp(self) -> "Submodule":
-        M = self.module
-        if self.rank == 0:
-            return M.full_submodule()
-        C = mat_mul(M.ring, M.gram, transpose([list(r) for r in self.basis], M.rank),
-                    bcols=self.rank)
-        rows = left_kernel(M.ring, C, self.rank)
-        return Submodule(M, rows)
+        if self._perp is None:
+            M = self.module
+            if self.rank == 0:
+                self._perp = M.full_submodule()
+            else:
+                C = mat_mul(M.ring, M.gram,
+                            transpose([list(r) for r in self.basis], M.rank),
+                            bcols=self.rank)
+                self._perp = Submodule(M, left_kernel(M.ring, C, self.rank))
+        return self._perp
 
     def add(self, other: "Submodule") -> "Submodule":
         assert self.module is other.module or self.module == other.module
@@ -157,6 +185,11 @@ class Submodule:
 
     def intersect(self, other: "Submodule") -> "Submodule":
         M = self.module
+        if M.ring.is_field():
+            mask = self.members() & other.members()
+            out = Submodule(M, M.packed().spanning_rows(mask))
+            out._mask = mask
+            return out
         eq = (list(linalg.right_kernel(M.ring, [list(r) for r in self.basis], M.rank))
               + list(linalg.right_kernel(M.ring, [list(r) for r in other.basis], M.rank)))
         rows = linalg.right_kernel(M.ring, eq, M.rank)

@@ -35,6 +35,10 @@ def height_profile(P):
     return dict(Counter(P.heights().values()))
 
 
+def relation_count(P):
+    return sum(len(P.above(x)) for x in P)
+
+
 # -- unimodular submodules --------------------------------------------------
 
 def test_U_genus1():
@@ -50,6 +54,12 @@ def test_U_genus2_count_and_heights():
     assert height_profile(U) == {0: 1, 1: 20, 2: 1}
     zero = std(F2, 2).zero_submodule().key()
     assert all(U.le(zero, x) for x in U)
+
+
+def test_U_genus3_counts():
+    U = build_U(std(F2, 3))
+    assert (len(U), relation_count(U)) == (674, 8065)
+    assert height_profile(U) == {0: 1, 1: 336, 2: 336, 3: 1}
 
 
 def test_U_relations_are_containment():
@@ -136,10 +146,10 @@ def test_D_order_is_refinement():
 
 def test_D_genus3_counts():
     D = build_D(std(F2, 3))
-    assert len(D) == 1457
+    assert (len(D), relation_count(D)) == (1457, 4816)
     assert height_profile(D) == {0: 1, 1: 336, 2: 1120}
     P = build_D(std(F2, 3), strict=True)
-    assert len(P) == 1456 and P.dim() == 1
+    assert (len(P), relation_count(P)) == (1456, 3360) and P.dim() == 1
 
 
 def test_flag_map_labels():

@@ -15,8 +15,11 @@ from symposet.homology import (HomologyProfile, cohen_macaulay_check,
                                homologically_connected, homology_spherical,
                                map_connectivity, reduced_betti_mod2,
                                reduced_homology, relative_homology)
+from symposet.builders import build_U
 from symposet.posets import (FinitePoset, PosetMap, constant_map,
                              identity_map, random_poset)
+from symposet.rings import PrimeField
+from symposet.symplectic import SymplecticModule
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
@@ -211,6 +214,21 @@ def test_cohen_macaulay_check():
     assert v.ok() and v.detail["links_checked"] >= len(circle)
     lopsided = FinitePoset(["a", "b", "c"], [("b", "c")])
     assert cohen_macaulay_check(lopsided, 1).status == "refuted"
+
+
+def test_cohen_macaulay_budget_reaches_the_links():
+    U = build_U(SymplecticModule.standard(PrimeField(2), 2))
+    assert homology_spherical(U, 2, budget=1).status == "inconclusive"
+    for workers in (1, 2):
+        v = cohen_macaulay_check(U, 2, budget=1, workers=workers)
+        assert (v.status, v.basis) == ("inconclusive", "budget")
+
+
+def test_cohen_macaulay_pool_matches_serial():
+    U = build_U(SymplecticModule.standard(PrimeField(2), 2))
+    serial = cohen_macaulay_check(U, 2)
+    assert serial.ok() and serial.detail["links_checked"] == 86
+    assert cohen_macaulay_check(U, 2, workers=2) == serial
 
 
 def test_map_connectivity():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from symposet import linalg
 from symposet.rings import IntegerRing, PrimeField, ZZ
 from symposet.symplectic import (Submodule, SymplecticModule, Lv_submodule,
                                  enumerate_unimodular_submodules,
@@ -115,6 +116,45 @@ def test_genus_and_add_intersect():
     assert s.rank == 4 and s.genus() == 2
     assert u.intersect(v).rank == 0
     assert s.intersect(u).key() == u.key()
+
+
+def _kernel_intersection(S, T):
+    """The intersection as the common solutions of both spans' equations."""
+    M = S.module
+    eq = [list(r) for X in (S, T)
+          for r in linalg.right_kernel(M.ring, [list(b) for b in X.basis], M.rank)]
+    return linalg.canonical_span_basis(
+        M.ring, linalg.right_kernel(M.ring, eq, M.rank), M.rank)
+
+
+@pytest.mark.parametrize("ring,g,r,seed", [
+    (F2, 2, 0, 1), (F2, 3, 0, 2), (F2, 1, 2, 3), (F3, 2, 0, 4), (F3, 1, 1, 5)])
+def test_mask_route_matches_linear_algebra(ring, g, r, seed):
+    rng = random.Random(seed)
+    L = std(ring, g, r)
+    n = L.rank
+    subs = [L.zero_submodule(), L.full_submodule(), L.radical()]
+    for _ in range(12):
+        k = rng.randrange(n + 1)
+        subs.append(L.submodule(
+            [[rng.randrange(ring.p) for _ in range(n)] for _ in range(k)]))
+    subs.extend(S.perp() for S in subs[:6])
+    vectors = list(L.vectors())
+    assert len(vectors) == ring.p ** n
+    for S in subs:
+        for v in vectors:
+            expect = linalg.span_contains(ring, S.basis, v, n)
+            assert S.contains(v) == expect
+            assert S.contains([x - ring.p for x in v]) == expect
+        for T in subs:
+            assert S.contains_submodule(T) == all(
+                linalg.span_contains(ring, S.basis, b, n) for b in T.basis)
+            assert S.intersect(T).key() == _kernel_intersection(S, T)
+        perp = S.perp()
+        assert perp is S.perp()
+        orthogonal = [v for v in vectors
+                      if all(L.pair(v, b) == 0 for b in S.basis)]
+        assert perp.key() == linalg.canonical_span_basis(ring, orthogonal, n)
 
 
 def test_isotropic_sequences():
