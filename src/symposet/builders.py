@@ -64,24 +64,25 @@ def build_I(L: SymplecticModule) -> FinitePoset:
                 if is_isotropic_sequence(L, seq + (v,)):
                     nxt.append(seq + (v,))
         current = nxt
+    return _subword_poset(elements)
+
+
+def _subword_poset(elements) -> FinitePoset:
+    """Nonempty sequences ordered by subword, height = length - 1.
+
+    Every nonempty proper subword of an element must be an element too.
+    """
     in_poset = set(elements)
-    rel = _subword_relations(elements, in_poset)
-    heights = {s: len(s) - 1 for s in elements}
-    return FinitePoset(elements, rel, heights)
-
-
-def _subword_relations(elements, in_poset):
     rel = []
     for seq in elements:
         n = len(seq)
-        if n == 1:
-            continue
         for k in range(1, n):
             for pos in itertools.combinations(range(n), k):
                 sub = tuple(seq[i] for i in pos)
                 assert sub in in_poset, "subword escaped the poset"
                 rel.append((sub, seq))
-    return rel
+    heights = {s: len(s) - 1 for s in elements}
+    return FinitePoset(elements, rel, heights)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +279,7 @@ def build_HU(g: int, ring: EuclideanScalarRing) -> FinitePoset:
         for seq in current:
             nxt.extend(extensions(seq))
         current = nxt
-    rel = _subword_relations(elements, set(elements))
-    heights = {s: len(s) - 1 for s in elements}
-    return FinitePoset(elements, rel, heights)
+    return _subword_poset(elements)
 
 
 def hu_decomposition_map(g: int, ring: EuclideanScalarRing,
@@ -332,9 +331,7 @@ def partition_sequences_poset(A: Iterable, P: Iterable) -> FinitePoset:
             yield from gen(ext, used | {i})
 
     elements = list(gen((), frozenset()))
-    rel = _subword_relations(elements, set(elements))
-    heights = {s: len(s) - 1 for s in elements}
-    return FinitePoset(elements, rel, heights)
+    return _subword_poset(elements)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +392,7 @@ def build_O(n: int, ring: EuclideanScalarRing, bound: int = None,
                 grow(seq + (v,), extend(span, v))
 
     grow((), start)
-    rel = _subword_relations(elements, set(elements))
-    heights = {s: len(s) - 1 for s in elements}
-    return FinitePoset(elements, rel, heights)
+    return _subword_poset(elements)
 
 
 def rho_vector(ring: EuclideanScalarRing, w_i: Sequence, v: Sequence, n: int):

@@ -9,11 +9,13 @@ callers can report an inconclusive verdict instead of thrashing.
 from __future__ import annotations
 
 from .posets import FinitePoset, _label_key
+from .snf import CertificateError
 
 DEFAULT_BUDGET = 5_000_000
 
-# the dd=0 self-check is linear in the simplex count, about k^2 face pairs
-# per k-simplex; cap its cost on large complexes
+# homology certifies dd=0 on the boundary matrices it hands to the SNF only
+# while the chain complex has at most this many generators: the check is
+# linear, but it must hold the previous matrix next to the current one
 _DD_CHECK_LIMIT = 60_000
 
 
@@ -43,9 +45,6 @@ class OrderComplex:
     def total(self):
         return sum(len(s) for s in self.by_dim)
 
-    def top_dim(self):
-        return len(self.by_dim) - 1
-
     def boundary_rows(self, k):
         """The matrix of d_k as {face index: {simplex index: sign}}.
 
@@ -65,22 +64,22 @@ class OrderComplex:
                 sign = -sign
         return rows
 
-    def dd_zero_check(self, k):
-        """Verify d_{k-1} after d_k vanishes, simplex by simplex."""
-        if k < 1 or self.n_simplices(k) == 0:
-            return True
-        for c in self.by_dim[k]:
+    @staticmethod
+    def dd_zero_check(lower, upper):
+        """Certify that the boundary ``lower`` after ``upper`` is zero.
+
+        Both are sparse matrices in the form of ``boundary_rows``: ``upper``
+        is d_k, with rows indexed by (k-1)-simplices, and ``lower`` is
+        d_{k-1}, with columns indexed by the same (k-1)-simplices.  Each
+        k-simplex meets about k^2 face pairs, so the check is linear.
+        """
+        for cols in lower.values():
             acc = {}
-            si = 1
-            for i in range(len(c)):
-                face = c[:i] + c[i + 1:]
-                sj = 1
-                for j in range(len(face)):
-                    ff = face[:j] + face[j + 1:]
-                    acc[ff] = acc.get(ff, 0) + si * sj
-                    sj = -sj
-                si = -si
-            assert all(v == 0 for v in acc.values()), "dd != 0"
+            for m, a in cols.items():
+                for c, b in upper.get(m, {}).items():
+                    acc[c] = acc.get(c, 0) + a * b
+            if any(acc.values()):
+                raise CertificateError("boundary of a boundary is nonzero")
         return True
 
 
@@ -108,21 +107,7 @@ def order_complex(P: FinitePoset, max_dim=None, budget=DEFAULT_BUDGET) -> OrderC
             continue
         for y in reversed(up):
             stack.append(c + (y,))
-    cx = OrderComplex(by_dim, complete=not capped)
-    if cx.total() <= _DD_CHECK_LIMIT:
-        for k in range(2, len(by_dim)):
-            cx.dd_zero_check(k)
-    return cx
-
-
-def relative_columns(cx: OrderComplex, sub):
-    """Per dimension, indices of simplices not entirely inside ``sub``."""
-    sub = frozenset(sub)
-    keep = []
-    for simplices in cx.by_dim:
-        keep.append([j for j, c in enumerate(simplices)
-                     if not all(v in sub for v in c)])
-    return keep
+    return OrderComplex(by_dim, complete=not capped)
 
 
 def relative_boundary_rows(cx: OrderComplex, sub, k):
@@ -134,13 +119,11 @@ def relative_boundary_rows(cx: OrderComplex, sub, k):
     sub = frozenset(sub)
     if k < 1:
         return {}
-    faces = {}
-    for i, c in enumerate(cx.by_dim[k - 1]):
-        if not all(v in sub for v in c):
-            faces[c] = i
+    faces = {c: i for i, c in enumerate(cx.by_dim[k - 1])
+             if not sub.issuperset(c)}
     rows = {}
     for j, c in enumerate(cx.by_dim[k]):
-        if all(v in sub for v in c):
+        if sub.issuperset(c):
             continue
         sign = 1
         for i in range(len(c)):

@@ -1,8 +1,13 @@
 """Exact integral homology of order complexes, and connectivity verdicts.
 
 Everything here is integer-exact: ranks and torsion come from Smith normal
-form of boundary matrices.  Degrees are processed one at a time so only a
-single boundary matrix is alive at once.
+form of boundary matrices.  Reduced, relative and mod-2 homology differ
+only in their generator counts, boundary matrices and invariant-factor
+routine, and share one loop, ``_profile``, that walks the degrees one at a
+time.  That loop is also where dd=0 is certified: on complexes with at
+most ``_DD_CHECK_LIMIT`` generators it checks that each pair of
+consecutive boundary matrices handed to the SNF composes to zero; above
+that only one boundary matrix is alive at a time.
 
 A verdict never overstates its evidence.  ``status`` says what was
 established, ``basis`` says with which tools; a fundamental-group probe can
@@ -12,13 +17,14 @@ upgrade a homological verdict or refute it, and a blown budget yields
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .complexes import BudgetExceeded, DEFAULT_BUDGET, order_complex, \
-    relative_boundary_rows, relative_columns
+from .complexes import BudgetExceeded, DEFAULT_BUDGET, OrderComplex, \
+    _DD_CHECK_LIMIT, order_complex, relative_boundary_rows
 from .posets import FinitePoset, PosetMap, mapping_cone, mapping_cylinder
-from .snf import smith_invariants
+from .snf import CertificateError, smith_invariants
 from . import pi1
 
 
@@ -29,7 +35,8 @@ class HomologyProfile:
     For a reduced profile ``betti`` holds reduced Betti numbers (degree -1
     appears only for the empty poset).  ``through`` is None when every
     degree is exact, otherwise degrees above it were never computed.
-    ``counts`` are simplex counts per dimension as far as enumerated.
+    ``counts`` are generator counts per dimension as far as enumerated:
+    simplices, or for a pair the simplices not inside the subcomplex.
     """
 
     betti: Dict[int, int]
@@ -40,12 +47,16 @@ class HomologyProfile:
     def knows(self, k: int) -> bool:
         return self.through is None or k <= self.through
 
+    def _known(self, k: int) -> None:
+        if not self.knows(k):
+            raise CertificateError(f"degree {k} was not computed")
+
     def betti_number(self, k: int) -> int:
-        assert self.knows(k), f"degree {k} was not computed"
+        self._known(k)
         return self.betti.get(k, 0)
 
     def torsion_at(self, k: int) -> Tuple[int, ...]:
-        assert self.knows(k), f"degree {k} was not computed"
+        self._known(k)
         return self.torsion.get(k, ())
 
     def first_nonzero_through(self, d: int):
@@ -55,19 +66,33 @@ class HomologyProfile:
         return None
 
 
-def reduced_homology(P: FinitePoset, through_degree=None,
-                     budget=DEFAULT_BUDGET) -> HomologyProfile:
-    if len(P) == 0:
-        return HomologyProfile(betti={-1: 1}, torsion={}, through=None, counts=())
-    cap = None if through_degree is None else max(through_degree + 1, 0)
-    cx = order_complex(P, max_dim=cap, budget=budget)
-    top = cx.top_dim()
-    counts = tuple(cx.n_simplices(k) for k in range(top + 1))
+def _profile(cx, cap, counts, rows, first_rank, invariants) -> HomologyProfile:
+    """Betti numbers and torsion of one chain complex on the simplices of cx.
+
+    ``counts[k]`` generators sit in degree k, ``rows(k)`` is the sparse
+    boundary d_k for k >= 1 and ``first_rank`` the rank of d_0.  The rank of
+    d_k is the length of ``invariants(rows(k))`` and its entries above 1
+    are torsion in degree k - 1.  On complexes within _DD_CHECK_LIMIT each
+    consecutive pair of boundaries must compose to zero; above it no
+    boundary is held here while ``invariants`` runs.
+    """
+    top = len(counts) - 1
     ranks = [0] * (top + 2)
-    ranks[0] = 1  # augmentation of a nonempty complex
+    ranks[0] = first_rank
     torsion = {}
+    check = sum(counts) <= _DD_CHECK_LIMIT
+    lower = None
     for k in range(1, top + 1):
-        inv = smith_invariants(cx.boundary_rows(k))
+        if check:
+            upper = rows(k)
+            if lower is not None:
+                OrderComplex.dd_zero_check(lower, upper)
+            lower = upper
+            inv = invariants(upper)
+        else:
+            # with no other reference, the matrix is freed as soon as the
+            # SNF has made its working copy
+            inv = invariants(rows(k))
         ranks[k] = len(inv)
         tors = tuple(v for v in inv if v > 1)
         if tors:
@@ -77,12 +102,33 @@ def reduced_homology(P: FinitePoset, through_degree=None,
     betti = {}
     for k in range(lim + 1):
         b = counts[k] - ranks[k] - ranks[k + 1]
-        assert b >= 0
+        if b < 0:
+            raise CertificateError(f"negative Betti number {b} in degree {k}")
         if b:
             betti[k] = b
     if through is not None:
         torsion = {k: v for k, v in torsion.items() if k <= through}
     return HomologyProfile(betti, torsion, through, counts)
+
+
+def _cap(through_degree):
+    """The chain length needed for homology through ``through_degree``."""
+    return None if through_degree is None else max(through_degree + 1, 0)
+
+
+def _reduced(P, through_degree, budget, invariants) -> HomologyProfile:
+    if len(P) == 0:
+        return HomologyProfile(betti={-1: 1}, torsion={}, through=None, counts=())
+    cap = _cap(through_degree)
+    cx = order_complex(P, max_dim=cap, budget=budget)
+    counts = tuple(len(simplices) for simplices in cx.by_dim)
+    # d_0 is the augmentation of a nonempty complex, of rank 1
+    return _profile(cx, cap, counts, cx.boundary_rows, 1, invariants)
+
+
+def reduced_homology(P: FinitePoset, through_degree=None,
+                     budget=DEFAULT_BUDGET) -> HomologyProfile:
+    return _reduced(P, through_degree, budget, smith_invariants)
 
 
 def relative_homology(P: FinitePoset, sub, through_degree=None,
@@ -93,30 +139,31 @@ def relative_homology(P: FinitePoset, sub, through_degree=None,
     """
     sub = frozenset(sub)
     assert sub <= frozenset(P.elements)
-    cap = None if through_degree is None else max(through_degree + 1, 0)
+    cap = _cap(through_degree)
     cx = order_complex(P, max_dim=cap, budget=budget)
-    keep = relative_columns(cx, sub)
-    top = cx.top_dim()
-    counts = tuple(len(keep[k]) for k in range(top + 1))
-    ranks = [0] * (top + 2)
-    torsion = {}
-    for k in range(1, top + 1):
-        inv = smith_invariants(relative_boundary_rows(cx, sub, k))
-        ranks[k] = len(inv)
-        tors = tuple(v for v in inv if v > 1)
-        if tors:
-            torsion[k - 1] = tors
-    through = None if cx.complete else cap - 1
-    lim = top if through is None else min(top, through)
-    betti = {}
-    for k in range(lim + 1):
-        b = counts[k] - ranks[k] - ranks[k + 1]
-        assert b >= 0
-        if b:
-            betti[k] = b
-    if through is not None:
-        torsion = {k: v for k, v in torsion.items() if k <= through}
-    return HomologyProfile(betti, torsion, through, counts)
+    counts = tuple(sum(1 for c in simplices if not sub.issuperset(c))
+                   for simplices in cx.by_dim)
+    return _profile(cx, cap, counts,
+                    lambda k: relative_boundary_rows(cx, sub, k), 0,
+                    smith_invariants)
+
+
+def _invariants_mod2(rows):
+    """One unit invariant per pivot of an F_2 elimination on int bitsets."""
+    pivots = {}
+    for cdict in rows.values():
+        mask = 0
+        for c, v in cdict.items():
+            if v & 1:
+                mask |= 1 << c
+        while mask:
+            low = mask & -mask
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = mask
+                break
+            mask ^= other
+    return [1] * len(pivots)
 
 
 def reduced_betti_mod2(P: FinitePoset, through_degree=None,
@@ -126,42 +173,7 @@ def reduced_betti_mod2(P: FinitePoset, through_degree=None,
     An independent cross-check on the integral route: by universal
     coefficients these equal rank + two-torsion contributions.
     """
-    if len(P) == 0:
-        return {-1: 1}
-    cap = None if through_degree is None else max(through_degree + 1, 0)
-    cx = order_complex(P, max_dim=cap, budget=budget)
-    top = cx.top_dim()
-
-    def rank2(rows):
-        pivots = {}
-        r = 0
-        for cdict in rows.values():
-            mask = 0
-            for c, v in cdict.items():
-                if v & 1:
-                    mask |= 1 << c
-            while mask:
-                low = mask & -mask
-                other = pivots.get(low)
-                if other is None:
-                    pivots[low] = mask
-                    r += 1
-                    break
-                mask ^= other
-        return r
-
-    ranks = [0] * (top + 2)
-    ranks[0] = 1
-    for k in range(1, top + 1):
-        ranks[k] = rank2(cx.boundary_rows(k))
-    through = None if cx.complete else cap - 1
-    lim = top if through is None else min(top, through)
-    out = {}
-    for k in range(lim + 1):
-        b = cx.n_simplices(k) - ranks[k] - ranks[k + 1]
-        if b:
-            out[k] = b
-    return out
+    return _reduced(P, through_degree, budget, _invariants_mod2).betti
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +193,43 @@ class ConnectivityVerdict:
         return f"{self.status} (level {self.level}, {self.basis})"
 
 
+class _Settled(Exception):
+    """Raised by a ladder step with the verdict that ends the ladder."""
+
+
+def _homology_step(level: int, through: int, compute) -> HomologyProfile:
+    """The profile ``compute()`` returns, unless it settles the verdict.
+
+    A budget overrun settles it as inconclusive, a nonzero degree at or
+    below ``through`` as refuted.
+    """
+    try:
+        prof = compute()
+    except BudgetExceeded as e:
+        raise _Settled(ConnectivityVerdict(level, "inconclusive", "budget",
+                                           {"reason": str(e)}))
+    bad = prof.first_nonzero_through(through)
+    if bad is not None:
+        raise _Settled(ConnectivityVerdict(
+            level, "refuted", "homology",
+            {"degree": bad, "betti": prof.betti_number(bad),
+             "torsion": prof.torsion_at(bad)}))
+    return prof
+
+
+def _pi1_step(level: int, Q: FinitePoset, budget, reason: str) -> str:
+    """Probe the fundamental group of Q: a nontrivial group refutes, a
+    trivial one upgrades the basis to homology+pi1."""
+    try:
+        res = pi1.pi1_probe(Q, budget=budget)
+    except BudgetExceeded:
+        res = "unknown"
+    if res == "nontrivial":
+        raise _Settled(ConnectivityVerdict(level, "refuted", "pi1",
+                                           {"reason": reason}))
+    return "homology+pi1" if res == "trivial" else "homology-only"
+
+
 def homologically_connected(P: FinitePoset, d: int, budget=DEFAULT_BUDGET,
                             probe: bool = True) -> ConnectivityVerdict:
     """Is P d-connected, as far as homology and a pi_1 probe can tell?
@@ -192,33 +241,19 @@ def homologically_connected(P: FinitePoset, d: int, budget=DEFAULT_BUDGET,
     """
     if d <= -2:
         return ConnectivityVerdict(d, "verified", "vacuous")
-    if d == -1:
-        if len(P) > 0:
-            return ConnectivityVerdict(d, "verified", "nonempty")
-        return ConnectivityVerdict(d, "refuted", "nonempty", {"reason": "empty poset"})
     if len(P) == 0:
         return ConnectivityVerdict(d, "refuted", "nonempty", {"reason": "empty poset"})
+    if d == -1:
+        return ConnectivityVerdict(d, "verified", "nonempty")
     try:
-        prof = reduced_homology(P, through_degree=d, budget=budget)
-    except BudgetExceeded as e:
-        return ConnectivityVerdict(d, "inconclusive", "budget", {"reason": str(e)})
-    bad = prof.first_nonzero_through(d)
-    if bad is not None:
-        return ConnectivityVerdict(
-            d, "refuted", "homology",
-            {"degree": bad, "betti": prof.betti_number(bad),
-             "torsion": prof.torsion_at(bad)})
-    if d >= 1 and probe:
-        try:
-            res = pi1.pi1_probe(P, budget=budget)
-        except BudgetExceeded:
-            res = "unknown"
-        if res == "nontrivial":
-            return ConnectivityVerdict(d, "refuted", "pi1",
-                                       {"reason": "fundamental group is nontrivial"})
-        if res == "trivial":
-            return ConnectivityVerdict(d, "verified", "homology+pi1")
-    return ConnectivityVerdict(d, "verified", "homology-only")
+        _homology_step(d, d, lambda: reduced_homology(
+            P, through_degree=d, budget=budget))
+        basis = "homology-only"
+        if d >= 1 and probe:
+            basis = _pi1_step(d, P, budget, "fundamental group is nontrivial")
+    except _Settled as s:
+        return s.args[0]
+    return ConnectivityVerdict(d, "verified", basis)
 
 
 def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
@@ -235,42 +270,30 @@ def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
     if n == -1:
         return ConnectivityVerdict(n, "verified", "empty")
     try:
-        prof = reduced_homology(P, through_degree=n, budget=budget)
-    except BudgetExceeded as e:
-        return ConnectivityVerdict(n, "inconclusive", "budget", {"reason": str(e)})
-    bad = prof.first_nonzero_through(n - 1)
-    if bad is not None:
-        return ConnectivityVerdict(
-            n, "refuted", "homology",
-            {"degree": bad, "betti": prof.betti_number(bad),
-             "torsion": prof.torsion_at(bad)})
-    if prof.torsion_at(n):
-        return ConnectivityVerdict(n, "refuted", "homology",
-                                   {"degree": n, "torsion": prof.torsion_at(n)})
-    basis = "homology-only"
-    if n >= 2 and probe:
-        try:
-            res = pi1.pi1_probe(P, budget=budget)
-        except BudgetExceeded:
-            res = "unknown"
-        if res == "nontrivial":
-            return ConnectivityVerdict(n, "refuted", "pi1",
-                                       {"reason": "fundamental group is nontrivial"})
-        if res == "trivial":
-            basis = "homology+pi1"
+        prof = _homology_step(n, n - 1, lambda: reduced_homology(
+            P, through_degree=n, budget=budget))
+        if prof.torsion_at(n):
+            return ConnectivityVerdict(n, "refuted", "homology",
+                                       {"degree": n, "torsion": prof.torsion_at(n)})
+        basis = "homology-only"
+        if n >= 2 and probe:
+            basis = _pi1_step(n, P, budget, "fundamental group is nontrivial")
+    except _Settled as s:
+        return s.args[0]
     return ConnectivityVerdict(n, "verified", basis,
                                {"spheres": prof.betti_number(n)})
 
 
-def _cm_tasks(P: FinitePoset, n: int):
+def _cm_tasks(P: FinitePoset, n: int, budget):
     h = P.standard_heights()
-    yield ("whole", None, P, n)
+    yield ("whole", None, P, n, budget)
     for x in P:
-        yield ("below", x, P.subposet_lt(x), h[x] - 1)
-        yield ("above", x, P.subposet_gt(x), n - 1 - h[x])
+        yield ("below", x, P.subposet_lt(x), h[x] - 1, budget)
+        yield ("above", x, P.subposet_gt(x), n - 1 - h[x], budget)
     for x in P:
         for y in P.above(x):
-            yield ("interval", (x, y), P.open_interval(x, y), h[y] - h[x] - 2)
+            yield ("interval", (x, y), P.open_interval(x, y),
+                   h[y] - h[x] - 2, budget)
 
 
 def _cm_run_one(args):
@@ -286,28 +309,30 @@ def cohen_macaulay_check(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
     The whole poset, every lower and upper link, and every open interval
     must be spherical of the dimension dictated by the standard heights.
     Purely homological; no group probes on the links.  Each link gets the
-    whole ``budget``, on the pool path too.
+    whole ``budget``, on the pool path too.  Links are built as the sweep
+    reaches them, and the sweep stops at the first one that is refuted or
+    inconclusive.
     """
     if P.dim() != n:
         return ConnectivityVerdict(n, "refuted", "dimension",
                                    {"dim": P.dim(), "expected": n})
-    tasks = [task + (budget,) for task in _cm_tasks(P, n)]
-    results = []
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_cm_run_one, tasks, chunksize=64)
-    else:
-        results = [_cm_run_one(t) for t in tasks]
-    checked = 0
-    for kind, tag, v in results:
-        if v.status == "refuted":
-            return ConnectivityVerdict(n, "refuted", "homology",
-                                       {"part": kind, "at": tag, "sub": v.detail})
-        if v.status == "inconclusive":
-            return ConnectivityVerdict(n, "inconclusive", "budget",
-                                       {"part": kind, "at": tag})
-        checked += 1
+    tasks = _cm_tasks(P, n, budget)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            import multiprocessing
+            pool = stack.enter_context(multiprocessing.Pool(workers))
+            results = pool.imap(_cm_run_one, tasks, chunksize=64)
+        else:
+            results = map(_cm_run_one, tasks)
+        checked = 0
+        for kind, tag, v in results:
+            if v.status == "refuted":
+                return ConnectivityVerdict(n, "refuted", "homology",
+                                           {"part": kind, "at": tag, "sub": v.detail})
+            if v.status == "inconclusive":
+                return ConnectivityVerdict(n, "inconclusive", "budget",
+                                           {"part": kind, "at": tag})
+            checked += 1
     return ConnectivityVerdict(n, "verified", "homology-only",
                                {"links_checked": checked})
 
@@ -324,26 +349,12 @@ def map_connectivity(f: PosetMap, n: int, budget=DEFAULT_BUDGET,
         return ConnectivityVerdict(n, "verified", "vacuous")
     M, src, tgt = mapping_cylinder(f)
     try:
-        prof = relative_homology(M, frozenset(src.values()),
-                                 through_degree=n, budget=budget)
-    except BudgetExceeded as e:
-        return ConnectivityVerdict(n, "inconclusive", "budget", {"reason": str(e)})
-    for k in range(n + 1):
-        if prof.betti_number(k) or prof.torsion_at(k):
-            return ConnectivityVerdict(
-                n, "refuted", "homology",
-                {"degree": k, "betti": prof.betti_number(k),
-                 "torsion": prof.torsion_at(k)})
-    basis = "homology-only"
-    if n >= 1 and probe:
-        C, _, _, _ = mapping_cone(f)
-        try:
-            res = pi1.pi1_probe(C, budget=budget)
-        except BudgetExceeded:
-            res = "unknown"
-        if res == "nontrivial":
-            return ConnectivityVerdict(n, "refuted", "pi1",
-                                       {"reason": "cone group is nontrivial"})
-        if res == "trivial":
-            basis = "homology+pi1"
+        _homology_step(n, n, lambda: relative_homology(
+            M, frozenset(src.values()), through_degree=n, budget=budget))
+        basis = "homology-only"
+        if n >= 1 and probe:
+            basis = _pi1_step(n, mapping_cone(f)[0], budget,
+                              "cone group is nontrivial")
+    except _Settled as s:
+        return s.args[0]
     return ConnectivityVerdict(n, "verified", basis)

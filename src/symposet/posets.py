@@ -100,14 +100,17 @@ class FinitePoset:
     def above(self, x) -> FrozenSet:
         return self._above[x]
 
-    def below(self, x) -> FrozenSet:
+    def _below_map(self) -> Dict:
         if self._below is None:
             below = {e: set() for e in self._elements}
             for a, up in self._above.items():
                 for b in up:
                     below[b].add(a)
             self._below = {e: frozenset(s) for e, s in below.items()}
-        return self._below[x]
+        return self._below
+
+    def below(self, x) -> FrozenSet:
+        return self._below_map()[x]
 
     def lt(self, x, y) -> bool:
         return y in self._above[x]
@@ -170,16 +173,10 @@ class FinitePoset:
         return FinitePoset._from_closed(sub, above, h)
 
     def opposite(self) -> "FinitePoset":
-        if self._below is None:
-            below = {e: set() for e in self._elements}
-            for a, up in self._above.items():
-                for b in up:
-                    below[b].add(a)
-            self._below = {e: frozenset(s) for e, s in below.items()}
         h = None
         if self._heights is not None:
             h = {x: -v for x, v in self._heights.items()}
-        return FinitePoset._from_closed(self._elements, dict(self._below), h)
+        return FinitePoset._from_closed(self._elements, self._below_map(), h)
 
     def subposet_lt(self, x):
         return self.induced(self.below(x))
@@ -364,28 +361,6 @@ def thick_join(X: FinitePoset, Y: FinitePoset, tag_always: bool = False) -> Fini
             upy = Y.above(y) | {y}
             above[lp(x, y)] = frozenset(lp(v, w) for v in upx for w in upy) - {lp(x, y)}
     return FinitePoset._from_closed(list(above), above)
-
-
-def thick_join_collapse(X: FinitePoset, Y: FinitePoset, tag_always: bool = False):
-    """The projection thick_join(X, Y) -> join(X, Y) sending (x, y) to y."""
-    W = thick_join(X, Y, tag_always)
-    J = join(X, Y)
-    collide_j = bool(set(X.elements) & set(Y.elements))
-    jx = (lambda x: (0, x)) if collide_j else (lambda x: x)
-    jy = (lambda y: (1, y)) if collide_j else (lambda y: y)
-    plain = not tag_always
-    if plain:
-        labels = set(X.elements) | set(Y.elements) | {(x, y) for x in X for y in Y}
-        plain = len(labels) == len(X) + len(Y) + len(X) * len(Y)
-    mapping = {}
-    for x in X:
-        mapping[x if plain else ("x", x)] = jx(x)
-    for y in Y:
-        mapping[y if plain else ("y", y)] = jy(y)
-    for x in X:
-        for y in Y:
-            mapping[(x, y) if plain else ("p", x, y)] = jy(y)
-    return PosetMap(W, J, mapping)
 
 
 def _cylinder_labels(f: PosetMap):

@@ -13,6 +13,13 @@ from __future__ import annotations
 import heapq
 
 
+class CertificateError(AssertionError):
+    """A self-check of an exact computation failed.
+
+    Raised explicitly, so the check still runs under ``python -O``.
+    """
+
+
 def dense_smith(A, ncols=None):
     """The nonzero diagonal entries of the Smith form of A.
 
@@ -79,7 +86,8 @@ def dense_smith(A, ncols=None):
             M[t] = [-a for a in M[t]]
         diag.append(M[t][t])
         t += 1
-    assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1))
+    if any(diag[i + 1] % diag[i] for i in range(len(diag) - 1)):
+        raise CertificateError(f"Smith diagonal breaks divisibility: {diag}")
     return diag
 
 

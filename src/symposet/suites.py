@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import __version__
 from .builders import (build_D, build_HU, build_I, build_O, build_U,
@@ -165,146 +165,137 @@ def _expect(claim: str, statement: str, actual, expected, seconds=0.0,
 # ---------------------------------------------------------------------------
 # um: unimodular-submodule posets
 
-def criterion_unimodular_genus2(cfg: SuiteConfig) -> List[dict]:
+def criterion_unimodular_genus2(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
     L = SymplecticModule.standard(ring, 2)
-    recs = []
     U, dt = _timed(lambda: build_U(L))
-    recs.append(_expect("um.g2.count",
-                        "genus-2 unimodular-submodule poset has 22 elements",
-                        len(U), 22, dt))
+    yield _expect("um.g2.count",
+                  "genus-2 unimodular-submodule poset has 22 elements",
+                  len(U), 22, dt)
     v, dt = _timed(lambda: cohen_macaulay_check(U, 2, budget=cfg.budget,
                                                 workers=cfg.workers))
-    recs.append(make_record(
+    yield make_record(
         "um.g2.cm", "genus-2 poset is homologically Cohen-Macaulay of dim 2",
-        v, dt, links=v.detail.get("links_checked") if v.detail else None))
+        v, dt, links=v.detail.get("links_checked") if v.detail else None)
     zero = L.zero_submodule().key()
     full = L.full_submodule().key()
     inner, dt = _timed(lambda: U.open_interval(zero, full))
     prof = reduced_homology(inner, budget=cfg.budget)
-    recs.append(_expect(
+    yield _expect(
         "um.g2.interval",
         "open interval between bottom and top is a wedge of 19 zero-spheres",
-        prof.betti, {0: 19}, dt, elements=len(inner)))
-    return recs
+        prof.betti, {0: 19}, dt, elements=len(inner))
 
 
-def criterion_unimodular_genus3(cfg: SuiteConfig) -> List[dict]:
+def criterion_unimodular_genus3(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
     L = SymplecticModule.standard(ring, 3)
-    recs = []
     U, dt = _timed(lambda: build_U(L))
-    recs.append(_expect("um.g3.count",
-                        "genus-3 unimodular-submodule poset has 674 elements",
-                        len(U), 674, dt))
+    yield _expect("um.g3.count",
+                  "genus-3 unimodular-submodule poset has 674 elements",
+                  len(U), 674, dt)
     zero = L.zero_submodule().key()
     full = L.full_submodule().key()
     inner = U.open_interval(zero, full)
     v, dt = _timed(lambda: homologically_connected(inner, 0, budget=cfg.budget))
-    recs.append(make_record(
+    yield make_record(
         "um.g3.interval",
         "open interval between bottom and top is homologically 0-connected",
-        v, dt, elements=len(inner)))
+        v, dt, elements=len(inner))
     v, dt = _timed(lambda: cohen_macaulay_check(U, 3, budget=cfg.budget,
                                                 workers=cfg.workers))
-    recs.append(make_record(
+    yield make_record(
         "um.g3.cm",
         "genus-3 poset is homologically Cohen-Macaulay of dim 3: every link "
         "is spherical in its prescribed dimension",
-        v, dt, links=v.detail.get("links_checked") if v.detail else None))
-    return recs
+        v, dt, links=v.detail.get("links_checked") if v.detail else None)
 
 
 # ---------------------------------------------------------------------------
 # dec: orthogonal decompositions and set partitions
 
-def criterion_decomposition_cm(cfg: SuiteConfig) -> List[dict]:
+def criterion_decomposition_cm(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
-    recs = []
     L2 = SymplecticModule.standard(ring, 2)
     D2, dt = _timed(lambda: build_D(L2))
-    recs.append(_expect("dec.g2.count",
-                        "genus-2 decomposition poset has 11 elements",
-                        len(D2), 11, dt))
+    yield _expect("dec.g2.count",
+                  "genus-2 decomposition poset has 11 elements",
+                  len(D2), 11, dt)
     v, dt = _timed(lambda: cohen_macaulay_check(D2, 1, budget=cfg.budget,
                                                 workers=cfg.workers))
-    recs.append(make_record(
+    yield make_record(
         "dec.g2.cm", "genus-2 decomposition poset is homologically "
-        "Cohen-Macaulay of dim 1", v, dt))
+        "Cohen-Macaulay of dim 1", v, dt)
     P2, dt = _timed(lambda: build_D(L2, strict=True))
     prof = reduced_homology(P2, budget=cfg.budget)
     ok = (len(P2) == 10 and P2.dim() == 0 and prof.betti == {0: 9})
-    recs.append(make_record(
+    yield make_record(
         "dec.g2.proper",
         "proper genus-2 decompositions form a 10-element antichain with "
         "9 reduced zero-cycles", ok, dt,
-        elements=len(P2), dim=P2.dim(), betti=_jsonable(prof.betti)))
+        elements=len(P2), dim=P2.dim(), betti=_jsonable(prof.betti))
     f2 = flag_to_decomposition(L2)
     rep, dt = _timed(lambda: fiber_transfer_check(
         f2, None, 1, variant="down", budget=cfg.budget))
-    recs.append(make_record(
+    yield make_record(
         "dec.g2.flag",
         "flag map from the subdivided positive part onto decompositions "
         "satisfies the downward fiber criterion at level 1 and is 1-connected",
         rep.conclusion if rep.hypotheses_ok else False, dt,
-        rows=len(rep.rows)))
+        rows=len(rep.rows))
     if cfg.genus >= 3:
         L3 = SymplecticModule.standard(ring, 3)
         D3, dt = _timed(lambda: build_D(L3))
-        recs.append(_expect("dec.g3.count",
-                            "genus-3 decomposition poset has 1457 elements",
-                            len(D3), 1457, dt))
+        yield _expect("dec.g3.count",
+                      "genus-3 decomposition poset has 1457 elements",
+                      len(D3), 1457, dt)
         v, dt = _timed(lambda: cohen_macaulay_check(D3, 2, budget=cfg.budget,
                                                     workers=cfg.workers))
-        recs.append(make_record(
+        yield make_record(
             "dec.g3.cm", "genus-3 decomposition poset is homologically "
-            "Cohen-Macaulay of dim 2", v, dt))
+            "Cohen-Macaulay of dim 2", v, dt)
         P3, dt = _timed(lambda: build_D(L3, strict=True))
         prof = reduced_homology(P3, through_degree=0, budget=cfg.budget)
         ok = (len(P3) == 1456 and P3.dim() == 1
               and prof.betti.get(0, 0) == 0)
-        recs.append(make_record(
+        yield make_record(
             "dec.g3.proper",
             "proper genus-3 decompositions: 1456 elements, dim 1, connected",
-            ok, dt, elements=len(P3), dim=P3.dim()))
+            ok, dt, elements=len(P3), dim=P3.dim())
         f3, dt = _timed(lambda: flag_to_decomposition(L3))
         v, dt2 = _timed(lambda: map_connectivity(f3, 2, budget=cfg.budget))
-        recs.append(make_record(
+        yield make_record(
             "dec.g3.flag",
             "genus-3 flag map from the subdivided positive part onto "
             "decompositions is 2-connected",
-            v, dt + dt2, source=len(f3.source), target=len(f3.target)))
-    return recs
+            v, dt + dt2, source=len(f3.source), target=len(f3.target))
 
 
-def criterion_partition_spheres(cfg: SuiteConfig) -> List[dict]:
-    recs = []
+def criterion_partition_spheres(cfg: SuiteConfig) -> Iterator[dict]:
     for size in (2, 3, 4, 5):
         X = tuple(range(1, size + 1))
         P, dt = _timed(lambda: partitions_poset(X))
         v = homology_spherical(P, size - 2, budget=cfg.budget)
-        recs.append(make_record(
+        yield make_record(
             f"dec.partitions.{size}",
             f"proper partitions of a {size}-set are spherical of dim {size - 2}",
-            v, dt, elements=len(P)))
-    return recs
+            v, dt, elements=len(P))
 
 
 # ---------------------------------------------------------------------------
 # maazen: partial-basis posets
 
-def criterion_partial_basis(cfg: SuiteConfig) -> List[dict]:
-    recs = []
+def criterion_partial_basis(cfg: SuiteConfig) -> Iterator[dict]:
     for p in (2, 3):
         ring = PrimeField(p)
         for n in (1, 2, 3):
             P, dt = _timed(lambda: build_O(n, ring))
             v = homologically_connected(P, n - 2, budget=cfg.budget)
-            recs.append(make_record(
+            yield make_record(
                 f"maazen.conn.p{p}.n{n}",
                 f"partial-basis poset in rank {n} over F_{p} is "
                 f"homologically {n - 2}-connected",
-                v, dt, elements=len(P)))
+                v, dt, elements=len(P))
         for n in (2, 3):
             t0 = time.monotonic()
             frozen = (tuple(0 for _ in range(n - 1)) + (1,),)
@@ -312,14 +303,13 @@ def criterion_partial_basis(cfg: SuiteConfig) -> List[dict]:
             Pm = build_O(n - 1, ring)
             mapping = {seq: tuple(v[:-1] for v in seq) for seq in Pn0}
             ok = check_isomorphism(Pn0, Pm, mapping)
-            recs.append(make_record(
+            yield make_record(
                 f"maazen.iso.p{p}.n{n}",
                 f"rank-{n} poset at norm bound 0 matches the rank-{n - 1} "
                 "poset under dropping the last coordinate",
-                ok, time.monotonic() - t0, elements=len(Pn0)))
-    recs.append(_rho_random_record(cfg))
-    recs.append(_rho_retraction_record(cfg))
-    return recs
+                ok, time.monotonic() - t0, elements=len(Pn0))
+    yield _rho_random_record(cfg)
+    yield _rho_retraction_record(cfg)
 
 
 def _random_unimodular(rng: random.Random, n: int, steps: int = 12):
@@ -398,36 +388,33 @@ def _rho_retraction_record(cfg: SuiteConfig) -> dict:
 # ---------------------------------------------------------------------------
 # stability: isotropic sequences and the split-unimodular comparison
 
-def criterion_isotropic_cm(cfg: SuiteConfig) -> List[dict]:
+def criterion_isotropic_cm(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
-    recs = []
     cases = [("g1", SymplecticModule.standard(ring, 1), 0, 3),
              ("g2", SymplecticModule.standard(ring, 2), 1, 105),
              ("g1r1", SymplecticModule.standard(ring, 1, r=1), 0, 6),
              ("g2r1", SymplecticModule.standard(ring, 2, r=1), 1, 390)]
     for tag, L, n, count in cases:
         I, dt = _timed(lambda: build_I(L))
-        recs.append(_expect(f"stability.iso.{tag}.count",
-                            f"isotropic-sequence poset {tag} has {count} "
-                            "elements", len(I), count, dt))
+        yield _expect(f"stability.iso.{tag}.count",
+                      f"isotropic-sequence poset {tag} has {count} "
+                      "elements", len(I), count, dt)
         v, dt = _timed(lambda: cohen_macaulay_check(I, n, budget=cfg.budget,
                                                     workers=cfg.workers))
-        recs.append(make_record(
+        yield make_record(
             f"stability.iso.{tag}.cm",
             f"isotropic-sequence poset {tag} is homologically Cohen-Macaulay "
-            f"of dim {n}", v, dt))
-    return recs
+            f"of dim {n}", v, dt)
 
 
-def criterion_split_unimodular(cfg: SuiteConfig) -> List[dict]:
+def criterion_split_unimodular(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
-    recs = []
     g = 2
     t0 = time.monotonic()
     HU = build_HU(g, ring)
-    recs.append(_expect("stability.hu.count",
-                        "genus-2 split-unimodular sequence poset has 840 "
-                        "elements", len(HU), 840, time.monotonic() - t0))
+    yield _expect("stability.hu.count",
+                  "genus-2 split-unimodular sequence poset has 840 "
+                  "elements", len(HU), 840, time.monotonic() - t0)
     t0 = time.monotonic()
     h = hu_decomposition_map(g, ring, HU=HU)
     DP = h.target
@@ -437,21 +424,21 @@ def criterion_split_unimodular(cfg: SuiteConfig) -> List[dict]:
         s_parts = len(lab) - t_parts
         if not 2 * s_parts + t_parts <= g:
             ineq_ok = False
-    recs.append(make_record(
+    yield make_record(
         "stability.hu.inequality",
         "every proper decomposition satisfies: twice the higher-genus part "
         "count plus the genus-one part count is at most the genus",
-        ineq_ok, time.monotonic() - t0, targets=len(DP)))
+        ineq_ok, time.monotonic() - t0, targets=len(DP))
     tprime = {lab: genus_one_count(lab) - 1 for lab in DP}
     n = (g - 3) // 2
     rep, dt = _timed(lambda: fiber_transfer_check(
         h, tprime, n, variant="down", budget=cfg.budget))
-    recs.append(make_record(
+    yield make_record(
         "stability.hu.table",
         "the comparison map onto proper decompositions passes the opposite "
         f"fiber criterion elementwise at level {n}",
         rep.conclusion if rep.hypotheses_ok else False, dt,
-        rows=len(rep.rows)))
+        rows=len(rep.rows))
     t0 = time.monotonic()
     fibers_ok = True
     spheres = []
@@ -463,13 +450,12 @@ def criterion_split_unimodular(cfg: SuiteConfig) -> List[dict]:
         spheres.append(len(fib))
         if not v.ok():
             fibers_ok = False
-    recs.append(make_record(
+    yield make_record(
         "stability.hu.fibers",
         "every lower fiber of the comparison map is spherical of dimension "
         "one less than its genus-one part count",
-        fibers_ok, time.monotonic() - t0, sizes=sorted(set(spheres))))
-    recs.append(_partition_sequence_record(cfg))
-    return recs
+        fibers_ok, time.monotonic() - t0, sizes=sorted(set(spheres)))
+    yield _partition_sequence_record(cfg)
 
 
 def _all_partitions(ground: Tuple, max_parts: int):
@@ -512,34 +498,33 @@ def _partition_sequence_record(cfg: SuiteConfig) -> dict:
 # ---------------------------------------------------------------------------
 # nerve: covering families
 
-def criterion_cover_nerve(cfg: SuiteConfig) -> List[dict]:
+def criterion_cover_nerve(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
     L = SymplecticModule.standard(ring, 2)
-    recs = []
 
     F, _ = isotropic_perp_cover(L, "interval")
     t0 = time.monotonic()
     rep = validate_cover(F)
     hyp = check_nerve_hypotheses(F, 0, budget=cfg.budget)
-    recs.append(make_record(
+    yield make_record(
         "nerve.interval.family",
         "the perp cover of the open interval validates and satisfies the "
         "hypothesis table at level 0",
         rep.ok and hyp.hypotheses_hold, time.monotonic() - t0,
-        indices=len(F.A), target=len(F.X), rows=len(hyp.rows)))
+        indices=len(F.A), target=len(F.X), rows=len(hyp.rows))
     t0 = time.monotonic()
     vA = homologically_connected(F.A, -1, budget=cfg.budget)
     vX = homologically_connected(F.X, -1, budget=cfg.budget)
-    recs.append(make_record(
+    yield make_record(
         "nerve.interval.base",
         "index poset and target are both homologically (-1)-connected, "
         "matching the two-way transfer at the level below",
-        vA.ok() and vX.ok(), time.monotonic() - t0))
+        vA.ok() and vX.ok(), time.monotonic() - t0)
     prof, dt = _timed(lambda: reduced_homology(F.X, budget=cfg.budget))
-    recs.append(_expect(
+    yield _expect(
         "nerve.interval.sharpness",
         "without a witness the target is not 0-connected: 19 reduced "
-        "zero-cycles remain", prof.betti, {0: 19}, dt))
+        "zero-cycles remain", prof.betti, {0: 19}, dt)
 
     t0 = time.monotonic()
     F1, W1 = isotropic_perp_cover(L, "positive")
@@ -547,12 +532,12 @@ def criterion_cover_nerve(cfg: SuiteConfig) -> List[dict]:
     hyp1 = check_nerve_hypotheses(F1, 0, budget=cfg.budget)
     wrep = check_nerve_witness(F1, W1)
     vX1 = homologically_connected(F1.X, 0, budget=cfg.budget)
-    recs.append(make_record(
+    yield make_record(
         "nerve.positive.witness",
         "positive-part cover validates, passes hypotheses at level 0, "
         "carries a full contraction witness, and the target is 0-connected",
         rep1.ok and hyp1.hypotheses_hold and wrep.ok and vX1.ok(),
-        time.monotonic() - t0, witness_checks=wrep.checked))
+        time.monotonic() - t0, witness_checks=wrep.checked)
 
     t0 = time.monotonic()
     Z, fz, gz = build_Z(F1)
@@ -567,13 +552,13 @@ def criterion_cover_nerve(cfg: SuiteConfig) -> List[dict]:
         if reduced_homology(gz.fiber_le(x)).betti != \
                 reduced_homology(Ax).betti:
             zok = False
-    recs.append(make_record(
+    yield make_record(
         "nerve.pairs.fibers",
         "pair-poset projections have fibers matching member posets on one "
         "side and index posets on the other, in homology",
-        zok, time.monotonic() - t0, pairs=len(Z)))
+        zok, time.monotonic() - t0, pairs=len(Z))
 
-    recs.extend(_nerve_negative_controls(F1, W1))
+    yield from _nerve_negative_controls(F1, W1)
 
     if cfg.ring == "p2":
         t0 = time.monotonic()
@@ -582,19 +567,18 @@ def criterion_cover_nerve(cfg: SuiteConfig) -> List[dict]:
         hyp2 = check_nerve_hypotheses(F2, 0, budget=cfg.budget)
         w2 = check_nerve_witness(F2, W2)
         v2 = homologically_connected(F2.X, 0, budget=cfg.budget)
-        recs.append(make_record(
+        yield make_record(
             "nerve.radical.pipeline",
             "the quasi-unimodular pipeline (radical quotient, lifted dual "
             "blocks) validates and the positive part is 0-connected",
             validate_cover(F2).ok and hyp2.hypotheses_hold and w2.ok
             and v2.ok(), time.monotonic() - t0,
-            indices=len(F2.A), target=len(F2.X)))
-    return recs
+            indices=len(F2.A), target=len(F2.X))
 
 
-def _nerve_negative_controls(F: CoverFamily, W: NerveWitness) -> List[dict]:
+def _nerve_negative_controls(F: CoverFamily,
+                             W: NerveWitness) -> Iterator[dict]:
     import copy
-    recs = []
     full_keys = [x for x in F.X if not F.X.above(x)]
     t0 = time.monotonic()
     bad = {a: set(s) for a, s in F.members.items()}
@@ -612,11 +596,11 @@ def _nerve_negative_controls(F: CoverFamily, W: NerveWitness) -> List[dict]:
     r2 = validate_cover(CoverFamily(F.A, F.X, bad2))
     caught = caught and (not r2.ok) and any(
         v[0] == "reversal" for v in r2.violations)
-    recs.append(make_record(
+    yield make_record(
         "nerve.controls.family",
         "corrupted families are refuted: a missing face trips downward "
         "closure, a stray member trips order reversal",
-        caught, time.monotonic() - t0))
+        caught, time.monotonic() - t0)
 
     t0 = time.monotonic()
     Wb = NerveWitness(copy.deepcopy(W.s), copy.deepcopy(W.e),
@@ -636,21 +620,19 @@ def _nerve_negative_controls(F: CoverFamily, W: NerveWitness) -> List[dict]:
             chain[1][z] = next(x for x in F.X if x != chain[1][z])
             break
     r4 = check_nerve_witness(F, Wz)
-    recs.append(make_record(
+    yield make_record(
         "nerve.controls.witness",
         "corrupted witnesses are refuted: a wrong section value and a "
         "broken zig-zag link are both reported",
         (not r3.ok) and (not r4.ok), time.monotonic() - t0,
         section_problems=sorted({p[0] for p in r3.problems}),
-        zigzag_problems=sorted({p[0] for p in r4.problems})))
-    return recs
+        zigzag_problems=sorted({p[0] for p in r4.problems}))
 
 
 # ---------------------------------------------------------------------------
 # trees
 
-def criterion_tree_posets(cfg: SuiteConfig) -> List[dict]:
-    recs = []
+def criterion_tree_posets(cfg: SuiteConfig) -> Iterator[dict]:
     t0 = time.monotonic()
     violations = 0
     pairs = 0
@@ -665,19 +647,19 @@ def criterion_tree_posets(cfg: SuiteConfig) -> List[dict]:
                 pairs += 1
                 if not contraction_unique(n, edges, E, Ep):
                     violations += 1
-    recs.append(make_record(
+    yield make_record(
         "trees.contraction.unique",
         "over every tree with at most 6 edges, distinct nonempty edge sets "
         "never give matching contractions: no counterexamples",
         violations == 0, time.monotonic() - t0, pairs=pairs,
-        violations=violations))
+        violations=violations)
     for m in (2, 3, 4):
         T, dt = _timed(lambda: build_T(m))
         prof = reduced_homology(T, budget=cfg.budget)
-        recs.append(make_record(
+        yield make_record(
             f"trees.T{m}.contractible",
             f"the poset of {m}-labeled trees has trivial reduced homology",
-            prof.betti == {}, dt, elements=len(T)))
+            prof.betti == {}, dt, elements=len(T))
     ring = cfg.ring_object()
     L2 = SymplecticModule.standard(ring, 2)
     t0 = time.monotonic()
@@ -685,35 +667,34 @@ def criterion_tree_posets(cfg: SuiteConfig) -> List[dict]:
     TD2 = build_TD(L2, DP=DP2)
     p2 = tree_forget_map(L2, TD=TD2, DP=DP2)
     iso2 = check_isomorphism(TD2, DP2, {x: x[0] for x in TD2})
-    recs.append(make_record(
+    yield make_record(
         "trees.g2.iso",
         "at genus 2 the tree poset is isomorphic to the decomposition "
         "poset under forgetting the tree",
-        iso2, time.monotonic() - t0, elements=len(TD2)))
+        iso2, time.monotonic() - t0, elements=len(TD2))
     if cfg.genus >= 3:
         L3 = SymplecticModule.standard(ring, 3)
         t0 = time.monotonic()
         DP3 = build_D(L3, strict=True)
         TD3 = build_TD(L3, DP=DP3)
         p3 = tree_forget_map(L3, TD=TD3, DP=DP3)
-        recs.append(_expect(
+        yield _expect(
             "trees.g3.count", "genus-3 tree poset has 4816 elements",
-            len(TD3), 4816, time.monotonic() - t0))
+            len(TD3), 4816, time.monotonic() - t0)
         M, _, _ = mapping_cylinder(p3)
         v, dt = _timed(lambda: map_connectivity(p3, M.dim(),
                                                 budget=cfg.budget))
-        recs.append(make_record(
+        yield make_record(
             "trees.g3.equivalence",
             "forgetting the tree induces a homology isomorphism onto the "
             "proper decomposition poset in all degrees",
-            v, dt, source=len(TD3), target=len(DP3)))
-    return recs
+            v, dt, source=len(TD3), target=len(DP3))
 
 
 # ---------------------------------------------------------------------------
 # core-props: generic machinery on random instances
 
-def criterion_homotopy_toolkit(cfg: SuiteConfig) -> List[dict]:
+def criterion_homotopy_toolkit(cfg: SuiteConfig) -> Iterator[dict]:
     rng = random.Random(cfg.seed)
     t0 = time.monotonic()
     trials = 100
@@ -741,20 +722,18 @@ def criterion_homotopy_toolkit(cfg: SuiteConfig) -> List[dict]:
                 reduced_homology(P).betti:
             sd_ok = False
     dt = time.monotonic() - t0
-    return [
-        make_record("core.join",
-                    "thick join and join agree in reduced homology on "
-                    f"{trials} random pairs", join_ok, dt),
-        make_record("core.cylinder",
-                    "mapping cylinders have the homology of their targets "
-                    "on random monotone maps", cyl_ok, 0.0),
-        make_record("core.cylinder-links",
-                    "the cylinder link identity holds exactly at every "
-                    "target element", link_ok, 0.0),
-        make_record("core.subdivision",
-                    "barycentric subdivision preserves reduced homology",
-                    sd_ok, 0.0),
-    ]
+    yield make_record("core.join",
+                      "thick join and join agree in reduced homology on "
+                      f"{trials} random pairs", join_ok, dt)
+    yield make_record("core.cylinder",
+                      "mapping cylinders have the homology of their targets "
+                      "on random monotone maps", cyl_ok, 0.0)
+    yield make_record("core.cylinder-links",
+                      "the cylinder link identity holds exactly at every "
+                      "target element", link_ok, 0.0)
+    yield make_record("core.subdivision",
+                      "barycentric subdivision preserves reduced homology",
+                      sd_ok, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +751,12 @@ SUITES: Dict[str, Tuple] = {
 
 
 def run_suite(name: str, cfg: SuiteConfig = None) -> VerificationReport:
+    """Run every criterion of a suite and collect their records.
+
+    Criteria yield records one at a time; when a computation overruns the
+    simplex budget, the records a criterion already yielded stay and one
+    ``*.budget`` record follows them.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {SUITE_NAMES}")
     cfg = cfg or SuiteConfig()
@@ -780,7 +765,8 @@ def run_suite(name: str, cfg: SuiteConfig = None) -> VerificationReport:
         if fn is criterion_unimodular_genus3 and cfg.genus < 3:
             continue
         try:
-            report.records.extend(fn(cfg))
+            for rec in fn(cfg):
+                report.records.append(rec)
         except BudgetExceeded as exc:
             report.records.append(make_record(
                 fn.__name__.replace("criterion_", "") + ".budget",

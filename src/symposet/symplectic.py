@@ -273,31 +273,6 @@ def Lv_submodule(L: SymplecticModule, lifts: Sequence) -> Submodule:
     return Submodule(L, list(lifts)).perp()
 
 
-def restrict_Lv(L: SymplecticModule, lifts: Sequence) -> SymplecticModule:
-    """The symplectic module L_v (or L_bold-v) with its induced form.
-
-    The result carries ``ambient`` and ``embedding`` attributes: embedding
-    rows express its basis inside L.  Genus drops by the number of lifts
-    and the radical grows by them.
-    """
-    assert is_isotropic_sequence(L, lifts), "lifts must form an isotropic sequence"
-    sub = Lv_submodule(L, lifts)
-    emb = [list(r) for r in sub.basis]
-    gram = [[L.pair(a, b) for b in emb] for a in emb]
-    out = SymplecticModule(L.ring, gram)
-    assert out.genus == L.genus - len(lifts)
-    rad = out.radical()
-    for v in lifts:
-        coords = solve_left(L.ring, emb, list(v), L.rank)
-        assert coords is not None and rad.contains(coords)
-    for r in L._radical_basis:
-        coords = solve_left(L.ring, emb, list(r), L.rank)
-        assert coords is not None and rad.contains(coords)
-    out.ambient = L
-    out.embedding = tuple(tuple(r) for r in emb)
-    return out
-
-
 class RadicalQuotient:
     """L/radical together with projection and a section.
 

@@ -26,7 +26,7 @@ CFG3 = SuiteConfig(genus=3)
 
 def run(fn, cfg):
     t0 = time.monotonic()
-    recs = fn(cfg)
+    recs = list(fn(cfg))
     return recs, time.monotonic() - t0
 
 

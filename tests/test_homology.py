@@ -6,18 +6,25 @@ check via universal coefficients.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from symposet.complexes import BudgetExceeded
+import symposet
+from symposet import homology
+from symposet.complexes import BudgetExceeded, OrderComplex, order_complex
 from symposet.homology import (HomologyProfile, cohen_macaulay_check,
                                homologically_connected, homology_spherical,
                                map_connectivity, reduced_betti_mod2,
                                reduced_homology, relative_homology)
 from symposet.builders import build_U
 from symposet.posets import (FinitePoset, PosetMap, constant_map,
-                             identity_map, random_poset)
+                             identity_map, mapping_cone, mapping_cylinder,
+                             random_monotone_map, random_poset)
+from symposet.snf import CertificateError
 from symposet.rings import PrimeField
 from symposet.symplectic import SymplecticModule
 
@@ -173,6 +180,51 @@ def test_relative_homology_pairs():
     assert reduced_homology(disk).betti == {1: 1}
 
 
+def test_relative_homology_matches_the_mapping_cone():
+    # H(M, A) is the reduced homology of M with a cone on A attached
+    rng = random.Random(31)
+    for _ in range(12):
+        X = random_poset(rng, rng.randint(1, 6), p=rng.choice((0.2, 0.45)))
+        Yraw = random_poset(rng, rng.randint(1, 6), p=rng.choice((0.2, 0.45)))
+        Y = FinitePoset([("q", y) for y in Yraw.elements],
+                        [(("q", a), ("q", b))
+                         for a, b in Yraw.relation_pairs()])
+        f = random_monotone_map(rng, X, Y)
+        M, src, _ = mapping_cylinder(f)
+        pair = relative_homology(M, src.values())
+        cone = reduced_homology(mapping_cone(f)[0])
+        assert pair.betti == cone.betti
+        assert pair.torsion == cone.torsion
+
+
+def test_dd_zero_check_rejects_a_pair_that_does_not_compose_to_zero():
+    cx = order_complex(subsets_poset(4))
+    d1, d2 = cx.boundary_rows(1), cx.boundary_rows(2)
+    assert OrderComplex.dd_zero_check(d1, d2)
+    broken = {r: dict(cs) for r, cs in d2.items()}
+    row = next(iter(broken.values()))
+    col = next(iter(row))
+    row[col] = -row[col]
+    with pytest.raises(CertificateError):
+        OrderComplex.dd_zero_check(d1, broken)
+    with pytest.raises(CertificateError):
+        OrderComplex.dd_zero_check({0: {0: 1}}, {0: {0: 1}})
+
+
+def test_certificates_survive_optimized_python():
+    code = ("from symposet.complexes import OrderComplex\n"
+            "from symposet.snf import CertificateError\n"
+            "try:\n"
+            "    OrderComplex.dd_zero_check({0: {0: 1}}, {0: {0: 1}})\n"
+            "except CertificateError:\n"
+            "    print('raised')\n")
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "raised\n"
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -214,6 +266,21 @@ def test_cohen_macaulay_check():
     assert v.ok() and v.detail["links_checked"] >= len(circle)
     lopsided = FinitePoset(["a", "b", "c"], [("b", "c")])
     assert cohen_macaulay_check(lopsided, 1).status == "refuted"
+
+
+def test_cohen_macaulay_stops_at_the_first_refuted_task(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return homology_spherical(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "homology_spherical", counted)
+    # two components: the whole poset is not 0-connected
+    lopsided = FinitePoset(["a", "b", "c"], [("b", "c")])
+    v = cohen_macaulay_check(lopsided, 1)
+    assert (v.status, v.detail["part"]) == ("refuted", "whole")
+    assert len(calls) == 1
 
 
 def test_cohen_macaulay_budget_reaches_the_links():

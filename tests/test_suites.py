@@ -87,6 +87,14 @@ def test_run_suite_budget_starvation_is_inconclusive():
     assert starved and all(r["basis"] == "budget" for r in starved)
 
 
+def test_budget_overrun_keeps_earlier_records():
+    rep = run_suite("um", SuiteConfig(budget=10))
+    by_claim = {r["claim"]: r for r in rep.records}
+    assert by_claim["um.g2.count"]["verdict"] == "verified"
+    assert "um.g2.cm" in by_claim
+    assert rep.records[-1]["claim"] == "unimodular_genus2.budget"
+
+
 def test_genus_gating():
     base = run_suite("um", SuiteConfig())
     deep = run_suite("um", SuiteConfig(genus=3))
