@@ -137,8 +137,14 @@ def _cmd_suite(name: str, args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "export":
+        least = 2 if args.poset == "T" else 1
+        if args.genus < least:
+            parser.error(f"--genus must be at least {least} for --poset {args.poset}")
+        if args.radical < 0:
+            parser.error("--radical must not be negative")
         return _cmd_export(args)
     return _cmd_suite(args.command, args)
 

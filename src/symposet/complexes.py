@@ -1,14 +1,16 @@
 """Order complexes: chains of a finite poset and their boundary matrices.
 
-Chains are enumerated by an upward depth-first walk in a fixed label order,
-so simplex lists are deterministic and lexicographic within each dimension.
+Vertices are the poset's vertex numbers (``FinitePoset.positions``), so a
+simplex is a tuple of ints.  Chains are enumerated by an upward depth-first
+walk in vertex-number order, so simplex lists are deterministic and
+lexicographic within each dimension.
 A budget caps the number of simplices; blowing it raises BudgetExceeded so
 callers can report an inconclusive verdict instead of thrashing.
 """
 
 from __future__ import annotations
 
-from .posets import FinitePoset, _label_key
+from .posets import FinitePoset
 from .snf import CertificateError
 
 DEFAULT_BUDGET = 5_000_000
@@ -26,8 +28,9 @@ class BudgetExceeded(Exception):
 class OrderComplex:
     """Simplices of the order complex grouped by dimension.
 
-    by_dim[k] is the list of k-simplices, each a tuple of poset elements in
-    increasing order.  ``complete`` records whether a max_dim cap actually
+    by_dim[k] is the list of k-simplices, each a chain of the poset written
+    as a tuple of vertex numbers (positions in ``P.elements``), from its
+    least element up.  ``complete`` records whether a max_dim cap actually
     cut off longer chains.
     """
 
@@ -84,13 +87,12 @@ class OrderComplex:
 
 
 def order_complex(P: FinitePoset, max_dim=None, budget=DEFAULT_BUDGET) -> OrderComplex:
-    succ = {x: sorted(P.above(x), key=_label_key) for x in P}
+    pos = P.positions()
+    succ = [sorted(pos[y] for y in P.above(x)) for x in P.elements]
     by_dim = []
     count = 0
     capped = False
-    starts = list(P.elements)
-    starts.reverse()
-    stack = [(x,) for x in starts]
+    stack = [(v,) for v in reversed(range(len(succ)))]
     while stack:
         c = stack.pop()
         k = len(c) - 1
@@ -113,8 +115,9 @@ def order_complex(P: FinitePoset, max_dim=None, budget=DEFAULT_BUDGET) -> OrderC
 def relative_boundary_rows(cx: OrderComplex, sub, k):
     """Boundary of the quotient complex by the full subcomplex on ``sub``.
 
-    Rows and columns are restricted to simplices with a vertex outside
-    ``sub``; faces falling entirely inside ``sub`` are dropped.
+    ``sub`` is a set of vertex numbers of ``cx``.  Rows and columns are
+    restricted to simplices with a vertex outside ``sub``; faces falling
+    entirely inside ``sub`` are dropped.
     """
     sub = frozenset(sub)
     if k < 1:

@@ -138,7 +138,8 @@ def relative_homology(P: FinitePoset, sub, through_degree=None,
     Computed from the quotient chain complex; unreduced, no degree -1.
     """
     sub = frozenset(sub)
-    assert sub <= frozenset(P.elements)
+    assert sub <= P.positions().keys()
+    sub = frozenset(map(P.positions().__getitem__, sub))
     cap = _cap(through_degree)
     cx = order_complex(P, max_dim=cap, budget=budget)
     counts = tuple(sum(1 for c in simplices if not sub.issuperset(c))
@@ -311,7 +312,8 @@ def cohen_macaulay_check(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
     Purely homological; no group probes on the links.  Each link gets the
     whole ``budget``, on the pool path too.  Links are built as the sweep
     reaches them, and the sweep stops at the first one that is refuted or
-    inconclusive.
+    inconclusive.  A verdict of the sweep records in ``links_checked`` how
+    many tasks passed before it ended.
     """
     if P.dim() != n:
         return ConnectivityVerdict(n, "refuted", "dimension",
@@ -328,10 +330,12 @@ def cohen_macaulay_check(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
         for kind, tag, v in results:
             if v.status == "refuted":
                 return ConnectivityVerdict(n, "refuted", "homology",
-                                           {"part": kind, "at": tag, "sub": v.detail})
+                                           {"part": kind, "at": tag, "sub": v.detail,
+                                            "links_checked": checked})
             if v.status == "inconclusive":
                 return ConnectivityVerdict(n, "inconclusive", "budget",
-                                           {"part": kind, "at": tag})
+                                           {"part": kind, "at": tag,
+                                            "links_checked": checked})
             checked += 1
     return ConnectivityVerdict(n, "verified", "homology-only",
                                {"links_checked": checked})

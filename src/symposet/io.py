@@ -1,11 +1,11 @@
 """Serialization: poset export in three formats, canonical report JSON,
 and a content-addressed on-disk poset cache.
 
-All exports are deterministic byte for byte: elements are sorted by
-(height, repr) and relations lexicographically, and JSON is emitted with
-sorted keys and fixed separators.  Labels round-trip through repr /
-ast.literal_eval, which covers the nested-tuple keys used everywhere in
-this package.
+All exports are deterministic byte for byte: elements are sorted by height,
+then by the poset's own label order (``FinitePoset.positions``), covers by
+that order, and JSON is emitted with sorted keys and fixed separators.
+Labels round-trip through repr / ast.literal_eval, which covers the
+nested-tuple keys used everywhere in this package.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ DOT_ELEMENT_LIMIT = 600
 
 
 def _sorted_elements(P: FinitePoset) -> List:
-    h = P.heights()
-    return sorted(P.elements, key=lambda x: (h[x], repr(x)))
+    # stable, so each height keeps the poset's order
+    return sorted(P.elements, key=P.heights().__getitem__)
 
 
 def _sorted_covers(P: FinitePoset) -> List[Tuple]:
-    pairs = [(a, b) for a in P for b in P.covers(a)]
-    return sorted(pairs, key=lambda e: (repr(e[0]), repr(e[1])))
+    pos = P.positions()
+    return [(a, b) for a in P
+            for b in sorted(P.covers(a), key=pos.__getitem__)]
 
 
 def export_poset(P: FinitePoset, format: str = "text") -> str:

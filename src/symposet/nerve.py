@@ -63,7 +63,7 @@ def validate_cover(F: CoverFamily) -> CoverReport:
     for a in F.A:
         for b in F.A.above(a):
             if not F.members[b] <= F.members[a]:
-                missing = sorted(F.members[b] - F.members[a], key=repr)[0]
+                missing = min(F.members[b] - F.members[a], key=F.X.positions().get)
                 report.violations.append(("reversal", a, b, missing))
     return report
 
@@ -72,7 +72,7 @@ def build_Z(F: CoverFamily):
     """The poset of pairs (a, x) with x in X_a, ordered opposite-A times X,
     with its projections f: Z^op -> A and g: Z -> X."""
     assert validate_cover(F).ok, "invalid cover"
-    elements = [(a, x) for a in F.A for x in sorted(F.members[a], key=repr)]
+    elements = [(a, x) for a in F.A for x in F.X if x in F.members[a]]
     rel = []
     for (a, x) in elements:
         for (b, y) in elements:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 
 from .complexes import DEFAULT_BUDGET, order_complex
-from .posets import FinitePoset, _label_key
+from .posets import FinitePoset
 from .snf import smith_invariants
 
 MAX_COSETS = 40_000
@@ -31,30 +31,34 @@ def edge_path_presentation(P: FinitePoset, budget=DEFAULT_BUDGET):
     """(n_gens, relators) from the 2-skeleton, or None if disconnected.
 
     Relators are lists of signed generator indices (1-based); traversing
-    the edge (a, b) with a < b forwards is +g, backwards is -g.
+    the edge (a, b) with a < b forwards is +g, backwards is -g.  Vertices
+    are the complex's vertex numbers; the tree is rooted at a vertex of
+    largest degree, the largest number among those, and grown breadth
+    first in vertex-number order.
     """
     cx = order_complex(P, max_dim=2, budget=budget)
-    verts = [c[0] for c in cx.by_dim[0]] if cx.by_dim else []
+    n_verts = cx.n_simplices(0)
     edges = cx.by_dim[1] if len(cx.by_dim) > 1 else []
     tris = cx.by_dim[2] if len(cx.by_dim) > 2 else []
-    if not verts:
+    if not n_verts:
         return 0, []
-    adj = {v: [] for v in verts}
+    adj = [[] for _ in range(n_verts)]
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    root = max(verts, key=lambda v: (len(adj[v]), _label_key(v)))
+    root = max(range(n_verts), key=lambda v: (len(adj[v]), v))
     seen = {root}
     tree = set()
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for w in sorted(adj[v], key=_label_key):
+        for w in sorted(adj[v]):
             if w not in seen:
                 seen.add(w)
-                tree.add((v, w) if P.lt(v, w) else (w, v))
+                # both orientations, so the complex's own edge matches
+                tree.update(((v, w), (w, v)))
                 queue.append(w)
-    if len(seen) < len(verts):
+    if len(seen) < n_verts:
         return None
     gen_of = {}
     n = 0

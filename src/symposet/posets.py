@@ -1,7 +1,11 @@
 """Finite posets stored as transitively closed strict order relations.
 
 Every poset keeps, for each element, the frozenset of elements strictly
-above it.  The public constructor accepts any acyclic generating relation
+above it.  Elements are labels (often nested tuples), and a poset has one
+label order: the constructor sorts the labels by ``repr`` once and numbers
+them 0..n-1 in that order (``positions()``).  Code below the poset, such
+as order complexes, works on those vertex numbers and never orders labels
+itself.  The public constructor accepts any acyclic generating relation
 and closes it; derived constructions (induced subposets, opposites, joins,
 cylinders) produce relations that are closed by construction and go through
 a trusted path that still checks irreflexivity and antisymmetry, plus full
@@ -20,18 +24,13 @@ from typing import Dict, FrozenSet, Iterable, Tuple
 _VALIDATE_CLOSURE_LIMIT = 200_000
 
 
-def _label_key(x):
-    return repr(x)
-
-
 class FinitePoset:
     def __init__(self, elements: Iterable, relations: Iterable[Tuple] = (), heights: Dict = None):
         elems = list(elements)
-        eset = set(elems)
-        assert len(eset) == len(elems), "duplicate elements"
         succ = {x: set() for x in elems}
+        assert len(succ) == len(elems), "duplicate elements"
         for a, b in relations:
-            assert a in eset and b in eset, f"relation endpoint not an element: {(a, b)!r}"
+            assert a in succ and b in succ, f"relation endpoint not an element: {(a, b)!r}"
             if a != b:
                 succ[a].add(b)
             else:
@@ -61,8 +60,8 @@ class FinitePoset:
         self._init_from_closed(elems, above, heights)
 
     def _init_from_closed(self, elems, above, heights):
-        self._elements = tuple(sorted(elems, key=_label_key))
-        self._eset = frozenset(elems)
+        self._elements = tuple(sorted(elems, key=repr))
+        self._pos = {x: i for i, x in enumerate(self._elements)}
         self._above = above
         self._below = None
         self._heights = dict(heights) if heights is not None else None
@@ -91,11 +90,15 @@ class FinitePoset:
         return iter(self._elements)
 
     def __contains__(self, x):
-        return x in self._eset
+        return x in self._pos
 
     @property
     def elements(self):
         return self._elements
+
+    def positions(self) -> Dict:
+        """Each element's index in ``elements``: its vertex number."""
+        return self._pos
 
     def above(self, x) -> FrozenSet:
         return self._above[x]
@@ -129,11 +132,11 @@ class FinitePoset:
 
     def relation_pairs(self):
         for x in self._elements:
-            for y in sorted(self._above[x], key=_label_key):
+            for y in sorted(self._above[x], key=self._pos.__getitem__):
                 yield (x, y)
 
     def linear_extension(self):
-        return sorted(self._elements, key=lambda x: (len(self.below(x)), _label_key(x)))
+        return sorted(self._elements, key=lambda x: len(self.below(x)))
 
     # -- heights ------------------------------------------------------------
 
@@ -165,7 +168,7 @@ class FinitePoset:
 
     def induced(self, subset) -> "FinitePoset":
         sub = frozenset(subset)
-        assert sub <= self._eset, "induced subset must consist of elements"
+        assert sub <= self._pos.keys(), "induced subset must consist of elements"
         above = {x: self._above[x] & sub for x in sub}
         h = None
         if self._heights is not None:
@@ -203,7 +206,8 @@ class FinitePoset:
     def __eq__(self, other):
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        return self._eset == other._eset and self._above == other._above
+        # the keys of the closed relation are the elements
+        return self._above == other._above
 
     def __repr__(self):
         return f"FinitePoset({len(self._elements)} elements, dim {self.dim()})"
@@ -215,7 +219,7 @@ def barycentric_subdivision(P: FinitePoset) -> FinitePoset:
 
     def grow(prefix, last):
         chains.append(tuple(prefix))
-        for y in sorted(P.above(last), key=_label_key):
+        for y in sorted(P.above(last), key=P.positions().__getitem__):
             prefix.append(y)
             grow(prefix, y)
             prefix.pop()
@@ -234,7 +238,8 @@ def check_isomorphism(P: FinitePoset, Q: FinitePoset, mapping: Dict) -> bool:
     """Whether ``mapping`` is an order isomorphism from P onto Q."""
     if set(mapping) != set(P.elements):
         return False
-    if sorted(map(_label_key, mapping.values())) != sorted(map(_label_key, Q.elements)):
+    # as many values as elements of Q, all of them: a bijection
+    if len(P) != len(Q) or set(mapping.values()) != set(Q.elements):
         return False
     for x in P:
         for y in P:
@@ -478,7 +483,7 @@ def random_monotone_map(rng, P: FinitePoset, Q: FinitePoset = None) -> PosetMap:
         if not cands:
             # lower bounds with no common upper bound; restart from scratch
             # by sending everything to one maximal element
-            top = rng.choice(sorted(Q.maximal_elements(), key=_label_key))
+            top = rng.choice(Q.maximal_elements())
             return constant_map(P, Q, top)
-        mapping[x] = rng.choice(sorted(cands, key=_label_key))
+        mapping[x] = rng.choice(sorted(cands, key=Q.positions().__getitem__))
     return PosetMap(P, Q, mapping)

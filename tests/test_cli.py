@@ -58,6 +58,19 @@ def test_export_radical_module(capsys):
     assert len(P) == 6
 
 
+@pytest.mark.parametrize("flags", [
+    ["--poset", "T", "--genus", "1"],
+    ["--poset", "HU", "--genus", "0"],
+    ["--poset", "D", "--genus", "-1"],
+    ["--poset", "U", "--radical", "-1"],
+])
+def test_export_rejects_out_of_range_sizes(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export"] + flags)
+    assert exc.value.code == 2
+    assert "must" in capsys.readouterr().err
+
+
 def test_export_cache_round_trip(tmp_path, capsys):
     cachedir = str(tmp_path / "cache")
     argv = ["export", "--poset", "D", "--format", "structured",

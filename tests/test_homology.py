@@ -81,6 +81,27 @@ def test_torus_homology():
     assert prof.torsion == {}
 
 
+def test_order_complex_simplices_are_position_chains():
+    # repr order differs from the insertion order and from 10 > 9 > 2
+    labels = [10, 9, "a", (1, 2), 2, "b", (0,), 100, "c", (2,), -1, "B"]
+    rng = random.Random(11)
+    for _ in range(25):
+        n = rng.randint(1, len(labels))
+        R = random_poset(rng, n, 0.4)
+        names = rng.sample(labels, n)
+        P = FinitePoset(names, [(names[a], names[b])
+                                for a, b in R.relation_pairs()])
+        assert list(P.elements) == sorted(names, key=repr)
+        pos = P.positions()
+        assert [pos[x] for x in P.elements] == list(range(n))
+        cx = order_complex(P)
+        chains = [(x,) for x in names]
+        for simplices in cx.by_dim:
+            assert simplices == sorted(tuple(pos[x] for x in c) for c in chains)
+            chains = [c + (y,) for c in chains for y in names if P.lt(c[-1], y)]
+        assert not chains
+
+
 def test_empty_and_point():
     assert reduced_homology(FinitePoset([])).betti == {-1: 1}
     assert reduced_homology(FinitePoset(["x"])).betti == {}
@@ -280,7 +301,16 @@ def test_cohen_macaulay_stops_at_the_first_refuted_task(monkeypatch):
     lopsided = FinitePoset(["a", "b", "c"], [("b", "c")])
     v = cohen_macaulay_check(lopsided, 1)
     assert (v.status, v.detail["part"]) == ("refuted", "whole")
+    assert v.detail["links_checked"] == 0
     assert len(calls) == 1
+    # a cone over an edge and a point: the whole poset and six links pass,
+    # then the upper link of c, one point where a circle is due, fails
+    calls.clear()
+    cone = FinitePoset("abct", [("a", "b"), ("b", "t"), ("c", "t")])
+    v = cohen_macaulay_check(cone, 2)
+    assert (v.status, v.detail["part"], v.detail["at"]) == ("refuted", "above", "c")
+    assert v.detail["links_checked"] == 6
+    assert len(calls) == 7
 
 
 def test_cohen_macaulay_budget_reaches_the_links():
@@ -289,6 +319,7 @@ def test_cohen_macaulay_budget_reaches_the_links():
     for workers in (1, 2):
         v = cohen_macaulay_check(U, 2, budget=1, workers=workers)
         assert (v.status, v.basis) == ("inconclusive", "budget")
+        assert v.detail["links_checked"] == 0
 
 
 def test_cohen_macaulay_pool_matches_serial():

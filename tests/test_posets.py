@@ -213,6 +213,13 @@ def test_check_isomorphism():
     assert check_isomorphism(P, Q, {0: "a", 1: "b", 2: "c"})
     assert not check_isomorphism(P, Q, {0: "b", 1: "a", 2: "c"})
     assert not check_isomorphism(P, antichain(3), {0: 0, 1: 1, 2: 2})
+    # incomparable elements glued together pass every order test, but the
+    # map is not onto a poset of the same size, or not onto at all
+    flat = FinitePoset("abc")
+    assert check_isomorphism(antichain(3), flat, {0: "c", 1: "a", 2: "b"})
+    assert not check_isomorphism(antichain(3), flat, {0: "a", 1: "a", 2: "b"})
+    assert not check_isomorphism(antichain(3), FinitePoset("ab"),
+                                 {0: "a", 1: "a", 2: "b"})
 
 
 def test_inclusion_map_requires_subposet():

@@ -1,6 +1,7 @@
 """Report assembly, exit semantics, and reproducibility of suite runs."""
 
 import json
+import os
 
 import pytest
 
@@ -69,6 +70,20 @@ def test_report_json_is_canonical():
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
         run_suite("nope", SuiteConfig())
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name, genus, filename",
+                         [(n, 2, f"{n}.json") for n in SUITE_NAMES]
+                         + [("um", 3, "um.g3.json")])
+def test_report_matches_golden(name, genus, filename):
+    """Refactors keep reports byte for byte; a deliberate report change
+    regenerates tests/golden with ``symposet <suite> --genus G --out``."""
+    with open(os.path.join(GOLDEN, filename), encoding="utf-8") as fh:
+        want = fh.read()
+    assert run_suite(name, SuiteConfig(genus=genus)).to_json() == want
 
 
 def test_run_suite_byte_reproducible():
