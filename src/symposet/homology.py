@@ -12,7 +12,9 @@ that only one boundary matrix is alive at a time.
 A verdict never overstates its evidence.  ``status`` says what was
 established, ``basis`` says with which tools; a fundamental-group probe can
 upgrade a homological verdict or refute it, and a blown budget yields
-"inconclusive", never a guess.
+"inconclusive", never a guess.  The verdicts enumerate the order complex
+once, in their homology step, and a probe on the same poset receives its
+simplices of dimensions 0 to 2 instead of enumerating them again.
 """
 
 from __future__ import annotations
@@ -116,32 +118,39 @@ def _cap(through_degree):
     return None if through_degree is None else max(through_degree + 1, 0)
 
 
-def _reduced(P, through_degree, budget, invariants) -> HomologyProfile:
+def _reduced(P, through_degree, budget, invariants, cx=None) -> HomologyProfile:
     if len(P) == 0:
         return HomologyProfile(betti={-1: 1}, torsion={}, through=None, counts=())
     cap = _cap(through_degree)
-    cx = order_complex(P, max_dim=cap, budget=budget)
+    if cx is None:
+        cx = order_complex(P, max_dim=cap, budget=budget)
     counts = tuple(len(simplices) for simplices in cx.by_dim)
     # d_0 is the augmentation of a nonempty complex, of rank 1
     return _profile(cx, cap, counts, cx.boundary_rows, 1, invariants)
 
 
 def reduced_homology(P: FinitePoset, through_degree=None,
-                     budget=DEFAULT_BUDGET) -> HomologyProfile:
-    return _reduced(P, through_degree, budget, smith_invariants)
+                     budget=DEFAULT_BUDGET, cx=None) -> HomologyProfile:
+    """Reduced integral homology of P through ``through_degree`` (all
+    degrees when None).  ``cx``, when the caller has enumerated P's order
+    complex, must reach dimension ``through_degree + 1`` (be complete when
+    that is None)."""
+    return _reduced(P, through_degree, budget, smith_invariants, cx)
 
 
 def relative_homology(P: FinitePoset, sub, through_degree=None,
-                      budget=DEFAULT_BUDGET) -> HomologyProfile:
+                      budget=DEFAULT_BUDGET, cx=None) -> HomologyProfile:
     """Homology of the pair (P, full subposet on the vertex set ``sub``).
 
     Computed from the quotient chain complex; unreduced, no degree -1.
+    ``cx`` is as for ``reduced_homology``.
     """
     sub = frozenset(sub)
     assert sub <= P.positions().keys()
     sub = frozenset(map(P.positions().__getitem__, sub))
     cap = _cap(through_degree)
-    cx = order_complex(P, max_dim=cap, budget=budget)
+    if cx is None:
+        cx = order_complex(P, max_dim=cap, budget=budget)
     counts = tuple(sum(1 for c in simplices if not sub.issuperset(c))
                    for simplices in cx.by_dim)
     return _profile(cx, cap, counts,
@@ -198,14 +207,20 @@ class _Settled(Exception):
     """Raised by a ladder step with the verdict that ends the ladder."""
 
 
-def _homology_step(level: int, through: int, compute) -> HomologyProfile:
-    """The profile ``compute()`` returns, unless it settles the verdict.
+def _homology_step(level: int, through: int, P: FinitePoset, degree: int,
+                   budget, homology, *sub):
+    """``homology(P, *sub)`` through ``degree``, unless it settles the verdict.
 
-    A budget overrun settles it as inconclusive, a nonzero degree at or
-    below ``through`` as refuted.
+    The order complex of P is enumerated here, through dimension
+    ``degree + 1``, and handed to ``homology`` (``reduced_homology``, or
+    ``relative_homology`` with its vertex set).  A budget overrun settles
+    the verdict as inconclusive, a nonzero degree at or below ``through`` as
+    refuted.  Returns the profile and the complex's simplex lists of
+    dimensions 0 to 2, which a probe on P can reuse.
     """
     try:
-        prof = compute()
+        cx = order_complex(P, max_dim=_cap(degree), budget=budget)
+        prof = homology(P, *sub, through_degree=degree, budget=budget, cx=cx)
     except BudgetExceeded as e:
         raise _Settled(ConnectivityVerdict(level, "inconclusive", "budget",
                                            {"reason": str(e)}))
@@ -215,14 +230,16 @@ def _homology_step(level: int, through: int, compute) -> HomologyProfile:
             level, "refuted", "homology",
             {"degree": bad, "betti": prof.betti_number(bad),
              "torsion": prof.torsion_at(bad)}))
-    return prof
+    return prof, cx.by_dim[:3]
 
 
-def _pi1_step(level: int, Q: FinitePoset, budget, reason: str) -> str:
+def _pi1_step(level: int, Q: FinitePoset, budget, reason: str,
+              skeleton=None) -> str:
     """Probe the fundamental group of Q: a nontrivial group refutes, a
-    trivial one upgrades the basis to homology+pi1."""
+    trivial one upgrades the basis to homology+pi1.  ``skeleton`` is the
+    simplices of dimensions 0 to 2 of Q's order complex, when known."""
     try:
-        res = pi1.pi1_probe(Q, budget=budget)
+        res = pi1.pi1_probe(Q, budget=budget, skeleton=skeleton)
     except BudgetExceeded:
         res = "unknown"
     if res == "nontrivial":
@@ -247,11 +264,11 @@ def homologically_connected(P: FinitePoset, d: int, budget=DEFAULT_BUDGET,
     if d == -1:
         return ConnectivityVerdict(d, "verified", "nonempty")
     try:
-        _homology_step(d, d, lambda: reduced_homology(
-            P, through_degree=d, budget=budget))
+        _, skeleton = _homology_step(d, d, P, d, budget, reduced_homology)
         basis = "homology-only"
         if d >= 1 and probe:
-            basis = _pi1_step(d, P, budget, "fundamental group is nontrivial")
+            basis = _pi1_step(d, P, budget, "fundamental group is nontrivial",
+                              skeleton)
     except _Settled as s:
         return s.args[0]
     return ConnectivityVerdict(d, "verified", basis)
@@ -271,14 +288,15 @@ def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
     if n == -1:
         return ConnectivityVerdict(n, "verified", "empty")
     try:
-        prof = _homology_step(n, n - 1, lambda: reduced_homology(
-            P, through_degree=n, budget=budget))
+        prof, skeleton = _homology_step(n, n - 1, P, n, budget,
+                                        reduced_homology)
         if prof.torsion_at(n):
             return ConnectivityVerdict(n, "refuted", "homology",
                                        {"degree": n, "torsion": prof.torsion_at(n)})
         basis = "homology-only"
         if n >= 2 and probe:
-            basis = _pi1_step(n, P, budget, "fundamental group is nontrivial")
+            basis = _pi1_step(n, P, budget, "fundamental group is nontrivial",
+                              skeleton)
     except _Settled as s:
         return s.args[0]
     return ConnectivityVerdict(n, "verified", basis,
@@ -347,17 +365,19 @@ def map_connectivity(f: PosetMap, n: int, budget=DEFAULT_BUDGET,
 
     The pair homology must vanish through degree n.  For n >= 1 a probe on
     the mapping cone checks the fundamental-group condition: a nontrivial
-    cone group refutes, a trivial one strengthens the basis.
+    cone group refutes, a trivial one strengthens the basis.  The cylinder
+    is built once; the cone is that cylinder with its source coned off.
     """
     if n <= -1:
         return ConnectivityVerdict(n, "verified", "vacuous")
-    M, src, tgt = mapping_cylinder(f)
+    cylinder = mapping_cylinder(f)
+    M, src, _ = cylinder
     try:
-        _homology_step(n, n, lambda: relative_homology(
-            M, frozenset(src.values()), through_degree=n, budget=budget))
+        _homology_step(n, n, M, n, budget, relative_homology,
+                       frozenset(src.values()))
         basis = "homology-only"
         if n >= 1 and probe:
-            basis = _pi1_step(n, mapping_cone(f)[0], budget,
+            basis = _pi1_step(n, mapping_cone(f, cylinder)[0], budget,
                               "cone group is nontrivial")
     except _Settled as s:
         return s.args[0]

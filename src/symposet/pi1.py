@@ -11,7 +11,16 @@ The presentation is the classical edge-path one on the 2-skeleton: spanning
 tree edges die, the remaining edges generate, triangles give relators.
 Rooting the tree at a maximal-degree vertex makes cones collapse
 immediately, since every non-tree edge then closes a triangle with two
-tree edges through the apex.
+tree edges through the apex.  A verdict whose homology step has already
+enumerated the order complex through dimension 2 hands those simplex
+lists over (``skeleton``), so the probe does not enumerate them again.
+
+When every relator has pairwise distinct generators, as every edge-path
+relator has, Tietze reduction first closes the generator kills: a relator
+kills its last live generator, and a worklist over a generator -> relator
+index finds every such relator as the kills spread, in the same rounds as
+the plain loop, without rewriting the words.  The round loop then runs on
+the words that still hold a live letter.
 """
 
 from __future__ import annotations
@@ -27,19 +36,23 @@ _MAX_RELATOR_MASS = 400_000
 _TIETZE_ROUNDS = 200
 
 
-def edge_path_presentation(P: FinitePoset, budget=DEFAULT_BUDGET):
+def edge_path_presentation(P: FinitePoset, budget=DEFAULT_BUDGET,
+                           skeleton=None):
     """(n_gens, relators) from the 2-skeleton, or None if disconnected.
 
     Relators are lists of signed generator indices (1-based); traversing
     the edge (a, b) with a < b forwards is +g, backwards is -g.  Vertices
     are the complex's vertex numbers; the tree is rooted at a vertex of
     largest degree, the largest number among those, and grown breadth
-    first in vertex-number order.
+    first in vertex-number order.  ``skeleton`` is the simplex lists of
+    dimensions 0 to 2 of P's order complex (``OrderComplex.by_dim[:3]``)
+    when the caller has them; otherwise they are enumerated here.
     """
-    cx = order_complex(P, max_dim=2, budget=budget)
-    n_verts = cx.n_simplices(0)
-    edges = cx.by_dim[1] if len(cx.by_dim) > 1 else []
-    tris = cx.by_dim[2] if len(cx.by_dim) > 2 else []
+    if skeleton is None:
+        skeleton = order_complex(P, max_dim=2, budget=budget).by_dim
+    n_verts = len(skeleton[0]) if skeleton else 0
+    edges = skeleton[1] if len(skeleton) > 1 else []
+    tris = skeleton[2] if len(skeleton) > 2 else []
     if not n_verts:
         return 0, []
     adj = [[] for _ in range(n_verts)]
@@ -91,10 +104,49 @@ def _free_cyclic_reduce(w):
     return out
 
 
+def _close_kills(words, rounds):
+    """The opening kill rounds of ``tietze_reduce``, without rewriting
+    every word, for words of pairwise distinct generators.
+
+    Such words are freely and cyclically reduced and stay so as letters
+    die, so a round only has to count each word's live letters, through an
+    index from generators to words: a word down to one live letter kills
+    it in the next round.  Stops when a round kills nothing, or with one
+    round of the budget left, so that the loop ends exactly where it would
+    have.  Returns the words that still hold a live letter, in order, the
+    dead generators and the number of rounds used.
+    """
+    live = [len(w) for w in words]
+    index = {}
+    for i, w in enumerate(words):
+        for l in w:
+            index.setdefault(abs(l), []).append(i)
+    dead = set()
+    kills = {abs(w[0]) for w in words if len(w) == 1}
+    used = 0
+    while kills and used < rounds - 1:
+        used += 1
+        dead |= kills
+        ones = []  # words that came down to one live letter
+        for g in kills:
+            for i in index.get(g, ()):
+                live[i] -= 1
+                if live[i] == 1:
+                    ones.append(i)
+        kills = {abs(l) for i in ones for l in words[i] if abs(l) not in dead}
+    out = [w if n == len(w) else [l for l in w if abs(l) not in dead]
+           for w, n in zip(words, live) if n]
+    return out, dead, used
+
+
 def tietze_reduce(n_gens, relators, rounds=_TIETZE_ROUNDS):
     """Shrink a presentation; returns (n_gens, relators) renumbered."""
     words = [list(w) for w in relators]
     alive = set(range(1, n_gens + 1))
+    if rounds > 0 and all(len(set(map(abs, w))) == len(w) for w in words):
+        words, dead, used = _close_kills(words, rounds)
+        alive -= dead
+        rounds -= used
     for _ in range(rounds):
         words = [_free_cyclic_reduce(w) for w in words]
         words = [w for w in words if w]
@@ -282,9 +334,12 @@ def coset_enumeration_trivial(n_gens, relators, max_cosets=MAX_COSETS):
 
 
 def pi1_probe(P: FinitePoset, budget=DEFAULT_BUDGET,
-              max_cosets=MAX_COSETS) -> str:
-    """"trivial" / "nontrivial" / "unknown" for the order complex group."""
-    pres = edge_path_presentation(P, budget)
+              max_cosets=MAX_COSETS, skeleton=None) -> str:
+    """"trivial" / "nontrivial" / "unknown" for the order complex group.
+
+    ``skeleton`` is passed on to ``edge_path_presentation``.
+    """
+    pres = edge_path_presentation(P, budget, skeleton)
     if pres is None:
         return "unknown"
     n, rels = tietze_reduce(*pres)

@@ -3,13 +3,15 @@
 Every poset keeps, for each element, the frozenset of elements strictly
 above it.  Elements are labels (often nested tuples), and a poset has one
 label order: the constructor sorts the labels by ``repr`` once and numbers
-them 0..n-1 in that order (``positions()``).  Code below the poset, such
-as order complexes, works on those vertex numbers and never orders labels
-itself.  The public constructor accepts any acyclic generating relation
-and closes it; derived constructions (induced subposets, opposites, joins,
-cylinders) produce relations that are closed by construction and go through
-a trusted path that still checks irreflexivity and antisymmetry, plus full
-transitivity when the poset is small enough for that to be cheap.
+them 0..n-1 in that order (``positions()``); induced subposets, opposites
+and re-heighted copies keep their parent's order instead of sorting again.
+Code below the poset, such as order complexes, works on those vertex
+numbers and never orders labels itself.  The public constructor accepts
+any acyclic generating relation and closes it; derived constructions
+(induced subposets, opposites, joins, cylinders) produce relations that
+are closed by construction and go through a trusted path that still checks
+irreflexivity and antisymmetry, plus full transitivity when the poset is
+small enough for that to be cheap.
 
 Heights are data: by default the standard height (longest chain ending at
 the element), but a poset can carry explicit heights, which induced
@@ -59,8 +61,10 @@ class FinitePoset:
             above[x] = frozenset(acc)
         self._init_from_closed(elems, above, heights)
 
-    def _init_from_closed(self, elems, above, heights):
-        self._elements = tuple(sorted(elems, key=repr))
+    def _init_from_closed(self, elems, above, heights, ordered=False):
+        # ``ordered``: elems are in repr order already, as a subsequence of
+        # another poset's elements is
+        self._elements = tuple(elems) if ordered else tuple(sorted(elems, key=repr))
         self._pos = {x: i for i, x in enumerate(self._elements)}
         self._above = above
         self._below = None
@@ -76,9 +80,9 @@ class FinitePoset:
                     assert above[y] <= up, f"relation not transitively closed at {x!r} < {y!r}"
 
     @classmethod
-    def _from_closed(cls, elems, above, heights=None):
+    def _from_closed(cls, elems, above, heights=None, ordered=False):
         self = cls.__new__(cls)
-        self._init_from_closed(list(elems), dict(above), heights)
+        self._init_from_closed(list(elems), dict(above), heights, ordered)
         return self
 
     # -- basic queries ------------------------------------------------------
@@ -158,7 +162,8 @@ class FinitePoset:
         for x in self._elements:
             for y in self._above[x]:
                 assert heights[x] < heights[y], "heights must be strictly monotone"
-        return FinitePoset._from_closed(self._elements, self._above, heights)
+        return FinitePoset._from_closed(self._elements, self._above, heights,
+                                        ordered=True)
 
     def dim(self) -> int:
         """Length of the longest chain; -1 for the empty poset."""
@@ -173,13 +178,15 @@ class FinitePoset:
         h = None
         if self._heights is not None:
             h = {x: self._heights[x] for x in sub}
-        return FinitePoset._from_closed(sub, above, h)
+        return FinitePoset._from_closed(sorted(sub, key=self._pos.__getitem__),
+                                        above, h, ordered=True)
 
     def opposite(self) -> "FinitePoset":
         h = None
         if self._heights is not None:
             h = {x: -v for x, v in self._heights.items()}
-        return FinitePoset._from_closed(self._elements, self._below_map(), h)
+        return FinitePoset._from_closed(self._elements, self._below_map(), h,
+                                        ordered=True)
 
     def subposet_lt(self, x):
         return self.induced(self.below(x))
@@ -410,13 +417,14 @@ def mapping_cylinder(f: PosetMap, truncate=None):
     return M, {x: lx(x) for x in X}, {y: ly(y) for y in Y}
 
 
-def mapping_cone(f: PosetMap):
+def mapping_cone(f: PosetMap, cylinder=None):
     """Cylinder plus a fresh vertex below all of the source.
 
     Coning off the source leaves the homotopy cofiber of the map; the
-    target part is untouched.  Returns (M, src, tgt, tip).
+    target part is untouched.  ``cylinder`` is ``mapping_cylinder(f)``
+    when the caller has built it already.  Returns (M, src, tgt, tip).
     """
-    M0, src, tgt = mapping_cylinder(f)
+    M0, src, tgt = mapping_cylinder(f) if cylinder is None else cylinder
     tip = ("cone",)
     while tip in M0:
         tip = tip + ("cone",)

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import symposet
-from symposet import homology
+from symposet import complexes, homology, pi1, posets
 from symposet.complexes import BudgetExceeded, OrderComplex, order_complex
 from symposet.homology import (HomologyProfile, cohen_macaulay_check,
                                homologically_connected, homology_spherical,
@@ -216,6 +216,41 @@ def test_relative_homology_matches_the_mapping_cone():
         cone = reduced_homology(mapping_cone(f)[0])
         assert pair.betti == cone.betti
         assert pair.torsion == cone.torsion
+
+
+def _count_calls(monkeypatch, owners, name):
+    calls = []
+    original = getattr(owners[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_verdicts_enumerate_the_order_complex_once(monkeypatch):
+    calls = _count_calls(monkeypatch, (complexes, homology, pi1),
+                         "order_complex")
+    s2 = subsets_poset(4)
+    v = homologically_connected(s2, 1)
+    assert (v.status, v.basis) == ("verified", "homology+pi1")
+    assert len(calls) == 1
+    calls.clear()
+    v = homology_spherical(s2, 2)
+    assert (v.status, v.basis) == ("verified", "homology+pi1")
+    assert len(calls) == 1
+
+
+def test_map_connectivity_builds_the_cylinder_once(monkeypatch):
+    calls = _count_calls(monkeypatch, (posets, homology), "mapping_cylinder")
+    for n in (1, 2):
+        calls.clear()
+        v = map_connectivity(identity_map(subsets_poset(4)), n)
+        assert (v.status, v.basis) == ("verified", "homology+pi1")
+        assert len(calls) == 1
 
 
 def test_dd_zero_check_rejects_a_pair_that_does_not_compose_to_zero():

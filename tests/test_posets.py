@@ -79,6 +79,29 @@ def test_induced_and_intervals():
     assert P.covers("a") == frozenset({"b", "d"})
 
 
+def test_derived_posets_keep_the_label_order():
+    # repr order differs from insertion order and from 10 > 9 > 2
+    labels = [10, 9, "a", (1, 2), 2, "b", (0,), 100, "c", (2,), -1, "B"]
+    rng = random.Random(12)
+    for _ in range(25):
+        n = rng.randint(1, len(labels))
+        R = random_poset(rng, n, 0.4)
+        names = rng.sample(labels, n)
+        P = FinitePoset(names, [(names[a], names[b])
+                                for a, b in R.relation_pairs()])
+        sub = rng.sample(names, rng.randint(0, n))
+        S = P.induced(sub)
+        assert S == FinitePoset(sub, [(a, b) for a, b in P.relation_pairs()
+                                      if a in sub and b in sub])
+        assert list(S.elements) == sorted(sub, key=repr)
+        heights = {x: 2 * h for x, h in P.standard_heights().items()}
+        for Q in (S, P.opposite(), P.with_heights(heights)):
+            assert list(Q.elements) == sorted(Q.elements, key=repr)
+            assert [Q.positions()[x] for x in Q.elements] == list(range(len(Q)))
+        assert P.opposite().elements == P.elements
+        assert P.with_heights(heights).heights() == heights
+
+
 def test_link_is_comparables():
     P = FinitePoset("abcd", [("a", "b"), ("b", "c"), ("a", "d")])
     assert set(P.link("b").elements) == {"a", "c"}
@@ -188,6 +211,17 @@ def test_mapping_cone_of_identity_is_contractible():
     C, src, _, tip = mapping_cone(identity_map(P))
     assert reduced_homology(C).betti == {}
     assert all(C.le(tip, src[x]) for x in P)
+
+
+def test_mapping_cone_over_a_given_cylinder():
+    rng = random.Random(4)
+    for _ in range(10):
+        P = random_poset(rng, 6, p=0.35)
+        f = random_monotone_map(rng, P)
+        cylinder = mapping_cylinder(f)
+        given = mapping_cone(f, cylinder)
+        assert given == mapping_cone(f)
+        assert given[0].elements == mapping_cone(f)[0].elements
 
 
 def test_mapping_cone_gives_cofiber():
