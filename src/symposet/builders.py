@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .linalg import PackedSpace, matrix_rank
 from .posets import FinitePoset, PosetMap, barycentric_subdivision
 from .rings import EuclideanScalarRing, PrimeField, ZZ
-from .snf import dense_smith
+from .snf import CertificateError, dense_smith
 from .symplectic import (Submodule, SymplecticModule,
                          enumerate_unimodular_submodules,
                          is_isotropic_sequence)
@@ -105,7 +105,8 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
                 if s.rank <= remaining.rank and remaining.contains_submodule(s)]
         for idx, s in enumerate(fits):
             rest = remaining.intersect(s.perp())
-            assert rest.rank == remaining.rank - s.rank
+            if rest.rank != remaining.rank - s.rank:
+                raise CertificateError("perp complement has the wrong rank")
             chosen.append(s.key())
             extend(chosen, rest, fits[idx + 1:])
             chosen.pop()
@@ -160,7 +161,8 @@ def flag_to_decomposition(L: SymplecticModule, U_gt=None, D=None) -> PosetMap:
         if (prev, cur) not in step_cache:
             piece = submodule_from_key(L, cur).intersect(
                 submodule_from_key(L, perp_key(prev)))
-            assert piece.is_unimodular() and piece.rank > 0
+            if not (piece.is_unimodular() and piece.rank > 0):
+                raise CertificateError("flag step is not unimodular")
             step_cache[(prev, cur)] = piece.key()
         return step_cache[(prev, cur)]
 

@@ -1,20 +1,25 @@
 """Exact integral homology of order complexes, and connectivity verdicts.
 
 Everything here is integer-exact: ranks and torsion come from Smith normal
-form of boundary matrices.  Reduced, relative and mod-2 homology differ
-only in their generator counts, boundary matrices and invariant-factor
-routine, and share one loop, ``_profile``, that walks the degrees one at a
-time.  That loop is also where dd=0 is certified: on complexes with at
-most ``_DD_CHECK_LIMIT`` generators it checks that each pair of
-consecutive boundary matrices handed to the SNF composes to zero; above
-that only one boundary matrix is alive at a time.
+form of boundary matrices, or from exactness where a trivial fundamental
+group fixes them.  Reduced, relative and mod-2 homology differ only in
+their generator counts, boundary matrices and invariant-factor routine,
+and share one loop, ``_profile``, that walks the degrees one at a time.
+That loop is also where dd=0 is certified: on complexes with at most
+``_DD_CHECK_LIMIT`` generators it checks that each pair of consecutive
+boundary matrices handed to the SNF composes to zero; above that only one
+boundary matrix is alive at a time.
 
 A verdict never overstates its evidence.  ``status`` says what was
 established, ``basis`` says with which tools; a fundamental-group probe can
 upgrade a homological verdict or refute it, and a blown budget yields
 "inconclusive", never a guess.  The verdicts enumerate the order complex
-once, in their homology step, and a probe on the same poset receives its
-simplices of dimensions 0 to 2 instead of enumerating them again.
+once, in their homology step.  A verdict that probes its own poset does so
+first, on the simplices of dimensions 0 to 2 of that complex: a trivial
+group makes the complex connected with H_1 = 0 (Hurewicz: H_1 is the
+abelianization of pi_1), which fixes the ranks of d_1 and d_2 with no
+torsion, so the SNF starts at d_3.  Any other answer waits until the
+homology has run in full, so a refutation by homology still comes first.
 """
 
 from __future__ import annotations
@@ -68,23 +73,32 @@ class HomologyProfile:
         return None
 
 
-def _profile(cx, cap, counts, rows, first_rank, invariants) -> HomologyProfile:
+def _profile(cx, cap, counts, rows, known, invariants) -> HomologyProfile:
     """Betti numbers and torsion of one chain complex on the simplices of cx.
 
-    ``counts[k]`` generators sit in degree k, ``rows(k)`` is the sparse
-    boundary d_k for k >= 1 and ``first_rank`` the rank of d_0.  The rank of
-    d_k is the length of ``invariants(rows(k))`` and its entries above 1
-    are torsion in degree k - 1.  On complexes within _DD_CHECK_LIMIT each
-    consecutive pair of boundaries must compose to zero; above it no
+    ``counts[k]`` generators sit in degree k and ``rows(k)`` is the sparse
+    boundary d_k.  ``known`` holds the ranks of d_0, d_1, ... that need no
+    SNF: that of d_0 always, and those of d_1 and d_2 too when a trivial
+    fundamental group fixes them; those boundaries are free of torsion, and
+    a known rank that does not fit its matrix raises CertificateError.  From
+    d_{len(known)} up the rank of d_k is the length of
+    ``invariants(rows(k))`` and its entries above 1 are torsion in degree
+    k - 1.  On complexes within _DD_CHECK_LIMIT each consecutive pair of
+    boundaries handed to ``invariants`` must compose to zero; above it no
     boundary is held here while ``invariants`` runs.
     """
     top = len(counts) - 1
-    ranks = [0] * (top + 2)
-    ranks[0] = first_rank
+    ranks = list(known) + [0] * (top + 2 - len(known))
+    size = lambda k: counts[k] if k < len(counts) else 0
+    for k in range(1, len(known)):
+        if not 0 <= known[k] <= min(size(k - 1), size(k)):
+            raise CertificateError(
+                f"rank {known[k]} of d_{k} does not fit a "
+                f"{size(k - 1)} x {size(k)} matrix")
     torsion = {}
     check = sum(counts) <= _DD_CHECK_LIMIT
     lower = None
-    for k in range(1, top + 1):
+    for k in range(len(known), top + 1):
         if check:
             upper = rows(k)
             if lower is not None:
@@ -118,15 +132,17 @@ def _cap(through_degree):
     return None if through_degree is None else max(through_degree + 1, 0)
 
 
-def _reduced(P, through_degree, budget, invariants, cx=None) -> HomologyProfile:
+def _reduced(P, through_degree, budget, invariants, cx=None,
+             known=(1,)) -> HomologyProfile:
+    """Reduced homology of P; ``known`` goes to ``_profile`` (d_0 is the
+    augmentation of a nonempty complex, of rank 1)."""
     if len(P) == 0:
         return HomologyProfile(betti={-1: 1}, torsion={}, through=None, counts=())
     cap = _cap(through_degree)
     if cx is None:
         cx = order_complex(P, max_dim=cap, budget=budget)
     counts = tuple(len(simplices) for simplices in cx.by_dim)
-    # d_0 is the augmentation of a nonempty complex, of rank 1
-    return _profile(cx, cap, counts, cx.boundary_rows, 1, invariants)
+    return _profile(cx, cap, counts, cx.boundary_rows, known, invariants)
 
 
 def reduced_homology(P: FinitePoset, through_degree=None,
@@ -154,7 +170,7 @@ def relative_homology(P: FinitePoset, sub, through_degree=None,
     counts = tuple(sum(1 for c in simplices if not sub.issuperset(c))
                    for simplices in cx.by_dim)
     return _profile(cx, cap, counts,
-                    lambda k: relative_boundary_rows(cx, sub, k), 0,
+                    lambda k: relative_boundary_rows(cx, sub, k), (0,),
                     smith_invariants)
 
 
@@ -207,20 +223,46 @@ class _Settled(Exception):
     """Raised by a ladder step with the verdict that ends the ladder."""
 
 
-def _homology_step(level: int, through: int, P: FinitePoset, degree: int,
-                   budget, homology, *sub):
-    """``homology(P, *sub)`` through ``degree``, unless it settles the verdict.
+def _probe(Q: FinitePoset, budget, skeleton=None) -> str:
+    """``pi1.pi1_probe``, with a budget overrun read as "unknown"."""
+    try:
+        return pi1.pi1_probe(Q, budget=budget, skeleton=skeleton)
+    except BudgetExceeded:
+        return "unknown"
 
-    The order complex of P is enumerated here, through dimension
-    ``degree + 1``, and handed to ``homology`` (``reduced_homology``, or
-    ``relative_homology`` with its vertex set).  A budget overrun settles
-    the verdict as inconclusive, a nonzero degree at or below ``through`` as
-    refuted.  Returns the profile and the complex's simplex lists of
-    dimensions 0 to 2, which a probe on P can reuse.
+
+def _homology_step(level: int, through: int, P: FinitePoset, degree: int,
+                   budget, probe: bool, sub=None, cone=None):
+    """The homology and pi_1 steps of a verdict: (profile, basis), unless
+    they settle it.
+
+    The homology is reduced, or with ``sub`` (a set of labels) that of the
+    pair (P, sub), through ``degree``, on P's order complex enumerated here
+    once through dimension ``degree + 1``.  A budget overrun settles the
+    verdict as inconclusive; a nonzero degree at or below ``through``, or
+    torsion in ``degree``, as refuted by homology.  With ``probe`` the
+    fundamental group of P, or on the pair route of ``cone()``, is probed: a
+    nontrivial group refutes, a trivial one gives the basis homology+pi1.
+
+    P's own probe runs before its homology, on the simplices of dimensions
+    0 to 2 enumerated here.  A trivial answer means a connected complex with
+    H_1 = 0, so rank d_1 = c_0 - 1 and rank d_2 = c_1 - rank d_1, both free,
+    and the SNF starts at d_3.  Any other answer is held until the homology
+    has run in full, so refutations keep their basis and detail.
     """
+    res = None
     try:
         cx = order_complex(P, max_dim=_cap(degree), budget=budget)
-        prof = homology(P, *sub, through_degree=degree, budget=budget, cx=cx)
+        if probe and sub is None:
+            res = _probe(P, budget, cx.by_dim[:3])
+        if sub is not None:
+            prof = relative_homology(P, sub, degree, budget, cx=cx)
+        elif res == "trivial":
+            c0, c1 = cx.n_simplices(0), cx.n_simplices(1)
+            prof = _reduced(P, degree, budget, smith_invariants, cx,
+                            (1, c0 - 1, c1 - (c0 - 1)))
+        else:
+            prof = reduced_homology(P, degree, budget, cx=cx)
     except BudgetExceeded as e:
         raise _Settled(ConnectivityVerdict(level, "inconclusive", "budget",
                                            {"reason": str(e)}))
@@ -230,22 +272,18 @@ def _homology_step(level: int, through: int, P: FinitePoset, degree: int,
             level, "refuted", "homology",
             {"degree": bad, "betti": prof.betti_number(bad),
              "torsion": prof.torsion_at(bad)}))
-    return prof, cx.by_dim[:3]
-
-
-def _pi1_step(level: int, Q: FinitePoset, budget, reason: str,
-              skeleton=None) -> str:
-    """Probe the fundamental group of Q: a nontrivial group refutes, a
-    trivial one upgrades the basis to homology+pi1.  ``skeleton`` is the
-    simplices of dimensions 0 to 2 of Q's order complex, when known."""
-    try:
-        res = pi1.pi1_probe(Q, budget=budget, skeleton=skeleton)
-    except BudgetExceeded:
-        res = "unknown"
+    if prof.torsion_at(degree):
+        raise _Settled(ConnectivityVerdict(
+            level, "refuted", "homology",
+            {"degree": degree, "torsion": prof.torsion_at(degree)}))
+    if probe and sub is not None:
+        res = _probe(cone(), budget)
     if res == "nontrivial":
+        reason = ("fundamental group" if sub is None else "cone group") + \
+            " is nontrivial"
         raise _Settled(ConnectivityVerdict(level, "refuted", "pi1",
                                            {"reason": reason}))
-    return "homology+pi1" if res == "trivial" else "homology-only"
+    return prof, "homology+pi1" if res == "trivial" else "homology-only"
 
 
 def homologically_connected(P: FinitePoset, d: int, budget=DEFAULT_BUDGET,
@@ -254,8 +292,11 @@ def homologically_connected(P: FinitePoset, d: int, budget=DEFAULT_BUDGET,
 
     d <= -2 is vacuous, d = -1 means nonempty.  For d >= 1 vanishing
     homology alone cannot see a perfect fundamental group, so a group
-    probe runs on top; if it cannot decide, the verdict stays "verified"
-    with basis "homology-only" to record the weaker certificate.
+    probe runs too; if it cannot decide, the verdict stays "verified"
+    with basis "homology-only" to record the weaker certificate.  The probe
+    runs first: when it finds the group trivial, the ranks of d_1 and d_2
+    follow by exactness and the SNF, with its dd=0 check, covers only d_3
+    and up.
     """
     if d <= -2:
         return ConnectivityVerdict(d, "verified", "vacuous")
@@ -264,11 +305,7 @@ def homologically_connected(P: FinitePoset, d: int, budget=DEFAULT_BUDGET,
     if d == -1:
         return ConnectivityVerdict(d, "verified", "nonempty")
     try:
-        _, skeleton = _homology_step(d, d, P, d, budget, reduced_homology)
-        basis = "homology-only"
-        if d >= 1 and probe:
-            basis = _pi1_step(d, P, budget, "fundamental group is nontrivial",
-                              skeleton)
+        _, basis = _homology_step(d, d, P, d, budget, probe and d >= 1)
     except _Settled as s:
         return s.args[0]
     return ConnectivityVerdict(d, "verified", basis)
@@ -279,7 +316,10 @@ def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
     """Does P look like a wedge of n-spheres?
 
     Checks the dimension, (n-1)-connectivity, and freeness of the top
-    homology; the sphere count lands in the detail.
+    homology; the sphere count lands in the detail.  For n >= 2 a pi_1
+    probe runs first, as in ``homologically_connected``: a trivial group
+    fixes the ranks of d_1 and d_2, and the SNF and its dd=0 check start
+    at d_3.
     """
     dim = P.dim()
     if dim != n:
@@ -288,15 +328,8 @@ def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
     if n == -1:
         return ConnectivityVerdict(n, "verified", "empty")
     try:
-        prof, skeleton = _homology_step(n, n - 1, P, n, budget,
-                                        reduced_homology)
-        if prof.torsion_at(n):
-            return ConnectivityVerdict(n, "refuted", "homology",
-                                       {"degree": n, "torsion": prof.torsion_at(n)})
-        basis = "homology-only"
-        if n >= 2 and probe:
-            basis = _pi1_step(n, P, budget, "fundamental group is nontrivial",
-                              skeleton)
+        prof, basis = _homology_step(n, n - 1, P, n, budget,
+                                     probe and n >= 2)
     except _Settled as s:
         return s.args[0]
     return ConnectivityVerdict(n, "verified", basis,
@@ -373,12 +406,9 @@ def map_connectivity(f: PosetMap, n: int, budget=DEFAULT_BUDGET,
     cylinder = mapping_cylinder(f)
     M, src, _ = cylinder
     try:
-        _homology_step(n, n, M, n, budget, relative_homology,
-                       frozenset(src.values()))
-        basis = "homology-only"
-        if n >= 1 and probe:
-            basis = _pi1_step(n, mapping_cone(f, cylinder)[0], budget,
-                              "cone group is nontrivial")
+        _, basis = _homology_step(n, n, M, n, budget, probe and n >= 1,
+                                  frozenset(src.values()),
+                                  lambda: mapping_cone(f, cylinder)[0])
     except _Settled as s:
         return s.args[0]
     return ConnectivityVerdict(n, "verified", basis)

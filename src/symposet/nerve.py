@@ -17,6 +17,7 @@ from .complexes import DEFAULT_BUDGET
 from .homology import (ConnectivityVerdict, homologically_connected,
                        map_connectivity)
 from .posets import FinitePoset, PosetMap, thick_join
+from .snf import CertificateError
 from .symplectic import (Submodule, SymplecticModule, Lv_submodule,
                          quotient_by_radical, symplectic_dual_family)
 
@@ -356,13 +357,16 @@ def _perp_cover_witness(L: SymplecticModule, quot, F: CoverFamily) -> NerveWitne
         blocks = []
         for v, f in zip(es, fs):
             u = Submodule(L, [quot.lift(v), quot.lift(f)])
-            assert u.rank == 2 and u.is_unimodular()
+            if not (u.rank == 2 and u.is_unimodular()):
+                raise CertificateError("block is not unimodular of rank 2")
             blocks.append(u)
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
                 for x in blocks[i].basis:
                     for y in blocks[j].basis:
-                        assert L.pair(x, y) == 0, "blocks must be perpendicular"
+                        if L.pair(x, y) != 0:
+                            raise CertificateError(
+                                "blocks must be perpendicular")
         entries = [tuple(v) for v in seq]
 
         def span_over(positions):
@@ -372,19 +376,23 @@ def _perp_cover_witness(L: SymplecticModule, quot, F: CoverFamily) -> NerveWitne
             return acc
 
         u_empty = span_over(range(len(blocks)))
-        assert u_empty.key() in F.X, "full block span left the poset"
+        if u_empty.key() not in F.X:
+            raise CertificateError("full block span left the poset")
         s[seq] = {}
         e[seq] = {}
         for b in F.A.subposet_lt(seq):
             positions = [i for i, v in enumerate(entries) if v not in b]
             assert len(positions) == len(entries) - len(b)
             ub = span_over(positions)
-            assert ub.key() in F.members[b], "section value must lie in X_b"
+            if ub.key() not in F.members[b]:
+                raise CertificateError("section value must lie in X_b")
             s[seq][b] = ub.key()
             for x in F.members[seq]:
                 val = Submodule(L, list(x) + list(ub.basis))
-                assert val.is_unimodular(), "envelope failed unimodularity"
-                assert val.key() in F.members[b]
+                if not val.is_unimodular():
+                    raise CertificateError("envelope failed unimodularity")
+                if val.key() not in F.members[b]:
+                    raise CertificateError("envelope value must lie in X_b")
                 e[seq][(b, x)] = val.key()
         first = assembled_map(F, NerveWitness(s, e, {}), seq)
         second = {}
@@ -395,8 +403,8 @@ def _perp_cover_witness(L: SymplecticModule, quot, F: CoverFamily) -> NerveWitne
                 grown = Submodule(L, list(z[2]) + list(u_empty.basis))
             else:
                 grown = u_empty
-            assert grown.is_unimodular()
-            assert grown.key() in F.X
+            if not (grown.is_unimodular() and grown.key() in F.X):
+                raise CertificateError("zig-zag step left the poset")
             second[z] = grown.key()
         third = {z: u_empty.key() for z in first}
         zig[seq] = [first, second, third]

@@ -20,10 +20,11 @@ from symposet.homology import (HomologyProfile, cohen_macaulay_check,
                                homologically_connected, homology_spherical,
                                map_connectivity, reduced_betti_mod2,
                                reduced_homology, relative_homology)
-from symposet.builders import build_U
-from symposet.posets import (FinitePoset, PosetMap, constant_map,
-                             identity_map, mapping_cone, mapping_cylinder,
-                             random_monotone_map, random_poset)
+from symposet.builders import build_O, build_U
+from symposet.posets import (FinitePoset, PosetMap, barycentric_subdivision,
+                             constant_map, identity_map, join, mapping_cone,
+                             mapping_cylinder, random_monotone_map,
+                             random_poset)
 from symposet.snf import CertificateError
 from symposet.rings import PrimeField
 from symposet.symplectic import SymplecticModule
@@ -390,3 +391,195 @@ def test_profile_accessors():
     assert prof.betti_number(0) == 0
     with pytest.raises(AssertionError):
         prof.betti_number(2)
+
+
+# ---------------------------------------------------------------------------
+# probe first: a trivial fundamental group fixes the ranks of d_1 and d_2
+
+def _reference_step(P, level, through, degree, probe):
+    """The verdict ladder with homology first and the probe after it,
+    built from the public ``reduced_homology`` and ``pi1_probe``."""
+    prof = reduced_homology(P, degree)
+    bad = prof.first_nonzero_through(through)
+    if bad is not None:
+        return None, ("refuted", "homology",
+                      {"degree": bad, "betti": prof.betti_number(bad),
+                       "torsion": prof.torsion_at(bad)})
+    if prof.torsion_at(degree):
+        return None, ("refuted", "homology",
+                      {"degree": degree, "torsion": prof.torsion_at(degree)})
+    res = pi1.pi1_probe(P) if probe else "unknown"
+    if res == "nontrivial":
+        return None, ("refuted", "pi1",
+                      {"reason": "fundamental group is nontrivial"})
+    return prof, ("verified",
+                  "homology+pi1" if res == "trivial" else "homology-only", {})
+
+
+def reference_connected(P, d):
+    return _reference_step(P, d, d, d, d >= 1)[1]
+
+
+def reference_spherical(P, n):
+    if P.dim() != n:
+        return ("refuted", "dimension", {"dim": P.dim(), "expected": n})
+    prof, (status, basis, detail) = _reference_step(P, n, n - 1, n, n >= 2)
+    if prof is not None:
+        detail = {"spheres": prof.betti_number(n)}
+    return status, basis, detail
+
+
+def _triple(v):
+    return v.status, v.basis, v.detail
+
+
+def test_probe_first_matches_homology_first():
+    rng = random.Random(606)
+    s0 = FinitePoset([0, 1])
+    rp2, torus = face_poset(RP2_FACES), face_poset(TORUS_FACES)
+    # suspensions of connected posets are simply connected: the probe says
+    # trivial, and the torsion of RP^2 and every 1-class of a suspended
+    # poset turn up in degree 2, from the SNF of d_3
+    cases = [subsets_poset(3), subsets_poset(4), subsets_poset(5), rp2,
+             torus, join(rp2, s0), join(torus, s0)]
+    while len(cases) < 70:
+        P = random_poset(rng, rng.randint(2, 9),
+                         p=rng.choice((0.15, 0.3, 0.5)))
+        cases.append(P)
+        if len(cases) % 3 == 0:
+            cases.append(barycentric_subdivision(P))
+        Q = random_poset(rng, rng.randint(5, 9), p=rng.choice((0.3, 0.5)))
+        cases.append(join(Q, s0))
+    bases, disconnected, late = set(), 0, 0
+    for P in cases:
+        disconnected += reduced_homology(P, 0).betti_number(0) > 0
+        got = {d: _triple(homologically_connected(P, d)) for d in (1, 2)}
+        for d in (1, 2):
+            assert got[d] == reference_connected(P, d)
+            bases.add(got[d][:2])
+        # a trivial probe, then a refutation in degree 2
+        late += got[1][1] == "homology+pi1" and got[2][0] == "refuted"
+        for n in {2, 3, max(P.dim(), 0)}:
+            got = _triple(homology_spherical(P, n))
+            assert got == reference_spherical(P, n)
+            bases.add(got[:2])
+    # a pi1 refutation needs a perfect group, which no input here has
+    assert disconnected >= 5 and late >= 4
+    assert bases >= {("verified", "homology+pi1"), ("refuted", "homology"),
+                     ("verified", "homology-only"), ("refuted", "dimension")}
+
+
+@pytest.mark.parametrize("answer", ["nontrivial", "unknown"])
+def test_probe_first_keeps_a_probe_that_does_not_say_trivial(monkeypatch,
+                                                             answer):
+    # S^2 with a probe that cannot see its group is trivial, as for a
+    # perfect fundamental group: the homology runs in full, then the answer
+    probes = []
+    monkeypatch.setattr(pi1, "pi1_probe",
+                        lambda *a, **k: probes.append(a) or answer)
+    calls = _count_calls(monkeypatch, (homology,), "smith_invariants")
+    s2 = subsets_poset(4)
+    for d in (1, 2):
+        calls.clear()
+        probes.clear()
+        got = _triple(homologically_connected(s2, d))
+        # d_1 and d_2 both reach the SNF, and the probe runs once
+        assert len(calls) == 2 and len(probes) == 1
+        assert got == reference_connected(s2, d)
+    assert _triple(homology_spherical(s2, 2)) == reference_spherical(s2, 2)
+    basis = "pi1" if answer == "nontrivial" else "homology-only"
+    assert homologically_connected(s2, 1).basis == basis
+
+
+def _count_snf_degrees(monkeypatch):
+    """Boundary degrees handed to the SNF, and the number of SNF calls."""
+    snf_calls = _count_calls(monkeypatch, (homology, pi1), "smith_invariants")
+    built = []
+    original = OrderComplex.boundary_rows
+
+    def rows(cx, k):
+        built.append(k)
+        return original(cx, k)
+
+    monkeypatch.setattr(OrderComplex, "boundary_rows", rows)
+    return built, snf_calls
+
+
+def test_trivial_probe_skips_the_low_degree_snfs(monkeypatch):
+    built, snf_calls = _count_snf_degrees(monkeypatch)
+    O = build_O(2, PrimeField(3))
+    for P in (subsets_poset(4), join(O, FinitePoset(["apex"]))):
+        built.clear()
+        snf_calls.clear()
+        v = homologically_connected(P, 1)
+        assert (v.status, v.basis) == ("verified", "homology+pi1")
+        assert snf_calls == [] and built == []
+    # S^3 through degree 2: d_1 and d_2 are fixed, d_3 is computed
+    built.clear()
+    v = homologically_connected(subsets_poset(5), 2)
+    assert (v.status, v.basis) == ("verified", "homology+pi1")
+    assert built == [3] and len(snf_calls) == 1
+    # S^4 through degree 3: dd=0 is certified on the one pair the SNF gets
+    checked = _count_calls(monkeypatch, (OrderComplex,), "dd_zero_check")
+    built.clear()
+    v = homologically_connected(subsets_poset(6), 3)
+    assert (v.status, v.basis) == ("verified", "homology+pi1")
+    assert built == [3, 4] and len(checked) == 1
+    # the sweep's verdicts do not probe, and keep every SNF
+    built.clear()
+    assert homology_spherical(subsets_poset(4), 2, probe=False).ok()
+    assert built == [1, 2]
+
+
+def test_hurewicz_ranks_that_do_not_fit_raise(monkeypatch):
+    # a probe that wrongly calls the circle simply connected would make
+    # rank d_2 = c_1 - c_0 + 1 = 1, with no 2-simplex to carry it
+    monkeypatch.setattr(pi1, "pi1_probe", lambda *a, **k: "trivial")
+    with pytest.raises(CertificateError):
+        homologically_connected(subsets_poset(3), 1)
+
+
+def test_witness_certificates_survive_optimized_python():
+    # each check is made to fail by a monkeypatched helper; under -O a
+    # plain assert would let the bad witness through
+    code = """
+from symposet import builders, homology, nerve, pi1, symplectic
+from symposet.builders import build_D, build_U, flag_to_decomposition
+from symposet.posets import FinitePoset
+from symposet.rings import PrimeField
+from symposet.snf import CertificateError
+from symposet.symplectic import Submodule, SymplecticModule
+
+L = SymplecticModule.standard(PrimeField(2), 2)
+U_gt, D = build_U(L).subposet_gt(()), build_D(L)
+circle = FinitePoset("abcd", [("a", "c"), ("a", "d"), ("b", "c"),
+                              ("b", "d")])
+
+def patched(owner, name, value, run):
+    original = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        run()
+    except CertificateError as e:
+        print(e)
+    finally:
+        setattr(owner, name, original)
+
+patched(pi1, "pi1_probe", lambda *a, **k: "trivial",
+        lambda: homology.homologically_connected(circle, 1))
+patched(Submodule, "perp", lambda self: self.module.zero_submodule(),
+        lambda: build_D(L))
+patched(Submodule, "is_unimodular", lambda self: False,
+        lambda: flag_to_decomposition(L, U_gt, D))
+patched(nerve, "symplectic_dual_family", lambda full, es: es,
+        lambda: nerve.isotropic_perp_cover(L, "positive"))
+"""
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "rank 1 of d_2 does not fit a 4 x 0 matrix",
+        "perp complement has the wrong rank",
+        "flag step is not unimodular",
+        "block is not unimodular of rank 2"]
