@@ -25,7 +25,7 @@ from .trees import UTree, build_T, build_TD, contract, tree_forget_map
 from .nerve import (CoverFamily, NerveWitness, build_Z, fiber_transfer_check,
                     check_nerve_hypotheses, check_nerve_witness,
                     isotropic_perp_cover, validate_cover)
-from .io import PosetCache, export_poset, poset_from_structured
+from .io import export_poset, poset_from_structured
 from .suites import (SuiteConfig, VerificationReport, exit_status, run_suite,
                      SUITE_NAMES)
 
@@ -44,7 +44,7 @@ __all__ = [
     "CoverFamily", "NerveWitness", "build_Z", "fiber_transfer_check",
     "check_nerve_hypotheses", "check_nerve_witness", "isotropic_perp_cover",
     "validate_cover",
-    "PosetCache", "export_poset", "poset_from_structured",
+    "export_poset", "poset_from_structured",
     "SuiteConfig", "VerificationReport", "exit_status", "run_suite",
     "SUITE_NAMES",
 ]

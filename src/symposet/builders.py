@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .linalg import PackedSpace, matrix_rank
 from .posets import FinitePoset, PosetMap, barycentric_subdivision
-from .rings import EuclideanScalarRing, PrimeField, ZZ
+from .rings import EuclideanScalarRing, PrimeField
 from .snf import CertificateError, dense_smith
 from .symplectic import (Submodule, SymplecticModule,
                          enumerate_unimodular_submodules,
@@ -135,10 +135,6 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
     return FinitePoset(decs, rel, heights)
 
 
-def decomposition_members(L: SymplecticModule, label) -> List[Submodule]:
-    return [submodule_from_key(L, k) for k in label]
-
-
 def flag_to_decomposition(L: SymplecticModule, U_gt=None, D=None) -> PosetMap:
     """The map from chains of nonzero unimodular submodules to decompositions:
     successive perpendicular differences, plus the top perp when the chain
@@ -214,37 +210,6 @@ def partitions_poset(X: Iterable) -> FinitePoset:
             rel.append((coarser, p))
     heights = {p: len(p) - 2 for p in partitions}
     return FinitePoset(partitions, rel, heights)
-
-
-def proper_subsets_poset(X: Iterable) -> FinitePoset:
-    """Nonempty proper subsets of X ordered by inclusion."""
-    ground = sorted(set(X))
-    subs = []
-    for k in range(1, len(ground)):
-        subs.extend(itertools.combinations(ground, k))
-    rel = [(a, b) for a in subs for b in subs
-           if len(a) < len(b) and set(a) <= set(b)]
-    return FinitePoset(subs, rel)
-
-
-def g_plus_map(X: Iterable, DP: FinitePoset = None) -> PosetMap:
-    """Chains of nested proper subsets to the strict partition they cut out."""
-    ground = tuple(sorted(set(X)))
-    if DP is None:
-        DP = partitions_poset(ground)
-    sd = barycentric_subdivision(proper_subsets_poset(ground))
-    mapping = {}
-    for chain in sd:
-        blocks = [chain[0]]
-        prev = set(chain[0])
-        for cur in chain[1:]:
-            blocks.append(tuple(sorted(set(cur) - prev)))
-            prev = set(cur)
-        blocks.append(tuple(sorted(set(ground) - prev)))
-        label = _canonical_partition(blocks)
-        assert label in DP
-        mapping[chain] = label
-    return PosetMap(sd, DP, mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import List, Optional
 from . import __version__
 from .builders import (build_D, build_HU, build_I, build_O, build_U)
 from .complexes import DEFAULT_BUDGET
-from .io import EXPORT_FORMATS, PosetCache, export_poset
+from .io import EXPORT_FORMATS, export_poset
 from .rings import ring_from_name
 from .suites import (SUITE_NAMES, SuiteConfig, exit_status, run_suite)
 from .symplectic import SymplecticModule
@@ -67,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--format", default="text", choices=EXPORT_FORMATS)
     ex.add_argument("--out", default=None,
                     help="output file (default: stdout)")
-    ex.add_argument("--cache", default=None,
-                    help="directory for the content-addressed poset cache")
     return p
 
 
@@ -102,14 +100,7 @@ def _build_named_poset(args):
 
 
 def _cmd_export(args) -> int:
-    descriptor = ("poset", args.poset, args.ring, args.genus, args.radical,
-                  __version__)
-    if args.cache:
-        cache = PosetCache(args.cache)
-        P = cache.get(descriptor, lambda: _build_named_poset(args))
-    else:
-        P = _build_named_poset(args)
-    text = export_poset(P, args.format)
+    text = export_poset(_build_named_poset(args), args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -120,7 +111,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_suite(name: str, args) -> int:
     cfg = SuiteConfig(ring=args.ring, genus=args.genus, budget=args.budget,
-                      workers=args.workers, seed=args.seed, out=args.out)
+                      workers=args.workers, seed=args.seed)
     report = run_suite(name, cfg)
     if not args.quiet:
         for line in report.summary_lines():

@@ -1,5 +1,4 @@
-"""Serialization: poset export in three formats, canonical report JSON,
-and a content-addressed on-disk poset cache.
+"""Serialization: poset export in three formats and canonical report JSON.
 
 All exports are deterministic byte for byte: elements are sorted by height,
 then by the poset's own label order (``FinitePoset.positions``), covers by
@@ -11,11 +10,8 @@ nested-tuple keys used everywhere in this package.
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
-import os
-import warnings
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from .posets import FinitePoset
 
@@ -89,13 +85,25 @@ def _export_dot(P: FinitePoset) -> str:
 
 
 def poset_from_structured(text: str) -> FinitePoset:
-    """Inverse of the structured export (labels via ast.literal_eval)."""
+    """Inverse of the structured export (labels via ast.literal_eval).
+
+    Raises ``ValueError`` on a payload that is not a well-formed poset."""
     payload = json.loads(text)
-    assert payload.get("kind") == "finite-poset", "not a poset payload"
+    if payload.get("kind") != "finite-poset":
+        raise ValueError(f"not a poset payload: kind {payload.get('kind')!r}")
     elements = [ast.literal_eval(s) for s in payload["elements"]]
+    if len(elements) != len(payload["heights"]):
+        raise ValueError(f"{len(elements)} elements but "
+                         f"{len(payload['heights'])} heights")
     heights = dict(zip(elements, payload["heights"]))
+    if len(heights) != len(elements):
+        raise ValueError("duplicate element in poset payload")
     covers = [(ast.literal_eval(a), ast.literal_eval(b))
               for a, b in payload["covers"]]
+    for a, b in covers:
+        for x in (a, b):
+            if x not in heights:
+                raise ValueError(f"cover endpoint {x!r} is not an element")
     return FinitePoset(elements, covers, heights=heights)
 
 
@@ -105,57 +113,3 @@ def poset_from_structured(text: str) -> FinitePoset:
 def canonical_json(payload: dict) -> str:
     """Stable JSON: sorted keys, no whitespace variation, trailing newline."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def checksum(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# poset cache
-
-CACHE_VERSION = 1
-
-
-class PosetCache:
-    """Content-addressed store for built posets.
-
-    The key hashes the cache version together with a descriptor tuple
-    (builder name, ring name, numeric parameters), so bumping the version
-    or changing any parameter misses cleanly.  A corrupt entry is rebuilt
-    and rewritten with a warning, never trusted.
-    """
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-
-    def key(self, descriptor: Tuple) -> str:
-        raw = repr((CACHE_VERSION,) + tuple(descriptor))
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()
-
-    def path(self, descriptor: Tuple) -> str:
-        return os.path.join(self.directory, self.key(descriptor) + ".json")
-
-    def get(self, descriptor: Tuple, build: Callable[[], FinitePoset]) -> FinitePoset:
-        path = self.path(descriptor)
-        if os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    stored = json.load(fh)
-                body = stored["body"]
-                if checksum(body) != stored["checksum"]:
-                    raise ValueError("checksum mismatch")
-                return poset_from_structured(body)
-            except Exception as exc:  # corrupt entries are never fatal
-                warnings.warn(
-                    f"cache entry for {descriptor!r} is corrupt ({exc}); rebuilding")
-        P = build()
-        body = export_poset(P, "structured")
-        blob = canonical_json({"descriptor": repr(tuple(descriptor)),
-                               "checksum": checksum(body), "body": body})
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-        return P

@@ -11,7 +11,7 @@ zig-zag of comparable maps ending in a constant) are checked link by link.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .complexes import DEFAULT_BUDGET
 from .homology import (ConnectivityVerdict, homologically_connected,
@@ -89,11 +89,8 @@ def build_Z(F: CoverFamily):
 # hypothesis tables
 
 def _resolve_t(t, Y: FinitePoset) -> Dict:
-    if t is None:
-        return dict(Y.heights())
-    if callable(t):
-        return {y: t(y) for y in Y}
-    return dict(t)
+    """The level table: ``t`` itself, or the heights of Y when it is None."""
+    return dict(Y.heights() if t is None else t)
 
 
 @dataclass
@@ -101,7 +98,7 @@ class FiberTransferReport:
     variant: str
     n: int
     rows: List[dict]
-    conclusion: Optional[ConnectivityVerdict]
+    conclusion: ConnectivityVerdict
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -109,20 +106,19 @@ class FiberTransferReport:
 
     @property
     def ok(self) -> bool:
-        return self.hypotheses_ok and (
-            self.conclusion is None or self.conclusion.ok())
+        return self.hypotheses_ok and self.conclusion.ok()
 
 
 def fiber_transfer_check(f: PosetMap, t, n: int, variant: str = "up",
-                         budget=DEFAULT_BUDGET,
-                         check_conclusion: bool = True) -> FiberTransferReport:
+                         budget=DEFAULT_BUDGET) -> FiberTransferReport:
     """Fiberwise connectivity tables for a poset map, plus the conclusion.
 
     The "up" variant asks, for every y in the target, that Y_{<y} is
     (t(y)-2)-connected and the upward fiber is (n-t(y)-1)-connected; the
     "down" variant asks Y_{>y} at n-t(y)-2 and the downward fiber at
-    t(y)-1.  Per-element rows
-    are homological; the conclusion is map_connectivity(f, n).
+    t(y)-1.  ``t`` is a dict from target elements to levels, or None for
+    the target's heights.  Per-element rows are homological; the
+    conclusion is map_connectivity(f, n).
     """
     assert variant in ("up", "down")
     Y = f.target
@@ -147,10 +143,8 @@ def fiber_transfer_check(f: PosetMap, t, n: int, variant: str = "up",
             "fiber": homologically_connected(fiber, fiber_level, budget=budget,
                                              probe=False),
         })
-    conclusion = None
-    if check_conclusion:
-        conclusion = map_connectivity(f, n, budget=budget)
-    return FiberTransferReport(variant, n, rows, conclusion)
+    return FiberTransferReport(variant, n, rows,
+                               map_connectivity(f, n, budget=budget))
 
 
 @dataclass
@@ -298,12 +292,6 @@ def check_nerve_witness(F: CoverFamily, W: NerveWitness) -> WitnessReport:
             rep.problems.append(("zigzag-constant", a))
         rep.checked += 1
     return rep
-
-
-def concatenate_zigzags(first: Sequence[Dict], second: Sequence[Dict]) -> List[Dict]:
-    """Valid certificates compose when the junction maps agree."""
-    assert first and second and first[-1] == second[0]
-    return list(first) + list(second[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -306,15 +306,6 @@ def constant_map(P: FinitePoset, Q: FinitePoset, q) -> PosetMap:
     return PosetMap(P, Q, {x: q for x in P})
 
 
-def pointwise_le(f: PosetMap, g: PosetMap) -> bool:
-    assert f.source == g.source and f.target == g.target
-    return all(f.target.le(f(x), g(x)) for x in f.source)
-
-
-def inclusion_map(P: FinitePoset, Q: FinitePoset) -> PosetMap:
-    return PosetMap(P, Q, {x: x for x in P})
-
-
 # ---------------------------------------------------------------------------
 # joins and cylinders
 
@@ -433,21 +424,6 @@ def mapping_cone(f: PosetMap, cylinder=None):
     above[tip] = srcset
     M = FinitePoset._from_closed(list(above), above)
     return M, src, tgt, tip
-
-
-def dual_cylinder(f: PosetMap):
-    """Cylinder with the target above: x < y exactly when f(x) <= y."""
-    X, Y = f.source, f.target
-    lx, ly = _cylinder_labels(f)
-    above = {}
-    for x in X:
-        fx = f(x)
-        above[lx(x)] = (frozenset(lx(v) for v in X.above(x))
-                        | frozenset(ly(y) for y in Y if Y.le(fx, y)))
-    for y in Y:
-        above[ly(y)] = frozenset(ly(v) for v in Y.above(y))
-    M = FinitePoset._from_closed(list(above), above)
-    return M, {x: lx(x) for x in X}, {y: ly(y) for y in Y}
 
 
 def cylinder_link_check(f: PosetMap, y) -> bool:

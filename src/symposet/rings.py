@@ -14,9 +14,7 @@ remainder in [0, |b|).
 
 from __future__ import annotations
 
-from typing import Iterator
-
-# Fields beyond this need an explicit override; enumeration costs grow fast.
+# Enumeration costs grow fast with the field size.
 MAX_FIELD_PRIME = 7
 
 
@@ -46,9 +44,6 @@ class EuclideanScalarRing:
     def sub(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def neg(self, a: int) -> int:
-        raise NotImplementedError
-
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
 
@@ -57,9 +52,6 @@ class EuclideanScalarRing:
 
     def euclid_q(self, a: int, b: int) -> int:
         """Quotient q with norm(a - q*b) < norm(b).  Raises on b = 0."""
-        raise NotImplementedError
-
-    def is_unit(self, a: int) -> bool:
         raise NotImplementedError
 
     def inv(self, a: int) -> int:
@@ -77,14 +69,12 @@ class PrimeField(EuclideanScalarRing):
 
     kind = "prime_field"
 
-    def __init__(self, p: int, allow_large: bool = False):
+    def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p > MAX_FIELD_PRIME and not allow_large:
+        if p > MAX_FIELD_PRIME:
             raise ValueError(
-                f"field size {p} exceeds the default bound {MAX_FIELD_PRIME}; "
-                "pass allow_large=True to override"
-            )
+                f"field size {p} exceeds the bound {MAX_FIELD_PRIME}")
         self.p = p
         self.name = f"p{p}"
 
@@ -97,9 +87,6 @@ class PrimeField(EuclideanScalarRing):
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.p
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -111,17 +98,11 @@ class PrimeField(EuclideanScalarRing):
             raise ZeroDivisionError("division by zero in prime field")
         return (a * self.inv(b)) % self.p
 
-    def is_unit(self, a: int) -> bool:
-        return a % self.p != 0
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("0 is not invertible")
         return pow(a, self.p - 2, self.p)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -145,9 +126,6 @@ class IntegerRing(EuclideanScalarRing):
     def sub(self, a: int, b: int) -> int:
         return a - b
 
-    def neg(self, a: int) -> int:
-        return -a
-
     def mul(self, a: int, b: int) -> int:
         return a * b
 
@@ -163,9 +141,6 @@ class IntegerRing(EuclideanScalarRing):
         if b > 0:
             return a // b
         return -(a // -b)
-
-    def is_unit(self, a: int) -> bool:
-        return a in (1, -1)
 
     def inv(self, a: int) -> int:
         if a not in (1, -1):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from . import __version__
 from .builders import (build_D, build_HU, build_I, build_O, build_U,
@@ -63,7 +63,6 @@ class SuiteConfig:
     budget: int = DEFAULT_BUDGET
     workers: int = 1
     seed: int = 0
-    out: Optional[str] = None
 
     def ring_object(self):
         return ring_from_name(self.ring)
@@ -84,10 +83,9 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def make_record(claim: str, statement: str, verdict, seconds: float,
-                basis: str = None, **counts) -> dict:
-    rec = {"claim": claim, "statement": statement,
-           "seconds": round(seconds, 3)}
+def make_record(claim: str, statement: str, verdict, basis: str = None,
+                **counts) -> dict:
+    rec = {"claim": claim, "statement": statement}
     if isinstance(verdict, ConnectivityVerdict):
         rec["verdict"] = verdict.status
         rec["basis"] = verdict.basis
@@ -148,18 +146,11 @@ def exit_status(report: VerificationReport) -> int:
     return 0
 
 
-def _timed(fn: Callable):
-    t0 = time.monotonic()
-    out = fn()
-    return out, time.monotonic() - t0
-
-
-def _expect(claim: str, statement: str, actual, expected, seconds=0.0,
-            **counts) -> dict:
+def _expect(claim: str, statement: str, actual, expected, **counts) -> dict:
     ok = actual == expected
     counts.setdefault("actual", actual)
     counts.setdefault("expected", expected)
-    return make_record(claim, statement, ok, seconds, **counts)
+    return make_record(claim, statement, ok, **counts)
 
 
 # ---------------------------------------------------------------------------
@@ -168,47 +159,45 @@ def _expect(claim: str, statement: str, actual, expected, seconds=0.0,
 def criterion_unimodular_genus2(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
     L = SymplecticModule.standard(ring, 2)
-    U, dt = _timed(lambda: build_U(L))
+    U = build_U(L)
     yield _expect("um.g2.count",
                   "genus-2 unimodular-submodule poset has 22 elements",
-                  len(U), 22, dt)
-    v, dt = _timed(lambda: cohen_macaulay_check(U, 2, budget=cfg.budget,
-                                                workers=cfg.workers))
+                  len(U), 22)
+    v = cohen_macaulay_check(U, 2, budget=cfg.budget, workers=cfg.workers)
     yield make_record(
         "um.g2.cm", "genus-2 poset is homologically Cohen-Macaulay of dim 2",
-        v, dt, links=v.detail.get("links_checked") if v.detail else None)
+        v, links=v.detail.get("links_checked") if v.detail else None)
     zero = L.zero_submodule().key()
     full = L.full_submodule().key()
-    inner, dt = _timed(lambda: U.open_interval(zero, full))
+    inner = U.open_interval(zero, full)
     prof = reduced_homology(inner, budget=cfg.budget)
     yield _expect(
         "um.g2.interval",
         "open interval between bottom and top is a wedge of 19 zero-spheres",
-        prof.betti, {0: 19}, dt, elements=len(inner))
+        prof.betti, {0: 19}, elements=len(inner))
 
 
 def criterion_unimodular_genus3(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
     L = SymplecticModule.standard(ring, 3)
-    U, dt = _timed(lambda: build_U(L))
+    U = build_U(L)
     yield _expect("um.g3.count",
                   "genus-3 unimodular-submodule poset has 674 elements",
-                  len(U), 674, dt)
+                  len(U), 674)
     zero = L.zero_submodule().key()
     full = L.full_submodule().key()
     inner = U.open_interval(zero, full)
-    v, dt = _timed(lambda: homologically_connected(inner, 0, budget=cfg.budget))
+    v = homologically_connected(inner, 0, budget=cfg.budget)
     yield make_record(
         "um.g3.interval",
         "open interval between bottom and top is homologically 0-connected",
-        v, dt, elements=len(inner))
-    v, dt = _timed(lambda: cohen_macaulay_check(U, 3, budget=cfg.budget,
-                                                workers=cfg.workers))
+        v, elements=len(inner))
+    v = cohen_macaulay_check(U, 3, budget=cfg.budget, workers=cfg.workers)
     yield make_record(
         "um.g3.cm",
         "genus-3 poset is homologically Cohen-Macaulay of dim 3: every link "
         "is spherical in its prescribed dimension",
-        v, dt, links=v.detail.get("links_checked") if v.detail else None)
+        v, links=v.detail.get("links_checked") if v.detail else None)
 
 
 # ---------------------------------------------------------------------------
@@ -217,69 +206,66 @@ def criterion_unimodular_genus3(cfg: SuiteConfig) -> Iterator[dict]:
 def criterion_decomposition_cm(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
     L2 = SymplecticModule.standard(ring, 2)
-    D2, dt = _timed(lambda: build_D(L2))
+    D2 = build_D(L2)
     yield _expect("dec.g2.count",
                   "genus-2 decomposition poset has 11 elements",
-                  len(D2), 11, dt)
-    v, dt = _timed(lambda: cohen_macaulay_check(D2, 1, budget=cfg.budget,
-                                                workers=cfg.workers))
+                  len(D2), 11)
+    v = cohen_macaulay_check(D2, 1, budget=cfg.budget, workers=cfg.workers)
     yield make_record(
         "dec.g2.cm", "genus-2 decomposition poset is homologically "
-        "Cohen-Macaulay of dim 1", v, dt)
-    P2, dt = _timed(lambda: build_D(L2, strict=True))
+        "Cohen-Macaulay of dim 1", v)
+    P2 = build_D(L2, strict=True)
     prof = reduced_homology(P2, budget=cfg.budget)
     ok = (len(P2) == 10 and P2.dim() == 0 and prof.betti == {0: 9})
     yield make_record(
         "dec.g2.proper",
         "proper genus-2 decompositions form a 10-element antichain with "
-        "9 reduced zero-cycles", ok, dt,
+        "9 reduced zero-cycles", ok,
         elements=len(P2), dim=P2.dim(), betti=_jsonable(prof.betti))
     f2 = flag_to_decomposition(L2)
-    rep, dt = _timed(lambda: fiber_transfer_check(
-        f2, None, 1, variant="down", budget=cfg.budget))
+    rep = fiber_transfer_check(f2, None, 1, variant="down", budget=cfg.budget)
     yield make_record(
         "dec.g2.flag",
         "flag map from the subdivided positive part onto decompositions "
         "satisfies the downward fiber criterion at level 1 and is 1-connected",
-        rep.conclusion if rep.hypotheses_ok else False, dt,
+        rep.conclusion if rep.hypotheses_ok else False,
         rows=len(rep.rows))
     if cfg.genus >= 3:
         L3 = SymplecticModule.standard(ring, 3)
-        D3, dt = _timed(lambda: build_D(L3))
+        D3 = build_D(L3)
         yield _expect("dec.g3.count",
                       "genus-3 decomposition poset has 1457 elements",
-                      len(D3), 1457, dt)
-        v, dt = _timed(lambda: cohen_macaulay_check(D3, 2, budget=cfg.budget,
-                                                    workers=cfg.workers))
+                      len(D3), 1457)
+        v = cohen_macaulay_check(D3, 2, budget=cfg.budget, workers=cfg.workers)
         yield make_record(
             "dec.g3.cm", "genus-3 decomposition poset is homologically "
-            "Cohen-Macaulay of dim 2", v, dt)
-        P3, dt = _timed(lambda: build_D(L3, strict=True))
+            "Cohen-Macaulay of dim 2", v)
+        P3 = build_D(L3, strict=True)
         prof = reduced_homology(P3, through_degree=0, budget=cfg.budget)
         ok = (len(P3) == 1456 and P3.dim() == 1
               and prof.betti.get(0, 0) == 0)
         yield make_record(
             "dec.g3.proper",
             "proper genus-3 decompositions: 1456 elements, dim 1, connected",
-            ok, dt, elements=len(P3), dim=P3.dim())
-        f3, dt = _timed(lambda: flag_to_decomposition(L3))
-        v, dt2 = _timed(lambda: map_connectivity(f3, 2, budget=cfg.budget))
+            ok, elements=len(P3), dim=P3.dim())
+        f3 = flag_to_decomposition(L3)
+        v = map_connectivity(f3, 2, budget=cfg.budget)
         yield make_record(
             "dec.g3.flag",
             "genus-3 flag map from the subdivided positive part onto "
             "decompositions is 2-connected",
-            v, dt + dt2, source=len(f3.source), target=len(f3.target))
+            v, source=len(f3.source), target=len(f3.target))
 
 
 def criterion_partition_spheres(cfg: SuiteConfig) -> Iterator[dict]:
     for size in (2, 3, 4, 5):
         X = tuple(range(1, size + 1))
-        P, dt = _timed(lambda: partitions_poset(X))
+        P = partitions_poset(X)
         v = homology_spherical(P, size - 2, budget=cfg.budget)
         yield make_record(
             f"dec.partitions.{size}",
             f"proper partitions of a {size}-set are spherical of dim {size - 2}",
-            v, dt, elements=len(P))
+            v, elements=len(P))
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +275,14 @@ def criterion_partial_basis(cfg: SuiteConfig) -> Iterator[dict]:
     for p in (2, 3):
         ring = PrimeField(p)
         for n in (1, 2, 3):
-            P, dt = _timed(lambda: build_O(n, ring))
+            P = build_O(n, ring)
             v = homologically_connected(P, n - 2, budget=cfg.budget)
             yield make_record(
                 f"maazen.conn.p{p}.n{n}",
                 f"partial-basis poset in rank {n} over F_{p} is "
                 f"homologically {n - 2}-connected",
-                v, dt, elements=len(P))
+                v, elements=len(P))
         for n in (2, 3):
-            t0 = time.monotonic()
             frozen = (tuple(0 for _ in range(n - 1)) + (1,),)
             Pn0 = build_O(n, ring, bound=0, frozen=frozen)
             Pm = build_O(n - 1, ring)
@@ -307,7 +292,7 @@ def criterion_partial_basis(cfg: SuiteConfig) -> Iterator[dict]:
                 f"maazen.iso.p{p}.n{n}",
                 f"rank-{n} poset at norm bound 0 matches the rank-{n - 1} "
                 "poset under dropping the last coordinate",
-                ok, time.monotonic() - t0, elements=len(Pn0))
+                ok, elements=len(Pn0))
     yield _rho_random_record(cfg)
     yield _rho_retraction_record(cfg)
 
@@ -325,7 +310,6 @@ def _rho_random_record(cfg: SuiteConfig) -> dict:
     """Norm decrease, idempotence, and bounded-norm fixpoints of the
     one-step reduction, on seeded random integer instances."""
     rng = random.Random(cfg.seed + 101)
-    t0 = time.monotonic()
     trials = fixed = 0
     ok = True
     while trials < 1000:
@@ -351,13 +335,12 @@ def _rho_random_record(cfg: SuiteConfig) -> dict:
         "maazen.rho.random",
         "one-step reduction lowers the pivot norm, preserves partial bases, "
         "is idempotent, and fixes vectors already under the bound",
-        ok, time.monotonic() - t0, trials=trials, fixed_cases=fixed)
+        ok, trials=trials, fixed_cases=fixed)
 
 
 def _rho_retraction_record(cfg: SuiteConfig) -> dict:
     """The reduction as a poset retraction on a pooled integer instance."""
     rng = random.Random(cfg.seed + 202)
-    t0 = time.monotonic()
     n = 3
     raw = set()
     for _ in range(60):
@@ -382,7 +365,7 @@ def _rho_retraction_record(cfg: SuiteConfig) -> dict:
         "maazen.rho.retraction",
         "elementwise reduction against a frozen vector is a monotone map "
         "into the bounded-norm part fixing everything already there",
-        ok, time.monotonic() - t0, poset=len(P), pool=len(pool))
+        ok, poset=len(P), pool=len(pool))
 
 
 # ---------------------------------------------------------------------------
@@ -395,27 +378,24 @@ def criterion_isotropic_cm(cfg: SuiteConfig) -> Iterator[dict]:
              ("g1r1", SymplecticModule.standard(ring, 1, r=1), 0, 6),
              ("g2r1", SymplecticModule.standard(ring, 2, r=1), 1, 390)]
     for tag, L, n, count in cases:
-        I, dt = _timed(lambda: build_I(L))
+        I = build_I(L)
         yield _expect(f"stability.iso.{tag}.count",
                       f"isotropic-sequence poset {tag} has {count} "
-                      "elements", len(I), count, dt)
-        v, dt = _timed(lambda: cohen_macaulay_check(I, n, budget=cfg.budget,
-                                                    workers=cfg.workers))
+                      "elements", len(I), count)
+        v = cohen_macaulay_check(I, n, budget=cfg.budget, workers=cfg.workers)
         yield make_record(
             f"stability.iso.{tag}.cm",
             f"isotropic-sequence poset {tag} is homologically Cohen-Macaulay "
-            f"of dim {n}", v, dt)
+            f"of dim {n}", v)
 
 
 def criterion_split_unimodular(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
     g = 2
-    t0 = time.monotonic()
     HU = build_HU(g, ring)
     yield _expect("stability.hu.count",
                   "genus-2 split-unimodular sequence poset has 840 "
-                  "elements", len(HU), 840, time.monotonic() - t0)
-    t0 = time.monotonic()
+                  "elements", len(HU), 840)
     h = hu_decomposition_map(g, ring, HU=HU)
     DP = h.target
     ineq_ok = True
@@ -428,18 +408,17 @@ def criterion_split_unimodular(cfg: SuiteConfig) -> Iterator[dict]:
         "stability.hu.inequality",
         "every proper decomposition satisfies: twice the higher-genus part "
         "count plus the genus-one part count is at most the genus",
-        ineq_ok, time.monotonic() - t0, targets=len(DP))
+        ineq_ok, targets=len(DP))
     tprime = {lab: genus_one_count(lab) - 1 for lab in DP}
     n = (g - 3) // 2
-    rep, dt = _timed(lambda: fiber_transfer_check(
-        h, tprime, n, variant="down", budget=cfg.budget))
+    rep = fiber_transfer_check(
+        h, tprime, n, variant="down", budget=cfg.budget)
     yield make_record(
         "stability.hu.table",
         "the comparison map onto proper decompositions passes the opposite "
         f"fiber criterion elementwise at level {n}",
-        rep.conclusion if rep.hypotheses_ok else False, dt,
+        rep.conclusion if rep.hypotheses_ok else False,
         rows=len(rep.rows))
-    t0 = time.monotonic()
     fibers_ok = True
     spheres = []
     for lab in DP:
@@ -454,7 +433,7 @@ def criterion_split_unimodular(cfg: SuiteConfig) -> Iterator[dict]:
         "stability.hu.fibers",
         "every lower fiber of the comparison map is spherical of dimension "
         "one less than its genus-one part count",
-        fibers_ok, time.monotonic() - t0, sizes=sorted(set(spheres)))
+        fibers_ok, sizes=sorted(set(spheres)))
     yield _partition_sequence_record(cfg)
 
 
@@ -471,7 +450,6 @@ def _all_partitions(ground: Tuple, max_parts: int):
 
 
 def _partition_sequence_record(cfg: SuiteConfig) -> dict:
-    t0 = time.monotonic()
     ok = True
     cases = 0
     for size in range(1, 7):
@@ -492,7 +470,7 @@ def _partition_sequence_record(cfg: SuiteConfig) -> dict:
         "stability.sequences.spherical",
         "sequence posets over every partition with at most 3 blocks of a "
         "ground set of size at most 6 are spherical of dim (blocks - 1)",
-        ok, time.monotonic() - t0, cases=cases)
+        ok, cases=cases)
 
 
 # ---------------------------------------------------------------------------
@@ -503,30 +481,27 @@ def criterion_cover_nerve(cfg: SuiteConfig) -> Iterator[dict]:
     L = SymplecticModule.standard(ring, 2)
 
     F, _ = isotropic_perp_cover(L, "interval")
-    t0 = time.monotonic()
     rep = validate_cover(F)
     hyp = check_nerve_hypotheses(F, 0, budget=cfg.budget)
     yield make_record(
         "nerve.interval.family",
         "the perp cover of the open interval validates and satisfies the "
         "hypothesis table at level 0",
-        rep.ok and hyp.hypotheses_hold, time.monotonic() - t0,
+        rep.ok and hyp.hypotheses_hold,
         indices=len(F.A), target=len(F.X), rows=len(hyp.rows))
-    t0 = time.monotonic()
     vA = homologically_connected(F.A, -1, budget=cfg.budget)
     vX = homologically_connected(F.X, -1, budget=cfg.budget)
     yield make_record(
         "nerve.interval.base",
         "index poset and target are both homologically (-1)-connected, "
         "matching the two-way transfer at the level below",
-        vA.ok() and vX.ok(), time.monotonic() - t0)
-    prof, dt = _timed(lambda: reduced_homology(F.X, budget=cfg.budget))
+        vA.ok() and vX.ok())
+    prof = reduced_homology(F.X, budget=cfg.budget)
     yield _expect(
         "nerve.interval.sharpness",
         "without a witness the target is not 0-connected: 19 reduced "
-        "zero-cycles remain", prof.betti, {0: 19}, dt)
+        "zero-cycles remain", prof.betti, {0: 19})
 
-    t0 = time.monotonic()
     F1, W1 = isotropic_perp_cover(L, "positive")
     rep1 = validate_cover(F1)
     hyp1 = check_nerve_hypotheses(F1, 0, budget=cfg.budget)
@@ -537,9 +512,8 @@ def criterion_cover_nerve(cfg: SuiteConfig) -> Iterator[dict]:
         "positive-part cover validates, passes hypotheses at level 0, "
         "carries a full contraction witness, and the target is 0-connected",
         rep1.ok and hyp1.hypotheses_hold and wrep.ok and vX1.ok(),
-        time.monotonic() - t0, witness_checks=wrep.checked)
+        witness_checks=wrep.checked)
 
-    t0 = time.monotonic()
     Z, fz, gz = build_Z(F1)
     rng = random.Random(cfg.seed + 303)
     zok = len(Z) == sum(len(s) for s in F1.members.values())
@@ -556,12 +530,11 @@ def criterion_cover_nerve(cfg: SuiteConfig) -> Iterator[dict]:
         "nerve.pairs.fibers",
         "pair-poset projections have fibers matching member posets on one "
         "side and index posets on the other, in homology",
-        zok, time.monotonic() - t0, pairs=len(Z))
+        zok, pairs=len(Z))
 
     yield from _nerve_negative_controls(F1, W1)
 
     if cfg.ring == "p2":
-        t0 = time.monotonic()
         L21 = SymplecticModule.standard(ring, 2, r=1)
         F2, W2 = isotropic_perp_cover(L21, "positive")
         hyp2 = check_nerve_hypotheses(F2, 0, budget=cfg.budget)
@@ -572,7 +545,7 @@ def criterion_cover_nerve(cfg: SuiteConfig) -> Iterator[dict]:
             "the quasi-unimodular pipeline (radical quotient, lifted dual "
             "blocks) validates and the positive part is 0-connected",
             validate_cover(F2).ok and hyp2.hypotheses_hold and w2.ok
-            and v2.ok(), time.monotonic() - t0,
+            and v2.ok(),
             indices=len(F2.A), target=len(F2.X))
 
 
@@ -580,7 +553,6 @@ def _nerve_negative_controls(F: CoverFamily,
                              W: NerveWitness) -> Iterator[dict]:
     import copy
     full_keys = [x for x in F.X if not F.X.above(x)]
-    t0 = time.monotonic()
     bad = {a: set(s) for a, s in F.members.items()}
     a0 = next(a for a in F.A if len(a) == 1)
     bad[a0].add(full_keys[0])
@@ -600,9 +572,8 @@ def _nerve_negative_controls(F: CoverFamily,
         "nerve.controls.family",
         "corrupted families are refuted: a missing face trips downward "
         "closure, a stray member trips order reversal",
-        caught, time.monotonic() - t0)
+        caught)
 
-    t0 = time.monotonic()
     Wb = NerveWitness(copy.deepcopy(W.s), copy.deepcopy(W.e),
                       copy.deepcopy(W.zigzag))
     for a, table in Wb.s.items():
@@ -624,7 +595,7 @@ def _nerve_negative_controls(F: CoverFamily,
         "nerve.controls.witness",
         "corrupted witnesses are refuted: a wrong section value and a "
         "broken zig-zag link are both reported",
-        (not r3.ok) and (not r4.ok), time.monotonic() - t0,
+        (not r3.ok) and (not r4.ok),
         section_problems=sorted({p[0] for p in r3.problems}),
         zigzag_problems=sorted({p[0] for p in r4.problems}))
 
@@ -633,7 +604,6 @@ def _nerve_negative_controls(F: CoverFamily,
 # trees
 
 def criterion_tree_posets(cfg: SuiteConfig) -> Iterator[dict]:
-    t0 = time.monotonic()
     violations = 0
     pairs = 0
     for n, edges in enumerate_plain_trees(6):
@@ -651,18 +621,16 @@ def criterion_tree_posets(cfg: SuiteConfig) -> Iterator[dict]:
         "trees.contraction.unique",
         "over every tree with at most 6 edges, distinct nonempty edge sets "
         "never give matching contractions: no counterexamples",
-        violations == 0, time.monotonic() - t0, pairs=pairs,
-        violations=violations)
+        violations == 0, pairs=pairs, violations=violations)
     for m in (2, 3, 4):
-        T, dt = _timed(lambda: build_T(m))
+        T = build_T(m)
         prof = reduced_homology(T, budget=cfg.budget)
         yield make_record(
             f"trees.T{m}.contractible",
             f"the poset of {m}-labeled trees has trivial reduced homology",
-            prof.betti == {}, dt, elements=len(T))
+            prof.betti == {}, elements=len(T))
     ring = cfg.ring_object()
     L2 = SymplecticModule.standard(ring, 2)
-    t0 = time.monotonic()
     DP2 = build_D(L2, strict=True)
     TD2 = build_TD(L2, DP=DP2)
     p2 = tree_forget_map(L2, TD=TD2, DP=DP2)
@@ -671,24 +639,22 @@ def criterion_tree_posets(cfg: SuiteConfig) -> Iterator[dict]:
         "trees.g2.iso",
         "at genus 2 the tree poset is isomorphic to the decomposition "
         "poset under forgetting the tree",
-        iso2, time.monotonic() - t0, elements=len(TD2))
+        iso2, elements=len(TD2))
     if cfg.genus >= 3:
         L3 = SymplecticModule.standard(ring, 3)
-        t0 = time.monotonic()
         DP3 = build_D(L3, strict=True)
         TD3 = build_TD(L3, DP=DP3)
         p3 = tree_forget_map(L3, TD=TD3, DP=DP3)
         yield _expect(
             "trees.g3.count", "genus-3 tree poset has 4816 elements",
-            len(TD3), 4816, time.monotonic() - t0)
+            len(TD3), 4816)
         M, _, _ = mapping_cylinder(p3)
-        v, dt = _timed(lambda: map_connectivity(p3, M.dim(),
-                                                budget=cfg.budget))
+        v = map_connectivity(p3, M.dim(), budget=cfg.budget)
         yield make_record(
             "trees.g3.equivalence",
             "forgetting the tree induces a homology isomorphism onto the "
             "proper decomposition poset in all degrees",
-            v, dt, source=len(TD3), target=len(DP3))
+            v, source=len(TD3), target=len(DP3))
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +662,6 @@ def criterion_tree_posets(cfg: SuiteConfig) -> Iterator[dict]:
 
 def criterion_homotopy_toolkit(cfg: SuiteConfig) -> Iterator[dict]:
     rng = random.Random(cfg.seed)
-    t0 = time.monotonic()
     trials = 100
     join_ok = cyl_ok = link_ok = sd_ok = True
     for k in range(trials):
@@ -721,19 +686,18 @@ def criterion_homotopy_toolkit(cfg: SuiteConfig) -> Iterator[dict]:
         if reduced_homology(barycentric_subdivision(P)).betti != \
                 reduced_homology(P).betti:
             sd_ok = False
-    dt = time.monotonic() - t0
     yield make_record("core.join",
                       "thick join and join agree in reduced homology on "
-                      f"{trials} random pairs", join_ok, dt)
+                      f"{trials} random pairs", join_ok)
     yield make_record("core.cylinder",
                       "mapping cylinders have the homology of their targets "
-                      "on random monotone maps", cyl_ok, 0.0)
+                      "on random monotone maps", cyl_ok)
     yield make_record("core.cylinder-links",
                       "the cylinder link identity holds exactly at every "
-                      "target element", link_ok, 0.0)
+                      "target element", link_ok)
     yield make_record("core.subdivision",
                       "barycentric subdivision preserves reduced homology",
-                      sd_ok, 0.0)
+                      sd_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +719,9 @@ def run_suite(name: str, cfg: SuiteConfig = None) -> VerificationReport:
 
     Criteria yield records one at a time; when a computation overruns the
     simplex budget, the records a criterion already yielded stay and one
-    ``*.budget`` record follows them.
+    ``*.budget`` record follows them.  Each record's ``seconds`` is the
+    wall time from the criterion's previous record (or its start) to this
+    one, so it covers every computation behind the record's verdict.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {SUITE_NAMES}")
@@ -764,12 +730,21 @@ def run_suite(name: str, cfg: SuiteConfig = None) -> VerificationReport:
     for fn in SUITES[name]:
         if fn is criterion_unimodular_genus3 and cfg.genus < 3:
             continue
+        since = time.monotonic()
         try:
             for rec in fn(cfg):
-                report.records.append(rec)
+                since = _append_stamped(report.records, rec, since)
         except BudgetExceeded as exc:
-            report.records.append(make_record(
+            _append_stamped(report.records, make_record(
                 fn.__name__.replace("criterion_", "") + ".budget",
                 f"aborted by the simplex budget: {exc}", "inconclusive",
-                0.0, basis="budget"))
+                basis="budget"), since)
     return report
+
+
+def _append_stamped(records: List[dict], rec: dict, since: float) -> float:
+    """Append ``rec`` with the seconds elapsed since ``since``; return now."""
+    now = time.monotonic()
+    rec["seconds"] = round(now - since, 3)
+    records.append(rec)
+    return now

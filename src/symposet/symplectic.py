@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 from . import linalg
 from .linalg import (PackedSpace, bareiss_det, canonical_span_basis,
                      left_kernel, mat_mul, matrix_rank, solve_left, transpose)
-from .rings import EuclideanScalarRing, PrimeField, ZZ
+from .rings import EuclideanScalarRing, PrimeField
 from .snf import dense_smith
 
 
@@ -206,13 +206,6 @@ class Submodule:
         return f"Submodule(rank {self.rank} of {self.module!r})"
 
 
-def unimodular_test(S: Submodule):
-    """(is_unimodular, genus or None)."""
-    if S.is_unimodular():
-        return True, S.rank // 2
-    return False, None
-
-
 def enumerate_unimodular_submodules(L: SymplecticModule) -> List[Submodule]:
     """All unimodular submodules, every genus from 0 to g; finite field only.
 
@@ -350,68 +343,3 @@ def symplectic_dual_family(u: Submodule, es: Sequence):
             want = ring.reduce(1) if i == j else 0
             assert M.pair(es[i], fs[j]) == want
     return fs
-
-
-def unimodular_completion(L: SymplecticModule, u: Submodule, uprime: Submodule,
-                          lifts: Sequence):
-    """Combine a genus-(k+1) block over an isotropic sequence with a block
-    of its perpendicular restriction.
-
-    ``u`` must be unimodular with the k+1 lifts projecting into its image
-    in the quotient by the radical; ``uprime`` unimodular and orthogonal
-    to the lifts.  Returns (u + uprime, certificate): the sum is unimodular
-    of genus genus(uprime) + k + 1, and the certificate holds the corrected
-    symplectic vectors witnessing an internal orthogonal splitting.
-    """
-    ring = L.ring
-    k1 = len(lifts)
-    assert u.is_unimodular() and u.rank == 2 * k1, "u must be unimodular of matching genus"
-    assert uprime.is_unimodular(), "u' must be unimodular"
-    for v in lifts:
-        for b in uprime.basis:
-            assert L.pair(v, b) == 0, "u' must be orthogonal to the lifts"
-    # e_i: the lift moved into u modulo the radical
-    stacked = [list(r) for r in u.basis] + [list(r) for r in L._radical_basis]
-    es = []
-    for v in lifts:
-        x = solve_left(ring, stacked, list(v), L.rank)
-        assert x is not None, "lift does not project into the image of u"
-        e = linalg.vec_mat(ring, x[:u.rank], [list(r) for r in u.basis], L.rank)
-        es.append(e)
-    fs = symplectic_dual_family(u, es)
-    # push each f into the perpendicular of u' using the unimodular Gram
-    Bp = [list(r) for r in uprime.basis]
-    Gp = [[L.pair(a, b) for b in Bp] for a in Bp]
-    f_corr = []
-    for f in fs:
-        rhs = [L.pair(f, b) for b in Bp]
-        z = solve_left(ring, Gp, rhs, uprime.rank)
-        assert z is not None  # unimodular Gram always solves
-        fp = linalg.vec_mat(ring, z, Bp, L.rank) if uprime.rank else [0] * L.rank
-        f_corr.append([ring.sub(a, b) for a, b in zip(f, fp)])
-    for e in es:
-        for b in Bp:
-            assert L.pair(e, b) == 0
-    for fc in f_corr:
-        for b in Bp:
-            assert L.pair(fc, b) == 0
-    for i, e in enumerate(es):
-        for j, fc in enumerate(f_corr):
-            want = ring.reduce(1) if i == j else 0
-            assert L.pair(e, fc) == want
-    utilde = Submodule(L, es + f_corr)
-    assert utilde.rank == 2 * k1 and utilde.is_unimodular()
-    total = u.add(uprime)
-    assert total == utilde.add(uprime)
-    assert utilde.intersect(uprime).rank == 0
-    assert total.is_unimodular(), "sum failed the unimodularity certificate"
-    genus = total.rank // 2
-    assert genus == uprime.rank // 2 + k1
-    assert total.contains_submodule(u) and total.contains_submodule(uprime)
-    cert = {
-        "e": [tuple(e) for e in es],
-        "f": [tuple(f) for f in f_corr],
-        "genus": genus,
-        "block": utilde.key(),
-    }
-    return total, cert

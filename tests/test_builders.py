@@ -12,12 +12,10 @@ from collections import Counter
 import pytest
 
 from symposet.builders import (build_D, build_HU, build_I, build_O, build_U,
-                               decomposition_members, flag_to_decomposition,
-                               g_plus_map, genus_one_count,
+                               flag_to_decomposition, genus_one_count,
                                hu_decomposition_map, is_partial_basis,
                                partition_sequences_poset, partitions_poset,
-                               proper_subsets_poset, rho_sequence, rho_vector,
-                               submodule_from_key)
+                               rho_sequence, rho_vector, submodule_from_key)
 from symposet.homology import map_connectivity, reduced_homology
 from symposet.posets import check_isomorphism
 from symposet.rings import IntegerRing, PrimeField, ZZ
@@ -117,7 +115,7 @@ def test_D_genus2():
 def test_D_parts_are_orthogonal_and_span():
     L = std(F2, 2)
     for lab in build_D(L, strict=True):
-        parts = decomposition_members(L, lab)
+        parts = [submodule_from_key(L, k) for k in lab]
         total = parts[0]
         for p in parts[1:]:
             total = total.add(p)
@@ -186,17 +184,6 @@ def test_partitions_poset_has_discrete_top():
     P = partitions_poset((0, 1, 2, 3))
     top = tuple(sorted(((0,), (1,), (2,), (3,))))
     assert all(P.le(x, top) for x in P)
-
-
-def test_g_plus_map():
-    X = (0, 1, 2, 3)
-    g = g_plus_map(X)
-    S = proper_subsets_poset(X)
-    assert len(S) == 14
-    assert len(g.target) == len(partitions_poset(X))
-    for chain in g.source:
-        blocks = g(chain)
-        assert sum(len(b) for b in blocks) == len(X)
 
 
 # -- split-unimodular sequences ---------------------------------------------

@@ -1,5 +1,6 @@
 """The command-line interface, driven through main() directly."""
 
+import hashlib
 import json
 import os
 
@@ -71,15 +72,46 @@ def test_export_rejects_out_of_range_sizes(flags, capsys):
     assert "must" in capsys.readouterr().err
 
 
-def test_export_cache_round_trip(tmp_path, capsys):
-    cachedir = str(tmp_path / "cache")
-    argv = ["export", "--poset", "D", "--format", "structured",
-            "--cache", cachedir]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert len(os.listdir(cachedir)) == 1
-    assert main(argv) == 0
-    assert capsys.readouterr().out == first
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+# flags of each pinned export, named by its file in exports.sha256; every
+# one is over the default ring p2
+PINNED_EXPORTS = {
+    "U.json": ["--poset", "U"],
+    "I.json": ["--poset", "I", "--radical", "1"],
+    "D.json": ["--poset", "D"],
+    "D+.json": ["--poset", "D+"],
+    "HU.json": ["--poset", "HU"],
+    "O.json": ["--poset", "O"],
+    "TD.json": ["--poset", "TD"],
+    "T.json": ["--poset", "T", "--genus", "4"],
+}
+
+
+def _pinned_hashes():
+    with open(os.path.join(GOLDEN, "exports.sha256"), encoding="utf-8") as fh:
+        return dict(reversed(line.split()) for line in fh)
+
+
+def test_pinned_exports_are_listed():
+    assert set(_pinned_hashes()) == set(PINNED_EXPORTS)
+
+
+@pytest.mark.parametrize("filename", sorted(PINNED_EXPORTS))
+def test_export_matches_pinned_hash(filename, tmp_path):
+    """Structured exports keep their bytes; the pins are in sha256sum
+    format, so ``sha256sum -c`` checks files written by the CLI too."""
+    target = tmp_path / filename
+    assert main(["export", "--format", "structured", "--out", str(target)]
+                + PINNED_EXPORTS[filename]) == 0
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == _pinned_hashes()[filename]
+
+
+def test_export_has_no_cache_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["export", "--help"])
+    assert "--cache" not in capsys.readouterr().out
 
 
 def test_suite_run_writes_report(tmp_path, capsys):

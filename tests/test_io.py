@@ -1,12 +1,11 @@
-"""Export formats, the structured round-trip, and the poset cache."""
+"""Export formats, the structured round-trip, and its input checks."""
 
 import json
-import os
 
 import pytest
 
-from symposet.io import (DOT_ELEMENT_LIMIT, PosetCache, canonical_json,
-                         checksum, export_poset, poset_from_structured)
+from symposet.io import (DOT_ELEMENT_LIMIT, canonical_json, export_poset,
+                         poset_from_structured)
 from symposet.posets import FinitePoset, check_isomorphism
 
 
@@ -73,69 +72,25 @@ def test_dot_element_cap():
         export_poset(big, "dot")
 
 
-def test_canonical_json_and_checksum():
+def test_canonical_json():
     a = canonical_json({"b": 1, "a": [2, 3]})
     assert a == '{"a":[2,3],"b":1}\n'
-    assert checksum(a) == checksum(a)
-    assert checksum(a) != checksum(a + " ")
 
 
-def test_cache_hit(tmp_path):
-    cache = PosetCache(str(tmp_path))
-    calls = []
-
-    def build():
-        calls.append(1)
-        return sample_poset()
-
-    P1 = cache.get(("sample", "none", 4), build)
-    P2 = cache.get(("sample", "none", 4), build)
-    assert len(calls) == 1
-    assert check_isomorphism(P1, P2, {x: x for x in P1})
+def _structured_payload():
+    return json.loads(export_poset(sample_poset(), "structured"))
 
 
-def test_cache_misses_on_descriptor(tmp_path):
-    cache = PosetCache(str(tmp_path))
-    calls = []
-
-    def build():
-        calls.append(1)
-        return sample_poset()
-
-    cache.get(("sample", "none", 4), build)
-    cache.get(("sample", "none", 5), build)
-    assert len(calls) == 2
-
-
-def test_cache_corrupt_entry_rebuilds(tmp_path):
-    cache = PosetCache(str(tmp_path))
-    desc = ("sample", "none", 4)
-    cache.get(desc, sample_poset)
-    with open(cache.path(desc), "w", encoding="utf-8") as fh:
-        fh.write("{not json")
-    with pytest.warns(UserWarning, match="corrupt"):
-        P = cache.get(desc, sample_poset)
-    assert len(P) == 4
-    # the entry was rewritten and is healthy again
-    P2 = cache.get(desc, lambda: (_ for _ in ()).throw(RuntimeError))
-    assert len(P2) == 4
-
-
-def test_cache_checksum_mismatch_rebuilds(tmp_path):
-    cache = PosetCache(str(tmp_path))
-    desc = ("sample", "none", 4)
-    cache.get(desc, sample_poset)
-    with open(cache.path(desc), "r", encoding="utf-8") as fh:
-        stored = json.load(fh)
-    stored["body"] = stored["body"].replace("finite-poset", "finite-pOset")
-    with open(cache.path(desc), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(stored))
-    with pytest.warns(UserWarning, match="checksum"):
-        P = cache.get(desc, sample_poset)
-    assert len(P) == 4
-
-
-def test_cache_no_stale_tmp_files(tmp_path):
-    cache = PosetCache(str(tmp_path))
-    cache.get(("sample", "none", 4), sample_poset)
-    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: d.update(kind="finite-graph"), "not a poset payload"),
+    (lambda d: d["heights"].pop(), "heights"),
+    (lambda d: d.update(elements=d["elements"][:1] + d["elements"][:-1]),
+     "duplicate element"),
+    (lambda d: d["covers"].append(["(0,)", "(9,)"]), "not an element"),
+])
+def test_structured_input_errors(corrupt, message):
+    """Outside data is checked with ValueError, which python -O keeps."""
+    payload = _structured_payload()
+    corrupt(payload)
+    with pytest.raises(ValueError, match=message):
+        poset_from_structured(json.dumps(payload))

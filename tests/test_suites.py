@@ -2,16 +2,19 @@
 
 import json
 import os
+import time
 
 import pytest
 
+from symposet import suites
 from symposet.homology import ConnectivityVerdict
 from symposet.suites import (SUITE_NAMES, SuiteConfig, VerificationReport,
                              exit_status, make_record, run_suite)
 
 
 def rec(verdict):
-    return make_record("c", "s", verdict, 0.0)
+    # run_suite stamps each record's seconds
+    return {**make_record("c", "s", verdict), "seconds": 0.0}
 
 
 def report(*verdicts):
@@ -29,17 +32,17 @@ def test_exit_status_pure():
 
 
 def test_make_record_from_bool():
-    r = make_record("a.b", "words", True, 1.2345, items=3)
+    r = make_record("a.b", "words", True, items=3)
     assert r["verdict"] == "verified"
     assert r["basis"] == "exact"
-    assert r["seconds"] == 1.234 or r["seconds"] == 1.235
+    assert "seconds" not in r
     assert r["counts"] == {"items": 3}
-    assert make_record("a", "s", False, 0.0)["verdict"] == "refuted"
+    assert make_record("a", "s", False)["verdict"] == "refuted"
 
 
 def test_make_record_from_verdict():
     v = ConnectivityVerdict(1, "verified", "homology", {"spheres": 4})
-    r = make_record("a", "s", v, 0.0)
+    r = make_record("a", "s", v)
     assert r["verdict"] == "verified"
     assert r["basis"] == "homology"
     assert r["level"] == 1
@@ -47,7 +50,7 @@ def test_make_record_from_verdict():
 
 
 def test_make_record_from_string():
-    r = make_record("a", "s", "inconclusive", 0.0, basis="budget")
+    r = make_record("a", "s", "inconclusive", basis="budget")
     assert r["verdict"] == "inconclusive"
     assert r["basis"] == "budget"
 
@@ -57,6 +60,22 @@ def test_payload_strips_timings():
     assert all("seconds" not in r for r in rep.payload()["records"])
     kept = rep.payload(include_timings=True)["records"]
     assert all("seconds" in r for r in kept)
+
+
+def test_record_seconds_cover_the_verdict(monkeypatch):
+    """A record's seconds run from the criterion's previous record, so the
+    homology behind dec.partitions.2 counts, not only the poset build."""
+    call_through = suites.homology_spherical
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return call_through(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "homology_spherical", slow)
+    records = run_suite("dec", SuiteConfig()).payload(
+        include_timings=True)["records"]
+    by_claim = {r["claim"]: r for r in records}
+    assert by_claim["dec.partitions.2"]["seconds"] >= 0.05
 
 
 def test_report_json_is_canonical():

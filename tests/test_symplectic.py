@@ -9,8 +9,7 @@ from symposet.rings import IntegerRing, PrimeField, ZZ
 from symposet.symplectic import (Submodule, SymplecticModule, Lv_submodule,
                                  enumerate_unimodular_submodules,
                                  is_isotropic_sequence, quotient_by_radical,
-                                 symplectic_dual_family, unimodular_completion,
-                                 unimodular_test)
+                                 symplectic_dual_family)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -18,6 +17,13 @@ F3 = PrimeField(3)
 
 def std(ring, g, r=0):
     return SymplecticModule.standard(ring, g, r)
+
+
+@pytest.mark.parametrize("p, message", [(4, "not prime"),
+                                        (11, "exceeds the bound")])
+def test_prime_field_rejects(p, message):
+    with pytest.raises(ValueError, match=message):
+        PrimeField(p)
 
 
 def test_standard_module_pairing():
@@ -94,8 +100,7 @@ def test_unimodular_test_matches_gram_rank():
     assert not line.is_unimodular()
     assert L.zero_submodule().is_unimodular()
     assert L.full_submodule().is_unimodular()
-    assert unimodular_test(hyper) == (True, 1)
-    assert unimodular_test(isot) == (False, None)
+    assert hyper.genus() == 1
 
 
 def test_unimodular_enumeration_genus1():
@@ -211,14 +216,3 @@ def test_symplectic_dual_family():
     for i in range(len(fs)):
         for j in range(len(fs)):
             assert L.pair(list(fs[i]), list(fs[j])) == 0
-
-
-def test_unimodular_completion():
-    L = std(F2, 2)
-    u = L.submodule([[1, 0, 0, 0], [0, 1, 0, 0]])
-    uprime = L.submodule([[0, 0, 1, 0], [0, 0, 0, 1]])
-    total, cert = unimodular_completion(L, u, uprime, [[1, 0, 0, 0]])
-    assert total.is_unimodular() and total.genus() == 2
-    assert total.contains_submodule(u)
-    assert total.contains_submodule(uprime)
-    assert cert
