@@ -95,6 +95,7 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
     assert L.radical_rank() == 0, "L must be unimodular"
     parts = [s for s in enumerate_unimodular_submodules(L) if s.rank > 0]
     part_of = {s.key(): s for s in parts}
+    key_of = {s.members(): s.key() for s in parts}
     decs: List[Tuple] = []
 
     def extend(chosen, remaining: Submodule, cands):
@@ -115,16 +116,22 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
     if strict:
         decs = [d for d in decs if len(d) > 1]
     decset = set(decs)
+    packed = L.packed()
     rel = []
     offset = 1 if strict else 0
     for d in decs:
         if len(d) < 2 or (strict and len(d) == 2):
             continue
         for i, j in itertools.combinations(range(len(d)), 2):
-            merged = part_of[d[i]].add(part_of[d[j]])
+            # the span of two parts, by its member mask
+            mask = part_of[d[i]].members()
+            for row in d[j]:
+                mask = packed.extend(mask, row)
             rest = tuple(k for t, k in enumerate(d) if t not in (i, j))
-            coarser = tuple(sorted(rest + (merged.key(),)))
-            assert coarser in decset, "merge left the decomposition poset"
+            coarser = (tuple(sorted(rest + (key_of[mask],)))
+                       if mask in key_of else None)
+            if coarser not in decset:
+                raise CertificateError("merge left the decomposition poset")
             rel.append((coarser, d))
     if not strict:
         full = (L.full_submodule().key(),)

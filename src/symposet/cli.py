@@ -16,7 +16,7 @@ from typing import List, Optional
 from . import __version__
 from .builders import (build_D, build_HU, build_I, build_O, build_U)
 from .complexes import DEFAULT_BUDGET
-from .io import EXPORT_FORMATS, export_poset
+from .io import DOT_ELEMENT_LIMIT, EXPORT_FORMATS, export_poset
 from .rings import ring_from_name
 from .suites import (SUITE_NAMES, SuiteConfig, exit_status, run_suite)
 from .symplectic import SymplecticModule
@@ -99,8 +99,8 @@ def _build_named_poset(args):
     raise SystemExit(f"unknown poset {name!r}")
 
 
-def _cmd_export(args) -> int:
-    text = export_poset(_build_named_poset(args), args.format)
+def _cmd_export(args, P) -> int:
+    text = export_poset(P, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -130,13 +130,22 @@ def _cmd_suite(name: str, args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        ring_from_name(args.ring)
+    except ValueError as exc:
+        parser.error(f"--ring {args.ring}: {exc}")
     if args.command == "export":
         least = 2 if args.poset == "T" else 1
         if args.genus < least:
             parser.error(f"--genus must be at least {least} for --poset {args.poset}")
         if args.radical < 0:
             parser.error("--radical must not be negative")
-        return _cmd_export(args)
+        P = _build_named_poset(args)
+        if args.format == "dot" and len(P) > DOT_ELEMENT_LIMIT:
+            parser.error(f"--format dot takes at most {DOT_ELEMENT_LIMIT} "
+                         f"elements and --poset {args.poset} has {len(P)}; "
+                         "use --format structured")
+        return _cmd_export(args, P)
     return _cmd_suite(args.command, args)
 
 

@@ -6,6 +6,12 @@ label indices into the vertex set whose image contains every vertex of
 degree at most two.  Isomorphism classes are represented by a canonical
 certificate (a rooted encoding at the tree center with per-vertex label
 annotations), so dictionary keys and poset labels are certificates.
+
+The tree decompositions TD pair a strict decomposition with a strict
+labeled tree on its parts.  ``build_TD`` contracts each strict tree shape
+once, into templates that group label indices, and reads the coarsening a
+template's grouping names from the decomposition poset it is given, so no
+contraction or part sum is redone per decomposition.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import itertools
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .posets import FinitePoset, PosetMap
+from .snf import CertificateError
 
 
 def _degrees(n: int, edges) -> List[int]:
@@ -267,59 +274,84 @@ def build_T(m: int, strict: bool = False) -> FinitePoset:
 # ---------------------------------------------------------------------------
 # tree decompositions over a symplectic module
 
+def _contraction_templates(T: UTree) -> List[Tuple]:
+    """Every contraction of T to a proper nonempty subset of its edges, as
+    (vertex count, edges, vertex_of): vertex_of maps each group of label
+    indices that land on one vertex of the quotient to that vertex."""
+    out = []
+    for k in range(1, len(T.edges)):
+        for E in itertools.combinations(T.edges, k):
+            n2, edges2, comp = _contract_plain(T.n, T.edges, E)
+            groups: Dict[int, List[int]] = {}
+            for j, v in enumerate(T.labeling):
+                groups.setdefault(comp[v], []).append(j)
+            out.append((n2, edges2, {frozenset(js): c
+                                     for c, js in groups.items()}))
+    return out
+
+
 def build_TD(L, DP: FinitePoset = None) -> FinitePoset:
     """Pairs (strict decomposition, strict labeled tree on its parts); a pair
     sits above another when the decomposition refines it and a contraction
-    matches the induced part surjection."""
+    matches the induced part surjection.
+
+    Contraction depends only on the tree shape, so each strict tree on m
+    labels is contracted once, into templates that group its label
+    indices.  A decomposition's coarsenings are read from ``DP.below``,
+    each matched to the grouping of the parts it sums by member-mask
+    containment; the identity grouping stands for the decomposition
+    itself (an edge contracted at an unlabeled vertex).  The certificate
+    of a contracted labeled tree is computed once per (vertex count,
+    edges, labeling).  A grouping with no coarsening in ``DP``, a
+    contracted tree that is not strict and a relation endpoint that is
+    not an element raise ``CertificateError``.
+    """
     from .builders import build_D, submodule_from_key
 
     if DP is None:
         DP = build_D(L, strict=True)
-    tree_cache: Dict[int, List[UTree]] = {}
-
-    def strict_trees(m):
-        if m not in tree_cache:
-            tree_cache[m] = enumerate_trees(m, strict=True)
-        return tree_cache[m]
-
-    elements = []
-    utrees: Dict[Tuple, UTree] = {}
-    for dec in DP:
-        for T in strict_trees(len(dec)):
-            label = (dec, T.certificate())
-            elements.append(label)
-            utrees[label] = T
-    rel = []
-    merge_cache: Dict[Tuple, Tuple] = {}
-
-    def merged_key(keys: Tuple) -> Tuple:
-        if keys not in merge_cache:
-            acc = submodule_from_key(L, keys[0])
-            for k in keys[1:]:
-                acc = acc.add(submodule_from_key(L, k))
-            merge_cache[keys] = acc.key()
-        return merge_cache[keys]
-
+    shapes: Dict[int, List[Tuple]] = {}
+    for m in sorted({len(dec) for dec in DP}):
+        shapes[m] = [(T.certificate(), _contraction_templates(T))
+                     for T in enumerate_trees(m, strict=True)]
+    elements = [(dec, cert) for dec in DP for cert, _ in shapes[len(dec)]]
     eset = set(elements)
-    for dec, cert in elements:
-        T = utrees[(dec, cert)]
-        for k in range(1, len(T.edges)):
-            for E in itertools.combinations(T.edges, k):
-                n2, edges2, comp = _contract_plain(T.n, T.edges, E)
-                groups: Dict[int, List] = {}
-                for j, v in enumerate(T.labeling):
-                    groups.setdefault(comp[v], []).append(dec[j])
-                dec2 = tuple(sorted(merged_key(tuple(sorted(g)))
-                                    for g in groups.values()))
-                if len(dec2) < 2:
-                    continue
-                assert dec2 in DP, "merged parts left the decomposition poset"
-                vertex_of = {merged_key(tuple(sorted(g))): c
-                             for c, g in groups.items()}
-                S = UTree(n2, edges2, tuple(vertex_of[k2] for k2 in dec2))
-                assert S.strict
-                label2 = (dec2, S.certificate())
-                assert label2 in eset
+    masks: Dict[Tuple, int] = {}
+
+    def members(key) -> int:
+        if key not in masks:
+            masks[key] = submodule_from_key(L, key).members()
+        return masks[key]
+
+    certs: Dict[Tuple, Tuple] = {}
+    rel = []
+    for dec in DP:
+        # each coarsening with the group of dec's part indices under each
+        # of its parts, keyed by the grouping
+        singletons = tuple(frozenset([j]) for j in range(len(dec)))
+        coarsenings = {frozenset(singletons): (dec, singletons)}
+        for coarse in DP.below(dec):
+            groups = tuple(frozenset(j for j, k in enumerate(dec)
+                                     if members(k) & ~members(big) == 0)
+                           for big in coarse)
+            coarsenings[frozenset(groups)] = (coarse, groups)
+        for cert, templates in shapes[len(dec)]:
+            for n2, edges2, vertex_of in templates:
+                hit = coarsenings.get(frozenset(vertex_of))
+                if hit is None:
+                    raise CertificateError(
+                        "a grouping of parts has no coarsening in DP")
+                dec2, groups = hit
+                key = (n2, edges2, tuple(vertex_of[g] for g in groups))
+                if key not in certs:
+                    S = UTree(*key)
+                    if not S.strict:
+                        raise CertificateError("contracted tree is not strict")
+                    certs[key] = S.certificate()
+                label2 = (dec2, certs[key])
+                if label2 not in eset:
+                    raise CertificateError(
+                        "contracted pair is not an element of TD")
                 rel.append((label2, (dec, cert)))
     return FinitePoset(elements, rel)
 

@@ -19,7 +19,7 @@ from symposet.builders import (build_D, build_HU, build_I, build_O, build_U,
 from symposet.homology import map_connectivity, reduced_homology
 from symposet.posets import check_isomorphism
 from symposet.rings import IntegerRing, PrimeField, ZZ
-from symposet.symplectic import SymplecticModule
+from symposet.symplectic import Submodule, SymplecticModule
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -148,6 +148,19 @@ def test_D_genus3_counts():
     assert height_profile(D) == {0: 1, 1: 336, 2: 1120}
     P = build_D(std(F2, 3), strict=True)
     assert (len(P), relation_count(P)) == (1456, 3360) and P.dim() == 1
+
+
+def test_D_merges_parts_by_span_mask(monkeypatch):
+    # a merged pair of parts is looked up by its member mask, so building D
+    # needs no echelon form of the pair's sum
+    def refuse(self, other):
+        raise AssertionError("build_D summed two parts with Submodule.add")
+
+    monkeypatch.setattr(Submodule, "add", refuse)
+    D = build_D(std(F2, 2))
+    assert (len(D), relation_count(D)) == (11, 10)
+    P = build_D(std(F2, 3), strict=True)
+    assert (len(P), relation_count(P)) == (1456, 3360)
 
 
 def test_flag_map_labels():

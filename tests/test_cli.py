@@ -72,10 +72,25 @@ def test_export_rejects_out_of_range_sizes(flags, capsys):
     assert "must" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["um", "--ring", "p11"],
+    ["um", "--ring", "q2"],
+    ["export", "--poset", "HU", "--format", "dot"],
+])
+def test_bad_input_is_a_usage_error(argv, capsys):
+    # exit 1 means a refuted record, so bad input must not end that way
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 # flags of each pinned export, named by its file in exports.sha256; every
-# one is over the default ring p2
+# one is over the default ring p2, at genus 2 unless its name says .g3
 PINNED_EXPORTS = {
     "U.json": ["--poset", "U"],
     "I.json": ["--poset", "I", "--radical", "1"],
@@ -85,6 +100,8 @@ PINNED_EXPORTS = {
     "O.json": ["--poset", "O"],
     "TD.json": ["--poset", "TD"],
     "T.json": ["--poset", "T", "--genus", "4"],
+    "D+.g3.json": ["--poset", "D+", "--genus", "3"],
+    "TD.g3.json": ["--poset", "TD", "--genus", "3"],
 }
 
 

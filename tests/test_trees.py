@@ -2,10 +2,15 @@
 poset."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import symposet
+from symposet import linalg
 from symposet.builders import build_D
 from symposet.homology import reduced_homology
 from symposet.posets import check_isomorphism
@@ -126,11 +131,17 @@ def test_TD_genus2_is_DP():
     assert check_isomorphism(TD, DP, {x: x[0] for x in TD})
 
 
-def test_forget_map_fibers_genus3():
+@pytest.fixture(scope="module")
+def genus3():
     L = SymplecticModule.standard(F2, 3)
-    DP = build_D(L, strict=True)
+    return L, build_D(L, strict=True)
+
+
+def test_forget_map_fibers_genus3(genus3):
+    L, DP = genus3
     TD = build_TD(L, DP=DP)
     assert len(TD) == 4816
+    assert sum(len(TD.above(x)) for x in TD) == 13440
     p = tree_forget_map(L, TD=TD, DP=DP)
     assert p.source is TD and p.target is DP
     rng = random.Random(7)
@@ -141,3 +152,58 @@ def test_forget_map_fibers_genus3():
     two_parts = sorted(d for d in DP if len(d) == 2)
     for d in rng.sample(two_parts, 5):
         assert len(p.fiber_le(d)) == 1
+
+
+def test_TD_genus3_needs_no_echelon_form(genus3, monkeypatch):
+    # tree shapes are contracted once and coarsenings are read from DP, so
+    # no part sum is put in echelon form
+    L, DP = genus3
+    calls = []
+    original = linalg.rref_with_transform
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rref_with_transform", counted)
+    assert len(build_TD(L, DP)) == 4816
+    assert not calls
+
+
+def test_merge_certificates_survive_optimized_python():
+    # under -O a plain assert would let a missing coarsening or a merged
+    # part outside the enumeration through
+    code = """
+from symposet import builders
+from symposet.builders import build_D
+from symposet.rings import PrimeField
+from symposet.snf import CertificateError
+from symposet.symplectic import SymplecticModule
+from symposet.trees import build_TD
+
+L = SymplecticModule.standard(PrimeField(2), 3)
+DP = build_D(L, strict=True)
+gone = min(d for d in DP if len(d) == 2)
+try:
+    build_TD(L, DP.induced(d for d in DP if d != gone))
+except CertificateError as e:
+    print(e)
+
+L2 = SymplecticModule.standard(PrimeField(2), 2)
+enumerate_all = builders.enumerate_unimodular_submodules
+# the full module is the last submodule; without it a merge of two genus-1
+# parts has no part to land on
+builders.enumerate_unimodular_submodules = lambda M: enumerate_all(M)[:-1]
+try:
+    build_D(L2)
+except CertificateError as e:
+    print(e)
+"""
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "a grouping of parts has no coarsening in DP",
+        "merge left the decomposition poset",
+    ]
