@@ -9,8 +9,7 @@ complexes; and run the named verification suites over them.
 __version__ = "0.1.0"
 
 from .rings import IntegerRing, PrimeField, ZZ, ring_from_name
-from .symplectic import (RadicalQuotient, Submodule, SymplecticModule,
-                         quotient_by_radical)
+from .symplectic import RadicalQuotient, Submodule, SymplecticModule
 from .posets import (FinitePoset, PosetMap, barycentric_subdivision,
                      check_isomorphism, join, mapping_cone, mapping_cylinder,
                      thick_join)
@@ -31,7 +30,7 @@ from .suites import (SuiteConfig, VerificationReport, exit_status, run_suite,
 
 __all__ = [
     "IntegerRing", "PrimeField", "ZZ", "ring_from_name",
-    "RadicalQuotient", "Submodule", "SymplecticModule", "quotient_by_radical",
+    "RadicalQuotient", "Submodule", "SymplecticModule",
     "FinitePoset", "PosetMap", "barycentric_subdivision", "check_isomorphism",
     "join", "mapping_cone", "mapping_cylinder", "thick_join",
     "HomologyProfile", "ConnectivityVerdict", "cohen_macaulay_check",

@@ -17,8 +17,7 @@ from .posets import FinitePoset, PosetMap, barycentric_subdivision
 from .rings import EuclideanScalarRing, PrimeField
 from .snf import CertificateError, dense_smith
 from .symplectic import (Submodule, SymplecticModule,
-                         enumerate_unimodular_submodules,
-                         is_isotropic_sequence)
+                         enumerate_unimodular_submodules)
 
 
 # ---------------------------------------------------------------------------
@@ -51,18 +50,25 @@ def submodule_from_key(L: SymplecticModule, key) -> Submodule:
 
 def build_I(L: SymplecticModule) -> FinitePoset:
     """Nonempty isotropic sequences projecting to partial bases of L/rad,
-    ordered by subword, height = length - 1."""
+    ordered by subword, height = length - 1.
+
+    As in ``build_O``, each sequence carries the ``PackedSpace`` bitmask of
+    span(radical + sequence); a vector extends the sequence exactly when
+    its bit is clear and it pairs to zero with every member, which is
+    ``is_isotropic_sequence`` without an echelon form.
+    """
     assert isinstance(L.ring, PrimeField), "enumerable over finite fields only"
-    vectors = [tuple(v) for v in L.vectors()]
-    current = [(v,) for v in vectors if is_isotropic_sequence(L, (v,))]
+    packed = L.packed()
+    current = [((), L.radical().members())]
     elements = []
     while current:
-        elements.extend(current)
         nxt = []
-        for seq in current:
-            for v in vectors:
-                if is_isotropic_sequence(L, seq + (v,)):
-                    nxt.append(seq + (v,))
+        for seq, span in current:
+            for i, v in enumerate(packed.vectors):
+                if span >> i & 1 or any(L.pair(v, w) for w in seq):
+                    continue
+                nxt.append((seq + (v,), packed.extend(span, v)))
+        elements.extend(seq for seq, _ in nxt)
         current = nxt
     return _subword_poset(elements)
 

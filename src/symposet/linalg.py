@@ -2,10 +2,13 @@
 
 Matrices are lists of row lists of ints.  The empty matrix [] is allowed
 everywhere; functions that cannot infer the column count from the data take
-an explicit ``ncols`` argument.  Row operations are the main tool: most
-routines here are a variation on "reduce rows, remember the transform".
-The exception is ``PackedSpace``, which holds subspaces of a small F_p^n
-as bitmasks over its p^n vectors.
+an explicit ``ncols`` argument.  Row operations are the main tool: the
+solver, the kernels, the rank and the canonical span basis all read the
+output of one echelon routine, ``rref_with_transform``, which follows the
+Euclidean contract of ``rings`` and so gives the reduced row echelon form
+over a field and the row Hermite form over the integers.  The exception is
+``PackedSpace``, which holds subspaces of a small F_p^n as bitmasks over
+its p^n vectors.
 """
 
 from __future__ import annotations
@@ -46,57 +49,88 @@ def vec_mat(ring, v, M, ncols=None):
 
 
 # ---------------------------------------------------------------------------
-# field: reduced row echelon form and friends
+# echelon form over a Euclidean ring
 
-def rref_with_transform(field, M, ncols=None):
-    """Return (R, T, pivots) with T @ M = R in reduced row echelon form."""
+def rref_with_transform(ring, M, ncols=None):
+    """Return (R, T, pivots) with T @ M = R in echelon form, T invertible.
+
+    Over a field R is the reduced row echelon form; over the integers it is
+    the row Hermite form.  Each column takes the least-norm pivot (the first
+    unit, if any), clears the entries below it by Euclidean division until
+    they vanish, turns the pivot into its canonical associate and reduces
+    the entries above it to their canonical remainders.  Zero rows sit at
+    the bottom, and for a fixed row span the nonzero part is unique, which
+    is what makes it usable as a canonical key.
+    """
     n = len(M)
     m = ncols if ncols is not None else (len(M[0]) if M else 0)
-    R = [[field.reduce(x) for x in row] for row in M]
+    red = ring.reduce
+    R = [[red(x) for x in row] for row in M]
     T = identity(n)
     pivots = []
     row = 0
     for col in range(m):
         if row == n:
             break
-        piv = None
-        for r in range(row, n):
-            if R[r][col] != 0:
-                piv = r
+        while True:
+            piv = None
+            best = None
+            for r in range(row, n):
+                v = ring.norm(R[r][col])
+                if v and (best is None or v < best):
+                    best = v
+                    piv = r
+                    if v == 1:
+                        break
+            if piv is None:
+                break
+            R[row], R[piv] = R[piv], R[row]
+            T[row], T[piv] = T[piv], T[row]
+            p = R[row][col]
+            clean = True
+            for r in range(row + 1, n):
+                if R[r][col]:
+                    q = ring.canonical_q(R[r][col], p)
+                    if q:
+                        R[r] = [red(a - q * b) for a, b in zip(R[r], R[row])]
+                        T[r] = [red(a - q * b) for a, b in zip(T[r], T[row])]
+                    if R[r][col]:
+                        clean = False
+            if clean:
                 break
         if piv is None:
             continue
-        R[row], R[piv] = R[piv], R[row]
-        T[row], T[piv] = T[piv], T[row]
-        inv = field.inv(R[row][col])
-        if inv != 1:
-            R[row] = [field.mul(inv, x) for x in R[row]]
-            T[row] = [field.mul(inv, x) for x in T[row]]
-        for r in range(n):
-            c = R[r][col]
-            if r != row and c != 0:
-                R[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(R[r], R[row])]
-                T[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(T[r], T[row])]
+        u = ring.normalizing_unit(R[row][col])
+        if u != 1:
+            R[row] = [red(u * a) for a in R[row]]
+            T[row] = [red(u * a) for a in T[row]]
+        p = R[row][col]
+        for r in range(row):
+            q = ring.canonical_q(R[r][col], p)
+            if q:
+                R[r] = [red(a - q * b) for a, b in zip(R[r], R[row])]
+                T[r] = [red(a - q * b) for a, b in zip(T[r], T[row])]
         pivots.append(col)
         row += 1
     return R, T, pivots
 
 
-def field_solve_left(field, A, b, ncols=None):
+def solve_left(ring: EuclideanScalarRing, A, b, ncols=None):
     """x with x @ A = b, or None.  b is a row vector."""
-    R, T, pivots = rref_with_transform(field, A, ncols)
-    b = [field.reduce(x) for x in b]
-    y = [b[pc] for pc in pivots]
-    res = list(b)
-    for yi, row in zip(y, R):
-        if yi:
-            res = [field.sub(x, field.mul(yi, v)) for x, v in zip(res, row)]
+    m = ncols if ncols is not None else (len(A[0]) if A else len(b))
+    R, T, pivots = rref_with_transform(ring, A, m)
+    res = [ring.reduce(v) for v in b]
+    assert len(res) == m
+    x = [0] * len(A)
+    for i, pc in enumerate(pivots):
+        # later rows vanish at this pivot column, so a nonzero remainder
+        # left here survives to the final test
+        q = ring.canonical_q(res[pc], R[i][pc])
+        if q:
+            res = [ring.reduce(a - q * h) for a, h in zip(res, R[i])]
+            x = [ring.reduce(a + q * t) for a, t in zip(x, T[i])]
     if any(res):
         return None
-    x = [0] * len(A)
-    for yi, trow in zip(y, T):
-        if yi:
-            x = [field.add(xv, field.mul(yi, tv)) for xv, tv in zip(x, trow)]
     return x
 
 
@@ -160,103 +194,10 @@ class PackedSpace:
         return rows
 
 
-# ---------------------------------------------------------------------------
-# integers: Hermite form and friends
-
-def hermite_with_transform(M, ncols=None):
-    """Row Hermite form.  Return (H, U, pivots) with U @ M = H, U unimodular.
-
-    Pivot entries are positive, entries above a pivot lie in [0, pivot),
-    zero rows sit at the bottom.  For a fixed row lattice the nonzero part
-    is unique, which is what makes it usable as a canonical key.
-    """
-    n = len(M)
-    m = ncols if ncols is not None else (len(M[0]) if M else 0)
-    H = [[int(x) for x in row] for row in M]
-    U = identity(n)
-    pivots = []
-    row = 0
-    for col in range(m):
-        if row == n:
-            break
-        while True:
-            piv = None
-            best = None
-            for r in range(row, n):
-                v = abs(H[r][col])
-                if v != 0 and (best is None or v < best):
-                    best = v
-                    piv = r
-            if piv is None:
-                break
-            H[row], H[piv] = H[piv], H[row]
-            U[row], U[piv] = U[piv], U[row]
-            clean = True
-            for r in range(row + 1, n):
-                if H[r][col] != 0:
-                    q = H[r][col] // H[row][col]
-                    if q:
-                        H[r] = [a - q * b for a, b in zip(H[r], H[row])]
-                        U[r] = [a - q * b for a, b in zip(U[r], U[row])]
-                    if H[r][col] != 0:
-                        clean = False
-            if clean:
-                break
-        if H[row][col] != 0:
-            if H[row][col] < 0:
-                H[row] = [-a for a in H[row]]
-                U[row] = [-a for a in U[row]]
-            p = H[row][col]
-            for r in range(row):
-                q = H[r][col] // p
-                if q:
-                    H[r] = [a - q * b for a, b in zip(H[r], H[row])]
-                    U[r] = [a - q * b for a, b in zip(U[r], U[row])]
-            pivots.append(col)
-            row += 1
-    return H, U, pivots
-
-
-def int_solve_left(A, b, ncols=None):
-    """Integer x with x @ A = b, or None."""
-    m = ncols if ncols is not None else (len(A[0]) if A else len(b))
-    H, U, pivots = hermite_with_transform(A, m)
-    res = [int(x) for x in b]
-    assert len(res) == m
-    y = [0] * len(A)
-    for i, pc in enumerate(pivots):
-        p = H[i][pc]
-        if res[pc] % p != 0:
-            return None
-        q = res[pc] // p
-        if q:
-            y[i] = q
-            res = [a - q * h for a, h in zip(res, H[i])]
-    if any(res):
-        return None
-    x = [0] * len(A)
-    for yi, urow in zip(y, U):
-        if yi:
-            x = [a + yi * u for a, u in zip(x, urow)]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# ring dispatch
-
-def solve_left(ring: EuclideanScalarRing, A, b, ncols=None):
-    if ring.is_field():
-        return field_solve_left(ring, A, b, ncols)
-    return int_solve_left(A, b, ncols)
-
-
 def left_kernel(ring: EuclideanScalarRing, M, ncols=None):
     """Basis rows for {x : x @ M = 0}."""
-    if ring.is_field():
-        _, T, pivots = rref_with_transform(ring, M, ncols)
-        return [T[i] for i in range(len(pivots), len(M))]
-    _, U, pivots = hermite_with_transform(M, ncols)
-    return [U[i] for i in range(len(pivots), len(M))]
+    _, T, pivots = rref_with_transform(ring, M, ncols)
+    return T[len(pivots):]
 
 
 def right_kernel(ring: EuclideanScalarRing, M, ncols):
@@ -265,35 +206,21 @@ def right_kernel(ring: EuclideanScalarRing, M, ncols):
 
 
 def matrix_rank(ring: EuclideanScalarRing, M, ncols=None):
-    if ring.is_field():
-        return len(rref_with_transform(ring, M, ncols)[2])
-    return len(hermite_with_transform(M, ncols)[2])
-
-
-def int_saturation(M, ncols):
-    """Basis of the saturation of the row span inside Z^ncols."""
-    K = right_kernel_int(M, ncols)
-    return right_kernel_int(K, ncols)
-
-
-def right_kernel_int(M, ncols):
-    Mt = transpose(M, ncols)
-    _, U, pivots = hermite_with_transform(Mt, len(M))
-    return [U[i] for i in range(len(pivots), ncols)]
+    return len(rref_with_transform(ring, M, ncols)[2])
 
 
 def canonical_span_basis(ring: EuclideanScalarRing, rows, ncols):
     """Canonical basis of the span (field) or saturated span (integers).
 
     Returned as a tuple of row tuples; equal spans give equal values, so
-    the result doubles as a dictionary key.
+    the result doubles as a dictionary key.  Over the integers the rows are
+    first replaced by a basis of their saturation, the kernel of their
+    kernel; over a field that step would be the identity.
     """
-    if ring.is_field():
-        R, _, pivots = rref_with_transform(ring, rows, ncols)
-        return tuple(tuple(R[i]) for i in range(len(pivots)))
-    sat = int_saturation(rows, ncols)
-    H, _, pivots = hermite_with_transform(sat, ncols)
-    return tuple(tuple(H[i]) for i in range(len(pivots)))
+    if not ring.is_field():
+        rows = right_kernel(ring, right_kernel(ring, rows, ncols), ncols)
+    R, _, pivots = rref_with_transform(ring, rows, ncols)
+    return tuple(tuple(R[i]) for i in range(len(pivots)))
 
 
 def span_contains(ring: EuclideanScalarRing, basis, v, ncols):

@@ -18,8 +18,8 @@ from .homology import (ConnectivityVerdict, homologically_connected,
                        map_connectivity)
 from .posets import FinitePoset, PosetMap, thick_join
 from .snf import CertificateError
-from .symplectic import (Submodule, SymplecticModule, Lv_submodule,
-                         quotient_by_radical, symplectic_dual_family)
+from .symplectic import (RadicalQuotient, Submodule, SymplecticModule,
+                         symplectic_dual_family)
 
 
 class CoverFamily:
@@ -308,7 +308,7 @@ def isotropic_perp_cover(L: SymplecticModule, mode: str = "positive"):
     from .builders import build_I, build_U
 
     assert mode in ("interval", "positive")
-    quot = quotient_by_radical(L)
+    quot = RadicalQuotient(L)
     A = build_I(quot.module)
     U = build_U(L)
     zero = ()
@@ -321,7 +321,8 @@ def isotropic_perp_cover(L: SymplecticModule, mode: str = "positive"):
     X = Xsub.with_heights(Xsub.standard_heights())
     members = {}
     for seq in A:
-        Lv = Lv_submodule(L, [quot.lift(v) for v in seq])
+        # L_v: everything pairing to zero with the lifts
+        Lv = Submodule(L, [quot.lift(v) for v in seq]).perp()
         members[seq] = frozenset(
             u for u in X if Lv.contains_submodule(Submodule(L, u, _canonical=True)))
     F = CoverFamily(A, X, members)

@@ -125,12 +125,6 @@ class FinitePoset:
     def le(self, x, y) -> bool:
         return x == y or y in self._above[x]
 
-    def comparable(self, x, y) -> bool:
-        return x == y or y in self._above[x] or x in self._above[y]
-
-    def minimal_elements(self):
-        return [x for x in self._elements if not self.below(x)]
-
     def maximal_elements(self):
         return [x for x in self._elements if not self._above[x]]
 
@@ -193,9 +187,6 @@ class FinitePoset:
 
     def subposet_gt(self, x):
         return self.induced(self._above[x])
-
-    def subposet_ge(self, x):
-        return self.induced(self._above[x] | {x})
 
     def open_interval(self, x, y):
         assert self.lt(x, y)

@@ -10,6 +10,12 @@ Over a field the norm is 0/1 and division is exact.  Over the integers the
 norm is the absolute value; the quotient is 0 when |a| < |b| (so reduction
 maps fix already-reduced values) and otherwise leaves the canonical
 remainder in [0, |b|).
+
+The echelon form in ``linalg`` needs two more things, and only these
+differ between the rings: ``normalizing_unit`` turns a pivot into its
+canonical associate (1 over a field, positive over the integers), and
+``canonical_q`` is the quotient that leaves the canonical remainder (0
+over a field, floor division over the integers).
 """
 
 from __future__ import annotations
@@ -52,6 +58,14 @@ class EuclideanScalarRing:
 
     def euclid_q(self, a: int, b: int) -> int:
         """Quotient q with norm(a - q*b) < norm(b).  Raises on b = 0."""
+        raise NotImplementedError
+
+    def canonical_q(self, a: int, b: int) -> int:
+        """Quotient q leaving the canonical remainder a - q*b modulo b."""
+        raise NotImplementedError
+
+    def normalizing_unit(self, a: int) -> int:
+        """Unit u such that u*a is the canonical associate of a != 0."""
         raise NotImplementedError
 
     def inv(self, a: int) -> int:
@@ -98,6 +112,12 @@ class PrimeField(EuclideanScalarRing):
             raise ZeroDivisionError("division by zero in prime field")
         return (a * self.inv(b)) % self.p
 
+    def canonical_q(self, a: int, b: int) -> int:
+        return self.euclid_q(a, b)
+
+    def normalizing_unit(self, a: int) -> int:
+        return self.inv(a)
+
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -141,6 +161,13 @@ class IntegerRing(EuclideanScalarRing):
         if b > 0:
             return a // b
         return -(a // -b)
+
+    def canonical_q(self, a: int, b: int) -> int:
+        # floor division: the remainder lies between 0 and b, with b's sign
+        return a // b
+
+    def normalizing_unit(self, a: int) -> int:
+        return -1 if a < 0 else 1
 
     def inv(self, a: int) -> int:
         if a not in (1, -1):

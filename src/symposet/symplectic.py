@@ -14,7 +14,9 @@ bits, 64 at genus 3 over F_2, and the module caches the vector/index
 table it refers to.  Containment of a vector or a submodule is then a bit
 test and an intersection is an AND of two masks, followed by one echelon
 call for the canonical basis.  Over the integers the module is infinite,
-so these operations stay with Hermite-form linear algebra.
+so these operations stay with linear algebra on the Hermite form, which
+``linalg.rref_with_transform`` gives over the integers as it gives the
+reduced echelon form over a field.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import List, Sequence, Tuple
 
 from . import linalg
 from .linalg import (PackedSpace, bareiss_det, canonical_span_basis,
-                     left_kernel, mat_mul, matrix_rank, solve_left, transpose)
+                     left_kernel, mat_mul, solve_left, transpose)
 from .rings import EuclideanScalarRing, PrimeField
 from .snf import dense_smith
 
@@ -150,9 +152,6 @@ class Submodule:
         M = self.module
         return [[M.pair(a, b) for b in self.basis] for a in self.basis]
 
-    def form_rank(self) -> int:
-        return matrix_rank(self.module.ring, self.restricted_gram(), self.rank)
-
     def is_unimodular(self) -> bool:
         """Restricted form nondegenerate with unit determinant."""
         if self.rank % 2 != 0:
@@ -254,16 +253,11 @@ def is_isotropic_sequence(L: SymplecticModule, lifts: Sequence) -> bool:
     if not L.ring.is_field():
         # image must be a direct summand: the plain span must already be
         # saturated, which canonical_span_basis would otherwise enlarge
-        H, _, piv = linalg.hermite_with_transform(stacked, L.rank)
+        H, _, piv = linalg.rref_with_transform(L.ring, stacked, L.rank)
         plain = tuple(tuple(H[i]) for i in range(len(piv)))
         if plain != canonical_span_basis(L.ring, stacked, L.rank):
             return False
     return True
-
-
-def Lv_submodule(L: SymplecticModule, lifts: Sequence) -> Submodule:
-    """L_v as a submodule of L: everything pairing to zero with the lifts."""
-    return Submodule(L, list(lifts)).perp()
 
 
 class RadicalQuotient:
@@ -303,10 +297,6 @@ class RadicalQuotient:
     def lift(self, w):
         return tuple(linalg.vec_mat(self.ambient.ring, list(w), self._comp,
                                     self.ambient.rank))
-
-
-def quotient_by_radical(L: SymplecticModule) -> RadicalQuotient:
-    return RadicalQuotient(L)
 
 
 def symplectic_dual_family(u: Submodule, es: Sequence):

@@ -11,15 +11,18 @@ from collections import Counter
 
 import pytest
 
-from symposet.builders import (build_D, build_HU, build_I, build_O, build_U,
-                               flag_to_decomposition, genus_one_count,
-                               hu_decomposition_map, is_partial_basis,
-                               partition_sequences_poset, partitions_poset,
-                               rho_sequence, rho_vector, submodule_from_key)
+from symposet import linalg
+from symposet.builders import (_subword_poset, build_D, build_HU, build_I,
+                               build_O, build_U, flag_to_decomposition,
+                               genus_one_count, hu_decomposition_map,
+                               is_partial_basis, partition_sequences_poset,
+                               partitions_poset, rho_sequence, rho_vector,
+                               submodule_from_key)
 from symposet.homology import map_connectivity, reduced_homology
 from symposet.posets import check_isomorphism
 from symposet.rings import IntegerRing, PrimeField, ZZ
-from symposet.symplectic import Submodule, SymplecticModule
+from symposet.symplectic import (Submodule, SymplecticModule,
+                                 is_isotropic_sequence)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -89,6 +92,46 @@ def test_I_counts():
     I21 = build_I(std(F2, 2, r=1))
     assert len(I21) == 390
     assert height_profile(I21) == {0: 30, 1: 360}
+
+
+def _isotropic_by_filter(L):
+    """Isotropic sequences, level by level, filtered by the reference test."""
+    vectors = [tuple(v) for v in L.vectors()]
+    current = [(v,) for v in vectors if is_isotropic_sequence(L, (v,))]
+    elements = []
+    while current:
+        elements.extend(current)
+        current = [seq + (v,) for seq in current for v in vectors
+                   if is_isotropic_sequence(L, seq + (v,))]
+    return elements
+
+
+@pytest.mark.parametrize("ring,g,r", [(F2, 1, 0), (F2, 2, 0), (F2, 1, 1),
+                                      (F2, 2, 1), (F3, 1, 0), (F3, 2, 0),
+                                      (F3, 1, 1)])
+def test_I_matches_isotropic_filter(ring, g, r):
+    L = std(ring, g, r)
+    I = build_I(L)
+    want = _subword_poset(_isotropic_by_filter(L))
+    assert I == want
+    assert I.elements == want.elements
+    assert I.heights() == want.heights()
+
+
+def test_I_needs_no_echelon_form(monkeypatch):
+    # the span of radical + sequence is a bitmask, so extending a sequence
+    # is a bit test and no echelon form is computed
+    L = std(F2, 2, r=1)
+    calls = []
+    original = linalg.rref_with_transform
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rref_with_transform", counted)
+    assert len(build_I(L)) == 390
+    assert not calls
 
 
 def test_I_subword_closure():

@@ -102,6 +102,9 @@ PINNED_EXPORTS = {
     "T.json": ["--poset", "T", "--genus", "4"],
     "D+.g3.json": ["--poset", "D+", "--genus", "3"],
     "TD.g3.json": ["--poset", "TD", "--genus", "3"],
+    "I.p3.json": ["--poset", "I", "--ring", "p3"],
+    "I.p3.g1r1.json": ["--poset", "I", "--ring", "p3", "--genus", "1",
+                       "--radical", "1"],
 }
 
 

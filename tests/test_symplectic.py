@@ -6,10 +6,9 @@ import pytest
 
 from symposet import linalg
 from symposet.rings import IntegerRing, PrimeField, ZZ
-from symposet.symplectic import (Submodule, SymplecticModule, Lv_submodule,
+from symposet.symplectic import (RadicalQuotient, Submodule, SymplecticModule,
                                  enumerate_unimodular_submodules,
-                                 is_isotropic_sequence, quotient_by_radical,
-                                 symplectic_dual_family)
+                                 is_isotropic_sequence, symplectic_dual_family)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -177,7 +176,7 @@ def test_isotropic_sequences():
 def test_Lv_submodule():
     L = std(F2, 2)
     e1 = [1, 0, 0, 0]
-    Lv = Lv_submodule(L, [e1])
+    Lv = Submodule(L, [e1]).perp()
     assert Lv.rank == 3
     assert Lv.contains(e1)
     for row in Lv.basis:
@@ -186,7 +185,7 @@ def test_Lv_submodule():
 
 def test_radical_quotient():
     L = std(F2, 2, r=2)
-    quot = quotient_by_radical(L)
+    quot = RadicalQuotient(L)
     M = quot.module
     assert M.radical_rank() == 0 and M.genus == 2 and M.rank == 4
     rng = random.Random(13)
@@ -202,7 +201,7 @@ def test_radical_quotient():
 
 def test_quotient_requires_field():
     with pytest.raises(AssertionError):
-        quotient_by_radical(std(ZZ, 1, r=1))
+        RadicalQuotient(std(ZZ, 1, r=1))
 
 
 def test_symplectic_dual_family():
