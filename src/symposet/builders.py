@@ -183,7 +183,8 @@ def flag_to_decomposition(L: SymplecticModule, U_gt=None, D=None) -> PosetMap:
         if chain[-1] != full_key:
             members.append(perp_key(chain[-1]))
         label = tuple(sorted(members))
-        assert label in D, "flag image is not a decomposition"
+        if label not in D:
+            raise CertificateError("flag image is not a decomposition")
         mapping[chain] = label
     return PosetMap(sd, D, mapping)
 
@@ -281,7 +282,9 @@ def hu_decomposition_map(g: int, ring: EuclideanScalarRing,
         if len(seq) < g:
             members.append(Submodule(L, span_rows).perp().key())
         label = tuple(sorted(members))
-        assert label in DP, "split sequence image is not a strict decomposition"
+        if label not in DP:
+            raise CertificateError(
+                "split sequence image is not a strict decomposition")
         mapping[seq] = label
     return PosetMap(HU, DP, mapping)
 

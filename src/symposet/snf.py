@@ -1,16 +1,17 @@
 """Smith normal form over the integers, tuned for boundary matrices.
 
-A sparse phase splits off diagonal blocks using unit (+-1) pivots only,
-which is where simplicial boundary matrices spend almost all of their
-mass; a dense textbook algorithm finishes whatever survives, and also
-serves small dense matrices directly.
+The sparse phase is a column reduction, as in persistent homology: each
+column is reduced by its lowest row against the unit (+-1) pivots found so
+far, which is exact over the integers because every pivot entry is a unit.
+Simplicial boundary matrices spend almost all of their mass there.  The
+few columns whose lowest entry is not a unit are deferred; a dense
+textbook algorithm finishes them, and also serves small dense matrices
+directly.
 
 Only the invariant factors come out; ranks and torsion are read off them.
 """
 
 from __future__ import annotations
-
-import heapq
 
 
 class CertificateError(AssertionError):
@@ -94,84 +95,56 @@ def dense_smith(A, ncols=None):
 def smith_invariants(rows, ncols=None):
     """Invariant factors of a sparse integer matrix.
 
-    ``rows`` maps row key -> {column key -> nonzero value}.  Row and column
-    keys can be anything hashable.  Returns the nonzero diagonal of the
+    ``rows`` maps row key -> {column key -> value}; both keys are ints, and
+    zero values are ignored.  ``ncols`` is accepted for symmetry with
+    ``dense_smith`` and not needed.  Returns the nonzero diagonal of the
     Smith form as a list (ones first, then the rest in divisibility order).
+
+    Columns are reduced in ascending key order by their lowest (largest)
+    row; on boundary matrices other orders fill in far more (reversed
+    columns made the genus-3 link sweeps' SNFs thirty times slower).
+    While that row belongs to a pivot, the pivot's multiple that clears it
+    is subtracted; that entry of a pivot is +-1, so the step is exact.  A
+    column left with a unit low entry becomes that row's pivot, one with
+    another low entry is deferred.  The pivot rows carry a triangular
+    minor with unit diagonal, so each pivot gives one 1; the deferred
+    columns, cleared at every pivot row, go to ``dense_smith``.
     """
-    rows = {r: dict(cs) for r, cs in rows.items() if cs}
-    col_rows = {}
+    cols = {}
     for r, cs in rows.items():
         for c, v in cs.items():
-            assert v != 0
-            col_rows.setdefault(c, set()).add(r)
-    heap = []
-    seq = 0  # tiebreaker so heterogeneous column keys never get compared
-    for c, rs in col_rows.items():
-        if any(abs(rows[r][c]) == 1 for r in rs):
-            heap.append((len(rs), seq, c))
-            seq += 1
-    heapq.heapify(heap)
-    ones = 0
-    while heap:
-        nnz, _, c = heapq.heappop(heap)
-        rs = col_rows.get(c)
-        if not rs:
-            continue
-        if len(rs) != nnz:
-            heapq.heappush(heap, (len(rs), seq, c))
-            seq += 1
-            continue
-        unit_rows = [r for r in rs if abs(rows[r][c]) == 1]
-        if not unit_rows:
-            continue
-        pr = min(unit_rows, key=lambda r: len(rows[r]))
-        pv = rows[pr][c]
-        prow = rows.pop(pr)
-        for cc in prow:
-            s = col_rows.get(cc)
-            if s is not None:
-                s.discard(pr)
-                if not s:
-                    del col_rows[cc]
-        touched = set()
-        for r in list(col_rows.pop(c, ())):
-            row = rows[r]
-            f = row[c] * pv
-            del row[c]
-            for cc, v in prow.items():
-                if cc == c:
-                    continue
-                nv = row.get(cc, 0) - f * v
-                if nv:
-                    if cc not in row:
-                        col_rows.setdefault(cc, set()).add(r)
-                    row[cc] = nv
-                    touched.add(cc)
-                elif cc in row:
-                    del row[cc]
-                    s = col_rows[cc]
-                    s.discard(r)
-                    if not s:
-                        del col_rows[cc]
-                    else:
-                        touched.add(cc)
-            if not row:
-                del rows[r]
-        ones += 1
-        for cc in touched:
-            if cc in col_rows:
-                heap_entry = (len(col_rows[cc]), seq, cc)
-                seq += 1
-                heapq.heappush(heap, heap_entry)
-    if not rows:
-        return [1] * ones
-    rl = sorted(rows, key=repr)
-    cols = sorted({c for cs in rows.values() for c in cs}, key=repr)
-    cidx = {c: j for j, c in enumerate(cols)}
-    dense = [[0] * len(cols) for _ in rl]
-    for i, r in enumerate(rl):
-        for c, v in rows[r].items():
-            dense[i][cidx[c]] = v
-    rest = dense_smith(dense, len(cols))
-    return [1] * ones + rest
+            if v:
+                cols.setdefault(c, {})[r] = v
+    pivots = {}  # low row -> its column, whose entry there is +-1
+    deferred = []
+    for c in sorted(cols):
+        col = cols[c]
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                if col[low] in (1, -1):
+                    pivots[low] = col
+                else:
+                    deferred.append(col)
+                break
+            _subtract(col, col[low] * piv[low], piv)
+    if not deferred:
+        return [1] * len(pivots)
+    for p in sorted(pivots, reverse=True):
+        for col in deferred:
+            if p in col:
+                _subtract(col, col[p] * pivots[p][p], pivots[p])
+    left = sorted({r for col in deferred for r in col})
+    dense = [[col.get(r, 0) for r in left] for col in deferred]
+    return [1] * len(pivots) + dense_smith(dense, len(left))
 
+
+def _subtract(col, f, piv):
+    """col -= f * piv, dropping the entries that cancel."""
+    for r, v in piv.items():
+        nv = col.get(r, 0) - f * v
+        if nv:
+            col[r] = nv
+        else:
+            del col[r]

@@ -28,7 +28,7 @@ from . import linalg
 from .linalg import (PackedSpace, bareiss_det, canonical_span_basis,
                      left_kernel, mat_mul, solve_left, transpose)
 from .rings import EuclideanScalarRing, PrimeField
-from .snf import dense_smith
+from .snf import CertificateError, dense_smith
 
 
 class SymplecticModule:
@@ -327,9 +327,11 @@ def symplectic_dual_family(u: Submodule, es: Sequence):
             c = M.pair(fs[i], fs[j])
             if c:
                 fs[j] = [ring.add(a, ring.mul(c, b)) for a, b in zip(fs[j], es[i])]
-            assert M.pair(fs[i], fs[j]) == 0
+            if M.pair(fs[i], fs[j]):
+                raise CertificateError("dual family is not isotropic")
     for i in range(k):
         for j in range(k):
             want = ring.reduce(1) if i == j else 0
-            assert M.pair(es[i], fs[j]) == want
+            if M.pair(es[i], fs[j]) != want:
+                raise CertificateError("dual family is not dual to the e_i")
     return fs

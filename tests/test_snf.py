@@ -1,0 +1,162 @@
+"""The sparse Smith normal form of integer matrices.
+
+``smith_invariants`` feeds every Betti number and torsion group in the
+reports, so besides checking it against sympy this file pins its exact
+outputs on seeded random sparse matrices, and checks the cases that must
+reach the dense finish.
+"""
+
+import hashlib
+import itertools
+import json
+import random
+
+import pytest
+
+from symposet import snf
+from symposet.complexes import order_complex
+from symposet.posets import FinitePoset
+from symposet.snf import smith_invariants
+
+# sha256 of the canonical JSON dump of _dump(); it changes only when
+# smith_invariants returns different invariants on some seeded case
+PINNED_DUMP = "c69e63dd3a481098e88be7c9da927bf7fc8d30995d3ac6fdeee7d18845e889d5"
+
+VALUES = [1, -1, 1, -1, 2, -2, 3, -3, 4, 6]
+
+
+def _random_rows(rnd, n, m):
+    """A sparse n x m matrix with row keys spread over range(2n) and
+    column keys over range(2m); some rows stay empty."""
+    row_keys = rnd.sample(range(2 * n), n)
+    col_keys = rnd.sample(range(2 * m), m)
+    density = rnd.choice([0.1, 0.2, 0.35, 0.6])
+    rows = {}
+    for r in row_keys:
+        rows[r] = {c: rnd.choice(VALUES) for c in col_keys
+                   if rnd.random() < density}
+    return rows, 2 * m
+
+
+def _cases(count=400):
+    """(rows, ncols) pairs: empty and all-zero ones, then seeded random
+    ones of every shape up to 12 x 12."""
+    rnd = random.Random(2003)
+    out = [({}, None), ({}, 3), ({0: {}}, 1), ({0: {}, 5: {}}, 4),
+           ({0: {0: 1}}, None), ({3: {1: -6}}, None)]
+    for _ in range(count):
+        out.append(_random_rows(rnd, rnd.randint(1, 12), rnd.randint(1, 12)))
+    return out
+
+
+def _dump():
+    records = []
+    for rows, ncols in _cases():
+        records.append({
+            "rows": sorted([r, sorted(cs.items())] for r, cs in rows.items()),
+            "ncols": ncols,
+            "invariants": smith_invariants(rows, ncols),
+        })
+    return records
+
+
+def _digest(records):
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_outputs_match_the_pinned_bits():
+    assert _digest(_dump()) == PINNED_DUMP
+
+
+def test_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    torsion = 0
+    for rows, _ in _cases()[6:126]:
+        row_keys = sorted(rows)
+        col_keys = sorted({c for cs in rows.values() for c in cs})
+        if not col_keys:
+            assert smith_invariants(rows) == []
+            continue
+        M = sympy.Matrix([[rows[r].get(c, 0) for c in col_keys]
+                          for r in row_keys])
+        D = smith_normal_form(M, domain=sympy.ZZ)
+        want = [abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i]]
+        got = smith_invariants(rows)
+        assert got == sorted(want)
+        torsion += any(v > 1 for v in got)
+    assert torsion > 10
+
+
+def _count_dense(monkeypatch):
+    calls = []
+    original = snf.dense_smith
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(snf, "dense_smith", counted)
+    return calls
+
+
+def test_late_unit_pivot_clears_a_deferred_column(monkeypatch):
+    # column 0 has low entry 2 in row 1, which gets its unit pivot only
+    # from column 1; the deferred column is cleared there and leaves the
+    # unit in row 0 for the dense finish
+    calls = _count_dense(monkeypatch)
+    assert smith_invariants({0: {0: 1}, 1: {0: 2, 1: 1}}) == [1, 1]
+    assert len(calls) == 1
+    # same, but nothing of column 0 survives the clearing
+    calls.clear()
+    assert smith_invariants({1: {0: 2, 1: 1}}) == [1]
+    assert len(calls) == 1
+
+
+def _simplicial_d2(faces):
+    """d_2 of the simplicial complex with the given triangles."""
+    edges = sorted({e for f in faces for e in itertools.combinations(f, 2)})
+    index = {e: i for i, e in enumerate(edges)}
+    rows = {}
+    for j, (a, b, c) in enumerate(sorted(faces)):
+        for sign, e in ((1, (b, c)), (-1, (a, c)), (1, (a, b))):
+            rows.setdefault(index[e], {})[j] = sign
+    return rows
+
+
+def test_projective_plane_torsion_reaches_the_dense_finish(monkeypatch):
+    rp2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+           (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+    calls = _count_dense(monkeypatch)
+    # 15 edges and 10 triangles: rank 10, and H_1 = Z/2
+    assert smith_invariants(_simplicial_d2(rp2)) == [1] * 9 + [2]
+    assert len(calls) == 1
+
+
+def test_explicit_zero_entries_are_ignored():
+    rnd = random.Random(5)
+    for rows, ncols in _cases(60):
+        padded = {}
+        for r, cs in rows.items():
+            padded[r] = dict(cs)
+            padded[r][rnd.randrange(100, 110)] = 0
+        padded[999] = {0: 0}
+        assert smith_invariants(padded, ncols) == smith_invariants(rows, ncols)
+
+
+def test_sphere_boundaries_make_no_dense_call(monkeypatch):
+    # proper nonempty subsets of a 5-set: a 3-sphere, torsion-free
+    elems = [frozenset(s) for r in range(1, 5)
+             for s in itertools.combinations(range(5), r)]
+    P = FinitePoset(elems, [(a, b) for a in elems for b in elems if a < b])
+    cx = order_complex(P)
+    calls = _count_dense(monkeypatch)
+    ranks = [len(smith_invariants(cx.boundary_rows(k)))
+             for k in range(len(cx.by_dim))]
+    assert calls == []
+    sizes = [len(s) for s in cx.by_dim]
+    # reduced Betti numbers: only the top one is nonzero
+    betti = [sizes[k] - ranks[k] - (ranks[k + 1] if k + 1 < len(ranks) else 0)
+             for k in range(len(sizes))]
+    assert betti == [0, 0, 0, 1]

@@ -1,9 +1,13 @@
 """Alternating forms, canonical submodules, perps, and radical quotients."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import symposet
 from symposet import linalg
 from symposet.rings import IntegerRing, PrimeField, ZZ
 from symposet.symplectic import (RadicalQuotient, Submodule, SymplecticModule,
@@ -215,3 +219,48 @@ def test_symplectic_dual_family():
     for i in range(len(fs)):
         for j in range(len(fs)):
             assert L.pair(list(fs[i]), list(fs[j])) == 0
+
+
+def test_image_and_dual_certificates_survive_optimized_python():
+    # each check is made to fail by a broken input or helper; under -O a
+    # plain assert would let the bad result through
+    code = """
+from symposet import symplectic
+from symposet.builders import (build_U, flag_to_decomposition,
+                               hu_decomposition_map)
+from symposet.posets import FinitePoset
+from symposet.rings import PrimeField
+from symposet.snf import CertificateError
+from symposet.symplectic import SymplecticModule, symplectic_dual_family
+
+def run(check):
+    try:
+        check()
+    except CertificateError as e:
+        print(e)
+
+F2, F3 = PrimeField(2), PrimeField(3)
+L = SymplecticModule.standard(F2, 2)
+nothing = FinitePoset([])
+run(lambda: flag_to_decomposition(L, build_U(L).subposet_gt(()), nothing))
+run(lambda: hu_decomposition_map(2, F2, DP=nothing))
+
+full = SymplecticModule.standard(F3, 2).full_submodule()
+# these solved duals pair to 2; with the correcting sum made a no-op
+# the pair stays
+type(F3).add = lambda self, a, b: a
+run(lambda: symplectic_dual_family(full, [(0, 1, 0, 1), (1, 0, 2, 0)]))
+# zero duals are isotropic but dual to nothing
+symplectic.solve_left = lambda ring, P, delta, k: [0] * len(P)
+run(lambda: symplectic_dual_family(full, [(1, 0, 0, 0)]))
+"""
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "flag image is not a decomposition",
+        "split sequence image is not a strict decomposition",
+        "dual family is not isotropic",
+        "dual family is not dual to the e_i",
+    ]
