@@ -85,7 +85,8 @@ def _subword_poset(elements) -> FinitePoset:
         for k in range(1, n):
             for pos in itertools.combinations(range(n), k):
                 sub = tuple(seq[i] for i in pos)
-                assert sub in in_poset, "subword escaped the poset"
+                if sub not in in_poset:
+                    raise CertificateError("subword escaped the poset")
                 rel.append((sub, seq))
     heights = {s: len(s) - 1 for s in elements}
     return FinitePoset(elements, rel, heights)

@@ -3,7 +3,8 @@
 Vertices are the poset's vertex numbers (``FinitePoset.positions``), so a
 simplex is a tuple of ints.  Chains are enumerated by an upward depth-first
 walk in vertex-number order, so simplex lists are deterministic and
-lexicographic within each dimension.
+lexicographic within each dimension.  Boundary matrices are built as
+columns, one per simplex, the form the sparse Smith normal form reduces.
 A budget caps the number of simplices; blowing it raises BudgetExceeded so
 callers can report an inconclusive verdict instead of thrashing.
 """
@@ -49,38 +50,29 @@ class OrderComplex:
         return sum(len(s) for s in self.by_dim)
 
     def boundary_rows(self, k):
-        """The matrix of d_k as {face index: {simplex index: sign}}.
+        """d_k as columns, {simplex index: {face index: sign}}.
 
-        For k = 0 this is the augmentation row (everything maps to the
-        single empty-simplex generator with coefficient 1).
+        For k = 0 this is the augmentation (every vertex maps to the single
+        empty-simplex generator with coefficient 1).
         """
         if k <= 0:
-            return {0: {j: 1 for j in range(self.n_simplices(0))}}
-        faces = {c: i for i, c in enumerate(self.by_dim[k - 1])}
-        assert len(faces) == len(self.by_dim[k - 1]), "duplicate simplex"
-        rows = {}
-        for j, c in enumerate(self.by_dim[k]):
-            sign = 1
-            for i in range(len(c)):
-                r = faces[c[:i] + c[i + 1:]]
-                rows.setdefault(r, {})[j] = sign
-                sign = -sign
-        return rows
+            return {j: {0: 1} for j in range(self.n_simplices(0))}
+        return _boundary_columns(self, k, frozenset())
 
     @staticmethod
     def dd_zero_check(lower, upper):
         """Certify that the boundary ``lower`` after ``upper`` is zero.
 
-        Both are sparse matrices in the form of ``boundary_rows``: ``upper``
-        is d_k, with rows indexed by (k-1)-simplices, and ``lower`` is
-        d_{k-1}, with columns indexed by the same (k-1)-simplices.  Each
+        Both are sparse matrices in the column form of ``boundary_rows``:
+        ``upper`` is d_k and ``lower`` is d_{k-1}, and each column of
+        ``upper`` is mapped through ``lower`` by index lookup.  Each
         k-simplex meets about k^2 face pairs, so the check is linear.
         """
-        for cols in lower.values():
+        for col in upper.values():
             acc = {}
-            for m, a in cols.items():
-                for c, b in upper.get(m, {}).items():
-                    acc[c] = acc.get(c, 0) + a * b
+            for m, a in col.items():
+                for r, b in lower.get(m, {}).items():
+                    acc[r] = acc.get(r, 0) + a * b
             if any(acc.values()):
                 raise CertificateError("boundary of a boundary is nonzero")
         return True
@@ -113,26 +105,33 @@ def order_complex(P: FinitePoset, max_dim=None, budget=DEFAULT_BUDGET) -> OrderC
 
 
 def relative_boundary_rows(cx: OrderComplex, sub, k):
-    """Boundary of the quotient complex by the full subcomplex on ``sub``.
-
-    ``sub`` is a set of vertex numbers of ``cx``.  Rows and columns are
-    restricted to simplices with a vertex outside ``sub``; faces falling
-    entirely inside ``sub`` are dropped.
-    """
-    sub = frozenset(sub)
+    """d_k, as columns, of the quotient complex by the full subcomplex on
+    ``sub``, a set of vertex numbers of ``cx``."""
     if k < 1:
         return {}
-    faces = {c: i for i, c in enumerate(cx.by_dim[k - 1])
-             if not sub.issuperset(c)}
-    rows = {}
+    return _boundary_columns(cx, k, frozenset(sub))
+
+
+def _boundary_columns(cx, k, sub):
+    """d_k (k >= 1) as columns, relative to the full subcomplex on ``sub``:
+    simplices and faces inside ``sub`` are left out, and any other face
+    missing from the face index raises."""
+    lower = cx.by_dim[k - 1]
+    faces = {c: i for i, c in enumerate(lower)}
+    if len(faces) != len(lower):
+        raise CertificateError(f"duplicate simplex in dimension {k - 1}")
+    if sub:
+        faces.update(dict.fromkeys(filter(sub.issuperset, lower)))
+    cols = {}
     for j, c in enumerate(cx.by_dim[k]):
-        if sub.issuperset(c):
+        if sub and sub.issuperset(c):
             continue
+        col = {}
         sign = 1
         for i in range(len(c)):
-            face = c[:i] + c[i + 1:]
-            r = faces.get(face)
+            r = faces[c[:i] + c[i + 1:]]
             if r is not None:
-                rows.setdefault(r, {})[j] = sign
+                col[r] = sign
             sign = -sign
-    return rows
+        cols[j] = col
+    return cols

@@ -2,13 +2,14 @@
 
 Everything here is integer-exact: ranks and torsion come from Smith normal
 form of boundary matrices, or from exactness where a trivial fundamental
-group fixes them.  Reduced, relative and mod-2 homology differ only in
-their generator counts, boundary matrices and invariant-factor routine,
-and share one loop, ``_profile``, that walks the degrees one at a time.
-That loop is also where dd=0 is certified: on complexes with at most
-``_DD_CHECK_LIMIT`` generators it checks that each pair of consecutive
-boundary matrices handed to the SNF composes to zero; above that only one
-boundary matrix is alive at a time.
+group fixes them.  Boundary matrices go from ``complexes`` to the SNF as
+the columns they are built as.  Reduced, relative and mod-2 homology
+differ only in their generator counts, boundary matrices and
+invariant-factor routine, and share one loop, ``_profile``, that walks the
+degrees one at a time.  That loop is also where dd=0 is certified: on
+complexes with at most ``_DD_CHECK_LIMIT`` generators it checks that each
+pair of consecutive boundary matrices handed to the SNF composes to zero;
+above that only one boundary matrix is alive at a time.
 
 A verdict never overstates its evidence.  ``status`` says what was
 established, ``basis`` says with which tools; a fundamental-group probe can
@@ -73,19 +74,19 @@ class HomologyProfile:
         return None
 
 
-def _profile(cx, cap, counts, rows, known, invariants) -> HomologyProfile:
+def _profile(cx, cap, counts, boundary, known, invariants) -> HomologyProfile:
     """Betti numbers and torsion of one chain complex on the simplices of cx.
 
-    ``counts[k]`` generators sit in degree k and ``rows(k)`` is the sparse
-    boundary d_k.  ``known`` holds the ranks of d_0, d_1, ... that need no
-    SNF: that of d_0 always, and those of d_1 and d_2 too when a trivial
-    fundamental group fixes them; those boundaries are free of torsion, and
-    a known rank that does not fit its matrix raises CertificateError.  From
-    d_{len(known)} up the rank of d_k is the length of
-    ``invariants(rows(k))`` and its entries above 1 are torsion in degree
-    k - 1.  On complexes within _DD_CHECK_LIMIT each consecutive pair of
-    boundaries handed to ``invariants`` must compose to zero; above it no
-    boundary is held here while ``invariants`` runs.
+    ``counts[k]`` generators sit in degree k and ``boundary(k)`` is the
+    sparse boundary d_k as columns.  ``known`` holds the ranks of d_0, d_1,
+    ... that need no SNF: that of d_0 always, and those of d_1 and d_2 too
+    when a trivial fundamental group fixes them; those boundaries are free
+    of torsion, and a known rank that does not fit its matrix raises
+    CertificateError.  From d_{len(known)} up the rank of d_k is the length
+    of ``invariants(boundary(k))`` and its entries above 1 are torsion in
+    degree k - 1.  On complexes within _DD_CHECK_LIMIT each consecutive
+    pair of boundaries handed to ``invariants`` must compose to zero, so
+    d_k, which ``invariants`` leaves intact, is kept for d_{k+1}'s check.
     """
     top = len(counts) - 1
     ranks = list(known) + [0] * (top + 2 - len(known))
@@ -99,16 +100,15 @@ def _profile(cx, cap, counts, rows, known, invariants) -> HomologyProfile:
     check = sum(counts) <= _DD_CHECK_LIMIT
     lower = None
     for k in range(len(known), top + 1):
+        upper = boundary(k)
         if check:
-            upper = rows(k)
             if lower is not None:
                 OrderComplex.dd_zero_check(lower, upper)
             lower = upper
-            inv = invariants(upper)
-        else:
-            # with no other reference, the matrix is freed as soon as the
-            # SNF has made its working copy
-            inv = invariants(rows(k))
+        inv = invariants(upper)
+        # d_k lives through the call, next to the reduced copies of its
+        # columns; unchecked, it is freed here, before d_{k+1} is built
+        del upper
         ranks[k] = len(inv)
         tors = tuple(v for v in inv if v > 1)
         if tors:
@@ -174,14 +174,14 @@ def relative_homology(P: FinitePoset, sub, through_degree=None,
                     smith_invariants)
 
 
-def _invariants_mod2(rows):
+def _invariants_mod2(cols):
     """One unit invariant per pivot of an F_2 elimination on int bitsets."""
     pivots = {}
-    for cdict in rows.values():
+    for col in cols.values():
         mask = 0
-        for c, v in cdict.items():
+        for r, v in col.items():
             if v & 1:
-                mask |= 1 << c
+                mask |= 1 << r
         while mask:
             low = mask & -mask
             other = pivots.get(low)

@@ -183,14 +183,15 @@ def tietze_reduce(n_gens, relators, rounds=_TIETZE_ROUNDS):
 
 
 def abelianization_invariants(n_gens, relators):
-    rows = {}
+    """Invariant factors of the relation matrix, one column per relator."""
+    cols = {}
     for i, w in enumerate(relators):
-        r = {}
+        col = {}
         for g in w:
-            c = abs(g) - 1
-            r[c] = r.get(c, 0) + (1 if g > 0 else -1)
-        rows[i] = {c: v for c, v in r.items() if v}
-    return smith_invariants(rows)
+            r = abs(g) - 1
+            col[r] = col.get(r, 0) + (1 if g > 0 else -1)
+        cols[i] = {r: v for r, v in col.items() if v}
+    return smith_invariants(cols)
 
 
 def coset_enumeration_trivial(n_gens, relators, max_cosets=MAX_COSETS):

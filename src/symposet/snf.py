@@ -1,8 +1,10 @@
 """Smith normal form over the integers, tuned for boundary matrices.
 
-The sparse phase is a column reduction, as in persistent homology: each
-column is reduced by its lowest row against the unit (+-1) pivots found so
-far, which is exact over the integers because every pivot entry is a unit.
+A sparse matrix is given by its columns, the form in which ``complexes``
+builds boundary matrices and hands them over as they are.  The sparse
+phase is a column reduction, as in persistent homology: each column is
+reduced by its lowest row against the unit (+-1) pivots found so far,
+which is exact over the integers because every pivot entry is a unit.
 Simplicial boundary matrices spend almost all of their mass there.  The
 few columns whose lowest entry is not a unit are deferred; a dense
 textbook algorithm finishes them, and also serves small dense matrices
@@ -92,13 +94,13 @@ def dense_smith(A, ncols=None):
     return diag
 
 
-def smith_invariants(rows, ncols=None):
-    """Invariant factors of a sparse integer matrix.
+def smith_invariants(cols):
+    """Invariant factors of a sparse integer matrix given by its columns.
 
-    ``rows`` maps row key -> {column key -> value}; both keys are ints, and
-    zero values are ignored.  ``ncols`` is accepted for symmetry with
-    ``dense_smith`` and not needed.  Returns the nonzero diagonal of the
-    Smith form as a list (ones first, then the rest in divisibility order).
+    ``cols`` maps column key -> {row key -> value}; both keys are ints, and
+    zero values are ignored.  Returns the nonzero diagonal of the Smith
+    form as a list (ones first, then the rest in divisibility order).  The
+    input is left as it was: each column is copied as it is reduced.
 
     Columns are reduced in ascending key order by their lowest (largest)
     row; on boundary matrices other orders fill in far more (reversed
@@ -110,15 +112,10 @@ def smith_invariants(rows, ncols=None):
     minor with unit diagonal, so each pivot gives one 1; the deferred
     columns, cleared at every pivot row, go to ``dense_smith``.
     """
-    cols = {}
-    for r, cs in rows.items():
-        for c, v in cs.items():
-            if v:
-                cols.setdefault(c, {})[r] = v
     pivots = {}  # low row -> its column, whose entry there is +-1
     deferred = []
     for c in sorted(cols):
-        col = cols[c]
+        col = {r: v for r, v in cols[c].items() if v}
         while col:
             low = max(col)
             piv = pivots.get(low)

@@ -234,7 +234,8 @@ def enumerate_unimodular_submodules(L: SymplecticModule) -> List[Submodule]:
                 if S.is_unimodular():
                     found.append(S)
     found.sort(key=lambda s: (s.rank, s.basis))
-    assert len({s.basis for s in found}) == len(found)
+    if len({s.basis for s in found}) != len(found):
+        raise CertificateError("a unimodular submodule was enumerated twice")
     return found
 
 

@@ -15,7 +15,8 @@ import pytest
 
 import symposet
 from symposet import complexes, homology, pi1, posets
-from symposet.complexes import BudgetExceeded, OrderComplex, order_complex
+from symposet.complexes import BudgetExceeded, OrderComplex, order_complex, \
+    relative_boundary_rows
 from symposet.homology import (HomologyProfile, cohen_macaulay_check,
                                homologically_connected, homology_spherical,
                                map_connectivity, reduced_betti_mod2,
@@ -254,14 +255,72 @@ def test_map_connectivity_builds_the_cylinder_once(monkeypatch):
         assert len(calls) == 1
 
 
+def _reference_boundary_rows(cx, k, sub=None):
+    """d_k in the row form that the column builder replaced:
+    {face index: {simplex index: sign}}, relative to ``sub`` if given."""
+    if k <= 0:
+        return {} if sub is not None else \
+            {0: {j: 1 for j in range(cx.n_simplices(0))}}
+    sub = frozenset(sub or ())
+    faces = {c: i for i, c in enumerate(cx.by_dim[k - 1])
+             if not sub.issuperset(c)}
+    rows = {}
+    for j, c in enumerate(cx.by_dim[k]):
+        if sub.issuperset(c):
+            continue
+        sign = 1
+        for i in range(len(c)):
+            r = faces.get(c[:i] + c[i + 1:])
+            if r is not None:
+                rows.setdefault(r, {})[j] = sign
+            sign = -sign
+    return rows
+
+
+def _transpose(rows):
+    cols = {}
+    for r, cs in rows.items():
+        for c, v in cs.items():
+            cols.setdefault(c, {})[r] = v
+    return cols
+
+
+def test_boundary_columns_match_the_row_form_reference():
+    rng = random.Random(1103)
+    relative = 0
+    for _ in range(25):
+        n = rng.randint(1, 9)
+        cx = order_complex(random_poset(rng, n, p=rng.choice((0.25, 0.5))))
+        for k in range(len(cx.by_dim)):
+            assert cx.boundary_rows(k) == \
+                _transpose(_reference_boundary_rows(cx, k))
+            if k >= 1:
+                assert relative_boundary_rows(cx, (), k) == cx.boundary_rows(k)
+            for _ in range(3):
+                sub = frozenset(rng.sample(range(n), rng.randint(0, n)))
+                got = relative_boundary_rows(cx, sub, k)
+                assert got == _transpose(_reference_boundary_rows(cx, k, sub))
+                relative += bool(got) and bool(sub)
+    assert relative > 50
+
+
+def test_boundary_faces_must_be_simplices():
+    # the face (1,) of (0, 1) is not a simplex
+    cx = OrderComplex([[(0,)], [(0, 1)]], True)
+    with pytest.raises(KeyError):
+        cx.boundary_rows(1)
+    with pytest.raises(KeyError):
+        relative_boundary_rows(cx, {0}, 1)
+
+
 def test_dd_zero_check_rejects_a_pair_that_does_not_compose_to_zero():
     cx = order_complex(subsets_poset(4))
     d1, d2 = cx.boundary_rows(1), cx.boundary_rows(2)
     assert OrderComplex.dd_zero_check(d1, d2)
-    broken = {r: dict(cs) for r, cs in d2.items()}
-    row = next(iter(broken.values()))
-    col = next(iter(row))
-    row[col] = -row[col]
+    broken = {j: dict(col) for j, col in d2.items()}
+    col = next(iter(broken.values()))
+    r = next(iter(col))
+    col[r] = -col[r]
     with pytest.raises(CertificateError):
         OrderComplex.dd_zero_check(d1, broken)
     with pytest.raises(CertificateError):
@@ -539,19 +598,17 @@ def test_hurewicz_ranks_that_do_not_fit_raise(monkeypatch):
         homologically_connected(subsets_poset(3), 1)
 
 
-def test_witness_certificates_survive_optimized_python():
-    # each check is made to fail by a monkeypatched helper; under -O a
-    # plain assert would let the bad witness through
-    code = """
-from symposet import builders, homology, nerve, pi1, symplectic
-from symposet.builders import build_D, build_U, flag_to_decomposition
+# prefixed to the code that _run_optimized runs under python -O; patched()
+# prints the message of the CertificateError that its run raises
+_PATCHED_PREAMBLE = """
+from symposet import builders, complexes, homology, nerve, pi1, symplectic
+from symposet.builders import build_D, build_I, build_U, flag_to_decomposition
 from symposet.posets import FinitePoset
 from symposet.rings import PrimeField
 from symposet.snf import CertificateError
 from symposet.symplectic import Submodule, SymplecticModule
 
 L = SymplecticModule.standard(PrimeField(2), 2)
-U_gt, D = build_U(L).subposet_gt(()), build_D(L)
 circle = FinitePoset("abcd", [("a", "c"), ("a", "d"), ("b", "c"),
                               ("b", "d")])
 
@@ -564,7 +621,22 @@ def patched(owner, name, value, run):
         print(e)
     finally:
         setattr(owner, name, original)
+"""
 
+
+def _run_optimized(code):
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _PATCHED_PREAMBLE + code],
+                         env=env, capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
+def test_witness_certificates_survive_optimized_python():
+    # each check is made to fail by a monkeypatched helper; under -O a
+    # plain assert would let the bad witness through
+    code = """
+U_gt, D = build_U(L).subposet_gt(()), build_D(L)
 patched(pi1, "pi1_probe", lambda *a, **k: "trivial",
         lambda: homology.homologically_connected(circle, 1))
 patched(Submodule, "perp", lambda self: self.module.zero_submodule(),
@@ -574,12 +646,32 @@ patched(Submodule, "is_unimodular", lambda self: False,
 patched(nerve, "symplectic_dual_family", lambda full, es: es,
         lambda: nerve.isotropic_perp_cover(L, "positive"))
 """
-    src = os.path.dirname(os.path.dirname(symposet.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == [
+    assert _run_optimized(code) == [
         "rank 1 of d_2 does not fit a 4 x 0 matrix",
         "perp complement has the wrong rank",
         "flag step is not unimodular",
         "block is not unimodular of rank 2"]
+
+
+def test_enumeration_certificates_survive_optimized_python():
+    # a doubled vertex, build_I's sequences without their one-letter
+    # subwords, and every unimodular candidate enumerated twice
+    code = """
+import itertools, types
+cx = complexes.order_complex(circle)
+patched(cx, "by_dim", [cx.by_dim[0] * 2, cx.by_dim[1]],
+        lambda: cx.boundary_rows(1))
+subword_poset = builders._subword_poset
+patched(builders, "_subword_poset",
+        lambda els: subword_poset([e for e in els if len(e) > 1]),
+        lambda: build_I(L))
+twice = lambda *a, **k: [t for t in itertools.product(*a, **k) for _ in "ab"]
+patched(symplectic, "itertools",
+        types.SimpleNamespace(combinations=itertools.combinations,
+                              product=twice),
+        lambda: symplectic.enumerate_unimodular_submodules(L))
+"""
+    assert _run_optimized(code) == [
+        "duplicate simplex in dimension 0",
+        "subword escaped the poset",
+        "a unimodular submodule was enumerated twice"]

@@ -6,6 +6,7 @@ outputs on seeded random sparse matrices, and checks the cases that must
 reach the dense finish.
 """
 
+import copy
 import hashlib
 import itertools
 import json
@@ -25,37 +26,41 @@ PINNED_DUMP = "c69e63dd3a481098e88be7c9da927bf7fc8d30995d3ac6fdeee7d18845e889d5"
 VALUES = [1, -1, 1, -1, 2, -2, 3, -3, 4, 6]
 
 
-def _random_rows(rnd, n, m):
-    """A sparse n x m matrix with row keys spread over range(2n) and
-    column keys over range(2m); some rows stay empty."""
-    row_keys = rnd.sample(range(2 * n), n)
-    col_keys = rnd.sample(range(2 * m), m)
+def _random_cols(rnd, n, m):
+    """A sparse m x n matrix as n columns, with column keys spread over
+    range(2n) and row keys over range(2m); some columns stay empty."""
+    col_keys = rnd.sample(range(2 * n), n)
+    row_keys = rnd.sample(range(2 * m), m)
     density = rnd.choice([0.1, 0.2, 0.35, 0.6])
-    rows = {}
-    for r in row_keys:
-        rows[r] = {c: rnd.choice(VALUES) for c in col_keys
+    cols = {}
+    for c in col_keys:
+        cols[c] = {r: rnd.choice(VALUES) for r in row_keys
                    if rnd.random() < density}
-    return rows, 2 * m
+    return cols, 2 * m
 
 
 def _cases(count=400):
-    """(rows, ncols) pairs: empty and all-zero ones, then seeded random
-    ones of every shape up to 12 x 12."""
+    """(cols, bound) pairs, the bound being one past the largest row key
+    (or None): empty and all-zero ones, then seeded random ones of every
+    shape up to 12 x 12."""
     rnd = random.Random(2003)
     out = [({}, None), ({}, 3), ({0: {}}, 1), ({0: {}, 5: {}}, 4),
            ({0: {0: 1}}, None), ({3: {1: -6}}, None)]
     for _ in range(count):
-        out.append(_random_rows(rnd, rnd.randint(1, 12), rnd.randint(1, 12)))
+        out.append(_random_cols(rnd, rnd.randint(1, 12), rnd.randint(1, 12)))
     return out
 
 
 def _dump():
+    # the record keys date from when the SNF took rows and an ncols bound;
+    # they stay, so the digest does too, as the Smith form of a matrix is
+    # that of its transpose
     records = []
-    for rows, ncols in _cases():
+    for cols, bound in _cases():
         records.append({
-            "rows": sorted([r, sorted(cs.items())] for r, cs in rows.items()),
-            "ncols": ncols,
-            "invariants": smith_invariants(rows, ncols),
+            "rows": sorted([c, sorted(rs.items())] for c, rs in cols.items()),
+            "ncols": bound,
+            "invariants": smith_invariants(cols),
         })
     return records
 
@@ -73,17 +78,17 @@ def test_matches_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form
     torsion = 0
-    for rows, _ in _cases()[6:126]:
-        row_keys = sorted(rows)
-        col_keys = sorted({c for cs in rows.values() for c in cs})
-        if not col_keys:
-            assert smith_invariants(rows) == []
+    for cols, _ in _cases()[6:126]:
+        col_keys = sorted(cols)
+        row_keys = sorted({r for rs in cols.values() for r in rs})
+        if not row_keys:
+            assert smith_invariants(cols) == []
             continue
-        M = sympy.Matrix([[rows[r].get(c, 0) for c in col_keys]
+        M = sympy.Matrix([[cols[c].get(r, 0) for c in col_keys]
                           for r in row_keys])
         D = smith_normal_form(M, domain=sympy.ZZ)
         want = [abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i]]
-        got = smith_invariants(rows)
+        got = smith_invariants(cols)
         assert got == sorted(want)
         torsion += any(v > 1 for v in got)
     assert torsion > 10
@@ -106,43 +111,55 @@ def test_late_unit_pivot_clears_a_deferred_column(monkeypatch):
     # from column 1; the deferred column is cleared there and leaves the
     # unit in row 0 for the dense finish
     calls = _count_dense(monkeypatch)
-    assert smith_invariants({0: {0: 1}, 1: {0: 2, 1: 1}}) == [1, 1]
+    assert smith_invariants({0: {0: 1, 1: 2}, 1: {1: 1}}) == [1, 1]
     assert len(calls) == 1
     # same, but nothing of column 0 survives the clearing
     calls.clear()
-    assert smith_invariants({1: {0: 2, 1: 1}}) == [1]
+    assert smith_invariants({0: {1: 2}, 1: {1: 1}}) == [1]
     assert len(calls) == 1
 
 
 def _simplicial_d2(faces):
-    """d_2 of the simplicial complex with the given triangles."""
+    """d_2 of the simplicial complex with the given triangles, as columns."""
     edges = sorted({e for f in faces for e in itertools.combinations(f, 2)})
     index = {e: i for i, e in enumerate(edges)}
-    rows = {}
-    for j, (a, b, c) in enumerate(sorted(faces)):
-        for sign, e in ((1, (b, c)), (-1, (a, c)), (1, (a, b))):
-            rows.setdefault(index[e], {})[j] = sign
-    return rows
+    return {j: {index[(b, c)]: 1, index[(a, c)]: -1, index[(a, b)]: 1}
+            for j, (a, b, c) in enumerate(sorted(faces))}
+
+
+RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+       (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
 
 
 def test_projective_plane_torsion_reaches_the_dense_finish(monkeypatch):
-    rp2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-           (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
     calls = _count_dense(monkeypatch)
     # 15 edges and 10 triangles: rank 10, and H_1 = Z/2
-    assert smith_invariants(_simplicial_d2(rp2)) == [1] * 9 + [2]
+    assert smith_invariants(_simplicial_d2(RP2)) == [1] * 9 + [2]
     assert len(calls) == 1
+
+
+def test_input_is_left_unchanged():
+    cases = [cols for cols, _ in _cases(120)]
+    cases += [{0: {0: 1, 1: 2}, 1: {1: 1}}, _simplicial_d2(RP2)]
+    reduced = 0
+    for cols in cases:
+        before = copy.deepcopy(cols)
+        inv = smith_invariants(cols)
+        assert cols == before
+        # a column that gets reduced would be changed by in-place work
+        reduced += len(inv) < sum(1 for rs in cols.values() if any(rs.values()))
+    assert reduced > 20
 
 
 def test_explicit_zero_entries_are_ignored():
     rnd = random.Random(5)
-    for rows, ncols in _cases(60):
+    for cols, _ in _cases(60):
         padded = {}
-        for r, cs in rows.items():
-            padded[r] = dict(cs)
-            padded[r][rnd.randrange(100, 110)] = 0
+        for c, rs in cols.items():
+            padded[c] = dict(rs)
+            padded[c][rnd.randrange(100, 110)] = 0
         padded[999] = {0: 0}
-        assert smith_invariants(padded, ncols) == smith_invariants(rows, ncols)
+        assert smith_invariants(padded) == smith_invariants(cols)
 
 
 def test_sphere_boundaries_make_no_dense_call(monkeypatch):

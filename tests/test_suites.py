@@ -98,7 +98,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
                          [(n, 2, f"{n}.json") for n in SUITE_NAMES]
                          + [("um", 3, "um.g3.json"),
                             ("maazen", 3, "maazen.g3.json"),
-                            ("dec", 3, "dec.g3.json")])
+                            ("dec", 3, "dec.g3.json"),
+                            ("trees", 3, "trees.g3.json")])
 def test_report_matches_golden(name, genus, filename):
     """Refactors keep reports byte for byte; a deliberate report change
     regenerates tests/golden with ``symposet <suite> --genus G --out``."""
