@@ -221,7 +221,8 @@ def partitions_poset(X: Iterable) -> FinitePoset:
         for i, j in itertools.combinations(range(len(p)), 2):
             rest = [b for t, b in enumerate(p) if t not in (i, j)]
             coarser = _canonical_partition(rest + [p[i] + p[j]])
-            assert coarser in pset
+            if coarser not in pset:
+                raise CertificateError("coarsening is not a partition")
             rel.append((coarser, p))
     heights = {p: len(p) - 2 for p in partitions}
     return FinitePoset(partitions, rel, heights)
@@ -384,7 +385,8 @@ def rho_vector(ring: EuclideanScalarRing, w_i: Sequence, v: Sequence, n: int):
     assert ring.norm(w_i[n - 1]) > 0, "pivot vector needs a nonzero last coordinate"
     q = ring.euclid_q(v[n - 1], w_i[n - 1])
     out = tuple(ring.sub(a, ring.mul(q, b)) for a, b in zip(v, w_i))
-    assert ring.norm(out[n - 1]) < ring.norm(w_i[n - 1])
+    if not ring.norm(out[n - 1]) < ring.norm(w_i[n - 1]):
+        raise CertificateError("division step did not lower the norm")
     return out
 
 
@@ -400,6 +402,7 @@ def rho_poset_retraction(P: FinitePoset, ring: EuclideanScalarRing,
     mapping = {}
     for seq in P:
         out = rho_sequence(ring, w, i, seq, n)
-        assert out in P, "retraction left the poset"
+        if out not in P:
+            raise CertificateError("retraction left the poset")
         mapping[seq] = out
     return PosetMap(P, P, mapping)

@@ -32,8 +32,6 @@ def _suite_flags(sp: argparse.ArgumentParser) -> None:
                     help="largest genus to exercise (default 2)")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="simplex budget per homology computation")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="parallel workers for link batches")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for randomized property checks")
     sp.add_argument("--out", default=None,
@@ -111,7 +109,7 @@ def _cmd_export(args, P) -> int:
 
 def _cmd_suite(name: str, args) -> int:
     cfg = SuiteConfig(ring=args.ring, genus=args.genus, budget=args.budget,
-                      workers=args.workers, seed=args.seed)
+                      seed=args.seed)
     report = run_suite(name, cfg)
     if not args.quiet:
         for line in report.summary_lines():

@@ -16,11 +16,6 @@ from .snf import CertificateError
 
 DEFAULT_BUDGET = 5_000_000
 
-# homology certifies dd=0 on the boundary matrices it hands to the SNF only
-# while the chain complex has at most this many generators: the check is
-# linear, but it must hold the previous matrix next to the current one
-_DD_CHECK_LIMIT = 60_000
-
 
 class BudgetExceeded(Exception):
     pass

@@ -7,9 +7,8 @@ the columns they are built as.  Reduced, relative and mod-2 homology
 differ only in their generator counts, boundary matrices and
 invariant-factor routine, and share one loop, ``_profile``, that walks the
 degrees one at a time.  That loop is also where dd=0 is certified: on
-complexes with at most ``_DD_CHECK_LIMIT`` generators it checks that each
-pair of consecutive boundary matrices handed to the SNF composes to zero;
-above that only one boundary matrix is alive at a time.
+every complex it checks that each pair of consecutive boundary matrices
+handed to the SNF composes to zero.
 
 A verdict never overstates its evidence.  ``status`` says what was
 established, ``basis`` says with which tools; a fundamental-group probe can
@@ -25,12 +24,11 @@ homology has run in full, so a refutation by homology still comes first.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .complexes import BudgetExceeded, DEFAULT_BUDGET, OrderComplex, \
-    _DD_CHECK_LIMIT, order_complex, relative_boundary_rows
+    order_complex, relative_boundary_rows
 from .posets import FinitePoset, PosetMap, mapping_cone, mapping_cylinder
 from .snf import CertificateError, smith_invariants
 from . import pi1
@@ -84,9 +82,9 @@ def _profile(cx, cap, counts, boundary, known, invariants) -> HomologyProfile:
     of torsion, and a known rank that does not fit its matrix raises
     CertificateError.  From d_{len(known)} up the rank of d_k is the length
     of ``invariants(boundary(k))`` and its entries above 1 are torsion in
-    degree k - 1.  On complexes within _DD_CHECK_LIMIT each consecutive
-    pair of boundaries handed to ``invariants`` must compose to zero, so
-    d_k, which ``invariants`` leaves intact, is kept for d_{k+1}'s check.
+    degree k - 1.  Each consecutive pair of boundaries handed to
+    ``invariants`` must compose to zero, so d_k, which ``invariants`` leaves
+    intact, is kept for d_{k+1}'s check.
     """
     top = len(counts) - 1
     ranks = list(known) + [0] * (top + 2 - len(known))
@@ -97,18 +95,14 @@ def _profile(cx, cap, counts, boundary, known, invariants) -> HomologyProfile:
                 f"rank {known[k]} of d_{k} does not fit a "
                 f"{size(k - 1)} x {size(k)} matrix")
     torsion = {}
-    check = sum(counts) <= _DD_CHECK_LIMIT
     lower = None
     for k in range(len(known), top + 1):
         upper = boundary(k)
-        if check:
-            if lower is not None:
-                OrderComplex.dd_zero_check(lower, upper)
-            lower = upper
+        if lower is not None:
+            OrderComplex.dd_zero_check(lower, upper)
+        # d_{k-1} is freed before this SNF; d_k is kept for d_{k+1}'s check
+        lower = upper
         inv = invariants(upper)
-        # d_k lives through the call, next to the reduced copies of its
-        # columns; unchecked, it is freed here, before d_{k+1} is built
-        del upper
         ranks[k] = len(inv)
         tors = tuple(v for v in inv if v > 1)
         if tors:
@@ -336,58 +330,45 @@ def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
                                {"spheres": prof.betti_number(n)})
 
 
-def _cm_tasks(P: FinitePoset, n: int, budget):
+def _cm_tasks(P: FinitePoset, n: int):
     h = P.standard_heights()
-    yield ("whole", None, P, n, budget)
+    yield ("whole", None, P, n)
     for x in P:
-        yield ("below", x, P.subposet_lt(x), h[x] - 1, budget)
-        yield ("above", x, P.subposet_gt(x), n - 1 - h[x], budget)
+        yield ("below", x, P.subposet_lt(x), h[x] - 1)
+        yield ("above", x, P.subposet_gt(x), n - 1 - h[x])
     for x in P:
         for y in P.above(x):
             yield ("interval", (x, y), P.open_interval(x, y),
-                   h[y] - h[x] - 2, budget)
+                   h[y] - h[x] - 2)
 
 
-def _cm_run_one(args):
-    kind, tag, sub, target, budget = args
-    v = homology_spherical(sub, target, budget=budget, probe=False)
-    return kind, tag, v
-
-
-def cohen_macaulay_check(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
-                         workers: int = 1) -> ConnectivityVerdict:
+def cohen_macaulay_check(P: FinitePoset, n: int,
+                         budget=DEFAULT_BUDGET) -> ConnectivityVerdict:
     """Homological Cohen-Macaulay test over the integers.
 
     The whole poset, every lower and upper link, and every open interval
     must be spherical of the dimension dictated by the standard heights.
-    Purely homological; no group probes on the links.  Each link gets the
-    whole ``budget``, on the pool path too.  Links are built as the sweep
-    reaches them, and the sweep stops at the first one that is refuted or
-    inconclusive.  A verdict of the sweep records in ``links_checked`` how
-    many tasks passed before it ended.
+    Purely homological; no group probes on the links.  The sweep is one
+    serial loop, and each link gets the whole ``budget``.  Links are built
+    as the sweep reaches them, and the sweep stops at the first one that is
+    refuted or inconclusive.  A verdict of the sweep records in
+    ``links_checked`` how many tasks passed before it ended.
     """
     if P.dim() != n:
         return ConnectivityVerdict(n, "refuted", "dimension",
                                    {"dim": P.dim(), "expected": n})
-    tasks = _cm_tasks(P, n, budget)
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            import multiprocessing
-            pool = stack.enter_context(multiprocessing.Pool(workers))
-            results = pool.imap(_cm_run_one, tasks, chunksize=64)
-        else:
-            results = map(_cm_run_one, tasks)
-        checked = 0
-        for kind, tag, v in results:
-            if v.status == "refuted":
-                return ConnectivityVerdict(n, "refuted", "homology",
-                                           {"part": kind, "at": tag, "sub": v.detail,
-                                            "links_checked": checked})
-            if v.status == "inconclusive":
-                return ConnectivityVerdict(n, "inconclusive", "budget",
-                                           {"part": kind, "at": tag,
-                                            "links_checked": checked})
-            checked += 1
+    checked = 0
+    for kind, tag, sub, target in _cm_tasks(P, n):
+        v = homology_spherical(sub, target, budget=budget, probe=False)
+        if v.status == "refuted":
+            return ConnectivityVerdict(n, "refuted", "homology",
+                                       {"part": kind, "at": tag, "sub": v.detail,
+                                        "links_checked": checked})
+        if v.status == "inconclusive":
+            return ConnectivityVerdict(n, "inconclusive", "budget",
+                                       {"part": kind, "at": tag,
+                                        "links_checked": checked})
+        checked += 1
     return ConnectivityVerdict(n, "verified", "homology-only",
                                {"links_checked": checked})
 

@@ -84,26 +84,44 @@ def _export_dot(P: FinitePoset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _label(text):
+    try:
+        x = ast.literal_eval(text)
+        hash(x)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        raise ValueError(f"bad element label {text!r}") from None
+    return x
+
+
 def poset_from_structured(text: str) -> FinitePoset:
     """Inverse of the structured export (labels via ast.literal_eval).
 
-    Raises ``ValueError`` on a payload that is not a well-formed poset."""
+    Raises ``ValueError`` on a payload that is not a well-formed poset:
+    each height must be an int below the height of every cover above it."""
     payload = json.loads(text)
-    if payload.get("kind") != "finite-poset":
-        raise ValueError(f"not a poset payload: kind {payload.get('kind')!r}")
-    elements = [ast.literal_eval(s) for s in payload["elements"]]
+    if not isinstance(payload, dict) or payload.get("kind") != "finite-poset":
+        raise ValueError("not a poset payload")
+    for key, kind in (("elements", str), ("heights", int), ("covers", list)):
+        if not (isinstance(payload.get(key), list)
+                and all(type(v) is kind for v in payload[key])):
+            raise ValueError(f"poset payload needs a list of {key}")
+    elements = [_label(s) for s in payload["elements"]]
     if len(elements) != len(payload["heights"]):
         raise ValueError(f"{len(elements)} elements but "
                          f"{len(payload['heights'])} heights")
     heights = dict(zip(elements, payload["heights"]))
     if len(heights) != len(elements):
         raise ValueError("duplicate element in poset payload")
-    covers = [(ast.literal_eval(a), ast.literal_eval(b))
-              for a, b in payload["covers"]]
+    if any(len(pair) != 2 for pair in payload["covers"]):
+        raise ValueError("a cover is not a pair")
+    covers = [(_label(a), _label(b)) for a, b in payload["covers"]]
     for a, b in covers:
         for x in (a, b):
             if x not in heights:
                 raise ValueError(f"cover endpoint {x!r} is not an element")
+        if heights[a] >= heights[b]:
+            raise ValueError(f"height of {a!r} does not rise along its "
+                             f"cover {b!r}")
     return FinitePoset(elements, covers, heights=heights)
 
 

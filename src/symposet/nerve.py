@@ -371,7 +371,8 @@ def _perp_cover_witness(L: SymplecticModule, quot, F: CoverFamily) -> NerveWitne
         e[seq] = {}
         for b in F.A.subposet_lt(seq):
             positions = [i for i, v in enumerate(entries) if v not in b]
-            assert len(positions) == len(entries) - len(b)
+            if len(positions) != len(entries) - len(b):
+                raise CertificateError("face is not a subsequence")
             ub = span_over(positions)
             if ub.key() not in F.members[b]:
                 raise CertificateError("section value must lie in X_b")

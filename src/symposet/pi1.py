@@ -182,7 +182,7 @@ def tietze_reduce(n_gens, relators, rounds=_TIETZE_ROUNDS):
     return len(alive), words
 
 
-def abelianization_invariants(n_gens, relators):
+def abelianization_invariants(relators):
     """Invariant factors of the relation matrix, one column per relator."""
     cols = {}
     for i, w in enumerate(relators):
@@ -346,7 +346,7 @@ def pi1_probe(P: FinitePoset, budget=DEFAULT_BUDGET,
     n, rels = tietze_reduce(*pres)
     if n == 0:
         return "trivial"
-    inv = abelianization_invariants(n, rels)
+    inv = abelianization_invariants(rels)
     if len(inv) < n or any(v != 1 for v in inv):
         return "nontrivial"
     if sum(len(w) for w in rels) > _MAX_RELATOR_MASS:

@@ -61,7 +61,6 @@ class SuiteConfig:
     ring: str = "p2"
     genus: int = 2
     budget: int = DEFAULT_BUDGET
-    workers: int = 1
     seed: int = 0
 
     def ring_object(self):
@@ -69,7 +68,7 @@ class SuiteConfig:
 
     def describe(self) -> dict:
         return {"ring": self.ring, "genus": self.genus, "budget": self.budget,
-                "workers": self.workers, "seed": self.seed}
+                "seed": self.seed}
 
 
 def _jsonable(obj):
@@ -163,7 +162,7 @@ def criterion_unimodular_genus2(cfg: SuiteConfig) -> Iterator[dict]:
     yield _expect("um.g2.count",
                   "genus-2 unimodular-submodule poset has 22 elements",
                   len(U), 22)
-    v = cohen_macaulay_check(U, 2, budget=cfg.budget, workers=cfg.workers)
+    v = cohen_macaulay_check(U, 2, budget=cfg.budget)
     yield make_record(
         "um.g2.cm", "genus-2 poset is homologically Cohen-Macaulay of dim 2",
         v, links=v.detail.get("links_checked") if v.detail else None)
@@ -192,7 +191,7 @@ def criterion_unimodular_genus3(cfg: SuiteConfig) -> Iterator[dict]:
         "um.g3.interval",
         "open interval between bottom and top is homologically 0-connected",
         v, elements=len(inner))
-    v = cohen_macaulay_check(U, 3, budget=cfg.budget, workers=cfg.workers)
+    v = cohen_macaulay_check(U, 3, budget=cfg.budget)
     yield make_record(
         "um.g3.cm",
         "genus-3 poset is homologically Cohen-Macaulay of dim 3: every link "
@@ -210,7 +209,7 @@ def criterion_decomposition_cm(cfg: SuiteConfig) -> Iterator[dict]:
     yield _expect("dec.g2.count",
                   "genus-2 decomposition poset has 11 elements",
                   len(D2), 11)
-    v = cohen_macaulay_check(D2, 1, budget=cfg.budget, workers=cfg.workers)
+    v = cohen_macaulay_check(D2, 1, budget=cfg.budget)
     yield make_record(
         "dec.g2.cm", "genus-2 decomposition poset is homologically "
         "Cohen-Macaulay of dim 1", v)
@@ -236,7 +235,7 @@ def criterion_decomposition_cm(cfg: SuiteConfig) -> Iterator[dict]:
         yield _expect("dec.g3.count",
                       "genus-3 decomposition poset has 1457 elements",
                       len(D3), 1457)
-        v = cohen_macaulay_check(D3, 2, budget=cfg.budget, workers=cfg.workers)
+        v = cohen_macaulay_check(D3, 2, budget=cfg.budget)
         yield make_record(
             "dec.g3.cm", "genus-3 decomposition poset is homologically "
             "Cohen-Macaulay of dim 2", v)
@@ -382,7 +381,7 @@ def criterion_isotropic_cm(cfg: SuiteConfig) -> Iterator[dict]:
         yield _expect(f"stability.iso.{tag}.count",
                       f"isotropic-sequence poset {tag} has {count} "
                       "elements", len(I), count)
-        v = cohen_macaulay_check(I, n, budget=cfg.budget, workers=cfg.workers)
+        v = cohen_macaulay_check(I, n, budget=cfg.budget)
         yield make_record(
             f"stability.iso.{tag}.cm",
             f"isotropic-sequence poset {tag} is homologically Cohen-Macaulay "

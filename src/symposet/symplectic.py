@@ -292,7 +292,8 @@ class RadicalQuotient:
 
     def project(self, v):
         x = solve_left(self.ambient.ring, self._stack, list(v), self.ambient.rank)
-        assert x is not None
+        if x is None:
+            raise CertificateError("vector is not in the span of the stack")
         return tuple(x[self._nrad:])
 
     def lift(self, w):

@@ -266,7 +266,8 @@ def build_T(m: int, strict: bool = False) -> FinitePoset:
                 c = S.certificate()
                 if strict and not S.strict:
                     continue
-                assert c in by_cert
+                if c not in by_cert:
+                    raise CertificateError("contraction is not a tree")
                 rel.append((c, T.certificate()))
     return FinitePoset(list(by_cert), rel)
 

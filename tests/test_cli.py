@@ -76,6 +76,7 @@ def test_export_rejects_out_of_range_sizes(flags, capsys):
     ["um", "--ring", "p11"],
     ["um", "--ring", "q2"],
     ["export", "--poset", "HU", "--format", "dot"],
+    ["um", "--workers", "2"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     # exit 1 means a refuted record, so bad input must not end that way

@@ -327,6 +327,18 @@ def test_dd_zero_check_rejects_a_pair_that_does_not_compose_to_zero():
         OrderComplex.dd_zero_check({0: {0: 1}}, {0: {0: 1}})
 
 
+def test_dd_zero_is_checked_on_a_large_complex(monkeypatch):
+    # the join of three 40-point antichains: 68,920 simplices, a wedge of
+    # 39^3 two-spheres, and one consecutive pair of boundaries to check
+    checked = _count_calls(monkeypatch, (OrderComplex,), "dd_zero_check")
+    A, B, C = (FinitePoset([(tag, i) for i in range(40)]) for tag in "abc")
+    P = join(join(A, B), C)
+    prof = reduced_homology(P)
+    assert sum(prof.counts) == 68_920
+    assert (prof.betti, prof.torsion) == ({2: 59_319}, {})
+    assert len(checked) == 1
+
+
 def test_certificates_survive_optimized_python():
     code = ("from symposet.complexes import OrderComplex\n"
             "from symposet.snf import CertificateError\n"
@@ -411,17 +423,9 @@ def test_cohen_macaulay_stops_at_the_first_refuted_task(monkeypatch):
 def test_cohen_macaulay_budget_reaches_the_links():
     U = build_U(SymplecticModule.standard(PrimeField(2), 2))
     assert homology_spherical(U, 2, budget=1).status == "inconclusive"
-    for workers in (1, 2):
-        v = cohen_macaulay_check(U, 2, budget=1, workers=workers)
-        assert (v.status, v.basis) == ("inconclusive", "budget")
-        assert v.detail["links_checked"] == 0
-
-
-def test_cohen_macaulay_pool_matches_serial():
-    U = build_U(SymplecticModule.standard(PrimeField(2), 2))
-    serial = cohen_macaulay_check(U, 2)
-    assert serial.ok() and serial.detail["links_checked"] == 86
-    assert cohen_macaulay_check(U, 2, workers=2) == serial
+    v = cohen_macaulay_check(U, 2, budget=1)
+    assert (v.status, v.basis) == ("inconclusive", "budget")
+    assert v.detail["links_checked"] == 0
 
 
 def test_map_connectivity():
@@ -601,12 +605,13 @@ def test_hurewicz_ranks_that_do_not_fit_raise(monkeypatch):
 # prefixed to the code that _run_optimized runs under python -O; patched()
 # prints the message of the CertificateError that its run raises
 _PATCHED_PREAMBLE = """
-from symposet import builders, complexes, homology, nerve, pi1, symplectic
+from symposet import (builders, complexes, homology, nerve, pi1, symplectic,
+                      trees)
 from symposet.builders import build_D, build_I, build_U, flag_to_decomposition
 from symposet.posets import FinitePoset
-from symposet.rings import PrimeField
+from symposet.rings import ZZ, PrimeField
 from symposet.snf import CertificateError
-from symposet.symplectic import Submodule, SymplecticModule
+from symposet.symplectic import RadicalQuotient, Submodule, SymplecticModule
 
 L = SymplecticModule.standard(PrimeField(2), 2)
 circle = FinitePoset("abcd", [("a", "c"), ("a", "d"), ("b", "c"),
@@ -675,3 +680,37 @@ patched(symplectic, "itertools",
         "duplicate simplex in dimension 0",
         "subword escaped the poset",
         "a unimodular submodule was enumerated twice"]
+
+
+def test_computed_value_certificates_survive_optimized_python():
+    # a canonical form that leaves merged blocks unsorted, a Euclidean
+    # quotient of 0, a retraction onto a foreign point, a face that repeats
+    # its whole chain, a tree set without its contractions, and a solver
+    # that finds no solution
+    code = """
+patched(builders, "_canonical_partition",
+        lambda blocks: tuple(sorted(map(tuple, blocks))),
+        lambda: builders.partitions_poset(range(4)))
+patched(ZZ, "euclid_q", lambda a, b: 0,
+        lambda: builders.rho_vector(ZZ, (0, 1), (0, 3), 2))
+patched(builders, "rho_sequence", lambda *a: ("elsewhere",),
+        lambda: builders.rho_poset_retraction(circle, ZZ, [(0, 1)], 0, 2))
+F, _ = nerve.isotropic_perp_cover(L, "positive")
+patched(F.A, "subposet_lt", lambda seq: [seq + seq],
+        lambda: nerve._perp_cover_witness(L, RadicalQuotient(L), F))
+enumerate_trees = trees.enumerate_trees
+patched(trees, "enumerate_trees",
+        lambda m, strict=False: [max(enumerate_trees(m, strict),
+                                     key=lambda T: len(T.edges))],
+        lambda: trees.build_T(4))
+quot = RadicalQuotient(SymplecticModule.standard(PrimeField(2), 1, r=1))
+patched(symplectic, "solve_left", lambda *a: None,
+        lambda: quot.project((1, 0, 0)))
+"""
+    assert _run_optimized(code) == [
+        "coarsening is not a partition",
+        "division step did not lower the norm",
+        "retraction left the poset",
+        "face is not a subsequence",
+        "contraction is not a tree",
+        "vector is not in the span of the stack"]

@@ -87,6 +87,13 @@ def _structured_payload():
     (lambda d: d.update(elements=d["elements"][:1] + d["elements"][:-1]),
      "duplicate element"),
     (lambda d: d["covers"].append(["(0,)", "(9,)"]), "not an element"),
+    (lambda d: d["heights"].__setitem__(0, 5), "does not rise"),
+    (lambda d: d.pop("covers"), "list of covers"),
+    (lambda d: d["elements"].__setitem__(0, "(0,"), "bad element label"),
+    (lambda d: d.update(elements=4), "list of elements"),
+    (lambda d: d["heights"].__setitem__(0, "0"), "list of heights"),
+    (lambda d: d["covers"].append(5), "list of covers"),
+    (lambda d: d["covers"].append(["(0,)"]), "not a pair"),
 ])
 def test_structured_input_errors(corrupt, message):
     """Outside data is checked with ValueError, which python -O keeps."""

@@ -135,7 +135,7 @@ def test_kill_closure_frees_a_chain():
 def test_coset_enumeration_finds_the_order_of_a5():
     a, b = 1, 2
     relators = [[a, a], [b, b, b], [a, b] * 5]
-    inv = pi1.abelianization_invariants(2, relators)
+    inv = pi1.abelianization_invariants(relators)
     assert inv == [1, 1]  # perfect: homology cannot see it
     assert coset_enumeration_trivial(2, relators) == 60
 
