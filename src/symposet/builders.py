@@ -24,7 +24,8 @@ from .symplectic import (Submodule, SymplecticModule,
 # unimodular submodules
 
 def build_U(L: SymplecticModule) -> FinitePoset:
-    """All unimodular submodules of L ordered by inclusion, height = genus."""
+    """All unimodular submodules of L ordered by inclusion; the height of
+    a submodule is its genus."""
     subs = enumerate_unimodular_submodules(L)
     by_rank: Dict[int, List[Submodule]] = {}
     for s in subs:
@@ -37,8 +38,7 @@ def build_U(L: SymplecticModule) -> FinitePoset:
                 for s in by_rank[r]:
                     if t.contains_submodule(s):
                         rel.append((s.key(), t.key()))
-    heights = {s.key(): s.rank // 2 for s in subs}
-    return FinitePoset([s.key() for s in subs], rel, heights)
+    return FinitePoset([s.key() for s in subs], rel)
 
 
 def submodule_from_key(L: SymplecticModule, key) -> Submodule:
@@ -74,9 +74,10 @@ def build_I(L: SymplecticModule) -> FinitePoset:
 
 
 def _subword_poset(elements) -> FinitePoset:
-    """Nonempty sequences ordered by subword, height = length - 1.
+    """Nonempty sequences ordered by subword.
 
-    Every nonempty proper subword of an element must be an element too.
+    Every nonempty proper subword of an element must be an element too, so
+    a sequence's height, the longest chain below it, is its length - 1.
     """
     in_poset = set(elements)
     rel = []
@@ -88,8 +89,7 @@ def _subword_poset(elements) -> FinitePoset:
                 if sub not in in_poset:
                     raise CertificateError("subword escaped the poset")
                 rel.append((sub, seq))
-    heights = {s: len(s) - 1 for s in elements}
-    return FinitePoset(elements, rel, heights)
+    return FinitePoset(elements, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,11 @@ def _subword_poset(elements) -> FinitePoset:
 
 def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
     """Orthogonal decompositions of L into unimodular summands of positive
-    genus, coarser below finer; ``strict`` drops the one-part minimum."""
+    genus, coarser below finer; ``strict`` drops the one-part minimum.
+
+    Merging two parts is a cover, so a decomposition into k parts sits at
+    height k - 1, or k - 2 when ``strict``.
+    """
     assert isinstance(L.ring, PrimeField), "enumerable over finite fields only"
     assert L.radical_rank() == 0, "L must be unimodular"
     parts = [s for s in enumerate_unimodular_submodules(L) if s.rank > 0]
@@ -125,7 +129,6 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
     decset = set(decs)
     packed = L.packed()
     rel = []
-    offset = 1 if strict else 0
     for d in decs:
         if len(d) < 2 or (strict and len(d) == 2):
             continue
@@ -145,8 +148,7 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
         for d in decs:
             if len(d) > 1:
                 rel.append((full, d))
-    heights = {d: len(d) - 1 - offset for d in decs}
-    return FinitePoset(decs, rel, heights)
+    return FinitePoset(decs, rel)
 
 
 def flag_to_decomposition(L: SymplecticModule, U_gt=None, D=None) -> PosetMap:
@@ -224,8 +226,7 @@ def partitions_poset(X: Iterable) -> FinitePoset:
             if coarser not in pset:
                 raise CertificateError("coarsening is not a partition")
             rel.append((coarser, p))
-    heights = {p: len(p) - 2 for p in partitions}
-    return FinitePoset(partitions, rel, heights)
+    return FinitePoset(partitions, rel)
 
 
 # ---------------------------------------------------------------------------

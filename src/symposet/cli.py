@@ -27,7 +27,7 @@ POSET_CHOICES = ("U", "I", "D", "D+", "HU", "O", "T", "TD")
 
 def _suite_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--ring", default="p2",
-                    help="scalar ring: p<prime> or Z (default p2)")
+                    help="scalar ring: p<prime> (default p2)")
     sp.add_argument("--genus", type=int, default=2,
                     help="largest genus to exercise (default 2)")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--poset", required=True, choices=POSET_CHOICES,
                     help="which family to build")
     ex.add_argument("--ring", default="p2",
-                    help="scalar ring: p<prime> or Z (default p2)")
+                    help="scalar ring: p<prime> (default p2)")
     ex.add_argument("--genus", type=int, default=2,
                     help="genus, rank, or label count, depending on family")
     ex.add_argument("--radical", type=int, default=0,
@@ -74,10 +74,6 @@ def _build_named_poset(args):
     if name == "T":
         return build_T(args.genus)
     if name == "O":
-        if not ring.is_field():
-            raise SystemExit(
-                "export of the partial-basis poset needs a finite field; "
-                "integer instances require an explicit vector pool")
         return build_O(args.genus, ring)
     L = SymplecticModule.standard(ring, args.genus, r=args.radical)
     if name == "U":
@@ -89,8 +85,6 @@ def _build_named_poset(args):
     if name == "D+":
         return build_D(L, strict=True)
     if name == "HU":
-        if args.radical:
-            raise SystemExit("split-unimodular sequences need radical 0")
         return build_HU(args.genus, ring)
     if name == "TD":
         return build_TD(L)
@@ -129,7 +123,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        ring_from_name(args.ring)
+        if not ring_from_name(args.ring).is_field():
+            raise ValueError("the suites and exports run over a prime field "
+                             "only; use p<prime>")
     except ValueError as exc:
         parser.error(f"--ring {args.ring}: {exc}")
     if args.command == "export":
@@ -138,6 +134,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--genus must be at least {least} for --poset {args.poset}")
         if args.radical < 0:
             parser.error("--radical must not be negative")
+        if args.radical and args.poset == "HU":
+            parser.error("--radical must be 0 for --poset HU: split unimodular "
+                         "sequences live in a unimodular module")
         P = _build_named_poset(args)
         if args.format == "dot" and len(P) > DOT_ELEMENT_LIMIT:
             parser.error(f"--format dot takes at most {DOT_ELEMENT_LIMIT} "

@@ -34,7 +34,8 @@ class OrderComplex:
         self.by_dim = by_dim
         self.complete = complete
         for k, simp in enumerate(by_dim):
-            assert all(len(c) == k + 1 for c in simp)
+            if any(len(c) != k + 1 for c in simp):
+                raise CertificateError(f"a {k}-simplex without {k + 1} vertices")
 
     def n_simplices(self, k):
         if 0 <= k < len(self.by_dim):

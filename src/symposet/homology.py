@@ -331,7 +331,7 @@ def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
 
 
 def _cm_tasks(P: FinitePoset, n: int):
-    h = P.standard_heights()
+    h = P.heights()
     yield ("whole", None, P, n)
     for x in P:
         yield ("below", x, P.subposet_lt(x), h[x] - 1)
@@ -347,7 +347,7 @@ def cohen_macaulay_check(P: FinitePoset, n: int,
     """Homological Cohen-Macaulay test over the integers.
 
     The whole poset, every lower and upper link, and every open interval
-    must be spherical of the dimension dictated by the standard heights.
+    must be spherical of the dimension dictated by the longest-chain heights.
     Purely homological; no group probes on the links.  The sweep is one
     serial loop, and each link gets the whole ``budget``.  Links are built
     as the sweep reaches them, and the sweep stops at the first one that is
@@ -373,8 +373,8 @@ def cohen_macaulay_check(P: FinitePoset, n: int,
                                {"links_checked": checked})
 
 
-def map_connectivity(f: PosetMap, n: int, budget=DEFAULT_BUDGET,
-                     probe: bool = True) -> ConnectivityVerdict:
+def map_connectivity(f: PosetMap, n: int,
+                     budget=DEFAULT_BUDGET) -> ConnectivityVerdict:
     """n-connectivity of a map, read off the cylinder-source pair.
 
     The pair homology must vanish through degree n.  For n >= 1 a probe on
@@ -387,7 +387,7 @@ def map_connectivity(f: PosetMap, n: int, budget=DEFAULT_BUDGET,
     cylinder = mapping_cylinder(f)
     M, src, _ = cylinder
     try:
-        _, basis = _homology_step(n, n, M, n, budget, probe and n >= 1,
+        _, basis = _homology_step(n, n, M, n, budget, n >= 1,
                                   frozenset(src.values()),
                                   lambda: mapping_cone(f, cylinder)[0])
     except _Settled as s:

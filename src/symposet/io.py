@@ -97,7 +97,8 @@ def poset_from_structured(text: str) -> FinitePoset:
     """Inverse of the structured export (labels via ast.literal_eval).
 
     Raises ``ValueError`` on a payload that is not a well-formed poset:
-    each height must be an int below the height of every cover above it."""
+    each height must be the int that the order gives the element, the
+    length of the longest chain below it."""
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("kind") != "finite-poset":
         raise ValueError("not a poset payload")
@@ -119,10 +120,14 @@ def poset_from_structured(text: str) -> FinitePoset:
         for x in (a, b):
             if x not in heights:
                 raise ValueError(f"cover endpoint {x!r} is not an element")
-        if heights[a] >= heights[b]:
-            raise ValueError(f"height of {a!r} does not rise along its "
-                             f"cover {b!r}")
-    return FinitePoset(elements, covers, heights=heights)
+    P = FinitePoset(elements, covers)
+    longest = P.heights()
+    for x in elements:
+        if heights[x] != longest[x]:
+            raise ValueError(f"height {heights[x]} of {x!r} does not rise with "
+                             f"the longest chain below it, which gives "
+                             f"{longest[x]}")
+    return P
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ def build_Z(F: CoverFamily):
 # hypothesis tables
 
 def _resolve_t(t, Y: FinitePoset) -> Dict:
-    """The level table: ``t`` itself, or the heights of Y when it is None."""
+    """The level table: ``t`` itself, or when it is None the height of each
+    element of Y, the length of the longest chain below it."""
     return dict(Y.heights() if t is None else t)
 
 
@@ -117,8 +118,8 @@ def fiber_transfer_check(f: PosetMap, t, n: int, variant: str = "up",
     (t(y)-2)-connected and the upward fiber is (n-t(y)-1)-connected; the
     "down" variant asks Y_{>y} at n-t(y)-2 and the downward fiber at
     t(y)-1.  ``t`` is a dict from target elements to levels, or None for
-    the target's heights.  Per-element rows are homological; the
-    conclusion is map_connectivity(f, n).
+    the target's longest-chain heights.  Per-element rows are homological;
+    the conclusion is map_connectivity(f, n).
     """
     assert variant in ("up", "down")
     Y = f.target
@@ -302,8 +303,9 @@ def isotropic_perp_cover(L: SymplecticModule, mode: str = "positive"):
     unimodular-submodule poset by the perpendicular subposets of isotropic
     sequences, with a contraction witness in positive mode.
 
-    Returns (CoverFamily, NerveWitness or None).  Heights on both posets
-    are the standard ones (length - 1 on sequences, genus - 1 on targets).
+    Returns (CoverFamily, NerveWitness or None).  The heights of both
+    posets come from their order: length - 1 on sequences, genus - 1 on
+    targets.
     """
     from .builders import build_I, build_U
 
@@ -315,10 +317,9 @@ def isotropic_perp_cover(L: SymplecticModule, mode: str = "positive"):
     if mode == "interval":
         assert L.radical_rank() == 0, "open interval needs L unimodular"
         full = L.full_submodule().key()
-        Xsub = U.open_interval(zero, full)
+        X = U.open_interval(zero, full)
     else:
-        Xsub = U.subposet_gt(zero)
-    X = Xsub.with_heights(Xsub.standard_heights())
+        X = U.subposet_gt(zero)
     members = {}
     for seq in A:
         # L_v: everything pairing to zero with the lifts

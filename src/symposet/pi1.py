@@ -334,8 +334,7 @@ def coset_enumeration_trivial(n_gens, relators, max_cosets=MAX_COSETS):
     return len(live)
 
 
-def pi1_probe(P: FinitePoset, budget=DEFAULT_BUDGET,
-              max_cosets=MAX_COSETS, skeleton=None) -> str:
+def pi1_probe(P: FinitePoset, budget=DEFAULT_BUDGET, skeleton=None) -> str:
     """"trivial" / "nontrivial" / "unknown" for the order complex group.
 
     ``skeleton`` is passed on to ``edge_path_presentation``.
@@ -351,7 +350,7 @@ def pi1_probe(P: FinitePoset, budget=DEFAULT_BUDGET,
         return "nontrivial"
     if sum(len(w) for w in rels) > _MAX_RELATOR_MASS:
         return "unknown"
-    order = coset_enumeration_trivial(n, rels, max_cosets)
+    order = coset_enumeration_trivial(n, rels)
     if order is None:
         return "unknown"
     return "trivial" if order == 1 else "nontrivial"

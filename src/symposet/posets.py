@@ -3,8 +3,8 @@
 Every poset keeps, for each element, the frozenset of elements strictly
 above it.  Elements are labels (often nested tuples), and a poset has one
 label order: the constructor sorts the labels by ``repr`` once and numbers
-them 0..n-1 in that order (``positions()``); induced subposets, opposites
-and re-heighted copies keep their parent's order instead of sorting again.
+them 0..n-1 in that order (``positions()``); induced subposets and
+opposites keep their parent's order instead of sorting again.
 Code below the poset, such as order complexes, works on those vertex
 numbers and never orders labels itself.  The public constructor accepts
 any acyclic generating relation and closes it; derived constructions
@@ -13,9 +13,10 @@ are closed by construction and go through a trusted path that still checks
 irreflexivity and antisymmetry, plus full transitivity when the poset is
 small enough for that to be cheap.
 
-Heights are data: by default the standard height (longest chain ending at
-the element), but a poset can carry explicit heights, which induced
-subposets keep.  The dimension is always the length of the longest chain.
+Heights are derived from the order, never supplied: the height of an
+element is the length of the longest chain ending at it, so minimal
+elements sit at 0.  Induced subposets and opposites compute their own.
+The dimension is the largest height, the length of the longest chain.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ _VALIDATE_CLOSURE_LIMIT = 200_000
 
 
 class FinitePoset:
-    def __init__(self, elements: Iterable, relations: Iterable[Tuple] = (), heights: Dict = None):
+    def __init__(self, elements: Iterable, relations: Iterable[Tuple] = ()):
         elems = list(elements)
         succ = {x: set() for x in elems}
         assert len(succ) == len(elems), "duplicate elements"
@@ -59,17 +60,16 @@ class FinitePoset:
             for y in succ[x]:
                 acc |= above[y]
             above[x] = frozenset(acc)
-        self._init_from_closed(elems, above, heights)
+        self._init_from_closed(elems, above)
 
-    def _init_from_closed(self, elems, above, heights, ordered=False):
+    def _init_from_closed(self, elems, above, ordered=False):
         # ``ordered``: elems are in repr order already, as a subsequence of
         # another poset's elements is
         self._elements = tuple(elems) if ordered else tuple(sorted(elems, key=repr))
         self._pos = {x: i for i, x in enumerate(self._elements)}
         self._above = above
         self._below = None
-        self._heights = dict(heights) if heights is not None else None
-        self._std_heights = None
+        self._height = None
         for x, up in above.items():
             assert x not in up, "reflexive closure entry"
         total = sum(len(up) for up in above.values())
@@ -80,9 +80,9 @@ class FinitePoset:
                     assert above[y] <= up, f"relation not transitively closed at {x!r} < {y!r}"
 
     @classmethod
-    def _from_closed(cls, elems, above, heights=None, ordered=False):
+    def _from_closed(cls, elems, above, ordered=False):
         self = cls.__new__(cls)
-        self._init_from_closed(list(elems), dict(above), heights, ordered)
+        self._init_from_closed(list(elems), dict(above), ordered)
         return self
 
     # -- basic queries ------------------------------------------------------
@@ -138,30 +138,18 @@ class FinitePoset:
 
     # -- heights ------------------------------------------------------------
 
-    def standard_heights(self) -> Dict:
-        """Longest-chain height of every element."""
-        if self._std_heights is None:
-            h = {}
-            for x in sorted(self._elements, key=lambda e: len(self.below(e))):
-                lower = self.below(x)
-                h[x] = 1 + max((h[p] for p in lower), default=-1)
-            self._std_heights = h
-        return self._std_heights
-
     def heights(self) -> Dict:
-        return self._heights if self._heights is not None else self.standard_heights()
-
-    def with_heights(self, heights: Dict) -> "FinitePoset":
-        assert set(heights) == set(self._elements)
-        for x in self._elements:
-            for y in self._above[x]:
-                assert heights[x] < heights[y], "heights must be strictly monotone"
-        return FinitePoset._from_closed(self._elements, self._above, heights,
-                                        ordered=True)
+        """Longest-chain height of every element, computed once."""
+        if self._height is None:
+            h = {}
+            for x in self.linear_extension():
+                h[x] = 1 + max((h[p] for p in self.below(x)), default=-1)
+            self._height = h
+        return self._height
 
     def dim(self) -> int:
         """Length of the longest chain; -1 for the empty poset."""
-        return max(self.standard_heights().values(), default=-1)
+        return max(self.heights().values(), default=-1)
 
     # -- derived posets -----------------------------------------------------
 
@@ -169,17 +157,11 @@ class FinitePoset:
         sub = frozenset(subset)
         assert sub <= self._pos.keys(), "induced subset must consist of elements"
         above = {x: self._above[x] & sub for x in sub}
-        h = None
-        if self._heights is not None:
-            h = {x: self._heights[x] for x in sub}
         return FinitePoset._from_closed(sorted(sub, key=self._pos.__getitem__),
-                                        above, h, ordered=True)
+                                        above, ordered=True)
 
     def opposite(self) -> "FinitePoset":
-        h = None
-        if self._heights is not None:
-            h = {x: -v for x, v in self._heights.items()}
-        return FinitePoset._from_closed(self._elements, self._below_map(), h,
+        return FinitePoset._from_closed(self._elements, self._below_map(),
                                         ordered=True)
 
     def subposet_lt(self, x):
@@ -264,15 +246,6 @@ class PosetMap:
 
     def __call__(self, x):
         return self.mapping[x]
-
-    def compose(self, other: "PosetMap") -> "PosetMap":
-        """self after other."""
-        assert other.target is self.source or other.target == self.source
-        return PosetMap(other.source, self.target,
-                        {x: self.mapping[other.mapping[x]] for x in other.source})
-
-    def opposite(self) -> "PosetMap":
-        return PosetMap(self.source.opposite(), self.target.opposite(), self.mapping)
 
     def fiber_le(self, y) -> FinitePoset:
         """f/y: induced subposet of the source on {x : f(x) <= y}."""

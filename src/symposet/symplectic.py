@@ -284,8 +284,9 @@ class RadicalQuotient:
         gram = [[L.pair(a, b) for b in C] for a in C]
         self.ambient = L
         self.module = SymplecticModule(ring, gram)
-        assert self.module.radical_rank() == 0
-        assert self.module.genus == L.genus
+        if self.module.radical_rank() != 0 or self.module.genus != L.genus:
+            raise CertificateError("quotient by the radical is not unimodular "
+                                   "of the ambient genus")
         self._stack = rad + C
         self._nrad = len(rad)
         self._comp = C

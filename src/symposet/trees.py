@@ -254,9 +254,9 @@ def enumerate_trees(m: int, strict: bool = False) -> List[UTree]:
     return [found[c] for c in sorted(found, key=repr)]
 
 
-def build_T(m: int, strict: bool = False) -> FinitePoset:
+def build_T(m: int) -> FinitePoset:
     """The poset of labeled trees on m indices under edge contraction."""
-    trees = enumerate_trees(m, strict=strict)
+    trees = enumerate_trees(m)
     by_cert = {T.certificate(): T for T in trees}
     rel = []
     for T in trees:
@@ -264,8 +264,6 @@ def build_T(m: int, strict: bool = False) -> FinitePoset:
             for E in itertools.combinations(T.edges, k):
                 S = contract(T, E)
                 c = S.certificate()
-                if strict and not S.strict:
-                    continue
                 if c not in by_cert:
                     raise CertificateError("contraction is not a tree")
                 rel.append((c, T.certificate()))

@@ -18,7 +18,7 @@ from symposet.builders import (_subword_poset, build_D, build_HU, build_I,
                                is_partial_basis, partition_sequences_poset,
                                partitions_poset, rho_sequence, rho_vector,
                                submodule_from_key)
-from symposet.homology import map_connectivity, reduced_homology
+from symposet.homology import reduced_homology
 from symposet.posets import check_isomorphism
 from symposet.rings import IntegerRing, PrimeField, ZZ
 from symposet.symplectic import (Submodule, SymplecticModule,
@@ -214,17 +214,6 @@ def test_flag_map_labels():
     # a maximal flag maps onto a full decomposition of matching length
     for chain in f.source:
         assert len(f(chain)) >= len(chain)
-
-
-@pytest.mark.slow
-def test_flag_map_genus3_conclusion():
-    # about 650k simplices in the mapping cylinder; ~20s of exact homology
-    L = std(F2, 3)
-    f = flag_to_decomposition(L)
-    assert len(f.source) == 14785 and len(f.target) == 1457
-    v = map_connectivity(f, 2)
-    assert v.ok()
-    assert v.basis == "homology+pi1"
 
 
 # -- set partitions ---------------------------------------------------------

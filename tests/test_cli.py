@@ -77,6 +77,10 @@ def test_export_rejects_out_of_range_sizes(flags, capsys):
     ["um", "--ring", "q2"],
     ["export", "--poset", "HU", "--format", "dot"],
     ["um", "--workers", "2"],
+    ["um", "--ring", "Z"],
+    ["export", "--poset", "U", "--ring", "Z"],
+    ["export", "--poset", "O", "--ring", "Z"],
+    ["export", "--poset", "HU", "--radical", "1"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     # exit 1 means a refuted record, so bad input must not end that way

@@ -602,8 +602,9 @@ def test_hurewicz_ranks_that_do_not_fit_raise(monkeypatch):
         homologically_connected(subsets_poset(3), 1)
 
 
-# prefixed to the code that _run_optimized runs under python -O; patched()
-# prints the message of the CertificateError that its run raises
+# prefixed to the code that _run_optimized runs under python -O; tripped()
+# prints the message of the CertificateError that its run raises, and
+# patched() does so with one attribute monkeypatched
 _PATCHED_PREAMBLE = """
 from symposet import (builders, complexes, homology, nerve, pi1, symplectic,
                       trees)
@@ -617,13 +618,17 @@ L = SymplecticModule.standard(PrimeField(2), 2)
 circle = FinitePoset("abcd", [("a", "c"), ("a", "d"), ("b", "c"),
                               ("b", "d")])
 
-def patched(owner, name, value, run):
-    original = getattr(owner, name)
-    setattr(owner, name, value)
+def tripped(run):
     try:
         run()
     except CertificateError as e:
         print(e)
+
+def patched(owner, name, value, run):
+    original = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        tripped(run)
     finally:
         setattr(owner, name, original)
 """
@@ -686,7 +691,8 @@ def test_computed_value_certificates_survive_optimized_python():
     # a canonical form that leaves merged blocks unsorted, a Euclidean
     # quotient of 0, a retraction onto a foreign point, a face that repeats
     # its whole chain, a tree set without its contractions, and a solver
-    # that finds no solution
+    # that finds no solution, a radical quotient whose radical survives, and
+    # an edge with one vertex
     code = """
 patched(builders, "_canonical_partition",
         lambda blocks: tuple(sorted(map(tuple, blocks))),
@@ -706,6 +712,9 @@ patched(trees, "enumerate_trees",
 quot = RadicalQuotient(SymplecticModule.standard(PrimeField(2), 1, r=1))
 patched(symplectic, "solve_left", lambda *a: None,
         lambda: quot.project((1, 0, 0)))
+patched(SymplecticModule, "radical_rank", lambda self: 1,
+        lambda: RadicalQuotient(L))
+tripped(lambda: complexes.OrderComplex([[(0,), (1,)], [(0,)]], True))
 """
     assert _run_optimized(code) == [
         "coarsening is not a partition",
@@ -713,4 +722,6 @@ patched(symplectic, "solve_left", lambda *a: None,
         "retraction left the poset",
         "face is not a subsequence",
         "contraction is not a tree",
-        "vector is not in the span of the stack"]
+        "vector is not in the span of the stack",
+        "quotient by the radical is not unimodular of the ambient genus",
+        "a 1-simplex without 2 vertices"]

@@ -47,12 +47,6 @@ def test_structured_round_trip():
     assert check_isomorphism(P, Q, {x: x for x in P})
 
 
-def test_round_trip_keeps_custom_heights():
-    P = sample_poset().with_heights({(0,): 0, (1,): 0, (0, 1): 2, (1, 0): 3})
-    Q = poset_from_structured(export_poset(P, "structured"))
-    assert Q.heights() == P.heights()
-
-
 def test_dot_export():
     out = export_poset(sample_poset(), "dot")
     assert out.startswith("digraph poset {")
@@ -94,6 +88,8 @@ def _structured_payload():
     (lambda d: d["heights"].__setitem__(0, "0"), "list of heights"),
     (lambda d: d["covers"].append(5), "list of covers"),
     (lambda d: d["covers"].append(["(0,)"]), "not a pair"),
+    # still rising along every cover, but not the longest-chain height
+    (lambda d: d["heights"].__setitem__(-1, 2), "longest chain"),
 ])
 def test_structured_input_errors(corrupt, message):
     """Outside data is checked with ValueError, which python -O keeps."""
