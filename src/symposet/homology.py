@@ -13,13 +13,14 @@ handed to the SNF composes to zero.
 A verdict never overstates its evidence.  ``status`` says what was
 established, ``basis`` says with which tools; a fundamental-group probe can
 upgrade a homological verdict or refute it, and a blown budget yields
-"inconclusive", never a guess.  The verdicts enumerate the order complex
-once, in their homology step.  A verdict that probes its own poset does so
-first, on the simplices of dimensions 0 to 2 of that complex: a trivial
-group makes the complex connected with H_1 = 0 (Hurewicz: H_1 is the
-abelianization of pi_1), which fixes the ranks of d_1 and d_2 with no
-torsion, so the SNF starts at d_3.  Any other answer waits until the
-homology has run in full, so a refutation by homology still comes first.
+"inconclusive", never a guess.  A verdict builds one poset, enumerates its
+order complex once and probes its simplices of dimensions 0 to 2.  A map's
+poset is its mapping cone, whose pair with the coned source has the chains
+of the cylinder-source pair, and is probed after the homology.  Others
+probe first: a trivial group makes the complex connected with H_1 = 0
+(Hurewicz: H_1 is the abelianization of pi_1), which fixes the ranks of
+d_1 and d_2 with no torsion, so the SNF starts at d_3.  Any other answer
+waits for the full homology, so a homology refutation still comes first.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Dict, Optional, Tuple
 
 from .complexes import BudgetExceeded, DEFAULT_BUDGET, OrderComplex, \
     order_complex, relative_boundary_rows
-from .posets import FinitePoset, PosetMap, mapping_cone, mapping_cylinder
+from .posets import FinitePoset, PosetMap, mapping_cone
 from .snf import CertificateError, smith_invariants
 from . import pi1
 
@@ -217,16 +218,8 @@ class _Settled(Exception):
     """Raised by a ladder step with the verdict that ends the ladder."""
 
 
-def _probe(Q: FinitePoset, budget, skeleton=None) -> str:
-    """``pi1.pi1_probe``, with a budget overrun read as "unknown"."""
-    try:
-        return pi1.pi1_probe(Q, budget=budget, skeleton=skeleton)
-    except BudgetExceeded:
-        return "unknown"
-
-
 def _homology_step(level: int, through: int, P: FinitePoset, degree: int,
-                   budget, probe: bool, sub=None, cone=None):
+                   budget, probe: bool, sub=None):
     """The homology and pi_1 steps of a verdict: (profile, basis), unless
     they settle it.
 
@@ -235,20 +228,20 @@ def _homology_step(level: int, through: int, P: FinitePoset, degree: int,
     once through dimension ``degree + 1``.  A budget overrun settles the
     verdict as inconclusive; a nonzero degree at or below ``through``, or
     torsion in ``degree``, as refuted by homology.  With ``probe`` the
-    fundamental group of P, or on the pair route of ``cone()``, is probed: a
-    nontrivial group refutes, a trivial one gives the basis homology+pi1.
-
-    P's own probe runs before its homology, on the simplices of dimensions
-    0 to 2 enumerated here.  A trivial answer means a connected complex with
-    H_1 = 0, so rank d_1 = c_0 - 1 and rank d_2 = c_1 - rank d_1, both free,
-    and the SNF starts at d_3.  Any other answer is held until the homology
-    has run in full, so refutations keep their basis and detail.
+    fundamental group of P is probed on the simplices of dimensions 0 to 2
+    enumerated here, after the homology on the pair route and before it on
+    the reduced route: a nontrivial group refutes, a trivial one gives the
+    basis homology+pi1.  Probing first, a trivial answer means a connected
+    complex with H_1 = 0, so rank d_1 = c_0 - 1 and rank d_2 = c_1 - rank
+    d_1, both free, and the SNF starts at d_3.  Any other answer is held
+    until the homology has run in full, so refutations keep their basis
+    and detail.
     """
     res = None
     try:
         cx = order_complex(P, max_dim=_cap(degree), budget=budget)
         if probe and sub is None:
-            res = _probe(P, budget, cx.by_dim[:3])
+            res = pi1.pi1_probe(P, budget, cx.by_dim[:3])
         if sub is not None:
             prof = relative_homology(P, sub, degree, budget, cx=cx)
         elif res == "trivial":
@@ -271,7 +264,7 @@ def _homology_step(level: int, through: int, P: FinitePoset, degree: int,
             level, "refuted", "homology",
             {"degree": degree, "torsion": prof.torsion_at(degree)}))
     if probe and sub is not None:
-        res = _probe(cone(), budget)
+        res = pi1.pi1_probe(P, budget, cx.by_dim[:3])
     if res == "nontrivial":
         reason = ("fundamental group" if sub is None else "cone group") + \
             " is nontrivial"
@@ -375,21 +368,19 @@ def cohen_macaulay_check(P: FinitePoset, n: int,
 
 def map_connectivity(f: PosetMap, n: int,
                      budget=DEFAULT_BUDGET) -> ConnectivityVerdict:
-    """n-connectivity of a map, read off the cylinder-source pair.
+    """n-connectivity of a map, read off its mapping cone.
 
-    The pair homology must vanish through degree n.  For n >= 1 a probe on
-    the mapping cone checks the fundamental-group condition: a nontrivial
-    cone group refutes, a trivial one strengthens the basis.  The cylinder
-    is built once; the cone is that cylinder with its source coned off.
+    The cylinder-source pair homology must vanish through degree n; it is
+    that of (cone, source with the tip), with the same generators, faces
+    and column order.  For n >= 1 a probe on the cone's complex refutes on
+    a nontrivial group and strengthens the basis on a trivial one.
     """
     if n <= -1:
         return ConnectivityVerdict(n, "verified", "vacuous")
-    cylinder = mapping_cylinder(f)
-    M, src, _ = cylinder
+    C, src, _, tip = mapping_cone(f)
     try:
-        _, basis = _homology_step(n, n, M, n, budget, n >= 1,
-                                  frozenset(src.values()),
-                                  lambda: mapping_cone(f, cylinder)[0])
+        _, basis = _homology_step(n, n, C, n, budget, n >= 1,
+                                  frozenset(src.values()) | {tip})
     except _Settled as s:
         return s.args[0]
     return ConnectivityVerdict(n, "verified", basis)

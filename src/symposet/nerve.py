@@ -88,12 +88,6 @@ def build_Z(F: CoverFamily):
 # ---------------------------------------------------------------------------
 # hypothesis tables
 
-def _resolve_t(t, Y: FinitePoset) -> Dict:
-    """The level table: ``t`` itself, or when it is None the height of each
-    element of Y, the length of the longest chain below it."""
-    return dict(Y.heights() if t is None else t)
-
-
 @dataclass
 class FiberTransferReport:
     variant: str
@@ -123,7 +117,7 @@ def fiber_transfer_check(f: PosetMap, t, n: int, variant: str = "up",
     """
     assert variant in ("up", "down")
     Y = f.target
-    tmap = _resolve_t(t, Y)
+    tmap = Y.heights() if t is None else t
     rows = []
     for y in Y:
         if variant == "up":
@@ -158,16 +152,17 @@ class NerveHypothesesReport:
         return all(r["verdict"].ok() for r in self.rows)
 
 
-def check_nerve_hypotheses(F: CoverFamily, n: int, t_X=None, t_A=None,
+def check_nerve_hypotheses(F: CoverFamily, n: int,
                            budget=DEFAULT_BUDGET) -> NerveHypothesesReport:
     """The four per-element connectivity requirements of the nerve setup.
 
-    For every index a: A_{<a} at t_A(a)-2 and the member poset X_a at
-    n-t_A(a)-1.  For every x: X_{<x} at t_X(x)-2 and the index poset A_x
-    at n-t_X(x)-1.  All homological.
+    With t_A and t_X the longest-chain heights of A and X: for every index
+    a, A_{<a} at t_A(a)-2 and the member poset X_a at n-t_A(a)-1; for every
+    x, X_{<x} at t_X(x)-2 and the index poset A_x at n-t_X(x)-1.  All
+    homological.
     """
-    tA = _resolve_t(t_A, F.A)
-    tX = _resolve_t(t_X, F.X)
+    tA = F.A.heights()
+    tX = F.X.heights()
     rows = []
     for a in F.A:
         rows.append({"kind": "A<a", "at": a, "level": tA[a] - 2,

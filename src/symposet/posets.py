@@ -10,8 +10,8 @@ numbers and never orders labels itself.  The public constructor accepts
 any acyclic generating relation and closes it; derived constructions
 (induced subposets, opposites, joins, cylinders) produce relations that
 are closed by construction and go through a trusted path that still checks
-irreflexivity and antisymmetry, plus full transitivity when the poset is
-small enough for that to be cheap.
+irreflexivity, antisymmetry and transitivity, raising CertificateError, so
+the check survives ``python -O``.
 
 Heights are derived from the order, never supplied: the height of an
 element is the length of the longest chain ending at it, so minimal
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Tuple
 
-# full transitivity re-validation is quadratic-ish; skip above this closure size
-_VALIDATE_CLOSURE_LIMIT = 200_000
+from .snf import CertificateError
 
 
 class FinitePoset:
@@ -71,13 +70,13 @@ class FinitePoset:
         self._below = None
         self._height = None
         for x, up in above.items():
-            assert x not in up, "reflexive closure entry"
-        total = sum(len(up) for up in above.values())
-        if total <= _VALIDATE_CLOSURE_LIMIT:
-            for x, up in above.items():
-                for y in up:
-                    assert x not in above[y], f"antisymmetry violated at {x!r}, {y!r}"
-                    assert above[y] <= up, f"relation not transitively closed at {x!r} < {y!r}"
+            if x in up:
+                raise CertificateError(f"reflexive closure entry at {x!r}")
+            for y in up:
+                if x in above[y]:
+                    raise CertificateError(f"antisymmetry violated at {x!r}, {y!r}")
+                if not above[y] <= up:
+                    raise CertificateError(f"relation not transitively closed at {x!r} < {y!r}")
 
     @classmethod
     def _from_closed(cls, elems, above, ordered=False):
@@ -243,17 +242,27 @@ class PosetMap:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
+        self._index = None
 
     def __call__(self, x):
         return self.mapping[x]
 
+    def _preimage(self, ys) -> list:
+        """The source elements mapped into ``ys``, read from an index
+        y -> f^-1(y) that is built once per map."""
+        if self._index is None:
+            self._index = {}
+            for x, y in self.mapping.items():
+                self._index.setdefault(y, []).append(x)
+        return [x for y in ys for x in self._index.get(y, ())]
+
     def fiber_le(self, y) -> FinitePoset:
         """f/y: induced subposet of the source on {x : f(x) <= y}."""
-        return self.source.induced([x for x in self.source if self.target.le(self.mapping[x], y)])
+        return self.source.induced(self._preimage(self.target.below(y) | {y}))
 
     def fiber_ge(self, y) -> FinitePoset:
         """y\\f: induced subposet of the source on {x : f(x) >= y}."""
-        return self.source.induced([x for x in self.source if self.target.le(y, self.mapping[x])])
+        return self.source.induced(self._preimage(self.target.above(y) | {y}))
 
     def __eq__(self, other):
         if not isinstance(other, PosetMap):
@@ -330,78 +339,62 @@ def thick_join(X: FinitePoset, Y: FinitePoset, tag_always: bool = False) -> Fini
     return FinitePoset._from_closed(list(above), above)
 
 
-def _cylinder_labels(f: PosetMap):
-    collide = bool(set(f.source.elements) & set(f.target.elements))
-    if collide:
-        return (lambda x: ("src", x)), (lambda y: ("tgt", y))
-    return (lambda x: x), (lambda y: y)
+def _cylinder(f: PosetMap):
+    """(above, src, tgt): the mapping cylinder's relation, x above y exactly
+    when f(x) >= y, which is closed already, and the label maps, which tag
+    ("src", x) and ("tgt", y) only when source and target share a label."""
+    X, Y = f.source, f.target
+    if set(X.elements) & set(Y.elements):
+        src = {x: ("src", x) for x in X}
+        tgt = {y: ("tgt", y) for y in Y}
+    else:
+        src, tgt = {x: x for x in X}, {y: y for y in Y}
+    above = {}
+    for y in Y:
+        up = Y.above(y)
+        srcs = map(src.__getitem__, f._preimage(up | {y}))
+        above[tgt[y]] = frozenset(map(tgt.__getitem__, up)) | frozenset(srcs)
+    for x in X:
+        above[src[x]] = frozenset(map(src.__getitem__, X.above(x)))
+    return above, src, tgt
 
 
-def mapping_cylinder(f: PosetMap, truncate=None):
+def mapping_cylinder(f: PosetMap):
     """Cylinder of a monotone map, with the target glued in below the source.
 
     Returns (M, src, tgt) where src and tgt map original labels to labels
-    in M.  x sits above y exactly when f(x) >= y, which is already a closed
-    relation.  With ``truncate`` only the part of the target of height at
-    most that value is kept; dropping everything gives back the source.
+    in M.
     """
-    X, Y0 = f.source, f.target
-    Y = Y0
-    if truncate is not None:
-        hy = Y0.heights()
-        keep = [y for y in Y0 if hy[y] <= truncate]
-        if not keep:
-            return X, {x: x for x in X}, {}
-        Y = Y0.induced(keep)
-    lx, ly = _cylinder_labels(f)
-    kept = set(Y.elements)
-    up = {y: set(Y.above(y)) for y in Y}
-    srcs_over = {y: set() for y in Y}
-    for x in X:
-        fx = f(x)
-        for y in Y0.below(fx) | {fx}:
-            if y in kept:
-                srcs_over[y].add(x)
-    above = {}
-    for y in Y:
-        above[ly(y)] = (frozenset(ly(v) for v in up[y])
-                        | frozenset(lx(x) for x in srcs_over[y]))
-    for x in X:
-        above[lx(x)] = frozenset(lx(v) for v in X.above(x))
-    M = FinitePoset._from_closed(list(above), above)
-    return M, {x: lx(x) for x in X}, {y: ly(y) for y in Y}
+    above, src, tgt = _cylinder(f)
+    return FinitePoset._from_closed(list(above), above), src, tgt
 
 
-def mapping_cone(f: PosetMap, cylinder=None):
-    """Cylinder plus a fresh vertex below all of the source.
+def mapping_cone(f: PosetMap):
+    """Cylinder plus a fresh vertex, the tip, below all of the source.
 
     Coning off the source leaves the homotopy cofiber of the map; the
-    target part is untouched.  ``cylinder`` is ``mapping_cylinder(f)``
-    when the caller has built it already.  Returns (M, src, tgt, tip).
+    target part is untouched.  The tip is added to the cylinder's relation,
+    so one poset is built.  Returns (M, src, tgt, tip).
     """
-    M0, src, tgt = mapping_cylinder(f) if cylinder is None else cylinder
+    above, src, tgt = _cylinder(f)
     tip = ("cone",)
-    while tip in M0:
+    while tip in above:
         tip = tip + ("cone",)
-    srcset = frozenset(src.values())
-    above = {e: M0.above(e) for e in M0}
-    above[tip] = srcset
-    M = FinitePoset._from_closed(list(above), above)
-    return M, src, tgt, tip
+    above[tip] = frozenset(src.values())
+    return FinitePoset._from_closed(list(above), above), src, tgt, tip
 
 
 def cylinder_link_check(f: PosetMap, y) -> bool:
     """Check the cylinder link identity at a target element.
 
-    In the cylinder truncated at the height of y, the link of y is the
-    join of the open lower set under y with the fiber {x : f(x) >= y},
-    as an equality of labeled posets.  Requires disjoint label sets so
-    both sides carry original labels.
+    In the cylinder truncated at the height of y, the link of y, which is
+    everything below y and the sources above it, equals the join of the
+    open lower set under y with the fiber {x : f(x) >= y} as labeled
+    posets.  Requires disjoint label sets.
     """
     assert not (set(f.source.elements) & set(f.target.elements))
-    k = f.target.heights()[y]
-    M, _, tgt = mapping_cylinder(f, truncate=k)
-    link = M.link(tgt[y])
+    M, src, tgt = mapping_cylinder(f)
+    link = M.induced(M.below(tgt[y]) | (M.above(tgt[y]) & set(src.values())))
     expected = join(f.target.subposet_lt(y), f.fiber_ge(y))
     return link == expected
 

@@ -246,13 +246,50 @@ def test_verdicts_enumerate_the_order_complex_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_map_connectivity_builds_the_cylinder_once(monkeypatch):
-    calls = _count_calls(monkeypatch, (posets, homology), "mapping_cylinder")
+def test_map_connectivity_builds_one_cone_and_one_complex(monkeypatch):
+    cones = _count_calls(monkeypatch, (posets, homology), "mapping_cone")
+    cylinders = _count_calls(monkeypatch, (posets,), "mapping_cylinder")
+    complexes_ = _count_calls(monkeypatch, (complexes, homology, pi1),
+                              "order_complex")
     for n in (1, 2):
-        calls.clear()
+        for calls in (cones, cylinders, complexes_):
+            calls.clear()
         v = map_connectivity(identity_map(subsets_poset(4)), n)
         assert (v.status, v.basis) == ("verified", "homology+pi1")
-        assert len(calls) == 1
+        assert (len(cones), len(cylinders), len(complexes_)) == (1, 0, 1)
+
+
+def _random_maps(rng, count):
+    """Seeded random monotone maps: half with source and target labels
+    that collide, half with target labels tagged apart, then a map from
+    the empty poset."""
+    for i in range(count):
+        X = random_poset(rng, rng.randint(1, 6), p=rng.choice((0.2, 0.45)))
+        Y = random_poset(rng, rng.randint(1, 6), p=rng.choice((0.2, 0.45)))
+        if i % 2:
+            Y = FinitePoset([("q", y) for y in Y.elements],
+                            [(("q", a), ("q", b))
+                             for a, b in Y.relation_pairs()])
+        yield random_monotone_map(rng, X, Y)
+    yield PosetMap(FinitePoset([]), random_poset(rng, 4, p=0.4), {})
+
+
+def test_cone_pair_has_the_cylinder_pair_homology():
+    # excision: every chain through the tip lies in the coned source, so the
+    # pair (cone, source with the tip) has the (cylinder, source) chains
+    rng = random.Random(53)
+    collided = 0
+    for f in _random_maps(rng, 24):
+        M, src, _ = mapping_cylinder(f)
+        C, csrc, _, tip = mapping_cone(f)
+        assert csrc == src
+        collided += any(x != y for x, y in src.items())
+        for through in (None, 0, 1, 2):
+            pair = relative_homology(M, src.values(), through)
+            cone = relative_homology(C, set(src.values()) | {tip}, through)
+            assert (cone.betti, cone.torsion, cone.counts, cone.through) == \
+                (pair.betti, pair.torsion, pair.counts, pair.through)
+    assert collided >= 5
 
 
 def _reference_boundary_rows(cx, k, sub=None):
@@ -606,8 +643,8 @@ def test_hurewicz_ranks_that_do_not_fit_raise(monkeypatch):
 # prints the message of the CertificateError that its run raises, and
 # patched() does so with one attribute monkeypatched
 _PATCHED_PREAMBLE = """
-from symposet import (builders, complexes, homology, nerve, pi1, symplectic,
-                      trees)
+from symposet import (builders, complexes, homology, nerve, pi1, posets,
+                      symplectic, trees)
 from symposet.builders import build_D, build_I, build_U, flag_to_decomposition
 from symposet.posets import FinitePoset
 from symposet.rings import ZZ, PrimeField
@@ -691,8 +728,9 @@ def test_computed_value_certificates_survive_optimized_python():
     # a canonical form that leaves merged blocks unsorted, a Euclidean
     # quotient of 0, a retraction onto a foreign point, a face that repeats
     # its whole chain, a tree set without its contractions, and a solver
-    # that finds no solution, a radical quotient whose radical survives, and
-    # an edge with one vertex
+    # that finds no solution, a radical quotient whose radical survives, an
+    # edge with one vertex, closed relations that are reflexive or not
+    # antisymmetric, and the cylinder of a map that is not monotone
     code = """
 patched(builders, "_canonical_partition",
         lambda blocks: tuple(sorted(map(tuple, blocks))),
@@ -715,6 +753,13 @@ patched(symplectic, "solve_left", lambda *a: None,
 patched(SymplecticModule, "radical_rank", lambda self: 1,
         lambda: RadicalQuotient(L))
 tripped(lambda: complexes.OrderComplex([[(0,), (1,)], [(0,)]], True))
+tripped(lambda: FinitePoset._from_closed("ab", {"a": {"a"}, "b": set()}))
+tripped(lambda: FinitePoset._from_closed("ab", {"a": {"b"}, "b": {"a"}}))
+# under -O a map that is not monotone passes PosetMap, and its cylinder
+# is not transitively closed
+tripped(lambda: posets.mapping_cylinder(posets.PosetMap(
+    FinitePoset([0, 1], [(0, 1)]), FinitePoset("ab", [("a", "b")]),
+    {0: "b", 1: "a"})))
 """
     assert _run_optimized(code) == [
         "coarsening is not a partition",
@@ -724,4 +769,7 @@ tripped(lambda: complexes.OrderComplex([[(0,), (1,)], [(0,)]], True))
         "contraction is not a tree",
         "vector is not in the span of the stack",
         "quotient by the radical is not unimodular of the ambient genus",
-        "a 1-simplex without 2 vertices"]
+        "a 1-simplex without 2 vertices",
+        "reflexive closure entry at 'a'",
+        "antisymmetry violated at 'a', 'b'",
+        "relation not transitively closed at 'b' < 0"]

@@ -199,15 +199,39 @@ def test_mapping_cone_of_identity_is_contractible():
     assert all(C.le(tip, src[x]) for x in P)
 
 
-def test_mapping_cone_over_a_given_cylinder():
+def test_mapping_cone_is_the_cylinder_with_a_tip_under_the_source():
     rng = random.Random(4)
-    for _ in range(10):
-        P = random_poset(rng, 6, p=0.35)
-        f = random_monotone_map(rng, P)
-        cylinder = mapping_cylinder(f)
-        given = mapping_cone(f, cylinder)
-        assert given == mapping_cone(f)
-        assert given[0].elements == mapping_cone(f)[0].elements
+    maps = [random_monotone_map(rng, random_poset(rng, 6, p=0.35))
+            for _ in range(10)]
+    maps.append(PosetMap(antichain(0), chain(2), {}))
+    for f in maps:
+        C, src, tgt, tip = mapping_cone(f)
+        M, msrc, mtgt = mapping_cylinder(f)
+        assert (src, tgt) == (msrc, mtgt)
+        assert tip not in M
+        assert C.induced(set(C) - {tip}) == M
+        assert C.above(tip) == frozenset(src.values())
+        assert not C.below(tip)
+
+
+def _scan_fiber(f, y, down):
+    """A fiber by testing the target order against every source element."""
+    le = f.target.le
+    return f.source.induced([x for x in f.source
+                             if (le(f(x), y) if down else le(y, f(x)))])
+
+
+def test_fibers_from_the_preimage_index_match_a_scan():
+    rng = random.Random(61)
+    for i in range(25):
+        X = random_poset(rng, rng.randint(0, 8), p=rng.choice((0.2, 0.45)))
+        Y = random_poset(rng, rng.randint(1, 6), p=rng.choice((0.2, 0.45)))
+        f = random_monotone_map(rng, X, Y)
+        for y in Y:
+            for down, fiber in ((True, f.fiber_le(y)), (False, f.fiber_ge(y))):
+                scan = _scan_fiber(f, y, down)
+                assert fiber == scan
+                assert fiber.elements == scan.elements
 
 
 def test_mapping_cone_gives_cofiber():

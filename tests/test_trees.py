@@ -137,12 +137,18 @@ def genus3():
     return L, build_D(L, strict=True)
 
 
-def test_forget_map_fibers_genus3(genus3):
+@pytest.fixture(scope="module")
+def forget3(genus3):
     L, DP = genus3
     TD = build_TD(L, DP=DP)
+    return TD, tree_forget_map(L, TD=TD, DP=DP)
+
+
+def test_forget_map_fibers_genus3(genus3, forget3):
+    _, DP = genus3
+    TD, p = forget3
     assert len(TD) == 4816
     assert sum(len(TD.above(x)) for x in TD) == 13440
-    p = tree_forget_map(L, TD=TD, DP=DP)
     assert p.source is TD and p.target is DP
     rng = random.Random(7)
     three_parts = sorted(d for d in DP if len(d) == 3)
@@ -152,6 +158,20 @@ def test_forget_map_fibers_genus3(genus3):
     two_parts = sorted(d for d in DP if len(d) == 2)
     for d in rng.sample(two_parts, 5):
         assert len(p.fiber_le(d)) == 1
+
+
+def test_forget_map_fibers_from_the_index_match_a_scan(forget3):
+    # a fiber is the induced subposet on the preimages of a lower or upper
+    # set, read from the map's y -> f^-1(y) index
+    _, p = forget3
+    rng = random.Random(11)
+    le = p.target.le
+    for y in rng.sample(p.target.elements, 40):
+        for fiber, keep in ((p.fiber_le(y), lambda x: le(p(x), y)),
+                            (p.fiber_ge(y), lambda x: le(y, p(x)))):
+            scan = p.source.induced(filter(keep, p.source))
+            assert fiber == scan
+            assert fiber.elements == scan.elements
 
 
 def test_TD_genus3_needs_no_echelon_form(genus3, monkeypatch):
