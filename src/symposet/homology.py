@@ -6,9 +6,13 @@ group fixes them.  Boundary matrices go from ``complexes`` to the SNF as
 the columns they are built as.  Reduced, relative and mod-2 homology
 differ only in their generator counts, boundary matrices and
 invariant-factor routine, and share one loop, ``_profile``, that walks the
-degrees one at a time.  That loop is also where dd=0 is certified: on
-every complex it checks that each pair of consecutive boundary matrices
-handed to the SNF composes to zero.
+degrees top-down.  Each SNF reports the rows of its unit pivots, and the
+twist (Chen-Kerber) drops the columns at those rows from the next lower
+boundary before its SNF: since d_k d_{k+1} = 0 they are integer
+combinations of the columns kept, so the invariant factors do not change.
+That identity is certified, not assumed: on every complex the loop checks
+that each pair of consecutive boundary matrices handed to the SNF
+composes to zero, before the twist clears against the pair.
 
 A verdict never overstates its evidence.  ``status`` says what was
 established, ``basis`` says with which tools; a fundamental-group probe can
@@ -19,7 +23,7 @@ poset is its mapping cone, whose pair with the coned source has the chains
 of the cylinder-source pair, and is probed after the homology.  Others
 probe first: a trivial group makes the complex connected with H_1 = 0
 (Hurewicz: H_1 is the abelianization of pi_1), which fixes the ranks of
-d_1 and d_2 with no torsion, so the SNF starts at d_3.  Any other answer
+d_1 and d_2 with no torsion, so the SNF stops at d_3.  Any other answer
 waits for the full homology, so a homology refutation still comes first.
 """
 
@@ -81,11 +85,22 @@ def _profile(cx, cap, counts, boundary, known, invariants) -> HomologyProfile:
     ... that need no SNF: that of d_0 always, and those of d_1 and d_2 too
     when a trivial fundamental group fixes them; those boundaries are free
     of torsion, and a known rank that does not fit its matrix raises
-    CertificateError.  From d_{len(known)} up the rank of d_k is the length
-    of ``invariants(boundary(k))`` and its entries above 1 are torsion in
-    degree k - 1.  Each consecutive pair of boundaries handed to
-    ``invariants`` must compose to zero, so d_k, which ``invariants`` leaves
-    intact, is kept for d_{k+1}'s check.
+    CertificateError.  The other boundaries go through ``invariants``
+    top-down, from d_top to d_{len(known)}: the rank of d_k is the length
+    of ``invariants(d_k, lows)`` and its entries above 1 are torsion in
+    degree k - 1.
+
+    The twist (Chen-Kerber): ``invariants`` puts into ``lows`` the rows of
+    its unit pivots, and d_k goes to it without its columns at the rows
+    that d_{k+1} put there.  Each pivot z of d_{k+1} is an integer
+    combination of its columns, so d_k z = 0; on the pivot rows the pivots
+    form a triangular matrix with +-1 on the diagonal, invertible over the
+    integers.  So d_k's columns at the pivot rows are integer combinations
+    of its other columns: the columns kept span the same lattice as all of
+    them, and ranks and torsion are unchanged.  The same holds over F_2.
+    That rests on d_k d_{k+1} = 0, so d_{k+1} is kept until d_k has been
+    built and ``dd_zero_check`` has passed on the pair, and only then is
+    d_k cleared.
     """
     top = len(counts) - 1
     ranks = list(known) + [0] * (top + 2 - len(known))
@@ -96,14 +111,17 @@ def _profile(cx, cap, counts, boundary, known, invariants) -> HomologyProfile:
                 f"rank {known[k]} of d_{k} does not fit a "
                 f"{size(k - 1)} x {size(k)} matrix")
     torsion = {}
-    lower = None
-    for k in range(len(known), top + 1):
-        upper = boundary(k)
-        if lower is not None:
-            OrderComplex.dd_zero_check(lower, upper)
-        # d_{k-1} is freed before this SNF; d_k is kept for d_{k+1}'s check
-        lower = upper
-        inv = invariants(upper)
+    upper, cleared = None, set()
+    for k in range(top, len(known) - 1, -1):
+        d = boundary(k)
+        if upper is not None:
+            OrderComplex.dd_zero_check(d, upper)
+        # d_{k+1} is freed before this SNF; d_k is kept for d_{k-1}'s check
+        upper = d
+        if cleared:
+            d = {j: col for j, col in d.items() if j not in cleared}
+        cleared = set()
+        inv = invariants(d, cleared)
         ranks[k] = len(inv)
         tors = tuple(v for v in inv if v > 1)
         if tors:
@@ -169,8 +187,11 @@ def relative_homology(P: FinitePoset, sub, through_degree=None,
                     smith_invariants)
 
 
-def _invariants_mod2(cols):
-    """One unit invariant per pivot of an F_2 elimination on int bitsets."""
+def _invariants_mod2(cols, lows):
+    """One unit invariant per pivot of an F_2 elimination on int bitsets.
+
+    Each pivot's row, its lowest set bit, goes into the set ``lows``, as
+    ``smith_invariants`` reports its unit pivots."""
     pivots = {}
     for col in cols.values():
         mask = 0
@@ -184,6 +205,7 @@ def _invariants_mod2(cols):
                 pivots[low] = mask
                 break
             mask ^= other
+    lows.update(low.bit_length() - 1 for low in pivots)
     return [1] * len(pivots)
 
 
@@ -229,11 +251,12 @@ def _homology_step(level: int, through: int, P: FinitePoset, degree: int,
     verdict as inconclusive; a nonzero degree at or below ``through``, or
     torsion in ``degree``, as refuted by homology.  With ``probe`` the
     fundamental group of P is probed on the simplices of dimensions 0 to 2
-    enumerated here, after the homology on the pair route and before it on
-    the reduced route: a nontrivial group refutes, a trivial one gives the
+    enumerated here, after the homology on the pair route, which then keeps
+    those simplices and drops the rest, and before it on the reduced
+    route: a nontrivial group refutes, a trivial one gives the
     basis homology+pi1.  Probing first, a trivial answer means a connected
     complex with H_1 = 0, so rank d_1 = c_0 - 1 and rank d_2 = c_1 - rank
-    d_1, both free, and the SNF starts at d_3.  Any other answer is held
+    d_1, both free, and the SNF stops at d_3.  Any other answer is held
     until the homology has run in full, so refutations keep their basis
     and detail.
     """
@@ -244,6 +267,7 @@ def _homology_step(level: int, through: int, P: FinitePoset, degree: int,
             res = pi1.pi1_probe(P, budget, cx.by_dim[:3])
         if sub is not None:
             prof = relative_homology(P, sub, degree, budget, cx=cx)
+            skeleton, cx = cx.by_dim[:3], None
         elif res == "trivial":
             c0, c1 = cx.n_simplices(0), cx.n_simplices(1)
             prof = _reduced(P, degree, budget, smith_invariants, cx,
@@ -264,7 +288,7 @@ def _homology_step(level: int, through: int, P: FinitePoset, degree: int,
             level, "refuted", "homology",
             {"degree": degree, "torsion": prof.torsion_at(degree)}))
     if probe and sub is not None:
-        res = pi1.pi1_probe(P, budget, cx.by_dim[:3])
+        res = pi1.pi1_probe(P, budget, skeleton)
     if res == "nontrivial":
         reason = ("fundamental group" if sub is None else "cone group") + \
             " is nontrivial"
@@ -305,7 +329,7 @@ def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
     Checks the dimension, (n-1)-connectivity, and freeness of the top
     homology; the sphere count lands in the detail.  For n >= 2 a pi_1
     probe runs first, as in ``homologically_connected``: a trivial group
-    fixes the ranks of d_1 and d_2, and the SNF and its dd=0 check start
+    fixes the ranks of d_1 and d_2, and the SNF and its dd=0 check stop
     at d_3.
     """
     dim = P.dim()

@@ -94,13 +94,16 @@ def dense_smith(A, ncols=None):
     return diag
 
 
-def smith_invariants(cols):
+def smith_invariants(cols, lows=None):
     """Invariant factors of a sparse integer matrix given by its columns.
 
     ``cols`` maps column key -> {row key -> value}; both keys are ints, and
     zero values are ignored.  Returns the nonzero diagonal of the Smith
     form as a list (ones first, then the rest in divisibility order).  The
-    input is left as it was: each column is copied as it is reduced.
+    input is left as it was: each column is copied as it is reduced.  A
+    set passed as ``lows`` receives the low rows of the unit pivots; for a
+    boundary d_{k+1} those are the columns of d_k that the twist clears
+    (see ``homology._profile``).  Deferred columns add none.
 
     Columns are reduced in ascending key order by their lowest (largest)
     row; on boundary matrices other orders fill in far more (reversed
@@ -126,6 +129,8 @@ def smith_invariants(cols):
                     deferred.append(col)
                 break
             _subtract(col, col[low] * piv[low], piv)
+    if lows is not None:
+        lows.update(pivots)
     if not deferred:
         return [1] * len(pivots)
     for p in sorted(pivots, reverse=True):

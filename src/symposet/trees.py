@@ -121,18 +121,6 @@ class UTree:
     def certificate(self) -> Tuple:
         return tree_certificate(self.n, self.edges, self.annotation)
 
-    def automorphisms(self) -> List[Tuple[int, ...]]:
-        """All vertex bijections preserving edges and commuting with the
-        labeling; rigidity means only the identity shows up."""
-        eset = set(self.edges)
-        out = []
-        for perm in itertools.permutations(range(self.n)):
-            if any(perm[self.labeling[j]] != self.labeling[j] for j in range(self.m)):
-                continue
-            if all(tuple(sorted((perm[a], perm[b]))) in eset for a, b in eset):
-                out.append(perm)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, UTree):
             return NotImplemented

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import symposet
-from symposet import complexes, homology, pi1, posets
+from symposet import complexes, homology, pi1, posets, snf
 from symposet.complexes import BudgetExceeded, OrderComplex, order_complex, \
     relative_boundary_rows
 from symposet.homology import (HomologyProfile, cohen_macaulay_check,
@@ -26,7 +26,7 @@ from symposet.posets import (FinitePoset, PosetMap, barycentric_subdivision,
                              constant_map, identity_map, join, mapping_cone,
                              mapping_cylinder, random_monotone_map,
                              random_poset)
-from symposet.snf import CertificateError
+from symposet.snf import CertificateError, smith_invariants
 from symposet.rings import PrimeField
 from symposet.symplectic import SymplecticModule
 
@@ -391,6 +391,106 @@ def test_certificates_survive_optimized_python():
 
 
 # ---------------------------------------------------------------------------
+# the twist: _profile clears d_k at the unit pivot rows of d_{k+1}
+
+def _sympy_invariants(cols):
+    """The nonzero Smith diagonal of a column-form matrix, via sympy."""
+    rows = sorted({r for col in cols.values() for r in col})
+    if not rows:
+        return []
+    D = smith_normal_form(sympy.Matrix(
+        [[col.get(r, 0) for r in rows] for col in cols.values()]))
+    return sorted(abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i])
+
+
+def _chain_complex(P, sub=None):
+    """(counts, boundary, rank of d_0) of P's order complex, reduced, or
+    relative to the full subcomplex on the labels ``sub``."""
+    cx = order_complex(P)
+    if sub is None:
+        return tuple(map(len, cx.by_dim)), cx.boundary_rows, 1
+    vs = frozenset(map(P.positions().__getitem__, sub))
+    counts = tuple(sum(1 for c in simplices if not vs.issuperset(c))
+                   for simplices in cx.by_dim)
+    return counts, lambda k: relative_boundary_rows(cx, vs, k), 0
+
+
+def _untwisted(counts, boundary, rank0, invariants):
+    """Betti numbers and torsion from the invariants of each full d_k."""
+    ranks = [rank0] + [0] * len(counts)
+    torsion = {}
+    for k in range(1, len(counts)):
+        inv = invariants(boundary(k))
+        ranks[k] = len(inv)
+        if any(v > 1 for v in inv):
+            torsion[k - 1] = tuple(v for v in inv if v > 1)
+    betti = {k: counts[k] - ranks[k] - ranks[k + 1]
+             for k in range(len(counts))}
+    return {k: b for k, b in betti.items() if b}, torsion
+
+
+def test_twist_matches_the_full_boundaries_degree_by_degree(monkeypatch):
+    mod2 = homology._invariants_mod2
+    handed = _count_calls(monkeypatch, (homology,), "smith_invariants")
+    handed2 = _count_calls(monkeypatch, (homology,), "_invariants_mod2")
+    dense = _count_calls(monkeypatch, (snf,), "dense_smith")
+    rng = random.Random(4242)
+    randoms = [(random_poset(rng, rng.randint(1, 9),
+                             p=rng.choice((0.1, 0.3, 0.5))), None)
+               for _ in range(20)]
+    pairs = [(C, set(src.values()) | {tip})
+             for C, src, _, tip in map(mapping_cone, _random_maps(rng, 12))]
+    rp2 = [(face_poset(RP2_FACES), None)]
+    disconnected = 0
+    for cases in (randoms, rp2, pairs):
+        for calls in (handed, handed2, dense):
+            calls.clear()
+        full = 0
+        for P, sub in cases:
+            prof = reduced_homology(P) if sub is None else \
+                relative_homology(P, sub)
+            got = (prof.betti, prof.torsion)
+            if cases is rp2:
+                # its 2-torsion comes from the dense finish of the sparse SNF
+                assert got == ({}, {1: (2,)}) and dense
+            counts, boundary, rank0 = _chain_complex(P, sub)
+            assert _untwisted(counts, boundary, rank0, smith_invariants) == got
+            assert _untwisted(counts, boundary, rank0, _sympy_invariants) == got
+            full += sum(len(boundary(k)) for k in range(1, len(counts)))
+            if sub is None:
+                disconnected += prof.betti_number(0) > 0
+                assert reduced_betti_mod2(P) == _untwisted(
+                    counts, boundary, 1, lambda d: mod2(d, set()))[0]
+        # columns were cleared, so the comparison is not vacuous
+        assert sum(len(args[0]) for args in handed) < full
+        if cases is not pairs:
+            assert sum(len(args[0]) for args in handed2) < full
+    assert disconnected >= 3
+
+
+def test_a_broken_boundary_stops_the_twist_before_it_clears(monkeypatch):
+    # one sign of d_2 of S^2 flipped: d_2 reaches the SNF, then the check
+    # of the pair (d_1, d_2) raises before d_1, cleared by d_2, follows it
+    original = OrderComplex.boundary_rows
+
+    def broken(cx, k):
+        cols = original(cx, k)
+        if k == 2:
+            col = cols[0]
+            r = next(iter(col))
+            col[r] = -col[r]
+        return cols
+
+    monkeypatch.setattr(OrderComplex, "boundary_rows", broken)
+    handed = _count_calls(monkeypatch, (homology,), "smith_invariants")
+    s2 = subsets_poset(4)
+    with pytest.raises(CertificateError):
+        reduced_homology(s2)
+    assert [len(args[0]) for args in handed] == \
+        [order_complex(s2).n_simplices(2)]
+
+
+# ---------------------------------------------------------------------------
 # verdicts
 
 def test_connectivity_verdicts():
@@ -619,16 +719,18 @@ def test_trivial_probe_skips_the_low_degree_snfs(monkeypatch):
     v = homologically_connected(subsets_poset(5), 2)
     assert (v.status, v.basis) == ("verified", "homology+pi1")
     assert built == [3] and len(snf_calls) == 1
-    # S^4 through degree 3: dd=0 is certified on the one pair the SNF gets
+    # S^4 through degree 3: top-down, d_4 then d_3, and dd=0 is certified
+    # on the one pair the SNF gets
     checked = _count_calls(monkeypatch, (OrderComplex,), "dd_zero_check")
     built.clear()
+    snf_calls.clear()
     v = homologically_connected(subsets_poset(6), 3)
     assert (v.status, v.basis) == ("verified", "homology+pi1")
-    assert built == [3, 4] and len(checked) == 1
+    assert built == [4, 3] and len(checked) == 1 and len(snf_calls) == 2
     # the sweep's verdicts do not probe, and keep every SNF
     built.clear()
     assert homology_spherical(subsets_poset(4), 2, probe=False).ok()
-    assert built == [1, 2]
+    assert built == [2, 1]
 
 
 def test_hurewicz_ranks_that_do_not_fit_raise(monkeypatch):
@@ -730,7 +832,8 @@ def test_computed_value_certificates_survive_optimized_python():
     # its whole chain, a tree set without its contractions, and a solver
     # that finds no solution, a radical quotient whose radical survives, an
     # edge with one vertex, closed relations that are reflexive or not
-    # antisymmetric, and the cylinder of a map that is not monotone
+    # antisymmetric, the cylinder of a map that is not monotone, and a
+    # boundary whose square is not zero
     code = """
 patched(builders, "_canonical_partition",
         lambda blocks: tuple(sorted(map(tuple, blocks))),
@@ -760,6 +863,18 @@ tripped(lambda: FinitePoset._from_closed("ab", {"a": {"b"}, "b": {"a"}}))
 tripped(lambda: posets.mapping_cylinder(posets.PosetMap(
     FinitePoset([0, 1], [(0, 1)]), FinitePoset("ab", [("a", "b")]),
     {0: "b", 1: "a"})))
+# the octahedron with one sign of d_2 flipped: the twist would clear d_1
+# against a pair that does not compose to zero
+boundary_rows = complexes.OrderComplex.boundary_rows
+def flipped(cx, k):
+    cols = boundary_rows(cx, k)
+    if k == 2:
+        cols[0][0] = -cols[0][0]
+    return cols
+octahedron = FinitePoset("abcdef", [(x, y) for x in "ab" for y in "cdef"]
+                         + [(x, y) for x in "cd" for y in "ef"])
+patched(complexes.OrderComplex, "boundary_rows", flipped,
+        lambda: homology.reduced_homology(octahedron))
 """
     assert _run_optimized(code) == [
         "coarsening is not a partition",
@@ -772,4 +887,5 @@ tripped(lambda: posets.mapping_cylinder(posets.PosetMap(
         "a 1-simplex without 2 vertices",
         "reflexive closure entry at 'a'",
         "antisymmetry violated at 'a', 'b'",
-        "relation not transitively closed at 'b' < 0"]
+        "relation not transitively closed at 'b' < 0",
+        "boundary of a boundary is nonzero"]

@@ -66,9 +66,22 @@ def test_utree_validation():
     assert T.degree(1) == 2
 
 
+def automorphisms(T):
+    """All vertex bijections of T preserving edges and commuting with the
+    labeling; rigidity means only the identity shows up."""
+    eset = set(T.edges)
+    out = []
+    for perm in itertools.permutations(range(T.n)):
+        if any(perm[T.labeling[j]] != T.labeling[j] for j in range(T.m)):
+            continue
+        if all(tuple(sorted((perm[a], perm[b]))) in eset for a, b in eset):
+            out.append(perm)
+    return out
+
+
 def test_strict_trees_are_rigid():
     for T in enumerate_trees(3, strict=True):
-        assert len(T.automorphisms()) == 1
+        assert len(automorphisms(T)) == 1
 
 
 def test_enumerate_trees_m2():
