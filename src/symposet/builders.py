@@ -10,7 +10,7 @@ Equality of labels is then exactly equality of the mathematical objects.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .linalg import PackedSpace, matrix_rank
 from .posets import FinitePoset, PosetMap, barycentric_subdivision
@@ -199,22 +199,25 @@ def _canonical_partition(blocks) -> Tuple:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
+def set_partitions(items: Sequence) -> Iterator[list]:
+    """Every set partition of ``items``, once each, as a list of blocks;
+    each block lists its members in the order of ``items``."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for smaller in set_partitions(rest):
+        for i in range(len(smaller)):
+            yield smaller[:i] + [[first] + smaller[i]] + smaller[i + 1:]
+        yield [[first]] + smaller
+
+
 def partitions_poset(X: Iterable) -> FinitePoset:
     """Strict set partitions of X under refinement (coarser below finer)."""
     ground = sorted(set(X))
     assert len(ground) >= 2, "need at least two elements"
-
-    def gen(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for smaller in gen(rest):
-            for i in range(len(smaller)):
-                yield smaller[:i] + [[first] + smaller[i]] + smaller[i + 1:]
-            yield [[first]] + smaller
-
-    partitions = [_canonical_partition(p) for p in gen(ground) if len(p) > 1]
+    partitions = [_canonical_partition(p) for p in set_partitions(ground)
+                  if len(p) > 1]
     pset = set(partitions)
     rel = []
     for p in partitions:

@@ -17,14 +17,15 @@ composes to zero, before the twist clears against the pair.
 A verdict never overstates its evidence.  ``status`` says what was
 established, ``basis`` says with which tools; a fundamental-group probe can
 upgrade a homological verdict or refute it, and a blown budget yields
-"inconclusive", never a guess.  A verdict builds one poset, enumerates its
-order complex once and probes its simplices of dimensions 0 to 2.  A map's
-poset is its mapping cone, whose pair with the coned source has the chains
-of the cylinder-source pair, and is probed after the homology.  Others
-probe first: a trivial group makes the complex connected with H_1 = 0
-(Hurewicz: H_1 is the abelianization of pi_1), which fixes the ranks of
-d_1 and d_2 with no torsion, so the SNF stops at d_3.  Any other answer
-waits for the full homology, so a homology refutation still comes first.
+"inconclusive", never a guess.  A verdict builds one poset and enumerates
+its order complex once; a verdict that probes pi_1 does so first, on the
+simplices of dimensions 0 to 2, before any homology.  A map's poset is its
+mapping cone, whose pair with the coned source has the chains of the
+cylinder-source pair.  On reduced homology a trivial group makes the
+complex connected with H_1 = 0 (Hurewicz: H_1 is the abelianization of
+pi_1), which fixes the ranks of d_1 and d_2 with no torsion, so the SNF
+stops at d_3.  Every other answer, and every answer for a map, waits for
+the full homology, so a homology refutation still comes first.
 """
 
 from __future__ import annotations
@@ -236,65 +237,58 @@ class ConnectivityVerdict:
         return f"{self.status} (level {self.level}, {self.basis})"
 
 
-class _Settled(Exception):
-    """Raised by a ladder step with the verdict that ends the ladder."""
-
-
-def _homology_step(level: int, through: int, P: FinitePoset, degree: int,
-                   budget, probe: bool, sub=None):
-    """The homology and pi_1 steps of a verdict: (profile, basis), unless
-    they settle it.
+def _homology_step(P: FinitePoset, level: int, through: int, budget,
+                   probe: bool, sub=None):
+    """The homology and pi_1 steps of a verdict at ``level``: (verdict,
+    profile), with the profile None when the verdict was settled before
+    the homology verified.
 
     The homology is reduced, or with ``sub`` (a set of labels) that of the
-    pair (P, sub), through ``degree``, on P's order complex enumerated here
-    once through dimension ``degree + 1``.  A budget overrun settles the
-    verdict as inconclusive; a nonzero degree at or below ``through``, or
-    torsion in ``degree``, as refuted by homology.  With ``probe`` the
-    fundamental group of P is probed on the simplices of dimensions 0 to 2
-    enumerated here, after the homology on the pair route, which then keeps
-    those simplices and drops the rest, and before it on the reduced
-    route: a nontrivial group refutes, a trivial one gives the
-    basis homology+pi1.  Probing first, a trivial answer means a connected
-    complex with H_1 = 0, so rank d_1 = c_0 - 1 and rank d_2 = c_1 - rank
-    d_1, both free, and the SNF stops at d_3.  Any other answer is held
+    pair (P, sub), through ``level``, on P's order complex enumerated here
+    once through dimension ``level + 1``.  With ``probe``, and ``through``
+    at least 1, the fundamental group of P is probed first, on the
+    simplices of dimensions 0 to 2 of that complex.  On the reduced route a
+    trivial answer means a connected complex with H_1 = 0, so rank d_1 =
+    c_0 - 1 and rank d_2 = c_1 - rank d_1, both free, and the SNF stops at
+    d_3.  Any other answer, and any answer on the pair route, is held
     until the homology has run in full, so refutations keep their basis
-    and detail.
+    and detail.  A budget overrun settles the verdict as inconclusive; a
+    nonzero degree at or below ``through``, or torsion in ``level``, as
+    refuted by homology; then a nontrivial group as refuted by pi_1.  A
+    trivial one gives the basis homology+pi1.
     """
     res = None
     try:
-        cx = order_complex(P, max_dim=_cap(degree), budget=budget)
-        if probe and sub is None:
+        cx = order_complex(P, max_dim=_cap(level), budget=budget)
+        if probe and through >= 1:
             res = pi1.pi1_probe(P, budget, cx.by_dim[:3])
         if sub is not None:
-            prof = relative_homology(P, sub, degree, budget, cx=cx)
-            skeleton, cx = cx.by_dim[:3], None
+            prof = relative_homology(P, sub, level, budget, cx=cx)
         elif res == "trivial":
             c0, c1 = cx.n_simplices(0), cx.n_simplices(1)
-            prof = _reduced(P, degree, budget, smith_invariants, cx,
+            prof = _reduced(P, level, budget, smith_invariants, cx,
                             (1, c0 - 1, c1 - (c0 - 1)))
         else:
-            prof = reduced_homology(P, degree, budget, cx=cx)
+            prof = reduced_homology(P, level, budget, cx=cx)
     except BudgetExceeded as e:
-        raise _Settled(ConnectivityVerdict(level, "inconclusive", "budget",
-                                           {"reason": str(e)}))
+        return ConnectivityVerdict(level, "inconclusive", "budget",
+                                   {"reason": str(e)}), None
     bad = prof.first_nonzero_through(through)
     if bad is not None:
-        raise _Settled(ConnectivityVerdict(
+        return ConnectivityVerdict(
             level, "refuted", "homology",
             {"degree": bad, "betti": prof.betti_number(bad),
-             "torsion": prof.torsion_at(bad)}))
-    if prof.torsion_at(degree):
-        raise _Settled(ConnectivityVerdict(
+             "torsion": prof.torsion_at(bad)}), None
+    if prof.torsion_at(level):
+        return ConnectivityVerdict(
             level, "refuted", "homology",
-            {"degree": degree, "torsion": prof.torsion_at(degree)}))
-    if probe and sub is not None:
-        res = pi1.pi1_probe(P, budget, skeleton)
+            {"degree": level, "torsion": prof.torsion_at(level)}), None
     if res == "nontrivial":
-        reason = ("fundamental group" if sub is None else "cone group") + \
-            " is nontrivial"
-        raise _Settled(ConnectivityVerdict(level, "refuted", "pi1",
-                                           {"reason": reason}))
-    return prof, "homology+pi1" if res == "trivial" else "homology-only"
+        return ConnectivityVerdict(
+            level, "refuted", "pi1",
+            {"reason": "fundamental group is nontrivial"}), None
+    basis = "homology+pi1" if res == "trivial" else "homology-only"
+    return ConnectivityVerdict(level, "verified", basis), prof
 
 
 def homologically_connected(P: FinitePoset, d: int, budget=DEFAULT_BUDGET,
@@ -315,11 +309,7 @@ def homologically_connected(P: FinitePoset, d: int, budget=DEFAULT_BUDGET,
         return ConnectivityVerdict(d, "refuted", "nonempty", {"reason": "empty poset"})
     if d == -1:
         return ConnectivityVerdict(d, "verified", "nonempty")
-    try:
-        _, basis = _homology_step(d, d, P, d, budget, probe and d >= 1)
-    except _Settled as s:
-        return s.args[0]
-    return ConnectivityVerdict(d, "verified", basis)
+    return _homology_step(P, d, d, budget, probe)[0]
 
 
 def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
@@ -338,13 +328,10 @@ def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
                                    {"dim": dim, "expected": n})
     if n == -1:
         return ConnectivityVerdict(n, "verified", "empty")
-    try:
-        prof, basis = _homology_step(n, n - 1, P, n, budget,
-                                     probe and n >= 2)
-    except _Settled as s:
-        return s.args[0]
-    return ConnectivityVerdict(n, "verified", basis,
-                               {"spheres": prof.betti_number(n)})
+    verdict, prof = _homology_step(P, n, n - 1, budget, probe)
+    if prof is not None:
+        verdict.detail["spheres"] = prof.betti_number(n)
+    return verdict
 
 
 def _cm_tasks(P: FinitePoset, n: int):
@@ -396,15 +383,12 @@ def map_connectivity(f: PosetMap, n: int,
 
     The cylinder-source pair homology must vanish through degree n; it is
     that of (cone, source with the tip), with the same generators, faces
-    and column order.  For n >= 1 a probe on the cone's complex refutes on
-    a nontrivial group and strengthens the basis on a trivial one.
+    and column order.  For n >= 1 a probe on the cone's complex runs first;
+    after the homology it refutes on a nontrivial group and strengthens the
+    basis on a trivial one.
     """
     if n <= -1:
         return ConnectivityVerdict(n, "verified", "vacuous")
     C, src, _, tip = mapping_cone(f)
-    try:
-        _, basis = _homology_step(n, n, C, n, budget, n >= 1,
-                                  frozenset(src.values()) | {tip})
-    except _Settled as s:
-        return s.args[0]
-    return ConnectivityVerdict(n, "verified", basis)
+    return _homology_step(C, n, n, budget, True,
+                          frozenset(src.values()) | {tip})[0]

@@ -90,7 +90,6 @@ def build_Z(F: CoverFamily):
 
 @dataclass
 class FiberTransferReport:
-    variant: str
     n: int
     rows: List[dict]
     conclusion: ConnectivityVerdict
@@ -104,42 +103,30 @@ class FiberTransferReport:
         return self.hypotheses_ok and self.conclusion.ok()
 
 
-def fiber_transfer_check(f: PosetMap, t, n: int, variant: str = "up",
+def fiber_transfer_check(f: PosetMap, t, n: int,
                          budget=DEFAULT_BUDGET) -> FiberTransferReport:
     """Fiberwise connectivity tables for a poset map, plus the conclusion.
 
-    The "up" variant asks, for every y in the target, that Y_{<y} is
-    (t(y)-2)-connected and the upward fiber is (n-t(y)-1)-connected; the
-    "down" variant asks Y_{>y} at n-t(y)-2 and the downward fiber at
-    t(y)-1.  ``t`` is a dict from target elements to levels, or None for
-    the target's longest-chain heights.  Per-element rows are homological;
-    the conclusion is map_connectivity(f, n).
+    For every y in the target, Y_{>y} must be (n-t(y)-2)-connected and the
+    downward fiber f/y must be (t(y)-1)-connected.  ``t`` is a dict from
+    target elements to levels, or None for the target's longest-chain
+    heights.  Per-element rows are homological; the conclusion is
+    map_connectivity(f, n).
     """
-    assert variant in ("up", "down")
     Y = f.target
     tmap = Y.heights() if t is None else t
     rows = []
     for y in Y:
-        if variant == "up":
-            link = Y.subposet_lt(y)
-            link_level = tmap[y] - 2
-            fiber = f.fiber_ge(y)
-            fiber_level = n - tmap[y] - 1
-        else:
-            link = Y.subposet_gt(y)
-            link_level = n - tmap[y] - 2
-            fiber = f.fiber_le(y)
-            fiber_level = tmap[y] - 1
         rows.append({
             "y": y,
             "t": tmap[y],
-            "link": homologically_connected(link, link_level, budget=budget,
-                                            probe=False),
-            "fiber": homologically_connected(fiber, fiber_level, budget=budget,
-                                             probe=False),
+            "link": homologically_connected(
+                Y.subposet_gt(y), n - tmap[y] - 2, budget=budget,
+                probe=False),
+            "fiber": homologically_connected(
+                f.fiber_le(y), tmap[y] - 1, budget=budget, probe=False),
         })
-    return FiberTransferReport(variant, n, rows,
-                               map_connectivity(f, n, budget=budget))
+    return FiberTransferReport(n, rows, map_connectivity(f, n, budget=budget))
 
 
 @dataclass

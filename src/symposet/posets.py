@@ -173,10 +173,6 @@ class FinitePoset:
         assert self.lt(x, y)
         return self.induced(self._above[x] & self.below(y))
 
-    def link(self, x):
-        """Induced subposet of everything comparable to x, x removed."""
-        return self.induced(self._above[x] | self.below(x))
-
     def covers(self, x):
         """Elements immediately above x."""
         up = self._above[x]
@@ -228,17 +224,21 @@ def check_isomorphism(P: FinitePoset, Q: FinitePoset, mapping: Dict) -> bool:
 
 
 class PosetMap:
-    """A monotone map between finite posets, validated on construction."""
+    """A monotone map between finite posets, validated on construction:
+    a map that is not total, leaves the target or is not monotone raises
+    CertificateError."""
 
     def __init__(self, source: FinitePoset, target: FinitePoset, mapping: Dict):
-        assert set(mapping) == set(source.elements), "mapping must be total"
+        if set(mapping) != set(source.elements):
+            raise CertificateError("mapping must be total")
         for v in mapping.values():
-            assert v in target, f"value {v!r} not in target"
+            if v not in target:
+                raise CertificateError(f"value {v!r} not in target")
         for x in source:
             fx = mapping[x]
             for y in source.above(x):
-                assert target.le(fx, mapping[y]), \
-                    f"not monotone at {x!r} < {y!r}"
+                if not target.le(fx, mapping[y]):
+                    raise CertificateError(f"not monotone at {x!r} < {y!r}")
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
@@ -269,10 +269,6 @@ class PosetMap:
             return NotImplemented
         return (self.source == other.source and self.target == other.target
                 and self.mapping == other.mapping)
-
-
-def identity_map(P: FinitePoset) -> PosetMap:
-    return PosetMap(P, P, {x: x for x in P})
 
 
 def constant_map(P: FinitePoset, Q: FinitePoset, q) -> PosetMap:

@@ -34,7 +34,7 @@ from .builders import (build_D, build_HU, build_I, build_O, build_U,
                        flag_to_decomposition, genus_one_count,
                        hu_decomposition_map, is_partial_basis,
                        partition_sequences_poset, partitions_poset,
-                       rho_poset_retraction, rho_vector)
+                       rho_poset_retraction, rho_vector, set_partitions)
 from .complexes import BudgetExceeded, DEFAULT_BUDGET
 from .homology import (ConnectivityVerdict, cohen_macaulay_check,
                        homologically_connected, homology_spherical,
@@ -48,6 +48,7 @@ from .posets import (FinitePoset, barycentric_subdivision,
                      mapping_cylinder, random_monotone_map, random_poset,
                      thick_join)
 from .rings import PrimeField, ZZ, ring_from_name
+from .snf import CertificateError
 from .symplectic import SymplecticModule
 from .trees import (build_T, build_TD, contraction_unique,
                     enumerate_plain_trees, tree_forget_map)
@@ -177,6 +178,8 @@ def criterion_unimodular_genus2(cfg: SuiteConfig) -> Iterator[dict]:
 
 
 def criterion_unimodular_genus3(cfg: SuiteConfig) -> Iterator[dict]:
+    if cfg.genus < 3:
+        return
     ring = cfg.ring_object()
     L = SymplecticModule.standard(ring, 3)
     U = build_U(L)
@@ -222,7 +225,7 @@ def criterion_decomposition_cm(cfg: SuiteConfig) -> Iterator[dict]:
         "9 reduced zero-cycles", ok,
         elements=len(P2), dim=P2.dim(), betti=_jsonable(prof.betti))
     f2 = flag_to_decomposition(L2)
-    rep = fiber_transfer_check(f2, None, 1, variant="down", budget=cfg.budget)
+    rep = fiber_transfer_check(f2, None, 1, budget=cfg.budget)
     yield make_record(
         "dec.g2.flag",
         "flag map from the subdivided positive part onto decompositions "
@@ -358,7 +361,7 @@ def _rho_retraction_record(cfg: SuiteConfig) -> dict:
         ok = ok and all(
             rho(x) == x for x in P
             if all(abs(v[n - 1]) < k for v in x))
-    except AssertionError:
+    except CertificateError:
         ok = False
     return make_record(
         "maazen.rho.retraction",
@@ -410,8 +413,7 @@ def criterion_split_unimodular(cfg: SuiteConfig) -> Iterator[dict]:
         ineq_ok, targets=len(DP))
     tprime = {lab: genus_one_count(lab) - 1 for lab in DP}
     n = (g - 3) // 2
-    rep = fiber_transfer_check(
-        h, tprime, n, variant="down", budget=cfg.budget)
+    rep = fiber_transfer_check(h, tprime, n, budget=cfg.budget)
     yield make_record(
         "stability.hu.table",
         "the comparison map onto proper decompositions passes the opposite "
@@ -436,29 +438,15 @@ def criterion_split_unimodular(cfg: SuiteConfig) -> Iterator[dict]:
     yield _partition_sequence_record(cfg)
 
 
-def _all_partitions(ground: Tuple, max_parts: int):
-    if not ground:
-        yield ()
-        return
-    head, rest = ground[0], ground[1:]
-    for sub in _all_partitions(rest, max_parts):
-        if len(sub) < max_parts:
-            yield ((head,),) + sub
-        for i, blk in enumerate(sub):
-            yield sub[:i] + (blk + (head,),) + sub[i + 1:]
-
-
 def _partition_sequence_record(cfg: SuiteConfig) -> dict:
     ok = True
     cases = 0
     for size in range(1, 7):
         ground = tuple(range(size))
-        seen = set()
-        for part in _all_partitions(ground, 3):
-            canon = tuple(sorted(tuple(sorted(b)) for b in part))
-            if canon in seen:
+        for part in set_partitions(ground):
+            if len(part) > 3:
                 continue
-            seen.add(canon)
+            canon = tuple(sorted(tuple(sorted(b)) for b in part))
             Q = partition_sequences_poset(ground, [list(b) for b in canon])
             v = homology_spherical(Q, len(canon) - 1, budget=cfg.budget,
                                    probe=False)
@@ -727,8 +715,6 @@ def run_suite(name: str, cfg: SuiteConfig = None) -> VerificationReport:
     cfg = cfg or SuiteConfig()
     report = VerificationReport(name, cfg)
     for fn in SUITES[name]:
-        if fn is criterion_unimodular_genus3 and cfg.genus < 3:
-            continue
         since = time.monotonic()
         try:
             for rec in fn(cfg):

@@ -162,10 +162,6 @@ class Submodule:
             return ring.reduce(d) != 0
         return abs(d) == 1
 
-    def genus(self) -> int:
-        assert self.is_unimodular()
-        return self.rank // 2
-
     def perp(self) -> "Submodule":
         if self._perp is None:
             M = self.module

@@ -112,9 +112,6 @@ class UTree:
     def strict(self) -> bool:
         return len(set(self.labeling)) == self.m
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def annotation(self, v: int) -> Tuple:
         return tuple(j for j, w in enumerate(self.labeling) if w == v)
 

@@ -23,7 +23,7 @@ from symposet.homology import (HomologyProfile, cohen_macaulay_check,
                                reduced_homology, relative_homology)
 from symposet.builders import build_O, build_U
 from symposet.posets import (FinitePoset, PosetMap, barycentric_subdivision,
-                             constant_map, identity_map, join, mapping_cone,
+                             constant_map, join, mapping_cone,
                              mapping_cylinder, random_monotone_map,
                              random_poset)
 from symposet.snf import CertificateError, smith_invariants
@@ -43,6 +43,10 @@ def face_poset(faces):
                 cells.add(frozenset(s))
     rel = [(a, b) for a in cells for b in cells if a < b]
     return FinitePoset(cells, rel)
+
+
+def identity_map(P):
+    return PosetMap(P, P, {x: x for x in P})
 
 
 def subsets_poset(n):
@@ -832,8 +836,9 @@ def test_computed_value_certificates_survive_optimized_python():
     # its whole chain, a tree set without its contractions, and a solver
     # that finds no solution, a radical quotient whose radical survives, an
     # edge with one vertex, closed relations that are reflexive or not
-    # antisymmetric, the cylinder of a map that is not monotone, and a
-    # boundary whose square is not zero
+    # antisymmetric, a map that is not monotone, a retraction that a
+    # reduction step swapping two points makes not monotone, and a boundary
+    # whose square is not zero
     code = """
 patched(builders, "_canonical_partition",
         lambda blocks: tuple(sorted(map(tuple, blocks))),
@@ -858,11 +863,15 @@ patched(SymplecticModule, "radical_rank", lambda self: 1,
 tripped(lambda: complexes.OrderComplex([[(0,), (1,)], [(0,)]], True))
 tripped(lambda: FinitePoset._from_closed("ab", {"a": {"a"}, "b": set()}))
 tripped(lambda: FinitePoset._from_closed("ab", {"a": {"b"}, "b": {"a"}}))
-# under -O a map that is not monotone passes PosetMap, and its cylinder
-# is not transitively closed
+# PosetMap checks monotonicity itself, so the cylinder of a map that is
+# not monotone is never built
 tripped(lambda: posets.mapping_cylinder(posets.PosetMap(
     FinitePoset([0, 1], [(0, 1)]), FinitePoset("ab", [("a", "b")]),
     {0: "b", 1: "a"})))
+patched(builders, "rho_sequence",
+        lambda ring, w, i, seq, n: "b" if seq == "a" else "a",
+        lambda: builders.rho_poset_retraction(
+            FinitePoset("ab", [("a", "b")]), ZZ, [(0, 1)], 0, 2))
 # the octahedron with one sign of d_2 flipped: the twist would clear d_1
 # against a pair that does not compose to zero
 boundary_rows = complexes.OrderComplex.boundary_rows
@@ -887,5 +896,6 @@ patched(complexes.OrderComplex, "boundary_rows", flipped,
         "a 1-simplex without 2 vertices",
         "reflexive closure entry at 'a'",
         "antisymmetry violated at 'a', 'b'",
-        "relation not transitively closed at 'b' < 0",
+        "not monotone at 0 < 1",
+        "not monotone at 'a' < 'b'",
         "boundary of a boundary is nonzero"]

@@ -194,11 +194,10 @@ def chain_poset(k):
 def test_fiber_transfer_identity_map():
     C = chain_poset(3)
     f = PosetMap(C, C, {x: x for x in C})
-    for variant in ("up", "down"):
-        rep = fiber_transfer_check(f, None, 2, variant=variant)
-        assert rep.hypotheses_ok
-        assert rep.conclusion.ok()
-        assert rep.ok
+    rep = fiber_transfer_check(f, None, 2)
+    assert rep.hypotheses_ok
+    assert rep.conclusion.ok()
+    assert rep.ok
 
 
 def test_fiber_transfer_t_forms_agree():
@@ -211,19 +210,13 @@ def test_fiber_transfer_t_forms_agree():
     assert {(r["y"], r["t"]) for r in by_dict.rows} == base
 
 
-def test_fiber_transfer_variant_guard():
-    C = chain_poset(2)
-    f = PosetMap(C, C, {x: x for x in C})
-    with pytest.raises(AssertionError):
-        fiber_transfer_check(f, None, 1, variant="both")
-
-
 def test_fiber_transfer_detects_bad_fiber():
-    # two points mapping to one: the fiber over the point is S^0
+    # two points mapping to one: the fiber over the point is S^0, which
+    # at level 1 must be 0-connected
     S0 = FinitePoset(["u", "v"], [])
     P = FinitePoset(["p"], [])
     f = PosetMap(S0, P, {"u": "p", "v": "p"})
-    rep = fiber_transfer_check(f, {"p": 0}, 1, variant="up")
+    rep = fiber_transfer_check(f, {"p": 1}, 1)
     assert not rep.hypotheses_ok
     bad = [r for r in rep.rows if not r["fiber"].ok()]
     assert len(bad) == 1 and bad[0]["y"] == "p"

