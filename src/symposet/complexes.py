@@ -2,7 +2,8 @@
 
 Vertices are the poset's vertex numbers (``FinitePoset.positions``), so a
 simplex is a tuple of ints.  Chains are enumerated by an upward depth-first
-walk in vertex-number order, so simplex lists are deterministic and
+walk over the poset's sorted successor lists (``FinitePoset.successors``),
+which never touches a label, so simplex lists are deterministic and
 lexicographic within each dimension.  Boundary matrices are built as
 columns, one per simplex, the form the sparse Smith normal form reduces.
 A budget caps the number of simplices; blowing it raises BudgetExceeded so
@@ -75,8 +76,11 @@ class OrderComplex:
 
 
 def order_complex(P: FinitePoset, max_dim=None, budget=DEFAULT_BUDGET) -> OrderComplex:
-    pos = P.positions()
-    succ = [sorted(pos[y] for y in P.above(x)) for x in P.elements]
+    """The chains of P through dimension ``max_dim`` (all when None), as
+    tuples of vertex numbers.  They are read from the poset's sorted int
+    successor lists, so no label is hashed or compared; more than
+    ``budget`` simplices raise BudgetExceeded."""
+    succ = P.successors()
     by_dim = []
     count = 0
     capped = False

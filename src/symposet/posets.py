@@ -1,17 +1,25 @@
-"""Finite posets stored as transitively closed strict order relations.
+"""Finite posets stored as one strict order relation over vertex numbers.
 
-Every poset keeps, for each element, the frozenset of elements strictly
-above it.  Elements are labels (often nested tuples), and a poset has one
-label order: the constructor sorts the labels by ``repr`` once and numbers
-them 0..n-1 in that order (``positions()``); induced subposets and
-opposites keep their parent's order instead of sorting again.
-Code below the poset, such as order complexes, works on those vertex
-numbers and never orders labels itself.  The public constructor accepts
-any acyclic generating relation and closes it; derived constructions
-(induced subposets, opposites, joins, cylinders) produce relations that
-are closed by construction and go through a trusted path that still checks
-irreflexivity, antisymmetry and transitivity, raising CertificateError, so
-the check survives ``python -O``.
+A poset numbers its elements 0..n-1 once, and that numbering is its
+vertex numbering (``positions()``): the constructor sorts the labels by
+``repr`` and numbers them in that order; induced subposets and opposites
+keep their parent's order instead of sorting again, and joins, cylinders
+and subdivisions number their new labels by ``repr`` the same way.  The
+order is stored once, as the up-set of each vertex: the frozenset of the
+vertex numbers strictly above it, transitively closed.  Labels (often
+nested tuples, whose hash is dear) appear only at the interface:
+``above``, ``below``, ``covers``, ``heights`` and ``relation_pairs``
+translate vertex numbers into labels, and ``induced`` translates its
+labels into vertex numbers with one lookup each.  Code below the poset,
+such as order complexes, reads the sorted successor lists
+(``successors()``) and never hashes or orders labels itself.
+
+The public constructor accepts any acyclic generating relation and closes
+it; derived constructions (induced subposets, opposites, joins, cylinders)
+produce relations that are closed by construction and go through a
+trusted path.  Both still check irreflexivity, antisymmetry and
+transitivity on the vertex numbers, raising CertificateError that names
+the labels involved, so the check survives ``python -O``.
 
 Heights are derived from the order, never supplied: the height of an
 element is the length of the longest chain ending at it, so minimal
@@ -21,68 +29,66 @@ The dimension is the largest height, the length of the longest chain.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Tuple
+from array import array
+from itertools import accumulate, chain
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .snf import CertificateError
 
 
 class FinitePoset:
     def __init__(self, elements: Iterable, relations: Iterable[Tuple] = ()):
-        elems = list(elements)
-        succ = {x: set() for x in elems}
-        assert len(succ) == len(elems), "duplicate elements"
+        labels = sorted(elements, key=repr)
+        pos = {x: i for i, x in enumerate(labels)}
+        assert len(pos) == len(labels), "duplicate elements"
+        succ = [set() for _ in labels]
         for a, b in relations:
-            assert a in succ and b in succ, f"relation endpoint not an element: {(a, b)!r}"
-            if a != b:
-                succ[a].add(b)
-            else:
+            i, j = pos.get(a), pos.get(b)
+            assert i is not None and j is not None, \
+                f"relation endpoint not an element: {(a, b)!r}"
+            if i == j:
                 raise ValueError(f"reflexive pair {a!r}")
-        # Kahn topological order; a leftover vertex means a cycle.
-        indeg = {x: 0 for x in elems}
-        for a in elems:
-            for b in succ[a]:
-                indeg[b] += 1
-        stack = [x for x in elems if indeg[x] == 0]
-        topo = []
-        while stack:
-            x = stack.pop()
-            topo.append(x)
-            for b in succ[x]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    stack.append(b)
-        if len(topo) != len(elems):
-            raise ValueError("relation is not acyclic")
-        above = {}
-        for x in reversed(topo):
-            acc = set(succ[x])
-            for y in succ[x]:
-                acc |= above[y]
-            above[x] = frozenset(acc)
-        self._init_from_closed(elems, above)
+            succ[i].add(j)
+        self._init(tuple(labels), _close(succ), pos)
 
-    def _init_from_closed(self, elems, above, ordered=False):
-        # ``ordered``: elems are in repr order already, as a subsequence of
-        # another poset's elements is
-        self._elements = tuple(elems) if ordered else tuple(sorted(elems, key=repr))
-        self._pos = {x: i for i, x in enumerate(self._elements)}
-        self._above = above
-        self._below = None
+    def _init(self, elements, up, pos=None):
+        # elements: the labels in vertex order; up[i]: the frozenset of
+        # vertex numbers strictly above vertex i
+        self._elements = elements
+        self._up = up
+        self._pos = pos
+        self._down = None
         self._height = None
-        for x, up in above.items():
-            if x in up:
-                raise CertificateError(f"reflexive closure entry at {x!r}")
-            for y in up:
-                if x in above[y]:
-                    raise CertificateError(f"antisymmetry violated at {x!r}, {y!r}")
-                if not above[y] <= up:
-                    raise CertificateError(f"relation not transitively closed at {x!r} < {y!r}")
+        for i, u in enumerate(up):
+            if i in u:
+                raise CertificateError(
+                    f"reflexive closure entry at {elements[i]!r}")
+            for j in u:
+                uj = up[j]
+                if i in uj:
+                    raise CertificateError(f"antisymmetry violated at "
+                                           f"{elements[i]!r}, {elements[j]!r}")
+                if not uj <= u:
+                    raise CertificateError(
+                        f"relation not transitively closed at "
+                        f"{elements[i]!r} < {elements[j]!r}")
 
     @classmethod
-    def _from_closed(cls, elems, above, ordered=False):
+    def _trusted(cls, elements, up, pos=None) -> "FinitePoset":
+        """The poset whose vertex i is labeled elements[i] and lies below
+        the vertex numbers up[i], a relation closed by construction."""
         self = cls.__new__(cls)
-        self._init_from_closed(list(elems), dict(above), ordered)
+        self._init(elements, up, pos)
         return self
+
+    @classmethod
+    def _from_closed(cls, elems, above) -> "FinitePoset":
+        """The poset on the labels ``elems`` whose closed relation is
+        ``{label: labels above it}``."""
+        labels = sorted(elems, key=repr)
+        pos = {x: i for i, x in enumerate(labels)}
+        up = [frozenset(map(pos.__getitem__, above[x])) for x in labels]
+        return cls._trusted(tuple(labels), up, pos)
 
     # -- basic queries ------------------------------------------------------
 
@@ -93,7 +99,7 @@ class FinitePoset:
         return iter(self._elements)
 
     def __contains__(self, x):
-        return x in self._pos
+        return x in self.positions()
 
     @property
     def elements(self):
@@ -101,112 +107,200 @@ class FinitePoset:
 
     def positions(self) -> Dict:
         """Each element's index in ``elements``: its vertex number."""
+        if self._pos is None:
+            self._pos = {x: i for i, x in enumerate(self._elements)}
         return self._pos
 
-    def above(self, x) -> FrozenSet:
-        return self._above[x]
+    def successors(self) -> List[List[int]]:
+        """For each vertex number, the sorted vertex numbers above it."""
+        return [sorted(u) for u in self._up]
 
-    def _below_map(self) -> Dict:
-        if self._below is None:
-            below = {e: set() for e in self._elements}
-            for a, up in self._above.items():
-                for b in up:
-                    below[b].add(a)
-            self._below = {e: frozenset(s) for e, s in below.items()}
-        return self._below
+    def _labels(self, ids):
+        return map(self._elements.__getitem__, ids)
+
+    def _down_sets(self) -> List[FrozenSet[int]]:
+        if self._down is None:
+            down = [[] for _ in self._up]
+            for i, u in enumerate(self._up):
+                for j in u:
+                    down[j].append(i)
+            self._down = list(map(frozenset, down))
+        return self._down
+
+    def above(self, x) -> FrozenSet:
+        return frozenset(self._labels(self._up[self.positions()[x]]))
 
     def below(self, x) -> FrozenSet:
-        return self._below_map()[x]
+        return frozenset(self._labels(self._down_sets()[self.positions()[x]]))
 
     def lt(self, x, y) -> bool:
-        return y in self._above[x]
+        pos = self.positions()
+        return pos[y] in self._up[pos[x]]
 
     def le(self, x, y) -> bool:
-        return x == y or y in self._above[x]
+        return x == y or self.lt(x, y)
 
     def maximal_elements(self):
-        return [x for x in self._elements if not self._above[x]]
+        return [x for x, u in zip(self._elements, self._up) if not u]
 
     def relation_pairs(self):
-        for x in self._elements:
-            for y in sorted(self._above[x], key=self._pos.__getitem__):
-                yield (x, y)
+        el = self._elements
+        for x, u in zip(el, self._up):
+            for j in sorted(u):
+                yield (x, el[j])
 
     def linear_extension(self):
-        return sorted(self._elements, key=lambda x: len(self.below(x)))
+        """The elements by the number of elements below them, ties in
+        vertex order."""
+        below = [0] * len(self._up)
+        for u in self._up:
+            for j in u:
+                below[j] += 1
+        return list(self._labels(sorted(range(len(below)),
+                                        key=below.__getitem__)))
 
     # -- heights ------------------------------------------------------------
 
-    def heights(self) -> Dict:
-        """Longest-chain height of every element, computed once."""
+    def _heights(self) -> List[int]:
+        """Longest-chain height of every vertex, computed once."""
         if self._height is None:
-            h = {}
-            for x in self.linear_extension():
-                h[x] = 1 + max((h[p] for p in self.below(x)), default=-1)
+            up = self._up
+            sizes = list(map(len, up))
+            h = [0] * len(up)
+            # a vertex lies below vertices with smaller up-sets only, so
+            # falling up-set size is a linear extension
+            for i in sorted(range(len(up)), key=sizes.__getitem__,
+                            reverse=True):
+                hi = h[i] + 1
+                for j in up[i]:
+                    if h[j] < hi:
+                        h[j] = hi
             self._height = h
         return self._height
 
+    def heights(self) -> Dict:
+        """Longest-chain height of every element."""
+        return dict(zip(self._elements, self._heights()))
+
     def dim(self) -> int:
         """Length of the longest chain; -1 for the empty poset."""
-        return max(self.heights().values(), default=-1)
+        return max(self._heights(), default=-1)
 
     # -- derived posets -----------------------------------------------------
 
     def induced(self, subset) -> "FinitePoset":
-        sub = frozenset(subset)
-        assert sub <= self._pos.keys(), "induced subset must consist of elements"
-        above = {x: self._above[x] & sub for x in sub}
-        return FinitePoset._from_closed(sorted(sub, key=self._pos.__getitem__),
-                                        above, ordered=True)
+        keep = set(map(self.positions().__getitem__, subset))
+        ids = sorted(keep)
+        new = {v: k for k, v in enumerate(ids)}
+        up = self._up
+        return FinitePoset._trusted(
+            tuple(self._labels(ids)),
+            [frozenset(map(new.__getitem__, up[v] & keep)) for v in ids])
 
     def opposite(self) -> "FinitePoset":
-        return FinitePoset._from_closed(self._elements, self._below_map(),
-                                        ordered=True)
+        return FinitePoset._trusted(self._elements, self._down_sets(),
+                                    self._pos)
 
     def subposet_lt(self, x):
-        return self.induced(self.below(x))
+        return self.induced(self._labels(
+            self._down_sets()[self.positions()[x]]))
 
     def subposet_gt(self, x):
-        return self.induced(self._above[x])
+        return self.induced(self._labels(self._up[self.positions()[x]]))
 
     def open_interval(self, x, y):
-        assert self.lt(x, y)
-        return self.induced(self._above[x] & self.below(y))
+        pos = self.positions()
+        i, j = pos[x], pos[y]
+        assert j in self._up[i]
+        return self.induced(self._labels(self._up[i] & self._down_sets()[j]))
 
     def covers(self, x):
         """Elements immediately above x."""
-        up = self._above[x]
-        return frozenset(y for y in up if not (self.below(y) & up))
+        up = self._up
+        u = up[self.positions()[x]]
+        return frozenset(self._labels(u.difference(*(up[z] for z in u))))
 
     def __eq__(self, other):
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        # the keys of the closed relation are the elements
-        return self._above == other._above
+        # the same labels sit in the same vertex order unless two of them
+        # share a repr, so compare through the other poset's numbering
+        pos = other.positions()
+        perm = [pos.get(x) for x in self._elements]
+        if len(self) != len(other) or None in perm:
+            return False
+        return all(frozenset(map(perm.__getitem__, u)) == other._up[perm[i]]
+                   for i, u in enumerate(self._up))
 
     def __repr__(self):
         return f"FinitePoset({len(self._elements)} elements, dim {self.dim()})"
 
 
+def _numbered(labels):
+    """``labels`` sorted by repr, and each one's vertex number in that
+    order: the numbering of a poset built on new labels."""
+    reprs = list(map(repr, labels))
+    order = sorted(range(len(labels)), key=reprs.__getitem__)
+    rank = [0] * len(order)
+    for v, k in enumerate(order):
+        rank[k] = v
+    return tuple(map(labels.__getitem__, order)), rank
+
+
+def _close(succ) -> List[FrozenSet[int]]:
+    """Transitive closure of a generating relation over vertex numbers,
+    given as the set of vertices above each vertex; raises ValueError on a
+    cycle."""
+    indeg = [0] * len(succ)
+    for s in succ:
+        for j in s:
+            indeg[j] += 1
+    # Kahn topological order; a leftover vertex means a cycle.
+    stack = [i for i, d in enumerate(indeg) if d == 0]
+    topo = []
+    while stack:
+        i = stack.pop()
+        topo.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                stack.append(j)
+    if len(topo) != len(succ):
+        raise ValueError("relation is not acyclic")
+    up = [None] * len(succ)
+    for i in reversed(topo):
+        acc = set(succ[i])
+        for j in succ[i]:
+            acc |= up[j]
+        up[i] = frozenset(acc)
+    return up
+
+
+def _renumbered(P: FinitePoset, rank) -> List[FrozenSet[int]]:
+    """P's up-sets with vertex i renamed rank[i]."""
+    return [frozenset(map(rank.__getitem__, u)) for u in P._up]
+
+
 def barycentric_subdivision(P: FinitePoset) -> FinitePoset:
     """Poset of nonempty chains of P ordered by refinement."""
+    succ = P.successors()
     chains = []
 
-    def grow(prefix, last):
-        chains.append(tuple(prefix))
-        for y in sorted(P.above(last), key=P.positions().__getitem__):
-            prefix.append(y)
-            grow(prefix, y)
-            prefix.pop()
+    def grow(c):
+        chains.append(c)
+        for y in succ[c[-1]]:
+            grow(c + (y,))
 
-    for x in P:
-        grow([x], x)
-    rel = []
-    for c in chains:
+    for v in range(len(succ)):
+        grow((v,))
+    elements, rank = _numbered([tuple(P._labels(c)) for c in chains])
+    index = {c: rank[k] for k, c in enumerate(chains)}
+    covers = [set() for _ in chains]
+    for c, v in index.items():
         if len(c) > 1:
             for i in range(len(c)):
-                rel.append((c[:i] + c[i + 1:], c))
-    return FinitePoset(chains, rel)
+                covers[index[c[:i] + c[i + 1:]]].add(v)
+    return FinitePoset._trusted(elements, _close(covers))
 
 
 def check_isomorphism(P: FinitePoset, Q: FinitePoset, mapping: Dict) -> bool:
@@ -229,40 +323,63 @@ class PosetMap:
     CertificateError."""
 
     def __init__(self, source: FinitePoset, target: FinitePoset, mapping: Dict):
-        if set(mapping) != set(source.elements):
+        try:
+            values = [mapping[x] for x in source.elements]
+        except KeyError:
+            raise CertificateError("mapping must be total") from None
+        if len(mapping) != len(values):
             raise CertificateError("mapping must be total")
-        for v in mapping.values():
-            if v not in target:
+        tpos = target.positions()
+        f = []
+        for v in values:
+            t = tpos.get(v)
+            if t is None:
                 raise CertificateError(f"value {v!r} not in target")
-        for x in source:
-            fx = mapping[x]
-            for y in source.above(x):
-                if not target.le(fx, mapping[y]):
-                    raise CertificateError(f"not monotone at {x!r} < {y!r}")
+            f.append(t)
+        tup = target._up
+        for i, u in enumerate(source._up):
+            fi = f[i]
+            for j in u:
+                if f[j] != fi and f[j] not in tup[fi]:
+                    raise CertificateError(
+                        f"not monotone at {source.elements[i]!r} < "
+                        f"{source.elements[j]!r}")
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
+        self._f = f  # the map on vertex numbers
         self._index = None
 
     def __call__(self, x):
         return self.mapping[x]
 
     def _preimage(self, ys) -> list:
-        """The source elements mapped into ``ys``, read from an index
-        y -> f^-1(y) that is built once per map."""
+        """The source vertices mapped into the target vertices ``ys``, read
+        from an index y -> f^-1(y) that is built once per map: the source
+        vertices sorted by image, and where each image's run starts, both
+        as machine-int arrays."""
         if self._index is None:
-            self._index = {}
-            for x, y in self.mapping.items():
-                self._index.setdefault(y, []).append(x)
-        return [x for y in ys for x in self._index.get(y, ())]
+            f = self._f
+            counts = [0] * len(self.target)
+            for t in f:
+                counts[t] += 1
+            self._index = (array("l", accumulate(counts, initial=0)),
+                           array("l", sorted(range(len(f)), key=f.__getitem__)))
+        starts, members = self._index
+        return [i for t in ys for i in members[starts[t]:starts[t + 1]]]
+
+    def _fiber(self, y, part) -> FinitePoset:
+        t = self.target.positions()[y]
+        ids = self._preimage(chain(part[t], (t,)))
+        return self.source.induced(self.source._labels(ids))
 
     def fiber_le(self, y) -> FinitePoset:
         """f/y: induced subposet of the source on {x : f(x) <= y}."""
-        return self.source.induced(self._preimage(self.target.below(y) | {y}))
+        return self._fiber(y, self.target._down_sets())
 
     def fiber_ge(self, y) -> FinitePoset:
         """y\\f: induced subposet of the source on {x : f(x) >= y}."""
-        return self.source.induced(self._preimage(self.target.above(y) | {y}))
+        return self._fiber(y, self.target._up)
 
     def __eq__(self, other):
         if not isinstance(other, PosetMap):
@@ -284,16 +401,18 @@ def join(X: FinitePoset, Y: FinitePoset) -> FinitePoset:
         return Y
     if len(Y) == 0:
         return X
-    collide = bool(set(X.elements) & set(Y.elements))
+    collide = not X.positions().keys().isdisjoint(Y.elements)
     lx = (lambda x: (0, x)) if collide else (lambda x: x)
     ly = (lambda y: (1, y)) if collide else (lambda y: y)
-    ytop = frozenset(ly(y) for y in Y)
-    above = {}
-    for x in X:
-        above[lx(x)] = frozenset(lx(v) for v in X.above(x)) | ytop
-    for y in Y:
-        above[ly(y)] = frozenset(ly(v) for v in Y.above(y))
-    return FinitePoset._from_closed(list(above), above)
+    elements, rank = _numbered([lx(x) for x in X] + [ly(y) for y in Y])
+    rx, ry = rank[:len(X)], rank[len(X):]
+    ytop = frozenset(ry)
+    up = [None] * len(rank)
+    for v, u in zip(rx, _renumbered(X, rx)):
+        up[v] = u | ytop
+    for v, u in zip(ry, _renumbered(Y, ry)):
+        up[v] = u
+    return FinitePoset._trusted(elements, up)
 
 
 def thick_join(X: FinitePoset, Y: FinitePoset, tag_always: bool = False) -> FinitePoset:
@@ -318,41 +437,55 @@ def thick_join(X: FinitePoset, Y: FinitePoset, tag_always: bool = False) -> Fini
         lx = lambda x: ("x", x)
         ly = lambda y: ("y", y)
         lp = lambda x, y: ("p", x, y)
-    above = {}
-    for x in X:
-        upx = X.above(x)
-        above[lx(x)] = (frozenset(lx(v) for v in upx)
-                        | frozenset(lp(v, w) for v in (upx | {x}) for w in Y))
-    for y in Y:
-        upy = Y.above(y)
-        above[ly(y)] = (frozenset(ly(v) for v in upy)
-                        | frozenset(lp(v, w) for v in X for w in (upy | {y})))
-    for x in X:
-        upx = X.above(x) | {x}
-        for y in Y:
-            upy = Y.above(y) | {y}
-            above[lp(x, y)] = frozenset(lp(v, w) for v in upx for w in upy) - {lp(x, y)}
-    return FinitePoset._from_closed(list(above), above)
+    nx, ny = len(X), len(Y)
+    elements, rank = _numbered([lx(x) for x in X] + [ly(y) for y in Y]
+                               + [lp(x, y) for x in X for y in Y])
+    rx, ry = rank[:nx], rank[nx:nx + ny]
+    rp = [rank[nx + ny + i * ny:nx + ny + (i + 1) * ny] for i in range(nx)]
+    # each vertex with the vertices above it
+    xle = [u | {i} for i, u in enumerate(X._up)]
+    yle = [u | {j} for j, u in enumerate(Y._up)]
+    up = [None] * len(rank)
+    for i, u in enumerate(_renumbered(X, rx)):
+        up[rx[i]] = u.union(rp[v][w] for v in xle[i] for w in range(ny))
+    for j, u in enumerate(_renumbered(Y, ry)):
+        up[ry[j]] = u.union(rp[v][w] for v in range(nx) for w in yle[j])
+    for i in range(nx):
+        for j in range(ny):
+            k = rp[i][j]
+            up[k] = frozenset(rp[v][w] for v in xle[i] for w in yle[j]) - {k}
+    return FinitePoset._trusted(elements, up)
 
 
-def _cylinder(f: PosetMap):
-    """(above, src, tgt): the mapping cylinder's relation, x above y exactly
-    when f(x) >= y, which is closed already, and the label maps, which tag
-    ("src", x) and ("tgt", y) only when source and target share a label."""
+def _cylinder(f: PosetMap, cone: bool):
+    """(M, src, tgt, tip): the mapping cylinder, in which x lies above y
+    exactly when f(x) >= y, a relation closed already; with ``cone`` also a
+    tip below the whole source, else tip None.  The label maps tag ("src",
+    x) and ("tgt", y) only when source and target share a label."""
     X, Y = f.source, f.target
-    if set(X.elements) & set(Y.elements):
+    if X.positions().keys().isdisjoint(Y.elements):
+        src, tgt = dict(zip(X, X)), dict(zip(Y, Y))
+    else:
         src = {x: ("src", x) for x in X}
         tgt = {y: ("tgt", y) for y in Y}
-    else:
-        src, tgt = {x: x for x in X}, {y: y for y in Y}
-    above = {}
-    for y in Y:
-        up = Y.above(y)
-        srcs = map(src.__getitem__, f._preimage(up | {y}))
-        above[tgt[y]] = frozenset(map(tgt.__getitem__, up)) | frozenset(srcs)
-    for x in X:
-        above[src[x]] = frozenset(map(src.__getitem__, X.above(x)))
-    return above, src, tgt
+    labels = list(tgt.values()) + list(src.values())
+    tip = None
+    if cone:
+        tip = ("cone",)
+        while tip in labels:
+            tip = tip + ("cone",)
+        labels.append(tip)
+    elements, rank = _numbered(labels)
+    ry, rx = rank[:len(Y)], rank[len(Y):len(Y) + len(X)]
+    up = [None] * len(rank)
+    for j, u in enumerate(Y._up):
+        srcs = map(rx.__getitem__, f._preimage(chain(u, (j,))))
+        up[ry[j]] = frozenset(map(ry.__getitem__, u)).union(srcs)
+    for v, u in zip(rx, _renumbered(X, rx)):
+        up[v] = u
+    if cone:
+        up[rank[-1]] = frozenset(rx)
+    return FinitePoset._trusted(elements, up), src, tgt, tip
 
 
 def mapping_cylinder(f: PosetMap):
@@ -361,8 +494,7 @@ def mapping_cylinder(f: PosetMap):
     Returns (M, src, tgt) where src and tgt map original labels to labels
     in M.
     """
-    above, src, tgt = _cylinder(f)
-    return FinitePoset._from_closed(list(above), above), src, tgt
+    return _cylinder(f, False)[:3]
 
 
 def mapping_cone(f: PosetMap):
@@ -372,12 +504,7 @@ def mapping_cone(f: PosetMap):
     target part is untouched.  The tip is added to the cylinder's relation,
     so one poset is built.  Returns (M, src, tgt, tip).
     """
-    above, src, tgt = _cylinder(f)
-    tip = ("cone",)
-    while tip in above:
-        tip = tip + ("cone",)
-    above[tip] = frozenset(src.values())
-    return FinitePoset._from_closed(list(above), above), src, tgt, tip
+    return _cylinder(f, True)
 
 
 def cylinder_link_check(f: PosetMap, y) -> bool:

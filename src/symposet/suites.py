@@ -156,13 +156,33 @@ def _expect(claim: str, statement: str, actual, expected, **counts) -> dict:
 # ---------------------------------------------------------------------------
 # um: unimodular-submodule posets
 
+def _symplectic_group_order(q: int, g: int) -> int:
+    """|Sp_2g(F_q)| = q^(g^2) (q^2 - 1)(q^4 - 1)...(q^2g - 1)."""
+    order = q ** (g * g)
+    for i in range(1, g + 1):
+        order *= q ** (2 * i) - 1
+    return order
+
+
+def unimodular_count(q: int, g: int) -> int:
+    """Number of unimodular submodules of the genus-g symplectic space over
+    F_q.  Sp_2g acts transitively on those of genus a (Witt), with the
+    stabilizer Sp_2a x Sp_2(g-a) of the splitting, so the count is the sum
+    over a of |Sp_2g| / (|Sp_2a| |Sp_2(g-a)|)."""
+    full = _symplectic_group_order(q, g)
+    return sum(full // (_symplectic_group_order(q, a)
+                        * _symplectic_group_order(q, g - a))
+               for a in range(g + 1))
+
+
 def criterion_unimodular_genus2(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
     L = SymplecticModule.standard(ring, 2)
     U = build_U(L)
+    count = unimodular_count(ring.p, 2)
     yield _expect("um.g2.count",
-                  "genus-2 unimodular-submodule poset has 22 elements",
-                  len(U), 22)
+                  f"genus-2 unimodular-submodule poset has {count} elements",
+                  len(U), count)
     v = cohen_macaulay_check(U, 2, budget=cfg.budget)
     yield make_record(
         "um.g2.cm", "genus-2 poset is homologically Cohen-Macaulay of dim 2",
@@ -171,10 +191,14 @@ def criterion_unimodular_genus2(cfg: SuiteConfig) -> Iterator[dict]:
     full = L.full_submodule().key()
     inner = U.open_interval(zero, full)
     prof = reduced_homology(inner, budget=cfg.budget)
+    # the genus-1 submodules between 0 and L form an antichain, a wedge of
+    # one zero-sphere fewer than its points
+    spheres = count - 3
     yield _expect(
         "um.g2.interval",
-        "open interval between bottom and top is a wedge of 19 zero-spheres",
-        prof.betti, {0: 19}, elements=len(inner))
+        f"open interval between bottom and top is a wedge of {spheres} "
+        f"zero-spheres",
+        prof.betti, {0: spheres}, elements=len(inner))
 
 
 def criterion_unimodular_genus3(cfg: SuiteConfig) -> Iterator[dict]:
@@ -183,9 +207,10 @@ def criterion_unimodular_genus3(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
     L = SymplecticModule.standard(ring, 3)
     U = build_U(L)
+    count = unimodular_count(ring.p, 3)
     yield _expect("um.g3.count",
-                  "genus-3 unimodular-submodule poset has 674 elements",
-                  len(U), 674)
+                  f"genus-3 unimodular-submodule poset has {count} elements",
+                  len(U), count)
     zero = L.zero_submodule().key()
     full = L.full_submodule().key()
     inner = U.open_interval(zero, full)

@@ -835,8 +835,9 @@ def test_computed_value_certificates_survive_optimized_python():
     # quotient of 0, a retraction onto a foreign point, a face that repeats
     # its whole chain, a tree set without its contractions, and a solver
     # that finds no solution, a radical quotient whose radical survives, an
-    # edge with one vertex, closed relations that are reflexive or not
-    # antisymmetric, a map that is not monotone, a retraction that a
+    # edge with one vertex, closed relations that are reflexive, not
+    # antisymmetric or not transitive (as labels, from a short closure and
+    # as vertex numbers), a map that is not monotone, a retraction that a
     # reduction step swapping two points makes not monotone, and a boundary
     # whose square is not zero
     code = """
@@ -863,6 +864,14 @@ patched(SymplecticModule, "radical_rank", lambda self: 1,
 tripped(lambda: complexes.OrderComplex([[(0,), (1,)], [(0,)]], True))
 tripped(lambda: FinitePoset._from_closed("ab", {"a": {"a"}, "b": set()}))
 tripped(lambda: FinitePoset._from_closed("ab", {"a": {"b"}, "b": {"a"}}))
+tripped(lambda: FinitePoset._from_closed("abc", {"a": {"b"}, "b": {"c"},
+                                                 "c": set()}))
+# a closure that leaves one up-set short, and one corrupted up-set handed
+# to the trusted path over vertex numbers
+patched(posets, "_close", lambda succ: list(map(frozenset, succ)),
+        lambda: FinitePoset("abc", [("a", "b"), ("b", "c")]))
+tripped(lambda: FinitePoset._trusted(
+    ("a", "b", "c"), [frozenset({1}), frozenset({2}), frozenset()]))
 # PosetMap checks monotonicity itself, so the cylinder of a map that is
 # not monotone is never built
 tripped(lambda: posets.mapping_cylinder(posets.PosetMap(
@@ -896,6 +905,9 @@ patched(complexes.OrderComplex, "boundary_rows", flipped,
         "a 1-simplex without 2 vertices",
         "reflexive closure entry at 'a'",
         "antisymmetry violated at 'a', 'b'",
+        "relation not transitively closed at 'a' < 'b'",
+        "relation not transitively closed at 'a' < 'b'",
+        "relation not transitively closed at 'a' < 'b'",
         "not monotone at 0 < 1",
         "not monotone at 'a' < 'b'",
         "boundary of a boundary is nonzero"]

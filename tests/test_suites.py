@@ -9,7 +9,8 @@ import pytest
 from symposet import suites
 from symposet.homology import ConnectivityVerdict
 from symposet.suites import (SUITE_NAMES, SuiteConfig, VerificationReport,
-                             exit_status, make_record, run_suite)
+                             exit_status, make_record, run_suite,
+                             unimodular_count)
 
 
 def rec(verdict):
@@ -106,6 +107,18 @@ def test_report_matches_golden(name, genus, filename):
     with open(os.path.join(GOLDEN, filename), encoding="utf-8") as fh:
         want = fh.read()
     assert run_suite(name, SuiteConfig(genus=genus)).to_json() == want
+
+
+def test_unimodular_counts_follow_the_ring():
+    assert [unimodular_count(q, g) for q, g in
+            ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4))] == [
+                22, 674, 92, 14744, 102274]
+    # the um.p3.json golden, from ``symposet um --genus 2 --ring p3 --out``
+    with open(os.path.join(GOLDEN, "um.p3.json"), encoding="utf-8") as fh:
+        want = fh.read()
+    assert run_suite("um", SuiteConfig(ring="p3")).to_json() == want
+    records = json.loads(want)["records"]
+    assert [r["verdict"] for r in records] == ["verified"] * 3
 
 
 def test_run_suite_byte_reproducible():
