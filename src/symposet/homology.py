@@ -261,7 +261,7 @@ def _homology_step(P: FinitePoset, level: int, through: int, budget,
     try:
         cx = order_complex(P, max_dim=_cap(level), budget=budget)
         if probe and through >= 1:
-            res = pi1.pi1_probe(P, budget, cx.by_dim[:3])
+            res = pi1.pi1_probe(cx.by_dim[:3])
         if sub is not None:
             prof = relative_homology(P, sub, level, budget, cx=cx)
         elif res == "trivial":

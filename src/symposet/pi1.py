@@ -1,34 +1,28 @@
 """Bounded fundamental-group probe for order complexes.
 
 The probe answers "trivial", "nontrivial", or "unknown" about the
-fundamental group of the order complex of a connected poset, and it is
-sound: a definite answer is backed either by a nontrivial abelianization
-(certainly nontrivial), by a completed coset enumeration (exact group
-order), or by a presentation that simplifies away entirely.  Whenever a
-bound trips it says "unknown" instead of guessing.
+fundamental group of an order complex, given its simplices of dimensions
+0 to 2, and it is sound: a definite answer is backed either by a
+nontrivial abelianization (certainly nontrivial), by a completed coset
+enumeration (exact group order), or by a presentation that simplifies
+away entirely.  Whenever a bound trips, and on an empty or disconnected
+complex, it says "unknown" instead of guessing.
 
-The presentation is the classical edge-path one on the 2-skeleton: spanning
-tree edges die, the remaining edges generate, triangles give relators.
-Rooting the tree at a maximal-degree vertex makes cones collapse
-immediately, since every non-tree edge then closes a triangle with two
-tree edges through the apex.  A verdict whose homology step has already
-enumerated the order complex through dimension 2 hands those simplex
-lists over (``skeleton``), so the probe does not enumerate them again.
-
-When every relator has pairwise distinct generators, as every edge-path
-relator has, Tietze reduction first closes the generator kills: a relator
-kills its last live generator, and a worklist over a generator -> relator
-index finds every such relator as the kills spread, in the same rounds as
-the plain loop, without rewriting the words.  The round loop then runs on
-the words that still hold a live letter.
+The presentation is the edge-path one, read off after two collapses
+(Forman's discrete Morse theory): the edges of a spanning tree die, then
+the last live edge of each triangle whose other edges are dead.  The
+surviving edges generate and the triangles that keep one give relators;
+Tietze reduction runs its rounds on those.  Rooting the tree at a
+maximal-degree vertex makes cones collapse at once, since every non-tree
+edge closes a triangle with two tree edges through the apex.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .complexes import DEFAULT_BUDGET, order_complex
-from .posets import FinitePoset
+# bench/test_bench.py looks order_complex up here
+from .complexes import order_complex  # noqa: F401
 from .snf import smith_invariants
 
 MAX_COSETS = 40_000
@@ -36,25 +30,13 @@ _MAX_RELATOR_MASS = 400_000
 _TIETZE_ROUNDS = 200
 
 
-def edge_path_presentation(P: FinitePoset, budget=DEFAULT_BUDGET,
-                           skeleton=None):
-    """(n_gens, relators) from the 2-skeleton, or None if disconnected.
-
-    Relators are lists of signed generator indices (1-based); traversing
-    the edge (a, b) with a < b forwards is +g, backwards is -g.  Vertices
-    are the complex's vertex numbers; the tree is rooted at a vertex of
-    largest degree, the largest number among those, and grown breadth
-    first in vertex-number order.  ``skeleton`` is the simplex lists of
-    dimensions 0 to 2 of P's order complex (``OrderComplex.by_dim[:3]``)
-    when the caller has them; otherwise they are enumerated here.
-    """
-    if skeleton is None:
-        skeleton = order_complex(P, max_dim=2, budget=budget).by_dim
-    n_verts = len(skeleton[0]) if skeleton else 0
-    edges = skeleton[1] if len(skeleton) > 1 else []
-    tris = skeleton[2] if len(skeleton) > 2 else []
+def _tree_edges(n_verts, edges):
+    """Marks on the edges of a breadth-first spanning tree, or None if the
+    graph is empty or disconnected.  The root is a vertex of largest
+    degree, the largest number among those; neighbours are taken in
+    vertex-number order."""
     if not n_verts:
-        return 0, []
+        return None
     adj = [[] for _ in range(n_verts)]
     for a, b in edges:
         adj[a].append(b)
@@ -73,23 +55,51 @@ def edge_path_presentation(P: FinitePoset, budget=DEFAULT_BUDGET,
                 queue.append(w)
     if len(seen) < n_verts:
         return None
-    gen_of = {}
+    return bytearray(map(tree.__contains__, edges))
+
+
+def edge_path_presentation(skeleton):
+    """(n_gens, relators) of the 2-skeleton ``skeleton`` (the simplex lists
+    ``OrderComplex.by_dim[:3]``, on vertices 0 to n - 1), or None if it is
+    empty or disconnected.
+
+    The spanning tree's edges die, then, through one worklist over an
+    edge -> triangle index, the last live edge of every triangle whose
+    other edges are dead.  The surviving edges are the generators 1, 2,
+    ... in edge order; each triangle (x, y, z) that keeps one gives the
+    relator of its live letters of xy, yz, (xz)^-1, in that order, where
+    an edge (a, b) read from b to a is -g.
+    """
+    verts, edges, tris = (*skeleton, [], [], [])[:3]
+    dead = _tree_edges(len(verts), edges)
+    if dead is None:
+        return None
+    edge_id = {e: i for i, e in enumerate(edges)}
+    sides = [(edge_id[(x, y)], edge_id[(y, z)], edge_id[(x, z)])
+             for x, y, z in tris]
+    live = [3 - dead[a] - dead[b] - dead[c] for a, b, c in sides]
+    on = [[] for _ in edges]  # edge -> the triangles through it
+    for t, s in enumerate(sides):
+        for e in s:
+            on[e].append(t)
+    work = [t for t, n in enumerate(live) if n == 1]
+    while work:
+        t = work.pop()
+        if live[t] == 1:  # another kill may have emptied it meanwhile
+            e = next(e for e in sides[t] if not dead[e])
+            dead[e] = 1
+            for u in on[e]:
+                live[u] -= 1
+                if live[u] == 1:
+                    work.append(u)
+    gen = [0] * len(edges)
     n = 0
-    for e in edges:
-        if e in tree:
-            gen_of[e] = 0
-        else:
+    for i, d in enumerate(dead):
+        if not d:
             n += 1
-            gen_of[e] = n
-    relators = []
-    for x, y, z in tris:
-        word = []
-        for g in (gen_of[(x, y)], gen_of[(y, z)], -gen_of[(x, z)]):
-            if g:
-                word.append(g)
-        if word:
-            relators.append(word)
-    return n, relators
+            gen[i] = n
+    return n, [[g for g in (gen[a], gen[b], -gen[c]) if g]
+               for (a, b, c), k in zip(sides, live) if k]
 
 
 def _free_cyclic_reduce(w):
@@ -104,49 +114,10 @@ def _free_cyclic_reduce(w):
     return out
 
 
-def _close_kills(words, rounds):
-    """The opening kill rounds of ``tietze_reduce``, without rewriting
-    every word, for words of pairwise distinct generators.
-
-    Such words are freely and cyclically reduced and stay so as letters
-    die, so a round only has to count each word's live letters, through an
-    index from generators to words: a word down to one live letter kills
-    it in the next round.  Stops when a round kills nothing, or with one
-    round of the budget left, so that the loop ends exactly where it would
-    have.  Returns the words that still hold a live letter, in order, the
-    dead generators and the number of rounds used.
-    """
-    live = [len(w) for w in words]
-    index = {}
-    for i, w in enumerate(words):
-        for l in w:
-            index.setdefault(abs(l), []).append(i)
-    dead = set()
-    kills = {abs(w[0]) for w in words if len(w) == 1}
-    used = 0
-    while kills and used < rounds - 1:
-        used += 1
-        dead |= kills
-        ones = []  # words that came down to one live letter
-        for g in kills:
-            for i in index.get(g, ()):
-                live[i] -= 1
-                if live[i] == 1:
-                    ones.append(i)
-        kills = {abs(l) for i in ones for l in words[i] if abs(l) not in dead}
-    out = [w if n == len(w) else [l for l in w if abs(l) not in dead]
-           for w, n in zip(words, live) if n]
-    return out, dead, used
-
-
 def tietze_reduce(n_gens, relators, rounds=_TIETZE_ROUNDS):
     """Shrink a presentation; returns (n_gens, relators) renumbered."""
     words = [list(w) for w in relators]
     alive = set(range(1, n_gens + 1))
-    if rounds > 0 and all(len(set(map(abs, w))) == len(w) for w in words):
-        words, dead, used = _close_kills(words, rounds)
-        alive -= dead
-        rounds -= used
     for _ in range(rounds):
         words = [_free_cyclic_reduce(w) for w in words]
         words = [w for w in words if w]
@@ -334,12 +305,11 @@ def coset_enumeration_trivial(n_gens, relators, max_cosets=MAX_COSETS):
     return len(live)
 
 
-def pi1_probe(P: FinitePoset, budget=DEFAULT_BUDGET, skeleton=None) -> str:
-    """"trivial" / "nontrivial" / "unknown" for the order complex group.
-
-    ``skeleton`` is passed on to ``edge_path_presentation``.
-    """
-    pres = edge_path_presentation(P, budget, skeleton)
+def pi1_probe(skeleton) -> str:
+    """"trivial" / "nontrivial" / "unknown" for the group of the complex
+    whose simplices of dimensions 0 to 2 are ``skeleton``; see
+    ``edge_path_presentation``."""
+    pres = edge_path_presentation(skeleton)
     if pres is None:
         return "unknown"
     n, rels = tietze_reduce(*pres)

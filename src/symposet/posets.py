@@ -81,15 +81,6 @@ class FinitePoset:
         self._init(elements, up, pos)
         return self
 
-    @classmethod
-    def _from_closed(cls, elems, above) -> "FinitePoset":
-        """The poset on the labels ``elems`` whose closed relation is
-        ``{label: labels above it}``."""
-        labels = sorted(elems, key=repr)
-        pos = {x: i for i, x in enumerate(labels)}
-        up = [frozenset(map(pos.__getitem__, above[x])) for x in labels]
-        return cls._trusted(tuple(labels), up, pos)
-
     # -- basic queries ------------------------------------------------------
 
     def __len__(self):

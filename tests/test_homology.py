@@ -612,7 +612,8 @@ def _reference_step(P, level, through, degree, probe):
     if prof.torsion_at(degree):
         return None, ("refuted", "homology",
                       {"degree": degree, "torsion": prof.torsion_at(degree)})
-    res = pi1.pi1_probe(P) if probe else "unknown"
+    res = pi1.pi1_probe(order_complex(P, max_dim=2).by_dim) if probe \
+        else "unknown"
     if res == "nontrivial":
         return None, ("refuted", "pi1",
                       {"reason": "fundamental group is nontrivial"})
@@ -836,8 +837,8 @@ def test_computed_value_certificates_survive_optimized_python():
     # its whole chain, a tree set without its contractions, and a solver
     # that finds no solution, a radical quotient whose radical survives, an
     # edge with one vertex, closed relations that are reflexive, not
-    # antisymmetric or not transitive (as labels, from a short closure and
-    # as vertex numbers), a map that is not monotone, a retraction that a
+    # antisymmetric or not transitive (as up-sets over vertex numbers and
+    # from a short closure), a map that is not monotone, a retraction that a
     # reduction step swapping two points makes not monotone, and a boundary
     # whose square is not zero
     code = """
@@ -862,16 +863,19 @@ patched(symplectic, "solve_left", lambda *a: None,
 patched(SymplecticModule, "radical_rank", lambda self: 1,
         lambda: RadicalQuotient(L))
 tripped(lambda: complexes.OrderComplex([[(0,), (1,)], [(0,)]], True))
-tripped(lambda: FinitePoset._from_closed("ab", {"a": {"a"}, "b": set()}))
-tripped(lambda: FinitePoset._from_closed("ab", {"a": {"b"}, "b": {"a"}}))
-tripped(lambda: FinitePoset._from_closed("abc", {"a": {"b"}, "b": {"c"},
-                                                 "c": set()}))
-# a closure that leaves one up-set short, and one corrupted up-set handed
-# to the trusted path over vertex numbers
+tripped(lambda: FinitePoset._trusted(("a", "b"), [frozenset({0}),
+                                                  frozenset()]))
+tripped(lambda: FinitePoset._trusted(("a", "b"), [frozenset({1}),
+                                                  frozenset({0})]))
+tripped(lambda: FinitePoset._trusted(
+    ("a", "b", "c"), [frozenset({1}), frozenset({2}), frozenset()]))
+# a closure that leaves one up-set short, and a longer reach missing from
+# an up-set handed to the trusted path
 patched(posets, "_close", lambda succ: list(map(frozenset, succ)),
         lambda: FinitePoset("abc", [("a", "b"), ("b", "c")]))
 tripped(lambda: FinitePoset._trusted(
-    ("a", "b", "c"), [frozenset({1}), frozenset({2}), frozenset()]))
+    ("a", "b", "c", "d"),
+    [frozenset({1, 2}), frozenset({3}), frozenset(), frozenset()]))
 # PosetMap checks monotonicity itself, so the cylinder of a map that is
 # not monotone is never built
 tripped(lambda: posets.mapping_cylinder(posets.PosetMap(

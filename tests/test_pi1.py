@@ -2,6 +2,7 @@
 enumeration and the probe's verdicts on spaces with known groups."""
 
 import random
+from collections import deque
 
 from symposet import pi1
 from symposet.complexes import order_complex
@@ -12,8 +13,13 @@ from symposet.posets import FinitePoset, barycentric_subdivision, random_poset
 from test_homology import RP2_FACES, face_poset, subsets_poset
 
 
+def skeleton_of(P):
+    return order_complex(P, max_dim=2).by_dim
+
+
 # ---------------------------------------------------------------------------
-# reference: the plain round loop that tietze_reduce must reproduce
+# references: the plain round loop that tietze_reduce must reproduce, and
+# the edge-path presentation of the whole 2-skeleton, before any collapse
 
 def _reference_reduce(w):
     out = []
@@ -63,11 +69,61 @@ def reference_tietze(n_gens, relators, rounds=200):
     return len(alive), words
 
 
+def raw_edge_path_presentation(skeleton):
+    """Every non-tree edge a generator, every triangle a relator."""
+    verts, edges, tris = (*skeleton, [], [], [])[:3]
+    n_verts = len(verts)
+    adj = [[] for _ in range(n_verts)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    root = max(range(n_verts), key=lambda v: (len(adj[v]), v))
+    seen = {root}
+    tree = set()
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in sorted(adj[v]):
+            if w not in seen:
+                seen.add(w)
+                tree.update(((v, w), (w, v)))
+                queue.append(w)
+    if len(seen) < n_verts:
+        return None
+    gen_of = {}
+    n = 0
+    for e in edges:
+        if e in tree:
+            gen_of[e] = 0
+        else:
+            n += 1
+            gen_of[e] = n
+    relators = []
+    for x, y, z in tris:
+        word = [g for g in (gen_of[(x, y)], gen_of[(y, z)], -gen_of[(x, z)])
+                if g]
+        if word:
+            relators.append(word)
+    return n, relators
+
+
+def strip_skeleton(m):
+    """A disk: m squares in a row, each cut into two triangles.  Its
+    spanning tree leaves a kill chain about 2m rounds deep."""
+    edges, tris = set(), []
+    for i in range(m):
+        a0, b0, a1, b1 = 2 * i, 2 * i + 1, 2 * i + 2, 2 * i + 3
+        for x, y, z in ((a0, b0, b1), (a0, a1, b1)):
+            tris.append((x, y, z))
+            edges |= {(x, y), (y, z), (x, z)}
+    return [[(v,) for v in range(2 * m + 2)], sorted(edges), tris]
+
+
 def _random_presentation(rng):
     n = rng.randint(1, 9)
     relators = []
     # half the presentations have only relators of pairwise distinct
-    # generators, the ones the kill closure takes
+    # generators, as edge-path ones do
     distinct = rng.random() < 0.5
     for _ in range(rng.randint(0, 12)):
         length = rng.choice((0, 1, 1, 2, 2, 3, 3, 3, 4, 5, 7))
@@ -81,7 +137,6 @@ def _random_presentation(rng):
 
 def test_tietze_matches_the_round_loop_on_random_presentations():
     rng = random.Random(5)
-    closed = 0
     for _ in range(2500):
         n, relators = _random_presentation(rng)
         rounds = rng.choice((0, 1, 2, 3, 4, 6, 200))
@@ -89,22 +144,46 @@ def test_tietze_matches_the_round_loop_on_random_presentations():
         assert tietze_reduce(n, given, rounds) == \
             reference_tietze(n, relators, rounds)
         assert given == relators  # the input is not rewritten
-        closed += rounds > 1 and any(len(w) == 1 for w in relators) and \
-            all(len(set(map(abs, w))) == len(w) for w in relators)
-    assert closed >= 500
 
 
-def test_tietze_matches_the_round_loop_on_edge_path_presentations():
+def _agrees_with_the_raw_route(monkeypatch, s, rounds=200):
+    """The collapsed presentation reduces as the raw one does, and the
+    probe answers the same on both."""
+    pres = edge_path_presentation(s)
+    raw = raw_edge_path_presentation(s)
+    if raw is None:
+        assert pres is None
+        return False
+    assert tietze_reduce(*pres) == reference_tietze(*raw, rounds)
+    answer = pi1_probe(s)
+    with monkeypatch.context() as m:
+        m.setattr(pi1, "edge_path_presentation", raw_edge_path_presentation)
+        assert pi1_probe(s) == answer
+    return True
+
+
+def test_collapsed_presentation_matches_the_raw_route(monkeypatch):
     rng = random.Random(8)
     checked = 0
     for _ in range(60):
         P = random_poset(rng, rng.randint(2, 9), p=rng.choice((0.2, 0.35, 0.5)))
         for Q in (P, barycentric_subdivision(P)):
-            pres = edge_path_presentation(Q)
-            if pres is not None:
-                assert tietze_reduce(*pres) == reference_tietze(*pres)
-                checked += 1
+            checked += _agrees_with_the_raw_route(monkeypatch, skeleton_of(Q))
     assert checked >= 40
+    for P in (face_poset(RP2_FACES), subsets_poset(3), subsets_poset(4),
+              subsets_poset(5), FinitePoset([0, 1])):
+        _agrees_with_the_raw_route(monkeypatch, skeleton_of(P))
+
+
+def test_collapse_has_no_round_cap(monkeypatch):
+    # the raw route's kill rounds run out before the strip is gone; the
+    # collapse clears it, as the round loop does given rounds enough
+    s = strip_skeleton(150)
+    raw = raw_edge_path_presentation(s)
+    assert reference_tietze(*raw)[0] > 0
+    assert edge_path_presentation(s) == (0, [])
+    _agrees_with_the_raw_route(monkeypatch, s, rounds=1000)
+    assert pi1_probe(s) == "trivial"
 
 
 def test_tietze_kills_in_rounds_not_all_at_once():
@@ -119,13 +198,14 @@ def test_tietze_kills_in_rounds_not_all_at_once():
 
 
 def test_kill_closure_frees_a_chain():
-    # each kill leaves the next relator with one live letter
+    # each kill leaves the next relator with one live letter, so the loop
+    # takes one round per link
     n = 50
     relators = [[1]] + [[g, -(g + 1)] for g in range(1, n)]
     assert tietze_reduce(n, relators) == (0, [])
-    words, dead, used = pi1._close_kills([list(w) for w in relators], 200)
-    assert (words, dead, used) == ([], set(range(1, n + 1)), n)
-    # with fewer rounds than links the loop stops where the plain one does
+    assert tietze_reduce(n, relators, n)[0] == 0
+    assert tietze_reduce(n, relators, n - 1)[0] == 1
+    # with fewer rounds than links it stops where the plain loop does
     assert tietze_reduce(n, relators, 10) == reference_tietze(n, relators, 10)
 
 
@@ -156,15 +236,18 @@ def test_coset_enumeration_gives_up_past_its_bound():
 # the probe
 
 def test_probe_verdicts_on_known_spaces():
-    assert pi1_probe(subsets_poset(3)) == "nontrivial"  # a circle
-    assert pi1_probe(face_poset(RP2_FACES)) == "nontrivial"  # Z/2
-    assert pi1_probe(subsets_poset(4)) == "trivial"  # a 2-sphere
-    assert pi1_probe(FinitePoset([0, 1])) == "unknown"  # disconnected
+    for P, answer in ((subsets_poset(3), "nontrivial"),  # a circle
+                      (face_poset(RP2_FACES), "nontrivial"),  # Z/2
+                      (subsets_poset(4), "trivial"),  # a 2-sphere
+                      (FinitePoset([0, 1]), "unknown"),  # disconnected
+                      (FinitePoset([]), "unknown")):  # empty, so not connected
+        assert pi1_probe(skeleton_of(P)) == answer
 
 
-def test_probe_on_a_given_skeleton_matches_its_own():
+def test_probe_reads_only_the_skeleton_it_is_given():
+    # the verdicts hand over by_dim[:3] of a deeper complex
     for P in (subsets_poset(3), subsets_poset(4), face_poset(RP2_FACES)):
-        skeleton = order_complex(P, max_dim=3).by_dim[:3]
-        assert edge_path_presentation(P, skeleton=skeleton) == \
-            edge_path_presentation(P)
-        assert pi1_probe(P, skeleton=skeleton) == pi1_probe(P)
+        deep = order_complex(P, max_dim=3).by_dim
+        assert edge_path_presentation(deep[:3]) == \
+            edge_path_presentation(skeleton_of(P))
+        assert pi1_probe(deep[:3]) == pi1_probe(skeleton_of(P))

@@ -329,7 +329,8 @@ def _agrees(P, R):
     assert list(P.relation_pairs()) == [
         (x, y) for x in R.order
         for y in sorted(R.above[x], key=R.order.index)]
-    assert P == FinitePoset._from_closed(R.order, R.above)
+    assert P == FinitePoset(R.order,
+                            [(x, y) for x in R.order for y in R.above[x]])
     assert (P == FinitePoset(R.order)) == (not any(R.above.values()))
 
 
