@@ -357,13 +357,27 @@ def cohen_macaulay_check(P: FinitePoset, n: int,
     as the sweep reaches them, and the sweep stops at the first one that is
     refuted or inconclusive.  A verdict of the sweep records in
     ``links_checked`` how many tasks passed before it ended.
+
+    Each distinct (target, order) is computed once per sweep: a link whose
+    ``up_sets()`` and target match an earlier task's reuses that task's
+    verdict.  That is exact, because ``homology_spherical`` without a probe
+    reads only the up-sets (heights, successor lists and the order complex
+    over vertex numbers), never a label, and the budget is the same for
+    every task.  So each distinct link still runs the full SNF route with
+    its dd=0 check, and a repeat can only repeat a verdict that was
+    established.
     """
     if P.dim() != n:
         return ConnectivityVerdict(n, "refuted", "dimension",
                                    {"dim": P.dim(), "expected": n})
     checked = 0
+    seen = {}
     for kind, tag, sub, target in _cm_tasks(P, n):
-        v = homology_spherical(sub, target, budget=budget, probe=False)
+        key = (target, sub.up_sets())
+        v = seen.get(key)
+        if v is None:
+            v = seen[key] = homology_spherical(sub, target, budget=budget,
+                                               probe=False)
         if v.status == "refuted":
             return ConnectivityVerdict(n, "refuted", "homology",
                                        {"part": kind, "at": tag, "sub": v.detail,

@@ -12,7 +12,8 @@ nested tuples, whose hash is dear) appear only at the interface:
 translate vertex numbers into labels, and ``induced`` translates its
 labels into vertex numbers with one lookup each.  Code below the poset,
 such as order complexes, reads the sorted successor lists
-(``successors()``) and never hashes or orders labels itself.
+(``successors()``) or the up-sets themselves (``up_sets()``) and never
+hashes or orders labels itself.
 
 The public constructor accepts any acyclic generating relation and closes
 it; derived constructions (induced subposets, opposites, joins, cylinders)
@@ -40,12 +41,14 @@ class FinitePoset:
     def __init__(self, elements: Iterable, relations: Iterable[Tuple] = ()):
         labels = sorted(elements, key=repr)
         pos = {x: i for i, x in enumerate(labels)}
-        assert len(pos) == len(labels), "duplicate elements"
+        if len(pos) != len(labels):
+            raise ValueError("duplicate elements")
         succ = [set() for _ in labels]
         for a, b in relations:
             i, j = pos.get(a), pos.get(b)
-            assert i is not None and j is not None, \
-                f"relation endpoint not an element: {(a, b)!r}"
+            if i is None or j is None:
+                raise ValueError(
+                    f"relation endpoint not an element: {(a, b)!r}")
             if i == j:
                 raise ValueError(f"reflexive pair {a!r}")
             succ[i].add(j)
@@ -101,6 +104,13 @@ class FinitePoset:
         if self._pos is None:
             self._pos = {x: i for i, x in enumerate(self._elements)}
         return self._pos
+
+    def up_sets(self) -> Tuple[FrozenSet[int], ...]:
+        """The stored order: for each vertex number, the frozenset of
+        vertex numbers above it.  Hashable, and equal for two posets
+        exactly when they have the same order on the same vertex numbers,
+        whatever their labels."""
+        return tuple(self._up)
 
     def successors(self) -> List[List[int]]:
         """For each vertex number, the sorted vertex numbers above it."""
@@ -202,7 +212,8 @@ class FinitePoset:
     def open_interval(self, x, y):
         pos = self.positions()
         i, j = pos[x], pos[y]
-        assert j in self._up[i]
+        if j not in self._up[i]:
+            raise ValueError(f"open interval needs {x!r} < {y!r}")
         return self.induced(self._labels(self._up[i] & self._down_sets()[j]))
 
     def covers(self, x):
@@ -504,9 +515,10 @@ def cylinder_link_check(f: PosetMap, y) -> bool:
     In the cylinder truncated at the height of y, the link of y, which is
     everything below y and the sources above it, equals the join of the
     open lower set under y with the fiber {x : f(x) >= y} as labeled
-    posets.  Requires disjoint label sets.
+    posets.  Raises ValueError unless the label sets are disjoint.
     """
-    assert not (set(f.source.elements) & set(f.target.elements))
+    if not f.target.positions().keys().isdisjoint(f.source.elements):
+        raise ValueError("cylinder link check needs disjoint label sets")
     M, src, tgt = mapping_cylinder(f)
     link = M.induced(M.below(tgt[y]) | (M.above(tgt[y]) & set(src.values())))
     expected = join(f.target.subposet_lt(y), f.fiber_ge(y))

@@ -8,6 +8,8 @@ in conftest prints the one-line outcomes after the run.
 
 import time
 
+import pytest
+
 from conftest import record_acceptance
 
 from symposet.suites import (SuiteConfig, criterion_cover_nerve,
@@ -59,6 +61,7 @@ def test_criterion_03_isotropic_sequences():
     verify("03 isotropic sequences Cohen-Macaulay", recs, dt)
 
 
+@pytest.mark.slow
 def test_criterion_04_decompositions():
     recs, dt = run(criterion_decomposition_cm, CFG3)
     verify("04 decomposition posets Cohen-Macaulay", recs, dt, limit=900)
@@ -96,6 +99,7 @@ def test_criterion_09_cover_nerve():
     verify("09 cover families and nerve transfer", recs, dt)
 
 
+@pytest.mark.slow
 def test_criterion_10_tree_posets():
     recs, dt = run(criterion_tree_posets, CFG3)
     verify("10 tree posets over decompositions", recs, dt)

@@ -21,7 +21,7 @@ from symposet.homology import (HomologyProfile, cohen_macaulay_check,
                                homologically_connected, homology_spherical,
                                map_connectivity, reduced_betti_mod2,
                                reduced_homology, relative_homology)
-from symposet.builders import build_O, build_U
+from symposet.builders import build_D, build_I, build_O, build_U
 from symposet.posets import (FinitePoset, PosetMap, barycentric_subdivision,
                              constant_map, join, mapping_cone,
                              mapping_cylinder, random_monotone_map,
@@ -552,13 +552,15 @@ def test_cohen_macaulay_stops_at_the_first_refuted_task(monkeypatch):
     assert v.detail["links_checked"] == 0
     assert len(calls) == 1
     # a cone over an edge and a point: the whole poset and six links pass,
-    # then the upper link of c, one point where a circle is due, fails
+    # then the upper link of c, one point where a circle is due, fails;
+    # two of those links repeat an earlier (target, order), so five tasks
+    # compute
     calls.clear()
     cone = FinitePoset("abct", [("a", "b"), ("b", "t"), ("c", "t")])
     v = cohen_macaulay_check(cone, 2)
     assert (v.status, v.detail["part"], v.detail["at"]) == ("refuted", "above", "c")
     assert v.detail["links_checked"] == 6
-    assert len(calls) == 7
+    assert len(calls) == 5
 
 
 def test_cohen_macaulay_budget_reaches_the_links():
@@ -567,6 +569,80 @@ def test_cohen_macaulay_budget_reaches_the_links():
     v = cohen_macaulay_check(U, 2, budget=1)
     assert (v.status, v.basis) == ("inconclusive", "budget")
     assert v.detail["links_checked"] == 0
+
+
+def _reference_cm(P, n, budget=homology.DEFAULT_BUDGET):
+    """The sweep as a plain loop over every task, with no memo."""
+    if P.dim() != n:
+        return ("refuted", "dimension", {"dim": P.dim(), "expected": n})
+    checked = 0
+    for kind, tag, sub, target in homology._cm_tasks(P, n):
+        v = homology_spherical(sub, target, budget=budget, probe=False)
+        if v.status == "refuted":
+            return ("refuted", "homology",
+                    {"part": kind, "at": tag, "sub": v.detail,
+                     "links_checked": checked})
+        if v.status == "inconclusive":
+            return ("inconclusive", "budget",
+                    {"part": kind, "at": tag, "links_checked": checked})
+        checked += 1
+    return ("verified", "homology-only", {"links_checked": checked})
+
+
+def _counted_sweep(monkeypatch, P, n, budget=homology.DEFAULT_BUDGET):
+    """The sweep's (status, basis, detail) and its number of computed
+    links."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return homology_spherical(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(homology, "homology_spherical", counted)
+        v = cohen_macaulay_check(P, n, budget=budget)
+    return (v.status, v.basis, v.detail), len(calls)
+
+
+def test_cohen_macaulay_memo_matches_the_plain_loop(monkeypatch):
+    rng = random.Random(19)
+    tasks = computed = 0
+    statuses = set()
+    for _ in range(150):
+        # the sizes and densities of the core-props draws
+        P = random_poset(rng, rng.randint(1, 8),
+                         p=rng.choice((0.15, 0.3, 0.5)))
+        for n in (P.dim(), P.dim() + 1):
+            want = _reference_cm(P, n)
+            got, calls = _counted_sweep(monkeypatch, P, n)
+            assert got == want
+            statuses.add(got[0])
+            tasks += got[2].get("links_checked", 0)
+            computed += calls
+    assert statuses == {"verified", "refuted"}
+    assert computed < tasks
+    L1 = SymplecticModule.standard(PrimeField(2), 1, 1)
+    L2 = SymplecticModule.standard(PrimeField(2), 2)
+    for P, n in ((build_U(L2), 2), (build_D(L2), 1), (build_I(L1), 0)):
+        want = _reference_cm(P, n)
+        got, calls = _counted_sweep(monkeypatch, P, n)
+        assert got == want
+        assert calls < len(list(homology._cm_tasks(P, n)))
+
+
+def test_cohen_macaulay_memo_refutes_after_many_hits(monkeypatch):
+    # two octahedra glued at the vertex 5: a wedge of two 2-spheres, whose
+    # link at 5 is two circles, not one
+    octahedra = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)] + \
+                [(a, b, c) for a in (5, 6) for b in (7, 8) for c in (9, 10)]
+    P = face_poset(octahedra)
+    want = _reference_cm(P, 2)
+    got, calls = _counted_sweep(monkeypatch, P, 2)
+    assert got == want
+    assert (got[0], got[2]["part"], got[2]["at"]) == \
+        ("refuted", "above", frozenset({5}))
+    assert got[2]["links_checked"] >= 40
+    assert calls < got[2]["links_checked"] / 4
 
 
 def test_map_connectivity():

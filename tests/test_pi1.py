@@ -135,14 +135,21 @@ def _random_presentation(rng):
     return n, relators
 
 
-def test_tietze_matches_the_round_loop_on_random_presentations():
+def _abelianization(n_gens, relators):
+    """(free rank, torsion factors) of the presented group's
+    abelianization."""
+    inv = pi1.abelianization_invariants(relators)
+    return n_gens - len(inv), [v for v in inv if v > 1]
+
+
+def test_tietze_keeps_the_abelianization_on_random_presentations():
     rng = random.Random(5)
     for _ in range(2500):
         n, relators = _random_presentation(rng)
         rounds = rng.choice((0, 1, 2, 3, 4, 6, 200))
         given = [list(w) for w in relators]
-        assert tietze_reduce(n, given, rounds) == \
-            reference_tietze(n, relators, rounds)
+        assert _abelianization(*tietze_reduce(n, given, rounds)) == \
+            _abelianization(n, relators)
         assert given == relators  # the input is not rewritten
 
 

@@ -1,10 +1,14 @@
 """Order-theoretic core: construction, derived posets, joins, cylinders."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import symposet
 from symposet.posets import (FinitePoset, PosetMap, barycentric_subdivision,
                              check_isomorphism, constant_map,
                              cylinder_link_check, join,
@@ -36,6 +40,50 @@ def test_constructor_closes_transitively():
 def test_constructor_rejects_cycles():
     with pytest.raises(ValueError):
         FinitePoset("ab", [("a", "b"), ("b", "a")])
+
+
+def test_input_checks_survive_optimized_python():
+    # a doubled label, a relation to a label that is not an element, an
+    # open interval of a pair that is not x < y, and a cylinder link check
+    # on a map whose source and target share labels; under -O a plain
+    # assert would let each through
+    code = """
+from symposet.posets import FinitePoset, PosetMap, cylinder_link_check
+
+def run(build):
+    try:
+        build()
+    except ValueError as e:
+        print(e)
+
+run(lambda: FinitePoset(['a', 'a', 'b'], [('a', 'b')]))
+run(lambda: FinitePoset('ab', [('a', 'z')]))
+run(lambda: FinitePoset('abc', [('a', 'b')]).open_interval('c', 'a'))
+run(lambda: FinitePoset('abc', [('a', 'b')]).open_interval('b', 'a'))
+edge = FinitePoset('ab', [('a', 'b')])
+run(lambda: cylinder_link_check(PosetMap(edge, edge, {'a': 'a', 'b': 'b'}),
+                                'b'))
+"""
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "duplicate elements",
+        "relation endpoint not an element: ('a', 'z')",
+        "open interval needs 'c' < 'a'",
+        "open interval needs 'b' < 'a'",
+        "cylinder link check needs disjoint label sets",
+    ]
+
+
+def test_up_sets_name_the_order_not_the_labels():
+    P = FinitePoset("abc", [("a", "b")])
+    assert P.up_sets() == (frozenset({1}), frozenset(), frozenset())
+    assert FinitePoset("xyz", [("x", "y")]).up_sets() == P.up_sets()
+    assert FinitePoset("abc", [("a", "c")]).up_sets() != P.up_sets()
+    assert P.subposet_gt("a").up_sets() == (frozenset(),)
+    hash(P.up_sets())
 
 
 def test_relation_pairs_and_linear_extension():

@@ -99,8 +99,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
                          [(n, 2, f"{n}.json") for n in SUITE_NAMES]
                          + [("um", 3, "um.g3.json"),
                             ("maazen", 3, "maazen.g3.json"),
-                            ("dec", 3, "dec.g3.json"),
-                            ("trees", 3, "trees.g3.json")])
+                            pytest.param("dec", 3, "dec.g3.json",
+                                         marks=pytest.mark.slow),
+                            pytest.param("trees", 3, "trees.g3.json",
+                                         marks=pytest.mark.slow)])
 def test_report_matches_golden(name, genus, filename):
     """Refactors keep reports byte for byte; a deliberate report change
     regenerates tests/golden with ``symposet <suite> --genus G --out``."""
@@ -121,6 +123,7 @@ def test_unimodular_counts_follow_the_ring():
     assert [r["verdict"] for r in records] == ["verified"] * 3
 
 
+@pytest.mark.slow
 def test_run_suite_byte_reproducible():
     cfg = SuiteConfig(seed=5)
     a = run_suite("core-props", cfg).to_json()
