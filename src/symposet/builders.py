@@ -5,6 +5,17 @@ Labels follow one convention throughout: a submodule is represented by its
 canonical basis tuple, a sequence of vectors by a tuple of coordinate
 tuples, and a decomposition by the sorted tuple of its members' keys.
 Equality of labels is then exactly equality of the mathematical objects.
+
+Over F_p no builder scans pairs of submodules for containment.  A
+``linalg.ContainmentIndex`` maps each vector to the bitmask of the listed
+submodules that hold it, so the submodules containing S are the AND of
+that mask over S's basis: ``build_U`` reads each submodule's up-set from
+an index over U, and ``build_D`` finds the parts inside the perp of the
+parts chosen so far from an index over the parts' perps.  Every pair an
+index yields is confirmed by ``Submodule.contains_submodule``, raising
+CertificateError, so a false bit cannot pass under ``python -O``.
+Sequence posets (I, HU, O, partition sequences) are generated by their
+one-letter deletions and closed by ``FinitePoset``.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .linalg import PackedSpace, matrix_rank
+from .linalg import ContainmentIndex, PackedSpace, matrix_rank, set_bits
 from .posets import FinitePoset, PosetMap, barycentric_subdivision
 from .rings import EuclideanScalarRing, PrimeField
 from .snf import CertificateError, dense_smith
@@ -25,20 +36,25 @@ from .symplectic import (Submodule, SymplecticModule,
 
 def build_U(L: SymplecticModule) -> FinitePoset:
     """All unimodular submodules of L ordered by inclusion; the height of
-    a submodule is its genus."""
+    a submodule is its genus.
+
+    The submodules containing S are read from a containment index over
+    the whole list, one AND per basis vector of S, and each pair it yields
+    is confirmed with ``contains_submodule``; no pair of submodules is
+    tested otherwise.
+    """
     subs = enumerate_unimodular_submodules(L)
-    by_rank: Dict[int, List[Submodule]] = {}
-    for s in subs:
-        by_rank.setdefault(s.rank, []).append(s)
+    index = ContainmentIndex(L.packed(), [s.members() for s in subs])
+    keys = [s.key() for s in subs]
     rel = []
-    ranks = sorted(by_rank)
-    for i, r in enumerate(ranks):
-        for bigger in ranks[i + 1:]:
-            for t in by_rank[bigger]:
-                for s in by_rank[r]:
-                    if t.contains_submodule(s):
-                        rel.append((s.key(), t.key()))
-    return FinitePoset([s.key() for s in subs], rel)
+    for k, s in enumerate(subs):
+        for t in set_bits(index.containing(s.basis) & ~(1 << k)):
+            if not subs[t].contains_submodule(s):
+                raise CertificateError(
+                    "containment index put a submodule inside one that "
+                    "does not contain it")
+            rel.append((keys[k], keys[t]))
+    return FinitePoset(keys, rel)
 
 
 def submodule_from_key(L: SymplecticModule, key) -> Submodule:
@@ -57,7 +73,8 @@ def build_I(L: SymplecticModule) -> FinitePoset:
     its bit is clear and it pairs to zero with every member, which is
     ``is_isotropic_sequence`` without an echelon form.
     """
-    assert isinstance(L.ring, PrimeField), "enumerable over finite fields only"
+    if not isinstance(L.ring, PrimeField):
+        raise ValueError("enumerable over finite fields only")
     packed = L.packed()
     current = [((), L.radical().members())]
     elements = []
@@ -76,16 +93,18 @@ def build_I(L: SymplecticModule) -> FinitePoset:
 def _subword_poset(elements) -> FinitePoset:
     """Nonempty sequences ordered by subword.
 
-    Every nonempty proper subword of an element must be an element too, so
-    a sequence's height, the longest chain below it, is its length - 1.
+    The relation given is the one-letter deletions, closed by
+    ``FinitePoset``.  Each one-letter deletion of an element longer than
+    one must be an element too, so by induction on length every nonempty
+    proper subword is, and a sequence's height, the longest chain below
+    it, is its length - 1.
     """
     in_poset = set(elements)
     rel = []
     for seq in elements:
-        n = len(seq)
-        for k in range(1, n):
-            for pos in itertools.combinations(range(n), k):
-                sub = tuple(seq[i] for i in pos)
+        if len(seq) > 1:
+            for i in range(len(seq)):
+                sub = seq[:i] + seq[i + 1:]
                 if sub not in in_poset:
                     raise CertificateError("subword escaped the poset")
                 rel.append((sub, seq))
@@ -101,45 +120,61 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
 
     Merging two parts is a cover, so a decomposition into k parts sits at
     height k - 1, or k - 2 when ``strict``.
+
+    Parts are chosen in list order, each inside the perp of those chosen
+    before it.  As L is unimodular, a part lies in that perp exactly when
+    its own perp contains the parts chosen, so the candidates are read
+    from a containment index over the parts' perps.  In a decomposition
+    the span of two parts is the perp of the others, the AND of their
+    perp masks, and is looked up among the parts by that mask.
     """
-    assert isinstance(L.ring, PrimeField), "enumerable over finite fields only"
-    assert L.radical_rank() == 0, "L must be unimodular"
+    if not isinstance(L.ring, PrimeField):
+        raise ValueError("enumerable over finite fields only")
+    if L.radical_rank() != 0:
+        raise ValueError("L must be unimodular")
     parts = [s for s in enumerate_unimodular_submodules(L) if s.rank > 0]
-    part_of = {s.key(): s for s in parts}
+    perps = [s.perp().members() for s in parts]
+    perp_mask = {s.key(): m for s, m in zip(parts, perps)}
+    orthogonal = ContainmentIndex(L.packed(), perps)
     key_of = {s.members(): s.key() for s in parts}
     decs: List[Tuple] = []
 
-    def extend(chosen, remaining: Submodule, cands):
+    def extend(chosen, remaining: Submodule, fits: int):
+        # fits: the parts after the last one chosen that lie in remaining
         if remaining.rank == 0:
             decs.append(tuple(sorted(chosen)))
             return
-        fits = [s for s in cands
-                if s.rank <= remaining.rank and remaining.contains_submodule(s)]
-        for idx, s in enumerate(fits):
+        for t in set_bits(fits):
+            s = parts[t]
+            if not remaining.contains_submodule(s):
+                raise CertificateError(
+                    "containment index put a part outside the perp of the "
+                    "parts chosen")
             rest = remaining.intersect(s.perp())
             if rest.rank != remaining.rank - s.rank:
                 raise CertificateError("perp complement has the wrong rank")
             chosen.append(s.key())
-            extend(chosen, rest, fits[idx + 1:])
+            later = fits >> (t + 1) << (t + 1)
+            extend(chosen, rest, later & orthogonal.containing(s.basis))
             chosen.pop()
 
-    extend([], L.full_submodule(), parts)
+    extend([], L.full_submodule(), orthogonal.everything)
     if strict:
         decs = [d for d in decs if len(d) > 1]
     decset = set(decs)
-    packed = L.packed()
+    everything = (1 << len(L.packed().vectors)) - 1
     rel = []
     for d in decs:
         if len(d) < 2 or (strict and len(d) == 2):
             continue
         for i, j in itertools.combinations(range(len(d)), 2):
-            # the span of two parts, by its member mask
-            mask = part_of[d[i]].members()
-            for row in d[j]:
-                mask = packed.extend(mask, row)
             rest = tuple(k for t, k in enumerate(d) if t not in (i, j))
-            coarser = (tuple(sorted(rest + (key_of[mask],)))
-                       if mask in key_of else None)
+            mask = everything
+            for k in rest:
+                mask &= perp_mask[k]
+            merged = key_of.get(mask)
+            coarser = (tuple(sorted(rest + (merged,)))
+                       if merged is not None else None)
             if coarser not in decset:
                 raise CertificateError("merge left the decomposition poset")
             rel.append((coarser, d))
@@ -238,8 +273,10 @@ def partitions_poset(X: Iterable) -> FinitePoset:
 def build_HU(g: int, ring: EuclideanScalarRing) -> FinitePoset:
     """Sequences of hyperbolic pairs in the standard genus-g module, ordered
     by subword of pairs."""
-    assert isinstance(ring, PrimeField), "enumerable over finite fields only"
-    assert g >= 1
+    if not isinstance(ring, PrimeField):
+        raise ValueError("enumerable over finite fields only")
+    if g < 1:
+        raise ValueError(f"genus must be at least 1, not {g}")
     L = SymplecticModule.standard(ring, g)
     vectors = [tuple(v) for v in L.vectors()]
     one = ring.reduce(1)
@@ -350,7 +387,8 @@ def build_O(n: int, ring: EuclideanScalarRing, bound: int = None,
     and a vector extends the partial basis exactly when its bit is clear.
     """
     frozen = tuple(tuple(v) for v in frozen)
-    assert is_partial_basis(ring, frozen, n), "frozen suffix must be a partial basis"
+    if not is_partial_basis(ring, frozen, n):
+        raise ValueError("frozen suffix must be a partial basis")
     if pool is None:
         if not isinstance(ring, PrimeField):
             raise ValueError("integer enumeration needs an explicit pool")

@@ -1,8 +1,8 @@
 """Order complexes: chains of a finite poset and their boundary matrices.
 
 Vertices are the poset's vertex numbers (``FinitePoset.positions``), so a
-simplex is a tuple of ints.  Chains are enumerated by an upward depth-first
-walk over the poset's sorted successor lists (``FinitePoset.successors``),
+simplex is a tuple of ints.  Chains are enumerated one dimension at a time
+from the poset's sorted successor lists (``FinitePoset.successors``),
 which never touches a label, so simplex lists are deterministic and
 lexicographic within each dimension.  Boundary matrices are built as
 columns, one per simplex, the form the sparse Smith normal form reduces.
@@ -79,29 +79,29 @@ def order_complex(P: FinitePoset, max_dim=None, budget=DEFAULT_BUDGET) -> OrderC
     """The chains of P through dimension ``max_dim`` (all when None), as
     tuples of vertex numbers.  They are read from the poset's sorted int
     successor lists, so no label is hashed or compared; more than
-    ``budget`` simplices raise BudgetExceeded."""
+    ``budget`` simplices raise BudgetExceeded.
+
+    Each dimension is built from the one below, every chain extended by
+    each successor of its top, so every list is lexicographic.  A level
+    is counted before it is built, so a level that would pass the budget
+    is never materialised.
+    """
     succ = P.successors()
+    count = len(succ)
+    if count > budget:
+        raise BudgetExceeded(f"order complex exceeds {budget} simplices")
+    level = [(v,) for v in range(len(succ))]
     by_dim = []
-    count = 0
-    capped = False
-    stack = [(v,) for v in reversed(range(len(succ)))]
-    while stack:
-        c = stack.pop()
-        k = len(c) - 1
-        count += 1
+    while level:
+        by_dim.append(level)
+        if max_dim is not None and len(by_dim) > max_dim:
+            capped = any(succ[c[-1]] for c in level)
+            return OrderComplex(by_dim, complete=not capped)
+        count += sum(len(succ[c[-1]]) for c in level)
         if count > budget:
             raise BudgetExceeded(f"order complex exceeds {budget} simplices")
-        while len(by_dim) <= k:
-            by_dim.append([])
-        by_dim[k].append(c)
-        up = succ[c[-1]]
-        if max_dim is not None and k >= max_dim:
-            if up:
-                capped = True
-            continue
-        for y in reversed(up):
-            stack.append(c + (y,))
-    return OrderComplex(by_dim, complete=not capped)
+        level = [c + (y,) for c in level for y in succ[c[-1]]]
+    return OrderComplex(by_dim, complete=True)
 
 
 def relative_boundary_rows(cx: OrderComplex, sub, k):

@@ -6,9 +6,10 @@ an explicit ``ncols`` argument.  Row operations are the main tool: the
 solver, the kernels, the rank and the canonical span basis all read the
 output of one echelon routine, ``rref_with_transform``, which follows the
 Euclidean contract of ``rings`` and so gives the reduced row echelon form
-over a field and the row Hermite form over the integers.  The exception is
-``PackedSpace``, which holds subspaces of a small F_p^n as bitmasks over
-its p^n vectors.
+over a field and the row Hermite form over the integers.  The exceptions
+are ``PackedSpace``, which holds subspaces of a small F_p^n as bitmasks over
+its p^n vectors, and ``ContainmentIndex``, which finds among a list of
+such subspaces those that contain a given one.
 """
 
 from __future__ import annotations
@@ -192,6 +193,45 @@ class PackedSpace:
             if hit:
                 rows.append(list(self.vectors[(hit & -hit).bit_length() - 1]))
         return rows
+
+
+class ContainmentIndex:
+    """Which subspaces of a list, each a ``PackedSpace`` mask, contain a
+    given subspace.
+
+    ``by_vector[i]`` has bit k set when the k-th subspace holds vector i.
+    A subspace lies in another exactly when its basis does, so the list
+    positions of the subspaces containing span(rows) are the AND of
+    ``by_vector`` over the rows: one AND per row, however long the list.
+    """
+
+    def __init__(self, space: PackedSpace, masks):
+        holders = [bytearray((len(masks) + 7) // 8) for _ in space.vectors]
+        for k, mask in enumerate(masks):
+            byte, bit = k >> 3, 1 << (k & 7)
+            for i in set_bits(mask):
+                holders[i][byte] |= bit
+        self.index = space.index
+        self.everything = (1 << len(masks)) - 1
+        self.by_vector = [int.from_bytes(h, "little") for h in holders]
+
+    def containing(self, rows) -> int:
+        """Bitmask of the list positions whose subspace holds every row;
+        the rows are tuples of canonical residues."""
+        out = self.everything
+        for r in rows:
+            out &= self.by_vector[self.index[r]]
+        return out
+
+
+def set_bits(mask: int):
+    """The positions of the set bits of ``mask``, ascending.  One binary
+    string per mask keeps the cost per bit flat however wide the mask."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def left_kernel(ring: EuclideanScalarRing, M, ncols=None):

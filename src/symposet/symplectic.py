@@ -149,8 +149,19 @@ class Submodule:
         return all(self.contains(r) for r in other.basis)
 
     def restricted_gram(self):
+        """The form on the basis.  The module's constructor certifies that
+        the form is alternating, so only the pairs i < j are computed and
+        the rest follows by antisymmetry."""
         M = self.module
-        return [[M.pair(a, b) for b in self.basis] for a in self.basis]
+        basis = self.basis
+        k = len(basis)
+        gram = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                v = M.pair(basis[i], basis[j])
+                gram[i][j] = v
+                gram[j][i] = M.ring.reduce(-v)
+        return gram
 
     def is_unimodular(self) -> bool:
         """Restricted form nondegenerate with unit determinant."""
@@ -209,7 +220,8 @@ def enumerate_unimodular_submodules(L: SymplecticModule) -> List[Submodule]:
     canonical deterministic order.
     """
     ring = L.ring
-    assert isinstance(ring, PrimeField), "enumerable over finite fields only"
+    if not isinstance(ring, PrimeField):
+        raise ValueError("enumerable over finite fields only")
     p = ring.p
     n = L.rank
     found = [L.zero_submodule()]

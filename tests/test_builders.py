@@ -6,11 +6,16 @@ checked against hand counts where feasible (the genus-1 and genus-2
 cases can be enumerated on paper).
 """
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import symposet
 from symposet import linalg
 from symposet.builders import (_subword_poset, build_D, build_HU, build_I,
                                build_O, build_U, flag_to_decomposition,
@@ -19,13 +24,15 @@ from symposet.builders import (_subword_poset, build_D, build_HU, build_I,
                                partitions_poset, rho_sequence, rho_vector,
                                submodule_from_key)
 from symposet.homology import reduced_homology
-from symposet.posets import check_isomorphism
+from symposet.posets import FinitePoset, check_isomorphism
 from symposet.rings import IntegerRing, PrimeField, ZZ
 from symposet.symplectic import (Submodule, SymplecticModule,
+                                 enumerate_unimodular_submodules,
                                  is_isotropic_sequence)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 def std(ring, g, r=0):
@@ -38,6 +45,10 @@ def height_profile(P):
 
 def relation_count(P):
     return sum(len(P.above(x)) for x in P)
+
+
+def same_poset(P, Q):
+    return P.elements == Q.elements and P.up_sets() == Q.up_sets()
 
 
 # -- unimodular submodules --------------------------------------------------
@@ -331,3 +342,186 @@ def test_rho_sequence():
     assert out == ((1, 0, 2), (0, 1, 2))
     assert all(abs(v[2]) < 5 for v in out)
     assert is_partial_basis(ZZ, [list(v) for v in out], 3)
+
+
+# -- references: the pairwise scans the builders replaced ------------------
+
+def pairwise_U(L):
+    """U by testing every pair of ranks with ``contains_submodule``."""
+    subs = enumerate_unimodular_submodules(L)
+    by_rank = {}
+    for s in subs:
+        by_rank.setdefault(s.rank, []).append(s)
+    rel = []
+    ranks = sorted(by_rank)
+    for i, r in enumerate(ranks):
+        for bigger in ranks[i + 1:]:
+            for t in by_rank[bigger]:
+                for s in by_rank[r]:
+                    if t.contains_submodule(s):
+                        rel.append((s.key(), t.key()))
+    return FinitePoset([s.key() for s in subs], rel)
+
+
+def pairwise_D(L, strict=False):
+    """D by testing every remaining candidate part for containment, with
+    each merge summed by an echelon form."""
+    parts = [s for s in enumerate_unimodular_submodules(L) if s.rank > 0]
+    decs = []
+
+    def extend(chosen, remaining, cands):
+        if remaining.rank == 0:
+            decs.append(tuple(sorted(chosen)))
+            return
+        fits = [s for s in cands if remaining.contains_submodule(s)]
+        for idx, s in enumerate(fits):
+            chosen.append(s.key())
+            extend(chosen, remaining.intersect(s.perp()), fits[idx + 1:])
+            chosen.pop()
+
+    extend([], L.full_submodule(), parts)
+    if strict:
+        decs = [d for d in decs if len(d) > 1]
+    decset = set(decs)
+    rel = []
+    for d in decs:
+        for i, j in itertools.combinations(range(len(d)), 2):
+            merged = submodule_from_key(L, d[i]).add(
+                submodule_from_key(L, d[j])).key()
+            rest = [k for t, k in enumerate(d) if t not in (i, j)]
+            coarser = tuple(sorted(rest + [merged]))
+            if coarser in decset:
+                rel.append((coarser, d))
+    return FinitePoset(decs, rel)
+
+
+def all_subwords(elements):
+    """Nonempty sequences with every nonempty proper subword related."""
+    rel = []
+    for seq in elements:
+        for k in range(1, len(seq)):
+            for pos in itertools.combinations(range(len(seq)), k):
+                rel.append((tuple(seq[i] for i in pos), seq))
+    return FinitePoset(elements, rel)
+
+
+@pytest.mark.parametrize("ring,g,r", [(F2, 1, 0), (F2, 2, 0), (F2, 3, 0),
+                                      (F2, 2, 1), (F3, 2, 0), (F5, 2, 0)])
+def test_U_matches_the_pairwise_scan(ring, g, r):
+    L = std(ring, g, r)
+    assert same_poset(build_U(L), pairwise_U(L))
+
+
+@pytest.mark.parametrize("ring,g", [(F2, 2), (F2, 3), (F3, 2)])
+@pytest.mark.parametrize("strict", [False, True])
+def test_D_matches_the_pairwise_scan(ring, g, strict):
+    L = std(ring, g)
+    assert same_poset(build_D(L, strict=strict), pairwise_D(L, strict))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_O(2, F3), lambda: build_O(3, F2),
+    lambda: build_O(3, F2, frozen=((0, 0, 1),)),
+    lambda: build_I(std(F2, 2, 1)), lambda: build_I(std(F3, 2)),
+    lambda: build_HU(2, F2), lambda: build_HU(1, F3),
+    lambda: partition_sequences_poset([1, 2, 3, 4], [[1], [2, 3], [4]])])
+def test_sequence_posets_match_all_subwords(build):
+    P = build()
+    assert same_poset(P, all_subwords(P.elements))
+
+
+@pytest.mark.slow
+def test_U_genus3_over_F3():
+    U = build_U(std(F3, 3))
+    assert len(U) == 14744
+    assert sum(map(len, U.up_sets())) == 692875
+    assert height_profile(U) == {0: 1, 1: 7371, 2: 7371, 3: 1}
+
+
+def _run_optimized(code):
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
+def test_builder_input_checks_survive_optimized_python():
+    # under -O a plain assert let a degenerate module through build_D (an
+    # empty poset) and a frozen zero vector through build_O (3 elements)
+    code = """
+from symposet.builders import build_D, build_HU, build_I, build_O
+from symposet.rings import PrimeField, ZZ
+from symposet.symplectic import (SymplecticModule,
+                                 enumerate_unimodular_submodules)
+
+def run(build):
+    try:
+        build()
+    except ValueError as e:
+        print(e)
+
+F2 = PrimeField(2)
+run(lambda: build_D(SymplecticModule.standard(F2, 2, r=1)))
+run(lambda: build_D(SymplecticModule.standard(ZZ, 1)))
+run(lambda: build_O(2, F2, frozen=((0, 0),)))
+run(lambda: build_I(SymplecticModule.standard(ZZ, 1)))
+run(lambda: build_HU(0, F2))
+run(lambda: build_HU(1, ZZ))
+run(lambda: enumerate_unimodular_submodules(SymplecticModule.standard(ZZ, 1)))
+"""
+    assert _run_optimized(code) == [
+        "L must be unimodular",
+        "enumerable over finite fields only",
+        "frozen suffix must be a partial basis",
+        "enumerable over finite fields only",
+        "genus must be at least 1, not 0",
+        "enumerable over finite fields only",
+        "enumerable over finite fields only",
+    ]
+
+
+def test_a_false_index_bit_raises_under_optimized_python():
+    # one false bit says that the k-th listed subspace holds vector b, the
+    # second basis vector of a plane s listed before it, when it holds only
+    # the first; build_U then puts s inside it, and build_D, whose index is
+    # over the parts' perps, puts the k-th part inside the perp of s
+    code = """
+from symposet import builders, linalg
+from symposet.builders import build_D, build_U
+from symposet.rings import PrimeField
+from symposet.snf import CertificateError
+from symposet.symplectic import (SymplecticModule,
+                                 enumerate_unimodular_submodules)
+
+L = SymplecticModule.standard(PrimeField(2), 2)
+subs = enumerate_unimodular_submodules(L)
+
+def false_bit(masks):
+    # U lists every submodule, D only those of positive rank
+    listed = subs[len(subs) - len(masks):]
+    for j, s in enumerate(listed):
+        if s.rank == 2:
+            a, b = (L.packed().index[v] for v in s.basis)
+            for k in range(j + 1, len(masks)):
+                if masks[k] >> a & 1 and not masks[k] >> b & 1:
+                    return k, b
+
+class Lying(linalg.ContainmentIndex):
+    def __init__(self, space, masks):
+        super().__init__(space, masks)
+        k, b = false_bit(masks)
+        self.by_vector[b] |= 1 << k
+
+builders.ContainmentIndex = Lying
+for build in (build_U, build_D):
+    try:
+        build(L)
+    except CertificateError as e:
+        print(e)
+"""
+    assert _run_optimized(code) == [
+        "containment index put a submodule inside one that does not "
+        "contain it",
+        "containment index put a part outside the perp of the parts chosen",
+    ]

@@ -110,6 +110,11 @@ PINNED_EXPORTS = {
     "I.p3.json": ["--poset", "I", "--ring", "p3"],
     "I.p3.g1r1.json": ["--poset", "I", "--ring", "p3", "--genus", "1",
                        "--radical", "1"],
+    "U.g3.json": ["--poset", "U", "--genus", "3"],
+    "U.g2r1.json": ["--poset", "U", "--genus", "2", "--radical", "1"],
+    "U.p3.json": ["--poset", "U", "--ring", "p3", "--genus", "2"],
+    "D.p3.json": ["--poset", "D", "--ring", "p3", "--genus", "2"],
+    "O.g3.p3.json": ["--poset", "O", "--genus", "3", "--ring", "p3"],
 }
 
 

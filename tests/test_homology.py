@@ -108,6 +108,47 @@ def test_order_complex_simplices_are_position_chains():
         assert not chains
 
 
+def _depth_first_order_complex(P, max_dim=None, budget=10**9):
+    """The chains by one depth-first walk, counting each simplex as it is
+    reached: ((by_dim, complete), or None past the budget)."""
+    succ = P.successors()
+    by_dim, count, capped = [], 0, False
+    stack = [(v,) for v in reversed(range(len(succ)))]
+    while stack:
+        c = stack.pop()
+        k = len(c) - 1
+        count += 1
+        if count > budget:
+            return None
+        while len(by_dim) <= k:
+            by_dim.append([])
+        by_dim[k].append(c)
+        if max_dim is not None and k >= max_dim:
+            capped = capped or bool(succ[c[-1]])
+            continue
+        stack.extend(c + (y,) for y in reversed(succ[c[-1]]))
+    return by_dim, not capped
+
+
+def test_order_complex_levels_match_the_depth_first_walk():
+    rng = random.Random(1201)
+    over = 0
+    for _ in range(60):
+        P = random_poset(rng, rng.randint(0, 10),
+                         p=rng.choice((0.2, 0.5, 0.8)))
+        for max_dim in (None, -1, 0, 1, 2, 4):
+            for budget in (0, 3, 10, 40, 200, 10**6):
+                want = _depth_first_order_complex(P, max_dim, budget)
+                if want is None:
+                    over += 1
+                    with pytest.raises(BudgetExceeded):
+                        order_complex(P, max_dim, budget)
+                    continue
+                cx = order_complex(P, max_dim, budget)
+                assert (cx.by_dim, cx.complete) == want
+    assert over > 100
+
+
 def test_empty_and_point():
     assert reduced_homology(FinitePoset([])).betti == {-1: 1}
     assert reduced_homology(FinitePoset(["x"])).betti == {}

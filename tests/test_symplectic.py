@@ -51,6 +51,20 @@ def test_pairing_is_alternating():
             assert L.pair(v, w) == F3.reduce(-L.pair(w, v))
 
 
+@pytest.mark.parametrize("ring,g,r", [(F3, 2, 1), (PrimeField(5), 2, 0),
+                                      (ZZ, 2, 1)])
+def test_restricted_gram_pairs_every_basis_pair(ring, g, r):
+    # only i < j is paired; the rest must still be the full pairing
+    rng = random.Random(6)
+    L = std(ring, g, r)
+    for _ in range(20):
+        rows = [[rng.randint(-4, 4) for _ in range(L.rank)]
+                for _ in range(rng.randint(1, L.rank))]
+        u = L.submodule(rows)
+        assert u.restricted_gram() == [[L.pair(a, b) for b in u.basis]
+                                       for a in u.basis]
+
+
 def test_submodule_canonical_key_independent_of_generators():
     rng = random.Random(9)
     L = std(F2, 2)
