@@ -250,7 +250,8 @@ def set_partitions(items: Sequence) -> Iterator[list]:
 def partitions_poset(X: Iterable) -> FinitePoset:
     """Strict set partitions of X under refinement (coarser below finer)."""
     ground = sorted(set(X))
-    assert len(ground) >= 2, "need at least two elements"
+    if len(ground) < 2:
+        raise ValueError("need at least two elements")
     partitions = [_canonical_partition(p) for p in set_partitions(ground)
                   if len(p) > 1]
     pset = set(partitions)
@@ -342,9 +343,11 @@ def partition_sequences_poset(A: Iterable, P: Iterable) -> FinitePoset:
     once, ordered by subword."""
     ground = sorted(set(A))
     parts = [frozenset(p) for p in P]
-    assert all(parts), "partition parts must be nonempty"
-    assert sum(len(p) for p in parts) == len(ground)
-    assert frozenset(ground) == frozenset().union(*parts)
+    if not all(parts):
+        raise ValueError("partition parts must be nonempty")
+    if sum(map(len, parts)) != len(ground) or \
+            frozenset(ground) != frozenset().union(*parts):
+        raise ValueError("P must be a partition of A")
     part_index = {a: i for i, p in enumerate(parts) for a in p}
 
     def gen(seq, used):

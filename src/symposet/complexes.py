@@ -4,13 +4,24 @@ Vertices are the poset's vertex numbers (``FinitePoset.positions``), so a
 simplex is a tuple of ints.  Chains are enumerated one dimension at a time
 from the poset's sorted successor lists (``FinitePoset.successors``),
 which never touches a label, so simplex lists are deterministic and
-lexicographic within each dimension.  Boundary matrices are built as
-columns, one per simplex, the form the sparse Smith normal form reduces.
-A budget caps the number of simplices; blowing it raises BudgetExceeded so
-callers can report an inconclusive verdict instead of thrashing.
+lexicographic within each dimension.
+
+A boundary d_k is stored as its face rows: k + 1 int lists, where
+``rows[i][j]`` is the index in ``by_dim[k - 1]`` of the k-simplex j with
+its vertex i removed, and -1 for a face inside the subcomplex of a pair.
+The sign of that entry is fixed, (-1)^i, so the rows are the whole matrix;
+they are built by one dict lookup per face through ``map`` and checked for
+d_{k-1} d_k = 0 by comparing whole rows (``OrderComplex.dd_zero_check``).
+``columns`` turns certified rows into the ``{simplex: {face: sign}}``
+columns that the sparse Smith normal form reduces.  A budget caps the
+number of simplices; blowing it raises BudgetExceeded so callers can
+report an inconclusive verdict instead of thrashing.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from operator import itemgetter
 
 from .posets import FinitePoset
 from .snf import CertificateError
@@ -47,31 +58,57 @@ class OrderComplex:
         return sum(len(s) for s in self.by_dim)
 
     def boundary_rows(self, k):
-        """d_k as columns, {simplex index: {face index: sign}}.
+        """d_k as face rows (see the module docstring).
 
-        For k = 0 this is the augmentation (every vertex maps to the single
-        empty-simplex generator with coefficient 1).
+        For k = 0 this is the augmentation: one row that maps every vertex
+        to the empty simplex, index 0, with sign 1.
         """
         if k <= 0:
-            return {j: {0: 1} for j in range(self.n_simplices(0))}
-        return _boundary_columns(self, k, frozenset())
+            return [[0] * self.n_simplices(0)]
+        return _face_rows(self, k, frozenset())
 
     @staticmethod
     def dd_zero_check(lower, upper):
         """Certify that the boundary ``lower`` after ``upper`` is zero.
 
-        Both are sparse matrices in the column form of ``boundary_rows``:
-        ``upper`` is d_k and ``lower`` is d_{k-1}, and each column of
-        ``upper`` is mapped through ``lower`` by index lookup.  Each
-        k-simplex meets about k^2 face pairs, so the check is linear.
+        Both are face rows: ``upper`` is d_k, k + 1 rows, and ``lower`` is
+        d_{k-1}, k rows.  For i < l, a k-simplex loses vertex i and then
+        vertex l - 1 of what is left, or vertex l and then vertex i: both
+        paths reach the same codimension-2 face, with the signs
+        (-1)^(i+l-1) and (-1)^(i+l), which cancel.  These k(k + 1) paths
+        are every term of d_{k-1} d_k, so the product is zero when each
+        pair of paths lands on the same face.  That is checked a whole row
+        at a time, ``lower[l-1][upper[i][j]] == lower[i][upper[l][j]]`` for
+        every j, with ``lower`` padded by -1 so that a face inside the
+        subcomplex of a pair stays inside it.  Every entry must be a face
+        index or -1, and on a pair no entry may name a face whose own faces
+        all lie in the subcomplex: that face lies there too and reads -1.
         """
-        for col in upper.values():
-            acc = {}
-            for m, a in col.items():
-                for r, b in lower.get(m, {}).items():
-                    acc[r] = acc.get(r, 0) + a * b
-            if any(acc.values()):
-                raise CertificateError("boundary of a boundary is nonzero")
+        k = len(upper) - 1
+        if len(lower) != k or len(set(map(len, lower))) > 1 or \
+                len(set(map(len, upper))) > 1:
+            raise CertificateError(
+                f"face rows of d_{k} and d_{k - 1} do not fit")
+        if not lower:
+            return True
+        size = len(lower[0])
+        for row in upper:
+            if row and not (-1 <= min(row) and max(row) < size):
+                raise CertificateError("a face index out of range")
+        if k > 1 and any(-1 in row for row in lower):
+            highest = list(map(max, zip(*lower))) + [0]
+            if any(-1 in map(highest.__getitem__, row) for row in upper):
+                raise CertificateError(
+                    "a face inside the subcomplex is not -1")
+        pad = [row + [-1] for row in lower]
+        signs = _signs(k + 1)
+        for l in range(1, k + 1):
+            for i in range(l):
+                if signs[i] * signs[l - 1] + signs[l] * signs[i]:
+                    raise CertificateError("boundary signs do not cancel")
+                if list(map(pad[l - 1].__getitem__, upper[i])) != \
+                        list(map(pad[i].__getitem__, upper[l])):
+                    raise CertificateError("boundary of a boundary is nonzero")
         return True
 
 
@@ -105,33 +142,66 @@ def order_complex(P: FinitePoset, max_dim=None, budget=DEFAULT_BUDGET) -> OrderC
 
 
 def relative_boundary_rows(cx: OrderComplex, sub, k):
-    """d_k, as columns, of the quotient complex by the full subcomplex on
-    ``sub``, a set of vertex numbers of ``cx``."""
+    """d_k, as face rows, of the quotient complex by the full subcomplex on
+    ``sub``, a set of vertex numbers of ``cx``: a face inside it reads -1.
+    The empty simplex lies in every subcomplex, so d_0 is all -1."""
     if k < 1:
+        return [[-1] * cx.n_simplices(0)]
+    return _face_rows(cx, k, frozenset(sub))
+
+
+def columns(rows, skip=()):
+    """The columns ``{simplex: {face: sign}}`` of the face rows ``rows``,
+    as the sparse Smith normal form takes them.
+
+    The simplices in ``skip`` (those the twist cleared) are left out, and
+    so are -1 faces and the simplices left with no face (those inside the
+    subcomplex of a pair).  A column that names a face twice raises
+    CertificateError: its dict would merge the two entries into one.
+    """
+    if not rows:
         return {}
-    return _boundary_columns(cx, k, frozenset(sub))
+    keep = range(len(rows[0]))
+    if skip:
+        keep = sorted(set(keep).difference(skip))
+    relative = any(-1 in row for row in rows)
+    if relative:
+        highest = list(map(max, zip(*rows)))
+        keep = [j for j in keep if highest[j] >= 0]
+    if skip or relative:
+        rows = [list(map(row.__getitem__, keep)) for row in rows]
+    cols = dict(zip(keep, map(dict, map(zip, zip(*rows),
+                                        repeat(_signs(len(rows)))))))
+    faces = sum(map(len, rows))
+    if relative:
+        faces -= sum(row.count(-1) for row in rows)
+        for col in cols.values():
+            col.pop(-1, None)
+    if sum(map(len, cols.values())) != faces:
+        raise CertificateError("a boundary column repeats a face")
+    return cols
 
 
-def _boundary_columns(cx, k, sub):
-    """d_k (k >= 1) as columns, relative to the full subcomplex on ``sub``:
-    simplices and faces inside ``sub`` are left out, and any other face
-    missing from the face index raises."""
-    lower = cx.by_dim[k - 1]
-    faces = {c: i for i, c in enumerate(lower)}
+def _signs(n):
+    """The fixed signs (-1)^i of the first n face rows."""
+    return (1, -1) * (n // 2) + (1,) * (n % 2)
+
+
+def _face_rows(cx, k, sub):
+    """d_k (k >= 1) as face rows, relative to the full subcomplex on
+    ``sub``: faces inside ``sub`` read -1, and any other face missing from
+    the face index raises KeyError."""
+    lower, simplices = cx.by_dim[k - 1], cx.by_dim[k]
+    faces = dict(zip(lower, range(len(lower))))
     if len(faces) != len(lower):
         raise CertificateError(f"duplicate simplex in dimension {k - 1}")
     if sub:
-        faces.update(dict.fromkeys(filter(sub.issuperset, lower)))
-    cols = {}
-    for j, c in enumerate(cx.by_dim[k]):
-        if sub and sub.issuperset(c):
-            continue
-        col = {}
-        sign = 1
-        for i in range(len(c)):
-            r = faces[c[:i] + c[i + 1:]]
-            if r is not None:
-                col[r] = sign
-            sign = -sign
-        cols[j] = col
-    return cols
+        faces.update(dict.fromkeys(filter(sub.issuperset, lower), -1))
+    rows = []
+    for i in range(k + 1):
+        keyed = map(itemgetter(*(m for m in range(k + 1) if m != i)),
+                    simplices)
+        if k == 1:
+            keyed = zip(keyed)  # itemgetter of one index returns no tuple
+        rows.append(list(map(faces.__getitem__, keyed)))
+    return rows

@@ -2,16 +2,18 @@
 
 Everything here is integer-exact: ranks and torsion come from Smith normal
 form of boundary matrices, or from exactness where a trivial fundamental
-group fixes them.  Boundary matrices go from ``complexes`` to the SNF as
-the columns they are built as.  Reduced, relative and mod-2 homology
-differ only in their generator counts, boundary matrices and
-invariant-factor routine, and share one loop, ``_profile``, that walks the
-degrees top-down.  Each SNF reports the rows of its unit pivots, and the
-twist (Chen-Kerber) drops the columns at those rows from the next lower
-boundary before its SNF: since d_k d_{k+1} = 0 they are integer
-combinations of the columns kept, so the invariant factors do not change.
-That identity is certified, not assumed: on every complex the loop checks
-that each pair of consecutive boundary matrices handed to the SNF
+group fixes them.  Boundary matrices come from ``complexes`` as face rows
+(the face index of each simplex with one vertex removed, one row per
+vertex position), and the SNF gets the columns built from those rows.
+Reduced, relative and mod-2 homology differ only in their generator
+counts, boundary matrices and invariant-factor routine, and share one
+loop, ``_profile``, that walks the degrees top-down.  Each SNF reports the
+rows of its unit pivots, and the twist (Chen-Kerber) drops the columns at
+those rows from the next lower boundary before its SNF: since
+d_k d_{k+1} = 0 they are integer combinations of the columns kept, so the
+invariant factors do not change.  That identity is certified, not
+assumed: on every complex the loop checks, on the face rows that the SNF's
+columns are then built from, that each pair of consecutive boundaries
 composes to zero, before the twist clears against the pair.
 
 A verdict never overstates its evidence.  ``status`` says what was
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .complexes import BudgetExceeded, DEFAULT_BUDGET, OrderComplex, \
-    order_complex, relative_boundary_rows
+    columns, order_complex, relative_boundary_rows
 from .posets import FinitePoset, PosetMap, mapping_cone
 from .snf import CertificateError, smith_invariants
 from . import pi1
@@ -82,7 +84,8 @@ def _profile(cx, cap, counts, boundary, known, invariants) -> HomologyProfile:
     """Betti numbers and torsion of one chain complex on the simplices of cx.
 
     ``counts[k]`` generators sit in degree k and ``boundary(k)`` is the
-    sparse boundary d_k as columns.  ``known`` holds the ranks of d_0, d_1,
+    boundary d_k as face rows, which ``columns`` turns into the sparse
+    columns an SNF takes.  ``known`` holds the ranks of d_0, d_1,
     ... that need no SNF: that of d_0 always, and those of d_1 and d_2 too
     when a trivial fundamental group fixes them; those boundaries are free
     of torsion, and a known rank that does not fit its matrix raises
@@ -99,9 +102,12 @@ def _profile(cx, cap, counts, boundary, known, invariants) -> HomologyProfile:
     integers.  So d_k's columns at the pivot rows are integer combinations
     of its other columns: the columns kept span the same lattice as all of
     them, and ranks and torsion are unchanged.  The same holds over F_2.
-    That rests on d_k d_{k+1} = 0, so d_{k+1} is kept until d_k has been
-    built and ``dd_zero_check`` has passed on the pair, and only then is
-    d_k cleared.
+    That rests on d_k d_{k+1} = 0, so the face rows of d_{k+1} are kept
+    until those of d_k have been built and ``dd_zero_check`` has passed on
+    the pair; only then are d_k's columns built, without the cleared ones.
+    The check compares the very rows the columns come from, and
+    ``columns`` raises on a column that names a face twice, so the pair
+    certified is the pair the SNFs reduce.
     """
     top = len(counts) - 1
     ranks = list(known) + [0] * (top + 2 - len(known))
@@ -114,15 +120,13 @@ def _profile(cx, cap, counts, boundary, known, invariants) -> HomologyProfile:
     torsion = {}
     upper, cleared = None, set()
     for k in range(top, len(known) - 1, -1):
-        d = boundary(k)
+        rows = boundary(k)
         if upper is not None:
-            OrderComplex.dd_zero_check(d, upper)
+            OrderComplex.dd_zero_check(rows, upper)
         # d_{k+1} is freed before this SNF; d_k is kept for d_{k-1}'s check
-        upper = d
-        if cleared:
-            d = {j: col for j, col in d.items() if j not in cleared}
-        cleared = set()
-        inv = invariants(d, cleared)
+        upper, lows = rows, set()
+        inv = invariants(columns(rows, cleared), lows)
+        cleared = lows
         ranks[k] = len(inv)
         tors = tuple(v for v in inv if v > 1)
         if tors:
@@ -175,13 +179,14 @@ def relative_homology(P: FinitePoset, sub, through_degree=None,
     Computed from the quotient chain complex; unreduced, no degree -1.
     ``cx`` is as for ``reduced_homology``.
     """
-    sub = frozenset(sub)
-    assert sub <= P.positions().keys()
-    sub = frozenset(map(P.positions().__getitem__, sub))
+    sub, positions = frozenset(sub), P.positions()
+    if not sub <= positions.keys():
+        raise ValueError("sub must be a set of elements of P")
+    sub = frozenset(map(positions.__getitem__, sub))
     cap = _cap(through_degree)
     if cx is None:
         cx = order_complex(P, max_dim=cap, budget=budget)
-    counts = tuple(sum(1 for c in simplices if not sub.issuperset(c))
+    counts = tuple(len(simplices) - sum(map(sub.issuperset, simplices))
                    for simplices in cx.by_dim)
     return _profile(cx, cap, counts,
                     lambda k: relative_boundary_rows(cx, sub, k), (0,),

@@ -1,7 +1,9 @@
 """Smith normal form over the integers, tuned for boundary matrices.
 
-A sparse matrix is given by its columns, the form in which ``complexes``
-builds boundary matrices and hands them over as they are.  The sparse
+A sparse matrix is given by its columns, ``{column: {row: value}}``.
+``complexes`` stores a boundary matrix as face rows, checks d d = 0 on
+them, and builds these columns from the checked rows (``columns``), with
+the columns that the twist clears left out.  The sparse
 phase is a column reduction, as in persistent homology: each column is
 reduced by its lowest row against the unit (+-1) pivots found so far,
 which is exact over the integers because every pivot entry is a unit.

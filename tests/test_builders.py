@@ -448,9 +448,12 @@ def _run_optimized(code):
 
 def test_builder_input_checks_survive_optimized_python():
     # under -O a plain assert let a degenerate module through build_D (an
-    # empty poset) and a frozen zero vector through build_O (3 elements)
+    # empty poset), a frozen zero vector through build_O (3 elements), a
+    # one-point set through partitions_poset (an empty poset) and
+    # overlapping parts through partition_sequences_poset (2 elements)
     code = """
-from symposet.builders import build_D, build_HU, build_I, build_O
+from symposet.builders import (build_D, build_HU, build_I, build_O,
+                               partition_sequences_poset, partitions_poset)
 from symposet.rings import PrimeField, ZZ
 from symposet.symplectic import (SymplecticModule,
                                  enumerate_unimodular_submodules)
@@ -469,6 +472,10 @@ run(lambda: build_I(SymplecticModule.standard(ZZ, 1)))
 run(lambda: build_HU(0, F2))
 run(lambda: build_HU(1, ZZ))
 run(lambda: enumerate_unimodular_submodules(SymplecticModule.standard(ZZ, 1)))
+run(lambda: partitions_poset((0,)))
+run(lambda: partition_sequences_poset([1, 2], [[1], [1, 2]]))
+run(lambda: partition_sequences_poset([1, 2, 3], [[1, 2]]))
+run(lambda: partition_sequences_poset([1, 2], [[1], [], [2]]))
 """
     assert _run_optimized(code) == [
         "L must be unimodular",
@@ -478,6 +485,10 @@ run(lambda: enumerate_unimodular_submodules(SymplecticModule.standard(ZZ, 1)))
         "genus must be at least 1, not 0",
         "enumerable over finite fields only",
         "enumerable over finite fields only",
+        "need at least two elements",
+        "P must be a partition of A",
+        "P must be a partition of A",
+        "partition parts must be nonempty",
     ]
 
 

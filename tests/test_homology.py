@@ -15,8 +15,8 @@ import pytest
 
 import symposet
 from symposet import complexes, homology, pi1, posets, snf
-from symposet.complexes import BudgetExceeded, OrderComplex, order_complex, \
-    relative_boundary_rows
+from symposet.complexes import BudgetExceeded, OrderComplex, columns, \
+    order_complex, relative_boundary_rows
 from symposet.homology import (HomologyProfile, cohen_macaulay_check,
                                homologically_connected, homology_spherical,
                                map_connectivity, reduced_betti_mod2,
@@ -367,6 +367,83 @@ def _transpose(rows):
     return cols
 
 
+def _reference_columns(cx, k, sub=None):
+    """d_k as the dict columns that the face rows replaced, {simplex index:
+    {face index: sign}}, built one sliced face tuple at a time as the old
+    column builder did; simplices and faces inside ``sub`` (vertex
+    numbers), when given, are left out."""
+    if k <= 0:
+        return {} if sub is not None else \
+            {j: {0: 1} for j in range(cx.n_simplices(0))}
+    sub = frozenset(sub or ())
+    lower = cx.by_dim[k - 1]
+    faces = {c: i for i, c in enumerate(lower)}
+    faces.update(dict.fromkeys(filter(sub.issuperset, lower)))
+    cols = {}
+    for j, c in enumerate(cx.by_dim[k]):
+        if sub.issuperset(c):
+            continue
+        col = {}
+        sign = 1
+        for i in range(len(c)):
+            r = faces[c[:i] + c[i + 1:]]
+            if r is not None:
+                col[r] = sign
+            sign = -sign
+        cols[j] = col
+    return cols
+
+
+def _reference_dd_zero(lower, upper):
+    """The dict check that the row comparison replaced: each column of
+    ``upper`` mapped through ``lower`` term by term."""
+    for col in upper.values():
+        acc = {}
+        for m, a in col.items():
+            for r, b in lower.get(m, {}).items():
+                acc[r] = acc.get(r, 0) + a * b
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _summed_columns(rows):
+    """The matrix of face rows as dict columns, with a repeated face summed
+    rather than merged and -1 faces dropped: a plain loop that hands
+    corrupted rows to the reference check as the matrix they are."""
+    cols = {}
+    for i, row in enumerate(rows):
+        for j, r in enumerate(row):
+            col = cols.setdefault(j, {})
+            if r >= 0:
+                col[r] = col.get(r, 0) + (-1) ** i
+    return cols
+
+
+def _face_row_cases():
+    """(poset, its order complex, vertex numbers of a subcomplex or None)
+    for seeded random posets, RP^2, the spheres subsets_poset(3..5) and
+    seeded random mapping-cone pairs (cone, source with the tip)."""
+    rng = random.Random(2111)
+    cases = []
+    for _ in range(30):
+        P = random_poset(rng, rng.randint(1, 9), p=rng.choice((0.1, 0.3, 0.5)))
+        cases.append((P, order_complex(P), None))
+    for P in [face_poset(RP2_FACES)] + [subsets_poset(n) for n in (3, 4, 5)]:
+        cases.append((P, order_complex(P), None))
+    for C, src, _, tip in map(mapping_cone, _random_maps(rng, 12)):
+        pos = C.positions()
+        sub = frozenset(pos[x] for x in src.values()) | {pos[tip]}
+        cases.append((C, order_complex(C), sub))
+    return cases
+
+
+def _rows(cx, sub, k):
+    if sub is None:
+        return cx.boundary_rows(k)
+    return relative_boundary_rows(cx, sub, k)
+
+
 def test_boundary_columns_match_the_row_form_reference():
     rng = random.Random(1103)
     relative = 0
@@ -374,16 +451,101 @@ def test_boundary_columns_match_the_row_form_reference():
         n = rng.randint(1, 9)
         cx = order_complex(random_poset(rng, n, p=rng.choice((0.25, 0.5))))
         for k in range(len(cx.by_dim)):
-            assert cx.boundary_rows(k) == \
+            assert columns(cx.boundary_rows(k)) == \
                 _transpose(_reference_boundary_rows(cx, k))
             if k >= 1:
                 assert relative_boundary_rows(cx, (), k) == cx.boundary_rows(k)
             for _ in range(3):
                 sub = frozenset(rng.sample(range(n), rng.randint(0, n)))
-                got = relative_boundary_rows(cx, sub, k)
+                got = columns(relative_boundary_rows(cx, sub, k))
                 assert got == _transpose(_reference_boundary_rows(cx, k, sub))
                 relative += bool(got) and bool(sub)
     assert relative > 50
+
+
+def test_face_rows_match_the_old_columns_and_dd_check():
+    # columns(rows), with and without cleared columns, against the old
+    # builder, and the row check against the old dict check on every
+    # consecutive pair of boundaries
+    rng = random.Random(2113)
+    disconnected = relative = 0
+    for P, cx, sub in _face_row_cases():
+        if sub is None:
+            disconnected += reduced_homology(P, 0).betti_number(0) > 0
+        else:
+            relative += len(cx.by_dim) > 2
+        rows = [_rows(cx, sub, k) for k in range(len(cx.by_dim))]
+        for k, upper in enumerate(rows):
+            ref = _reference_columns(cx, k, sub)
+            assert columns(upper) == ref
+            skip = set(rng.sample(range(len(upper[0])), len(upper[0]) // 3))
+            assert columns(upper, skip) == \
+                {j: col for j, col in ref.items() if j not in skip}
+            if k:
+                lower = _reference_columns(cx, k - 1, sub)
+                assert _reference_dd_zero(lower, ref)
+                assert OrderComplex.dd_zero_check(rows[k - 1], upper)
+    assert disconnected >= 3 and relative >= 5
+
+
+def _redirected(rows, i, j, size, rng):
+    """A copy of ``rows`` whose face i of simplex j names another of the
+    ``size`` faces, not one of that simplex's faces."""
+    own = {row[j] for row in rows}
+    bad = [list(row) for row in rows]
+    bad[i][j] = rng.choice([r for r in range(size) if r not in own])
+    return bad
+
+
+def test_corrupted_face_rows_raise():
+    # a redirected face index raises with the old check on the reduced
+    # route, and whenever the old check does on a pair; a column that
+    # names one face twice and a face of the subcomplex that names its own
+    # index instead of -1 raise too, though the old dict check merged the
+    # first and could not see the second
+    rng = random.Random(2117)
+    redirected = repeated = sentinels = 0
+    for P, cx, sub in _face_row_cases():
+        for k in range(2, len(cx.by_dim)):
+            lower, upper = _rows(cx, sub, k - 1), _rows(cx, sub, k)
+            ref_lower = _summed_columns(lower)
+            for _ in range(4):
+                j, i = rng.randrange(len(upper[0])), rng.randrange(k + 1)
+                if upper[i][j] < 0 or len(lower[0]) <= k + 1:
+                    continue
+                bad = _redirected(upper, i, j, len(lower[0]), rng)
+                old = _reference_dd_zero(ref_lower, _summed_columns(bad))
+                try:
+                    new = OrderComplex.dd_zero_check(lower, bad)
+                except CertificateError:
+                    new = False
+                if sub is None:
+                    assert new is old is False
+                else:
+                    assert old or not new
+                redirected += not new
+                others = [m for m in range(k + 1)
+                          if m != i and upper[m][j] >= 0]
+                if others:
+                    bad = [list(row) for row in upper]
+                    bad[others[0]][j] = bad[i][j]
+                    with pytest.raises(CertificateError):
+                        columns(bad)
+                    repeated += 1
+            if sub is not None:
+                index = {c: r for r, c in enumerate(cx.by_dim[k - 1])}
+                for j, c in enumerate(cx.by_dim[k]):
+                    i = next((i for i in range(k + 1) if upper[i][j] < 0),
+                             None)
+                    if i is None or sub.issuperset(c):
+                        continue
+                    bad = [list(row) for row in upper]
+                    bad[i][j] = index[c[:i] + c[i + 1:]]
+                    with pytest.raises(CertificateError):
+                        OrderComplex.dd_zero_check(lower, bad)
+                    sentinels += 1
+                    break
+    assert redirected > 100 and repeated > 100 and sentinels >= 5
 
 
 def test_boundary_faces_must_be_simplices():
@@ -395,18 +557,26 @@ def test_boundary_faces_must_be_simplices():
         relative_boundary_rows(cx, {0}, 1)
 
 
-def test_dd_zero_check_rejects_a_pair_that_does_not_compose_to_zero():
+def test_dd_zero_check_rejects_a_pair_that_does_not_compose_to_zero(
+        monkeypatch):
     cx = order_complex(subsets_poset(4))
     d1, d2 = cx.boundary_rows(1), cx.boundary_rows(2)
     assert OrderComplex.dd_zero_check(d1, d2)
-    broken = {j: dict(col) for j, col in d2.items()}
-    col = next(iter(broken.values()))
-    r = next(iter(col))
-    col[r] = -col[r]
+    broken = _redirected(d2, 0, 0, len(d1[0]), random.Random(7))
     with pytest.raises(CertificateError):
         OrderComplex.dd_zero_check(d1, broken)
+    # a triangle whose three faces are one edge
     with pytest.raises(CertificateError):
-        OrderComplex.dd_zero_check({0: {0: 1}}, {0: {0: 1}})
+        OrderComplex.dd_zero_check([[1], [0]], [[0], [0], [0]])
+    # rows that do not fit, and a face index past the end
+    with pytest.raises(CertificateError):
+        OrderComplex.dd_zero_check(d1, d1)
+    with pytest.raises(CertificateError):
+        OrderComplex.dd_zero_check(d1, [row + [len(d1[0])] for row in d2])
+    # the signs are checked, not assumed: equal signs do not cancel
+    monkeypatch.setattr(complexes, "_signs", lambda n: (1,) * n)
+    with pytest.raises(CertificateError):
+        OrderComplex.dd_zero_check(d1, d2)
 
 
 def test_dd_zero_is_checked_on_a_large_complex(monkeypatch):
@@ -422,17 +592,43 @@ def test_dd_zero_is_checked_on_a_large_complex(monkeypatch):
 
 
 def test_certificates_survive_optimized_python():
-    code = ("from symposet.complexes import OrderComplex\n"
-            "from symposet.snf import CertificateError\n"
-            "try:\n"
-            "    OrderComplex.dd_zero_check({0: {0: 1}}, {0: {0: 1}})\n"
-            "except CertificateError:\n"
-            "    print('raised')\n")
-    src = os.path.dirname(os.path.dirname(symposet.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout == "raised\n"
+    # on the octahedron: a triangle whose faces are one edge, a redirected
+    # face index, equal signs, a column that names a face twice, and a face
+    # of the subcomplex {a, c, e} that names its own index instead of -1;
+    # then a pair whose subcomplex is not a set of elements
+    code = """
+from symposet.complexes import OrderComplex, columns, order_complex, \\
+    relative_boundary_rows
+octahedron = FinitePoset("abcdef", [(x, y) for x in "ab" for y in "cdef"]
+                         + [(x, y) for x in "cd" for y in "ef"])
+cx = order_complex(octahedron)
+d1, d2 = cx.boundary_rows(1), cx.boundary_rows(2)
+check = OrderComplex.dd_zero_check
+tripped(lambda: check([[1], [0]], [[0], [0], [0]]))
+bad = [list(row) for row in d2]
+bad[0][0] = min(set(range(len(d1[0]))) - {row[0] for row in d2})
+tripped(lambda: check(d1, bad))
+patched(complexes, "_signs", lambda n: (1,) * n, lambda: check(d1, d2))
+bad = [list(row) for row in d2]
+bad[1][0] = bad[0][0]
+tripped(lambda: columns(bad))
+sub = {0, 2, 4}
+r1, r2 = (relative_boundary_rows(cx, sub, k) for k in (1, 2))
+bad = [list(row) for row in r2]
+bad[2][cx.by_dim[2].index((0, 2, 5))] = cx.by_dim[1].index((0, 2))
+tripped(lambda: check(r1, bad))
+try:
+    homology.relative_homology(circle, {"z"})
+except ValueError as e:
+    print(e)
+"""
+    assert _run_optimized(code) == [
+        "boundary of a boundary is nonzero",
+        "boundary of a boundary is nonzero",
+        "boundary signs do not cancel",
+        "a boundary column repeats a face",
+        "a face inside the subcomplex is not -1",
+        "sub must be a set of elements of P"]
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +646,16 @@ def _sympy_invariants(cols):
 
 def _chain_complex(P, sub=None):
     """(counts, boundary, rank of d_0) of P's order complex, reduced, or
-    relative to the full subcomplex on the labels ``sub``."""
+    relative to the full subcomplex on the labels ``sub``; the boundaries
+    are the old builder's dict columns, not the program's face rows."""
     cx = order_complex(P)
     if sub is None:
-        return tuple(map(len, cx.by_dim)), cx.boundary_rows, 1
+        return tuple(map(len, cx.by_dim)), \
+            lambda k: _reference_columns(cx, k), 1
     vs = frozenset(map(P.positions().__getitem__, sub))
     counts = tuple(sum(1 for c in simplices if not vs.issuperset(c))
                    for simplices in cx.by_dim)
-    return counts, lambda k: relative_boundary_rows(cx, vs, k), 0
+    return counts, lambda k: _reference_columns(cx, k, vs), 0
 
 
 def _untwisted(counts, boundary, rank0, invariants):
@@ -514,17 +712,17 @@ def test_twist_matches_the_full_boundaries_degree_by_degree(monkeypatch):
 
 
 def test_a_broken_boundary_stops_the_twist_before_it_clears(monkeypatch):
-    # one sign of d_2 of S^2 flipped: d_2 reaches the SNF, then the check
-    # of the pair (d_1, d_2) raises before d_1, cleared by d_2, follows it
+    # one face of d_2 of S^2 redirected to an edge outside its triangle:
+    # d_2 reaches the SNF, then the check of the pair (d_1, d_2) raises
+    # before d_1, cleared by d_2, follows it
     original = OrderComplex.boundary_rows
 
     def broken(cx, k):
-        cols = original(cx, k)
+        rows = original(cx, k)
         if k == 2:
-            col = cols[0]
-            r = next(iter(col))
-            col[r] = -col[r]
-        return cols
+            rows = _redirected(rows, 0, 0, cx.n_simplices(1),
+                               random.Random(11))
+        return rows
 
     monkeypatch.setattr(OrderComplex, "boundary_rows", broken)
     handed = _count_calls(monkeypatch, (homology,), "smith_invariants")
@@ -1002,17 +1200,19 @@ patched(builders, "rho_sequence",
         lambda ring, w, i, seq, n: "b" if seq == "a" else "a",
         lambda: builders.rho_poset_retraction(
             FinitePoset("ab", [("a", "b")]), ZZ, [(0, 1)], 0, 2))
-# the octahedron with one sign of d_2 flipped: the twist would clear d_1
-# against a pair that does not compose to zero
+# the octahedron with one face of d_2 redirected to an edge outside its
+# triangle: the twist would clear d_1 against a pair that does not compose
+# to zero
 boundary_rows = complexes.OrderComplex.boundary_rows
-def flipped(cx, k):
-    cols = boundary_rows(cx, k)
+def redirected(cx, k):
+    rows = boundary_rows(cx, k)
     if k == 2:
-        cols[0][0] = -cols[0][0]
-    return cols
+        rows[0][0] = min(set(range(cx.n_simplices(1)))
+                         - {row[0] for row in rows})
+    return rows
 octahedron = FinitePoset("abcdef", [(x, y) for x in "ab" for y in "cdef"]
                          + [(x, y) for x in "cd" for y in "ef"])
-patched(complexes.OrderComplex, "boundary_rows", flipped,
+patched(complexes.OrderComplex, "boundary_rows", redirected,
         lambda: homology.reduced_homology(octahedron))
 """
     assert _run_optimized(code) == [

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from symposet import snf
-from symposet.complexes import order_complex
+from symposet.complexes import columns, order_complex
 from symposet.posets import FinitePoset
 from symposet.snf import smith_invariants
 
@@ -169,7 +169,7 @@ def test_sphere_boundaries_make_no_dense_call(monkeypatch):
     P = FinitePoset(elems, [(a, b) for a in elems for b in elems if a < b])
     cx = order_complex(P)
     calls = _count_dense(monkeypatch)
-    ranks = [len(smith_invariants(cx.boundary_rows(k)))
+    ranks = [len(smith_invariants(columns(cx.boundary_rows(k))))
              for k in range(len(cx.by_dim))]
     assert calls == []
     sizes = [len(s) for s in cx.by_dim]
