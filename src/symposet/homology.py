@@ -14,7 +14,10 @@ d_k d_{k+1} = 0 they are integer combinations of the columns kept, so the
 invariant factors do not change.  That identity is certified, not
 assumed: on every complex the loop checks, on the face rows that the SNF's
 columns are then built from, that each pair of consecutive boundaries
-composes to zero, before the twist clears against the pair.
+composes to zero, before the twist clears against the pair.  On reduced
+homology d_1 is the incidence matrix of a graph, of rank the number of
+vertices minus the number of components and with every invariant factor
+1, so a union-find ranks it instead of the SNF.
 
 A verdict never overstates its evidence.  ``status`` says what was
 established, ``basis`` says with which tools; a fundamental-group probe can
@@ -28,6 +31,10 @@ complex connected with H_1 = 0 (Hurewicz: H_1 is the abelianization of
 pi_1), which fixes the ranks of d_1 and d_2 with no torsion, so the SNF
 stops at d_3.  Every other answer, and every answer for a map, waits for
 the full homology, so a homology refutation still comes first.
+
+The Cohen-Macaulay sweep walks its links as vertex sets of the poset's
+stored order and keys each by its target and renumbered up-sets; only a
+key it has not seen builds a poset.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ from typing import Dict, Optional, Tuple
 
 from .complexes import BudgetExceeded, DEFAULT_BUDGET, OrderComplex, \
     columns, order_complex, relative_boundary_rows
-from .posets import FinitePoset, PosetMap, mapping_cone
+from .posets import FinitePoset, PosetMap, _induced_up_sets, \
+    mapping_cone
 from .snf import CertificateError, smith_invariants
 from . import pi1
 
@@ -80,7 +88,41 @@ class HomologyProfile:
         return None
 
 
-def _profile(cx, cap, counts, boundary, known, invariants) -> HomologyProfile:
+def _graph_rank(rows, skip, n):
+    """The rank of d_1, given as its two face rows over n vertices, without
+    the edges in ``skip``.
+
+    d_1 is then the oriented incidence matrix of a graph, each column the
+    head minus the tail of one edge: its rank is n minus the number of
+    components, and every invariant factor is 1, over the integers and
+    over F_2.  The rank is the number of edges that join two components
+    of a union-find.  An edge whose two faces coincide raises
+    CertificateError, as ``columns`` does, and so does a face index that
+    is not a vertex.
+    """
+    heads, tails = rows
+    edges = zip(heads, tails)
+    if skip:
+        edges = (e for j, e in enumerate(edges) if j not in skip)
+    parent = list(range(n))
+    rank = 0
+    for a, b in edges:
+        if a == b:
+            raise CertificateError("a boundary column repeats a face")
+        if not (0 <= a < n and 0 <= b < n):
+            raise CertificateError("a face index out of range")
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
+
+
+def _profile(cx, cap, counts, boundary, known, invariants,
+             graph=False) -> HomologyProfile:
     """Betti numbers and torsion of one chain complex on the simplices of cx.
 
     ``counts[k]`` generators sit in degree k and ``boundary(k)`` is the
@@ -108,6 +150,12 @@ def _profile(cx, cap, counts, boundary, known, invariants) -> HomologyProfile:
     The check compares the very rows the columns come from, and
     ``columns`` raises on a column that names a face twice, so the pair
     certified is the pair the SNFs reduce.
+
+    With ``graph`` (reduced homology, where d_0 is the augmentation) d_1
+    is the incidence matrix of a graph, and its columns that survive the
+    twist go to ``_graph_rank``, a union-find, instead of ``invariants``:
+    after its face rows are built and certified against d_2, like those
+    of every other boundary.
     """
     top = len(counts) - 1
     ranks = list(known) + [0] * (top + 2 - len(known))
@@ -125,6 +173,9 @@ def _profile(cx, cap, counts, boundary, known, invariants) -> HomologyProfile:
             OrderComplex.dd_zero_check(rows, upper)
         # d_{k+1} is freed before this SNF; d_k is kept for d_{k-1}'s check
         upper, lows = rows, set()
+        if k == 1 and graph:
+            ranks[1] = _graph_rank(rows, cleared, counts[0])
+            continue
         inv = invariants(columns(rows, cleared), lows)
         cleared = lows
         ranks[k] = len(inv)
@@ -160,7 +211,8 @@ def _reduced(P, through_degree, budget, invariants, cx=None,
     if cx is None:
         cx = order_complex(P, max_dim=cap, budget=budget)
     counts = tuple(len(simplices) for simplices in cx.by_dim)
-    return _profile(cx, cap, counts, cx.boundary_rows, known, invariants)
+    return _profile(cx, cap, counts, cx.boundary_rows, known, invariants,
+                    graph=True)
 
 
 def reduced_homology(P: FinitePoset, through_degree=None,
@@ -340,15 +392,33 @@ def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
 
 
 def _cm_tasks(P: FinitePoset, n: int):
-    h = P.heights()
-    yield ("whole", None, P, n)
-    for x in P:
-        yield ("below", x, P.subposet_lt(x), h[x] - 1)
-        yield ("above", x, P.subposet_gt(x), n - 1 - h[x])
-    for x in P:
-        for y in P.above(x):
-            yield ("interval", (x, y), P.open_interval(x, y),
-                   h[y] - h[x] - 2)
+    """The sweep's tasks in order, each as (kind, tag, ids, key).
+
+    The tasks are the whole poset, then the lower and the upper link of
+    each vertex v, then the open interval (v, w) for each w in
+    ``sorted(up[v])``, v in vertex order: an order that follows the vertex
+    numbers, never a label's hash.  ``ids`` are the task's vertex numbers
+    in P, sorted, read from P's stored order (``down[v]``, ``up[v]`` and
+    ``up[v] & down[w]``), and ``key`` is (target, up-sets of the full
+    subposet on ``ids``, renumbered in that order), the very up-sets that
+    ``P.induced`` gives that subposet.
+    """
+    up, down, el = P.up_sets(), P.down_sets(), P.elements
+    heights = P.heights()
+    h = list(map(heights.__getitem__, el))
+
+    def task(kind, tag, keep, target):
+        ids, order = _induced_up_sets(up, keep)
+        return kind, tag, ids, (target, order)
+
+    yield task("whole", None, frozenset(range(len(el))), n)
+    for v, x in enumerate(el):
+        yield task("below", x, down[v], h[v] - 1)
+        yield task("above", x, up[v], n - 1 - h[v])
+    for v, x in enumerate(el):
+        for w in sorted(up[v]):
+            yield task("interval", (x, el[w]), up[v] & down[w],
+                       h[w] - h[v] - 2)
 
 
 def cohen_macaulay_check(P: FinitePoset, n: int,
@@ -358,17 +428,20 @@ def cohen_macaulay_check(P: FinitePoset, n: int,
     The whole poset, every lower and upper link, and every open interval
     must be spherical of the dimension dictated by the longest-chain heights.
     Purely homological; no group probes on the links.  The sweep is one
-    serial loop, and each link gets the whole ``budget``.  Links are built
-    as the sweep reaches them, and the sweep stops at the first one that is
-    refuted or inconclusive.  A verdict of the sweep records in
-    ``links_checked`` how many tasks passed before it ended.
+    serial loop over ``_cm_tasks``, in vertex order, and each link gets the
+    whole ``budget``.  The sweep stops at the first task that is refuted or
+    inconclusive, and a verdict of the sweep records in ``links_checked``
+    how many tasks passed before it ended.
 
-    Each distinct (target, order) is computed once per sweep: a link whose
-    ``up_sets()`` and target match an earlier task's reuses that task's
-    verdict.  That is exact, because ``homology_spherical`` without a probe
-    reads only the up-sets (heights, successor lists and the order complex
-    over vertex numbers), never a label, and the budget is the same for
-    every task.  So each distinct link still runs the full SNF route with
+    Each task is first a key, (target, up-sets), read from P's stored
+    order over vertex numbers; no poset is built and no label is hashed for
+    it.  Each distinct key is computed once per sweep: only a new key has
+    its poset built, by ``P.induced``, whose ``up_sets()`` must equal the
+    key (else CertificateError), and a repeated key reuses that verdict.
+    That is exact, because ``homology_spherical`` without a probe reads
+    only the up-sets (heights, successor lists and the order complex over
+    vertex numbers), never a label, and the budget is the same for every
+    task.  So each distinct link still runs the full homology route with
     its dd=0 check, and a repeat can only repeat a verdict that was
     established.
     """
@@ -377,11 +450,18 @@ def cohen_macaulay_check(P: FinitePoset, n: int,
                                    {"dim": P.dim(), "expected": n})
     checked = 0
     seen = {}
-    for kind, tag, sub, target in _cm_tasks(P, n):
-        key = (target, sub.up_sets())
+    el = P.elements
+    for kind, tag, ids, key in _cm_tasks(P, n):
         v = seen.get(key)
         if v is None:
-            v = seen[key] = homology_spherical(sub, target, budget=budget,
+            sub = P.induced(map(el.__getitem__, ids))
+            if sub.up_sets() != key[1]:
+                raise CertificateError(
+                    "an induced subposet does not have its key's order")
+            # the memo keys on the link's own up-sets, so the task's copy
+            # of them is freed
+            key = (key[0], sub.up_sets())
+            v = seen[key] = homology_spherical(sub, key[0], budget=budget,
                                                probe=False)
         if v.status == "refuted":
             return ConnectivityVerdict(n, "refuted", "homology",

@@ -112,6 +112,11 @@ class FinitePoset:
         whatever their labels."""
         return tuple(self._up)
 
+    def down_sets(self) -> Tuple[FrozenSet[int], ...]:
+        """For each vertex number, the frozenset of vertex numbers below
+        it: the up-sets of the opposite order."""
+        return tuple(self._down_sets())
+
     def successors(self) -> List[List[int]]:
         """For each vertex number, the sorted vertex numbers above it."""
         return [sorted(u) for u in self._up]
@@ -190,13 +195,13 @@ class FinitePoset:
     # -- derived posets -----------------------------------------------------
 
     def induced(self, subset) -> "FinitePoset":
-        keep = set(map(self.positions().__getitem__, subset))
-        ids = sorted(keep)
-        new = {v: k for k, v in enumerate(ids)}
-        up = self._up
-        return FinitePoset._trusted(
-            tuple(self._labels(ids)),
-            [frozenset(map(new.__getitem__, up[v] & keep)) for v in ids])
+        """The full subposet on the labels ``subset``, its vertices in this
+        poset's vertex order; the whole poset is this poset itself."""
+        keep = frozenset(map(self.positions().__getitem__, subset))
+        if len(keep) == len(self):
+            return self
+        ids, up = _induced_up_sets(self._up, keep)
+        return FinitePoset._trusted(tuple(self._labels(ids)), up)
 
     def opposite(self) -> "FinitePoset":
         return FinitePoset._trusted(self._elements, self._down_sets(),
@@ -236,6 +241,16 @@ class FinitePoset:
 
     def __repr__(self):
         return f"FinitePoset({len(self._elements)} elements, dim {self.dim()})"
+
+
+def _induced_up_sets(up, keep):
+    """The vertex numbers in the set ``keep``, sorted, and the up-sets of
+    the full subposet on them, with the k-th of them renumbered k: the
+    order of the induced subposet, read from the parent's up-sets ``up``."""
+    ids = sorted(keep)
+    new = {v: k for k, v in enumerate(ids)}
+    return ids, tuple(frozenset(map(new.__getitem__, up[v] & keep))
+                      for v in ids)
 
 
 def _numbered(labels):

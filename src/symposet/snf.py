@@ -120,7 +120,11 @@ def smith_invariants(cols, lows=None):
     pivots = {}  # low row -> its column, whose entry there is +-1
     deferred = []
     for c in sorted(cols):
-        col = {r: v for r, v in cols[c].items() if v}
+        # copy() keeps the table size; dict() would give a pair's column,
+        # whose -1 face was popped, a larger table for the SNF's lifetime
+        col = cols[c].copy()
+        if 0 in col.values():
+            col = {r: v for r, v in col.items() if v}
         while col:
             low = max(col)
             piv = pivots.get(low)

@@ -32,6 +32,7 @@ from symposet.symplectic import SymplecticModule
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 
 def face_poset(faces):
@@ -733,6 +734,79 @@ def test_a_broken_boundary_stops_the_twist_before_it_clears(monkeypatch):
         [order_complex(s2).n_simplices(2)]
 
 
+def _graph_rows(P):
+    """d_1 of P's order complex as face rows, and its vertex count."""
+    cx = order_complex(P, max_dim=1)
+    rows = cx.boundary_rows(1) if cx.n_simplices(1) else [[], []]
+    return rows, cx.n_simplices(0)
+
+
+def _sympy_rank(rows, n):
+    """The rank of d_1 over the rationals, from sympy's sparse matrices,
+    with one row per edge."""
+    edges = {j: {a: 1, b: -1} for j, (a, b) in enumerate(zip(*rows))}
+    return DomainMatrix(edges, (len(rows[0]), n), sympy.QQ).rank()
+
+
+def test_graph_rank_matches_the_snf_and_sympy():
+    # d_1 is the incidence matrix of a graph: the union-find's rank is the
+    # SNF's and sympy's, and every invariant factor is 1, also without the
+    # edges that a twist would clear
+    rng = random.Random(2718)
+    cases = [FinitePoset(range(k)) for k in (1, 5)]
+    cases += [random_poset(rng, rng.randint(2, 9),
+                           p=rng.choice((0.05, 0.15, 0.4)))
+              for _ in range(30)]
+    cases.append(face_poset(RP2_FACES))
+    disconnected = 0
+    for P in cases:
+        rows, n = _graph_rows(P)
+        edges = len(rows[0])
+        for skip in (set(), set(rng.sample(range(edges), edges // 3))):
+            rank = homology._graph_rank(rows, skip, n)
+            cols = columns(rows, skip)
+            assert smith_invariants(cols) == [1] * rank
+            assert _sympy_invariants(cols) == [1] * rank
+            kept = [[row[j] for j in range(edges) if j not in skip]
+                    for row in rows]
+            assert _sympy_rank(kept, n) == rank
+        disconnected += homology._graph_rank(rows, (), n) < n - 1
+    assert disconnected >= 5
+    # the (0, L) interval of the genus-3 U: 672 vertices, 6,720 edges
+    U = build_U(SymplecticModule.standard(PrimeField(2), 3))
+    h = U.heights()
+    bottom, top = min(U, key=h.__getitem__), max(U, key=h.__getitem__)
+    rows, n = _graph_rows(U.open_interval(bottom, top))
+    assert (n, len(rows[0])) == (672, 6720)
+    rank = homology._graph_rank(rows, (), n)
+    assert smith_invariants(columns(rows)) == [1] * rank
+    assert _sympy_rank(rows, n) == rank == n - 1
+
+
+def test_graph_certificates_survive_optimized_python():
+    # an edge of the circle's d_1 whose head is its tail, handed to the
+    # union-find directly and through the reduced homology, and a face
+    # index that is not a vertex
+    code = """
+rows = complexes.order_complex(circle).boundary_rows(1)
+rows[0][1] = rows[1][1]
+tripped(lambda: homology._graph_rank(rows, (), 4))
+boundary_rows = complexes.OrderComplex.boundary_rows
+def looped(cx, k):
+    rows = boundary_rows(cx, k)
+    if k == 1:
+        rows[0][0] = rows[1][0]
+    return rows
+patched(complexes.OrderComplex, "boundary_rows", looped,
+        lambda: homology.reduced_homology(circle))
+tripped(lambda: homology._graph_rank([[0, 4], [1, 2]], (), 4))
+"""
+    assert _run_optimized(code) == [
+        "a boundary column repeats a face",
+        "a boundary column repeats a face",
+        "a face index out of range"]
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -810,12 +884,27 @@ def test_cohen_macaulay_budget_reaches_the_links():
     assert v.detail["links_checked"] == 0
 
 
+def _reference_tasks(P, n):
+    """The sweep's tasks, (kind, tag, link, target), built one by one from
+    the public link constructors; the intervals at each lower end go in
+    the vertex order of their upper end."""
+    h, pos = P.heights(), P.positions()
+    yield ("whole", None, P, n)
+    for x in P:
+        yield ("below", x, P.subposet_lt(x), h[x] - 1)
+        yield ("above", x, P.subposet_gt(x), n - 1 - h[x])
+    for x in P:
+        for y in sorted(P.above(x), key=pos.__getitem__):
+            yield ("interval", (x, y), P.open_interval(x, y),
+                   h[y] - h[x] - 2)
+
+
 def _reference_cm(P, n, budget=homology.DEFAULT_BUDGET):
     """The sweep as a plain loop over every task, with no memo."""
     if P.dim() != n:
         return ("refuted", "dimension", {"dim": P.dim(), "expected": n})
     checked = 0
-    for kind, tag, sub, target in homology._cm_tasks(P, n):
+    for kind, tag, sub, target in _reference_tasks(P, n):
         v = homology_spherical(sub, target, budget=budget, probe=False)
         if v.status == "refuted":
             return ("refuted", "homology",
@@ -882,6 +971,68 @@ def test_cohen_macaulay_memo_refutes_after_many_hits(monkeypatch):
         ("refuted", "above", frozenset({5}))
     assert got[2]["links_checked"] >= 40
     assert calls < got[2]["links_checked"] / 4
+
+
+def test_cohen_macaulay_keys_are_the_links_orders():
+    # every task's int key, read from the parent's up-sets, is the target
+    # and the order of the link that the public constructors build
+    rng = random.Random(19)
+    cases = []
+    for _ in range(150):
+        P = random_poset(rng, rng.randint(1, 8),
+                         p=rng.choice((0.15, 0.3, 0.5)))
+        cases.append((P, P.dim()))
+    L1 = SymplecticModule.standard(PrimeField(2), 1, 1)
+    L2 = SymplecticModule.standard(PrimeField(2), 2)
+    L3 = SymplecticModule.standard(PrimeField(2), 3)
+    cases += [(build_U(L2), 2), (build_D(L2), 1), (build_I(L1), 0),
+              (build_U(L3), 3)]
+    tasks = 0
+    for P, n in cases:
+        for (kind, tag, ids, key), (rkind, rtag, link, target) in zip(
+                homology._cm_tasks(P, n), _reference_tasks(P, n),
+                strict=True):
+            assert (kind, tag) == (rkind, rtag)
+            assert tuple(map(P.elements.__getitem__, ids)) == link.elements
+            assert key == (target, link.up_sets())
+            tasks += 1
+    assert tasks > 9414
+
+
+def test_cohen_macaulay_detail_does_not_follow_label_hashes():
+    # a string-labelled random poset whose sweep is refuted at an interval
+    # after other intervals at the same lower end passed: the intervals go
+    # in vertex order, so the detail does not depend on the string hashes
+    code = """
+import random
+from symposet.homology import cohen_macaulay_check
+from symposet.posets import FinitePoset, random_poset
+rng = random.Random(1)
+for _ in range(240):
+    P = random_poset(rng, 10, 0.3)
+S = FinitePoset([f"v{x}" for x in P],
+                [(f"v{a}", f"v{b}") for a, b in P.relation_pairs()])
+v = cohen_macaulay_check(S, S.dim())
+print(v.status, v.detail)
+"""
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    outs = [subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+    ).stdout for seed in ("0", "1")]
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("refuted {'part': 'interval', 'at': ('v0', 'v9')")
+
+
+def test_a_link_without_its_keys_order_raises_under_optimized_python():
+    code = """
+induced = posets.FinitePoset.induced
+patched(posets.FinitePoset, "induced",
+        lambda self, subset: induced(self, subset).opposite(),
+        lambda: homology.cohen_macaulay_check(circle, 1))
+"""
+    assert _run_optimized(code) == [
+        "an induced subposet does not have its key's order"]
 
 
 def test_map_connectivity():
@@ -998,13 +1149,18 @@ def test_probe_first_keeps_a_probe_that_does_not_say_trivial(monkeypatch,
     monkeypatch.setattr(pi1, "pi1_probe",
                         lambda *a, **k: probes.append(a) or answer)
     calls = _count_calls(monkeypatch, (homology,), "smith_invariants")
+    graphs = _count_calls(monkeypatch, (homology,), "_graph_rank")
     s2 = subsets_poset(4)
     for d in (1, 2):
         calls.clear()
+        graphs.clear()
         probes.clear()
         got = _triple(homologically_connected(s2, d))
-        # d_1 and d_2 both reach the SNF, and the probe runs once
-        assert len(calls) == 2 and len(probes) == 1
+        # d_2 reaches the SNF and d_1 the union-find, and the probe runs
+        # once
+        assert len(calls) == 1 and len(graphs) == 1 and len(probes) == 1
+        assert len(calls[0][0]) == order_complex(s2).n_simplices(2)
+        assert len(graphs[0][0][0]) == order_complex(s2).n_simplices(1)
         assert got == reference_connected(s2, d)
     assert _triple(homology_spherical(s2, 2)) == reference_spherical(s2, 2)
     basis = "pi1" if answer == "nontrivial" else "homology-only"
@@ -1047,7 +1203,7 @@ def test_trivial_probe_skips_the_low_degree_snfs(monkeypatch):
     v = homologically_connected(subsets_poset(6), 3)
     assert (v.status, v.basis) == ("verified", "homology+pi1")
     assert built == [4, 3] and len(checked) == 1 and len(snf_calls) == 2
-    # the sweep's verdicts do not probe, and keep every SNF
+    # the sweep's verdicts do not probe, and build every boundary
     built.clear()
     assert homology_spherical(subsets_poset(4), 2, probe=False).ok()
     assert built == [2, 1]

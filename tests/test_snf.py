@@ -162,6 +162,18 @@ def test_explicit_zero_entries_are_ignored():
         assert smith_invariants(padded) == smith_invariants(cols)
 
 
+def test_explicit_zeros_stay_in_the_input_and_out_of_the_pivots():
+    # a zero at the lowest row of a column would otherwise be taken for
+    # its low entry: a non-unit, so a deferred column
+    cols = {0: {0: 1, 3: 0}, 1: {0: 2, 1: 1, 2: 0}, 2: {2: 0},
+            3: {1: 0, 3: 3}}
+    before = copy.deepcopy(cols)
+    lows = set()
+    assert smith_invariants(cols, lows) == [1, 1, 3]
+    assert lows == {0, 1}
+    assert cols == before
+
+
 def test_sphere_boundaries_make_no_dense_call(monkeypatch):
     # proper nonempty subsets of a 5-set: a 3-sphere, torsion-free
     elems = [frozenset(s) for r in range(1, 5)
