@@ -46,7 +46,7 @@ class OrderComplex:
         self.by_dim = by_dim
         self.complete = complete
         for k, simp in enumerate(by_dim):
-            if any(len(c) != k + 1 for c in simp):
+            if set(map(len, simp)) - {k + 1}:
                 raise CertificateError(f"a {k}-simplex without {k + 1} vertices")
 
     def n_simplices(self, k):
@@ -127,14 +127,15 @@ def order_complex(P: FinitePoset, max_dim=None, budget=DEFAULT_BUDGET) -> OrderC
     count = len(succ)
     if count > budget:
         raise BudgetExceeded(f"order complex exceeds {budget} simplices")
+    sizes = list(map(len, succ))
     level = [(v,) for v in range(len(succ))]
     by_dim = []
     while level:
         by_dim.append(level)
+        tops = map(sizes.__getitem__, map(itemgetter(-1), level))
         if max_dim is not None and len(by_dim) > max_dim:
-            capped = any(succ[c[-1]] for c in level)
-            return OrderComplex(by_dim, complete=not capped)
-        count += sum(len(succ[c[-1]]) for c in level)
+            return OrderComplex(by_dim, complete=not any(tops))
+        count += sum(tops)
         if count > budget:
             raise BudgetExceeded(f"order complex exceeds {budget} simplices")
         level = [c + (y,) for c in level for y in succ[c[-1]]]

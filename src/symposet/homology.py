@@ -5,19 +5,20 @@ form of boundary matrices, or from exactness where a trivial fundamental
 group fixes them.  Boundary matrices come from ``complexes`` as face rows
 (the face index of each simplex with one vertex removed, one row per
 vertex position), and the SNF gets the columns built from those rows.
-Reduced, relative and mod-2 homology differ only in their generator
-counts, boundary matrices and invariant-factor routine, and share one
-loop, ``_profile``, that walks the degrees top-down.  Each SNF reports the
-rows of its unit pivots, and the twist (Chen-Kerber) drops the columns at
-those rows from the next lower boundary before its SNF: since
-d_k d_{k+1} = 0 they are integer combinations of the columns kept, so the
-invariant factors do not change.  That identity is certified, not
-assumed: on every complex the loop checks, on the face rows that the SNF's
-columns are then built from, that each pair of consecutive boundaries
-composes to zero, before the twist clears against the pair.  On reduced
-homology d_1 is the incidence matrix of a graph, of rank the number of
-vertices minus the number of components and with every invariant factor
-1, so a union-find ranks it instead of the SNF.
+Reduced and relative homology differ only in their generator counts and
+boundary matrices, and share one loop, ``_profile``, that walks the
+degrees top-down.  Each SNF reports the rows of its unit pivots, and the
+twist (Chen-Kerber) drops the columns at those rows from the next lower
+boundary before its SNF: since d_k d_{k+1} = 0 they are integer
+combinations of the columns kept, so the invariant factors do not
+change.  That identity is certified, not assumed: on every complex the
+loop checks, on the face rows that the SNF's columns are then built from,
+that each pair of consecutive boundaries composes to zero, before the
+twist clears against the pair.  A d_1 with
+no face inside a subcomplex (always so on reduced homology) is the
+incidence matrix of a graph, of rank the number of vertices minus the
+number of components and with every invariant factor 1, so a union-find
+ranks it instead of the SNF.
 
 A verdict never overstates its evidence.  ``status`` says what was
 established, ``basis`` says with which tools; a fundamental-group probe can
@@ -121,8 +122,7 @@ def _graph_rank(rows, skip, n):
     return rank
 
 
-def _profile(cx, cap, counts, boundary, known, invariants,
-             graph=False) -> HomologyProfile:
+def _profile(cx, cap, counts, boundary, known) -> HomologyProfile:
     """Betti numbers and torsion of one chain complex on the simplices of cx.
 
     ``counts[k]`` generators sit in degree k and ``boundary(k)`` is the
@@ -131,31 +131,32 @@ def _profile(cx, cap, counts, boundary, known, invariants,
     ... that need no SNF: that of d_0 always, and those of d_1 and d_2 too
     when a trivial fundamental group fixes them; those boundaries are free
     of torsion, and a known rank that does not fit its matrix raises
-    CertificateError.  The other boundaries go through ``invariants``
+    CertificateError.  The other boundaries go through ``smith_invariants``
     top-down, from d_top to d_{len(known)}: the rank of d_k is the length
-    of ``invariants(d_k, lows)`` and its entries above 1 are torsion in
-    degree k - 1.
+    of its invariant factors, and those above 1 are torsion in degree
+    k - 1.
 
-    The twist (Chen-Kerber): ``invariants`` puts into ``lows`` the rows of
-    its unit pivots, and d_k goes to it without its columns at the rows
-    that d_{k+1} put there.  Each pivot z of d_{k+1} is an integer
+    The twist (Chen-Kerber): ``smith_invariants`` puts into ``lows`` the
+    rows of its unit pivots, and d_k goes to it without its columns at the
+    rows that d_{k+1} put there.  Each pivot z of d_{k+1} is an integer
     combination of its columns, so d_k z = 0; on the pivot rows the pivots
     form a triangular matrix with +-1 on the diagonal, invertible over the
     integers.  So d_k's columns at the pivot rows are integer combinations
     of its other columns: the columns kept span the same lattice as all of
-    them, and ranks and torsion are unchanged.  The same holds over F_2.
-    That rests on d_k d_{k+1} = 0, so the face rows of d_{k+1} are kept
-    until those of d_k have been built and ``dd_zero_check`` has passed on
-    the pair; only then are d_k's columns built, without the cleared ones.
-    The check compares the very rows the columns come from, and
-    ``columns`` raises on a column that names a face twice, so the pair
-    certified is the pair the SNFs reduce.
+    them, and ranks and torsion are unchanged.  That rests on
+    d_k d_{k+1} = 0, so the face rows of d_{k+1} are kept until those of
+    d_k have been built and ``dd_zero_check`` has passed on the pair; only
+    then are d_k's columns built, without the cleared ones.  The check
+    compares the very rows the columns come from, and ``columns`` raises
+    on a column that names a face twice, so the pair certified is the pair
+    the SNFs reduce.
 
-    With ``graph`` (reduced homology, where d_0 is the augmentation) d_1
-    is the incidence matrix of a graph, and its columns that survive the
-    twist go to ``_graph_rank``, a union-find, instead of ``invariants``:
-    after its face rows are built and certified against d_2, like those
-    of every other boundary.
+    A d_1 whose face rows hold no -1, no face inside a subcomplex, is the
+    oriented incidence matrix of a graph on all ``cx.n_simplices(0)``
+    vertices, on the reduced route and on a pair alike; its columns that
+    survive the twist go to ``_graph_rank``, a union-find, instead of the
+    SNF, after its face rows are built and certified against d_2, like
+    those of every other boundary.  A d_1 with a -1 face keeps the SNF.
     """
     top = len(counts) - 1
     ranks = list(known) + [0] * (top + 2 - len(known))
@@ -173,10 +174,10 @@ def _profile(cx, cap, counts, boundary, known, invariants,
             OrderComplex.dd_zero_check(rows, upper)
         # d_{k+1} is freed before this SNF; d_k is kept for d_{k-1}'s check
         upper, lows = rows, set()
-        if k == 1 and graph:
-            ranks[1] = _graph_rank(rows, cleared, counts[0])
+        if k == 1 and not any(-1 in row for row in rows):
+            ranks[1] = _graph_rank(rows, cleared, cx.n_simplices(0))
             continue
-        inv = invariants(columns(rows, cleared), lows)
+        inv = smith_invariants(columns(rows, cleared), lows)
         cleared = lows
         ranks[k] = len(inv)
         tors = tuple(v for v in inv if v > 1)
@@ -201,7 +202,7 @@ def _cap(through_degree):
     return None if through_degree is None else max(through_degree + 1, 0)
 
 
-def _reduced(P, through_degree, budget, invariants, cx=None,
+def _reduced(P, through_degree, budget, cx=None,
              known=(1,)) -> HomologyProfile:
     """Reduced homology of P; ``known`` goes to ``_profile`` (d_0 is the
     augmentation of a nonempty complex, of rank 1)."""
@@ -211,8 +212,7 @@ def _reduced(P, through_degree, budget, invariants, cx=None,
     if cx is None:
         cx = order_complex(P, max_dim=cap, budget=budget)
     counts = tuple(len(simplices) for simplices in cx.by_dim)
-    return _profile(cx, cap, counts, cx.boundary_rows, known, invariants,
-                    graph=True)
+    return _profile(cx, cap, counts, cx.boundary_rows, known)
 
 
 def reduced_homology(P: FinitePoset, through_degree=None,
@@ -221,7 +221,7 @@ def reduced_homology(P: FinitePoset, through_degree=None,
     degrees when None).  ``cx``, when the caller has enumerated P's order
     complex, must reach dimension ``through_degree + 1`` (be complete when
     that is None)."""
-    return _reduced(P, through_degree, budget, smith_invariants, cx)
+    return _reduced(P, through_degree, budget, cx)
 
 
 def relative_homology(P: FinitePoset, sub, through_degree=None,
@@ -241,40 +241,7 @@ def relative_homology(P: FinitePoset, sub, through_degree=None,
     counts = tuple(len(simplices) - sum(map(sub.issuperset, simplices))
                    for simplices in cx.by_dim)
     return _profile(cx, cap, counts,
-                    lambda k: relative_boundary_rows(cx, sub, k), (0,),
-                    smith_invariants)
-
-
-def _invariants_mod2(cols, lows):
-    """One unit invariant per pivot of an F_2 elimination on int bitsets.
-
-    Each pivot's row, its lowest set bit, goes into the set ``lows``, as
-    ``smith_invariants`` reports its unit pivots."""
-    pivots = {}
-    for col in cols.values():
-        mask = 0
-        for r, v in col.items():
-            if v & 1:
-                mask |= 1 << r
-        while mask:
-            low = mask & -mask
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = mask
-                break
-            mask ^= other
-    lows.update(low.bit_length() - 1 for low in pivots)
-    return [1] * len(pivots)
-
-
-def reduced_betti_mod2(P: FinitePoset, through_degree=None,
-                       budget=DEFAULT_BUDGET) -> Dict[int, int]:
-    """Reduced Betti numbers with F_2 coefficients, via bitset elimination.
-
-    An independent cross-check on the integral route: by universal
-    coefficients these equal rank + two-torsion contributions.
-    """
-    return _reduced(P, through_degree, budget, _invariants_mod2).betti
+                    lambda k: relative_boundary_rows(cx, sub, k), (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +290,7 @@ def _homology_step(P: FinitePoset, level: int, through: int, budget,
             prof = relative_homology(P, sub, level, budget, cx=cx)
         elif res == "trivial":
             c0, c1 = cx.n_simplices(0), cx.n_simplices(1)
-            prof = _reduced(P, level, budget, smith_invariants, cx,
-                            (1, c0 - 1, c1 - (c0 - 1)))
+            prof = _reduced(P, level, budget, cx, (1, c0 - 1, c1 - (c0 - 1)))
         else:
             prof = reduced_homology(P, level, budget, cx=cx)
     except BudgetExceeded as e:

@@ -26,12 +26,14 @@ class CoverFamily:
     """Index poset A, target poset X, and a member set for every index."""
 
     def __init__(self, A: FinitePoset, X: FinitePoset, members: Dict):
-        assert set(members) == set(A.elements), "one member set per index"
+        if set(members) != set(A.elements):
+            raise ValueError("one member set per index")
         self.A = A
         self.X = X
         self.members = {a: frozenset(s) for a, s in members.items()}
         for a, s in self.members.items():
-            assert s <= frozenset(X.elements), f"members of {a!r} escape X"
+            if not s <= frozenset(X.elements):
+                raise ValueError(f"members of {a!r} escape X")
         self._posets: Dict = {}
 
     def member_poset(self, a) -> FinitePoset:
@@ -72,7 +74,8 @@ def validate_cover(F: CoverFamily) -> CoverReport:
 def build_Z(F: CoverFamily):
     """The poset of pairs (a, x) with x in X_a, ordered opposite-A times X,
     with its projections f: Z^op -> A and g: Z -> X."""
-    assert validate_cover(F).ok, "invalid cover"
+    if not validate_cover(F).ok:
+        raise ValueError("invalid cover")
     elements = [(a, x) for a in F.A for x in F.X if x in F.members[a]]
     rel = []
     for (a, x) in elements:
@@ -291,13 +294,15 @@ def isotropic_perp_cover(L: SymplecticModule, mode: str = "positive"):
     """
     from .builders import build_I, build_U
 
-    assert mode in ("interval", "positive")
+    if mode not in ("interval", "positive"):
+        raise ValueError(f"mode must be 'interval' or 'positive', not {mode!r}")
     quot = RadicalQuotient(L)
     A = build_I(quot.module)
     U = build_U(L)
     zero = ()
     if mode == "interval":
-        assert L.radical_rank() == 0, "open interval needs L unimodular"
+        if L.radical_rank():
+            raise ValueError("open interval needs L unimodular")
         full = L.full_submodule().key()
         X = U.open_interval(zero, full)
     else:

@@ -197,7 +197,12 @@ class FinitePoset:
     def induced(self, subset) -> "FinitePoset":
         """The full subposet on the labels ``subset``, its vertices in this
         poset's vertex order; the whole poset is this poset itself."""
-        keep = frozenset(map(self.positions().__getitem__, subset))
+        return self._induced(frozenset(map(self.positions().__getitem__,
+                                           subset)))
+
+    def _induced(self, keep) -> "FinitePoset":
+        """The full subposet on the vertex numbers in the set ``keep``; the
+        whole poset is this poset itself."""
         if len(keep) == len(self):
             return self
         ids, up = _induced_up_sets(self._up, keep)
@@ -208,18 +213,17 @@ class FinitePoset:
                                     self._pos)
 
     def subposet_lt(self, x):
-        return self.induced(self._labels(
-            self._down_sets()[self.positions()[x]]))
+        return self._induced(self._down_sets()[self.positions()[x]])
 
     def subposet_gt(self, x):
-        return self.induced(self._labels(self._up[self.positions()[x]]))
+        return self._induced(self._up[self.positions()[x]])
 
     def open_interval(self, x, y):
         pos = self.positions()
         i, j = pos[x], pos[y]
         if j not in self._up[i]:
             raise ValueError(f"open interval needs {x!r} < {y!r}")
-        return self.induced(self._labels(self._up[i] & self._down_sets()[j]))
+        return self._induced(self._up[i] & self._down_sets()[j])
 
     def covers(self, x):
         """Elements immediately above x."""
@@ -387,8 +391,8 @@ class PosetMap:
 
     def _fiber(self, y, part) -> FinitePoset:
         t = self.target.positions()[y]
-        ids = self._preimage(chain(part[t], (t,)))
-        return self.source.induced(self.source._labels(ids))
+        return self.source._induced(
+            frozenset(self._preimage(chain(part[t], (t,)))))
 
     def fiber_le(self, y) -> FinitePoset:
         """f/y: induced subposet of the source on {x : f(x) <= y}."""

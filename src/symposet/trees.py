@@ -96,13 +96,16 @@ class UTree:
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]], labeling: Sequence[int]):
         edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-        assert _is_tree(n, edges), "not a tree"
+        if not _is_tree(n, edges):
+            raise ValueError("not a tree")
         labeling = tuple(labeling)
-        assert all(0 <= v < n for v in labeling)
+        if not all(0 <= v < n for v in labeling):
+            raise ValueError("labels must be vertices")
         deg = _degrees(n, edges)
         image = set(labeling)
-        assert all(v in image for v in range(n) if deg[v] <= 2), \
-            "labels must cover every vertex of degree at most 2"
+        if not all(v in image for v in range(n) if deg[v] <= 2):
+            raise ValueError(
+                "labels must cover every vertex of degree at most 2")
         self.n = n
         self.edges = edges
         self.labeling = labeling
@@ -134,8 +137,10 @@ def _contract_plain(n: int, edges, keep) -> Tuple[int, Tuple, List[int]]:
     """Contract every component of the tree minus ``keep``; returns the new
     vertex count, new edges, and the vertex -> component map."""
     keep = {tuple(sorted(e)) for e in keep}
-    assert keep, "need a nonempty edge set"
-    assert keep <= set(edges)
+    if not keep:
+        raise ValueError("need a nonempty edge set")
+    if not keep <= set(edges):
+        raise ValueError("kept edges must be edges of the tree")
     parent = list(range(n))
 
     def find(x):
@@ -155,9 +160,11 @@ def _contract_plain(n: int, edges, keep) -> Tuple[int, Tuple, List[int]]:
     new_edges = []
     for a, b in sorted(keep):
         ca, cb = comp[a], comp[b]
-        assert ca != cb, "kept edge collapsed"
+        if ca == cb:
+            raise CertificateError("kept edge collapsed")
         new_edges.append(tuple(sorted((ca, cb))))
-    assert len(set(new_edges)) == len(new_edges)
+    if len(set(new_edges)) != len(new_edges):
+        raise CertificateError("two kept edges join the same components")
     return len(reps), tuple(sorted(new_edges)), comp
 
 

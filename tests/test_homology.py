@@ -19,8 +19,8 @@ from symposet.complexes import BudgetExceeded, OrderComplex, columns, \
     order_complex, relative_boundary_rows
 from symposet.homology import (HomologyProfile, cohen_macaulay_check,
                                homologically_connected, homology_spherical,
-                               map_connectivity, reduced_betti_mod2,
-                               reduced_homology, relative_homology)
+                               map_connectivity, reduced_homology,
+                               relative_homology)
 from symposet.builders import build_D, build_I, build_O, build_U
 from symposet.posets import (FinitePoset, PosetMap, barycentric_subdivision,
                              constant_map, join, mapping_cone,
@@ -221,21 +221,22 @@ def test_projective_plane_matches_sympy_route():
     assert betti == {} and torsion == {1: (2,)}
 
 
+def _universal_mod2(prof):
+    """The F_2 Betti numbers that universal coefficients give for the
+    integral ``prof``: rank plus the even torsion of degrees k and k - 1."""
+    two = lambda d: sum(1 for v in prof.torsion.get(d, ()) if v % 2 == 0)
+    top = max(list(prof.betti) + list(prof.torsion) + [0])
+    expect = {k: prof.betti.get(k, 0) + two(k) + two(k - 1)
+              for k in range(top + 2)}
+    return {k: b for k, b in expect.items() if b}
+
+
 def test_mod2_route_universal_coefficients():
     rng = random.Random(77)
     cases = [face_poset(RP2_FACES)]
     cases += [random_poset(rng, rng.randint(1, 8), p=0.3) for _ in range(10)]
     for P in cases:
-        prof = reduced_homology(P)
-        m2 = reduced_betti_mod2(P)
-        expect = {}
-        top = max(list(prof.betti) + list(prof.torsion) + [0])
-        for k in range(top + 2):
-            two = lambda d: sum(1 for v in prof.torsion.get(d, ()) if v % 2 == 0)
-            b = prof.betti.get(k, 0) + two(k) + two(k - 1)
-            if b:
-                expect[k] = b
-        assert m2 == expect
+        assert _betti_mod2(P) == _universal_mod2(reduced_homology(P))
 
 
 def test_relative_homology_pairs():
@@ -673,10 +674,35 @@ def _untwisted(counts, boundary, rank0, invariants):
     return {k: b for k, b in betti.items() if b}, torsion
 
 
+def _invariants_mod2(cols):
+    """One unit invariant per pivot of an F_2 elimination of the dict
+    columns ``cols``, on int bitsets."""
+    pivots = {}
+    for col in cols.values():
+        mask = 0
+        for r, v in col.items():
+            if v & 1:
+                mask |= 1 << r
+        while mask:
+            low = mask & -mask
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = mask
+                break
+            mask ^= other
+    return [1] * len(pivots)
+
+
+def _betti_mod2(P):
+    """Reduced Betti numbers of P with F_2 coefficients, by elimination on
+    the untwisted dict columns: no face rows, no ``columns``, no dd=0 check
+    and no ``_profile``, so it shares no boundary code with the integral
+    route it cross-checks."""
+    return _untwisted(*_chain_complex(P), _invariants_mod2)[0]
+
+
 def test_twist_matches_the_full_boundaries_degree_by_degree(monkeypatch):
-    mod2 = homology._invariants_mod2
     handed = _count_calls(monkeypatch, (homology,), "smith_invariants")
-    handed2 = _count_calls(monkeypatch, (homology,), "_invariants_mod2")
     dense = _count_calls(monkeypatch, (snf,), "dense_smith")
     rng = random.Random(4242)
     randoms = [(random_poset(rng, rng.randint(1, 9),
@@ -687,7 +713,7 @@ def test_twist_matches_the_full_boundaries_degree_by_degree(monkeypatch):
     rp2 = [(face_poset(RP2_FACES), None)]
     disconnected = 0
     for cases in (randoms, rp2, pairs):
-        for calls in (handed, handed2, dense):
+        for calls in (handed, dense):
             calls.clear()
         full = 0
         for P, sub in cases:
@@ -703,12 +729,10 @@ def test_twist_matches_the_full_boundaries_degree_by_degree(monkeypatch):
             full += sum(len(boundary(k)) for k in range(1, len(counts)))
             if sub is None:
                 disconnected += prof.betti_number(0) > 0
-                assert reduced_betti_mod2(P) == _untwisted(
-                    counts, boundary, 1, lambda d: mod2(d, set()))[0]
+                assert _untwisted(counts, boundary, 1, _invariants_mod2)[0] \
+                    == _universal_mod2(prof)
         # columns were cleared, so the comparison is not vacuous
         assert sum(len(args[0]) for args in handed) < full
-        if cases is not pairs:
-            assert sum(len(args[0]) for args in handed2) < full
     assert disconnected >= 3
 
 
@@ -805,6 +829,64 @@ tripped(lambda: homology._graph_rank([[0, 4], [1, 2]], (), 4))
         "a boundary column repeats a face",
         "a boundary column repeats a face",
         "a face index out of range"]
+
+
+def test_d1_goes_to_the_union_find_unless_a_face_lies_in_the_subcomplex(
+        monkeypatch):
+    # a d_1 whose face rows hold no -1 is a graph's incidence matrix on
+    # either route: the reduced route, the pair with an empty subcomplex and
+    # a pair whose subcomplex is isolated vertices rank it by union-find,
+    # over every vertex, and only the boundaries above it reach the SNF; a
+    # mapping-cone pair, whose tip has edges into the coned source, keeps
+    # the SNF for d_1.  Every answer is sympy's.
+    graphs = _count_calls(monkeypatch, (homology,), "_graph_rank")
+    handed = _count_calls(monkeypatch, (homology,), "smith_invariants")
+    rng = random.Random(2323)
+    posets_ = [random_poset(rng, rng.randint(1, 8),
+                            p=rng.choice((0.2, 0.4, 0.6)))
+               for _ in range(12)]
+    posets_.append(face_poset(RP2_FACES))
+
+    def routed(run, union_find):
+        graphs.clear()
+        handed.clear()
+        prof = run()
+        top = len(prof.counts) - 1
+        if union_find:
+            assert len(graphs) == (top >= 1)
+            assert len(handed) == max(top - 1, 0)
+        else:
+            assert graphs == [] and len(handed) == top
+        return prof.betti, prof.torsion
+
+    def sympy_pair(P, sub):
+        return _untwisted(*_chain_complex(P, sub), _sympy_invariants)
+
+    ranked = 0
+    for P in posets_:
+        assert routed(lambda: reduced_homology(P), True) == brute_profile(P)
+        assert routed(lambda: relative_homology(P, set()), True) == \
+            sympy_pair(P, set())
+        ranked += bool(graphs)
+        # the isolated vertices take the lowest vertex numbers, so a vertex
+        # count without them would leave face indices out of range
+        iso = [("iso", i) for i in range(rng.randint(1, 3))]
+        Q = FinitePoset(list(P.elements) + iso, P.relation_pairs())
+        assert min(Q.positions()[v] for v in P.elements) == len(iso)
+        assert routed(lambda: relative_homology(Q, iso), True) == \
+            sympy_pair(Q, iso)
+        assert [args[2] for args in graphs] == [len(Q)] * len(graphs)
+    assert ranked >= 10
+    cones = 0
+    for f in _random_maps(rng, 12):
+        if len(f.source) == 0:
+            continue
+        C, src, _, tip = mapping_cone(f)
+        sub = set(src.values()) | {tip}
+        assert routed(lambda: relative_homology(C, sub), False) == \
+            sympy_pair(C, sub)
+        cones += 1
+    assert cones == 12
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 witnesses, exercised on a hand-built toy before the symplectic cases."""
 
 import copy
+import os
+import subprocess
+import sys
 
 import pytest
 
+import symposet
 from symposet.homology import reduced_homology
 from symposet.nerve import (CoverFamily, NerveWitness, assembled_map, build_Z,
                             fiber_transfer_check, check_nerve_hypotheses,
@@ -41,9 +45,9 @@ def test_cover_family_accessors():
         set(F.indices_over("x0")) == {"a1", "a2"}
     assert set(F.member_poset("a1").elements) == {"x0", "x1"}
     assert F.member_poset("a1").le("x0", "x1")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CoverFamily(F.A, F.X, {"a1": {"x0"}})  # missing index
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CoverFamily(F.A, F.X, {"a1": {"x0"}, "a2": {"zz"}})
 
 
@@ -85,7 +89,7 @@ def test_build_Z_toy():
 def test_build_Z_rejects_invalid():
     F = toy_cover()
     bad = CoverFamily(F.A, F.X, {"a1": {"x1"}, "a2": {"x1"}})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         build_Z(bad)
 
 
@@ -251,3 +255,41 @@ def test_perp_cover_radical_case():
     F, W = isotropic_perp_cover(L, "positive")
     assert validate_cover(F).ok
     assert check_nerve_witness(F, W).ok
+
+
+def test_cover_input_checks_survive_optimized_python():
+    # under -O a plain assert let a cover with an index missing through
+    # CoverFamily, and built a 2-element Z from a cover that is not
+    # downward closed
+    code = """
+from symposet.nerve import CoverFamily, build_Z, isotropic_perp_cover
+from symposet.posets import FinitePoset
+from symposet.rings import PrimeField
+from symposet.symplectic import SymplecticModule
+
+def run(build):
+    try:
+        build()
+    except ValueError as e:
+        print(e)
+
+A = FinitePoset(["a1", "a2"], [("a1", "a2")])
+X = FinitePoset(["x0", "x1", "x2"], [("x0", "x1"), ("x1", "x2")])
+run(lambda: CoverFamily(A, X, {"a1": {"x0"}}))
+run(lambda: CoverFamily(A, X, {"a1": {"x0"}, "a2": {"zz"}}))
+run(lambda: build_Z(CoverFamily(A, X, {"a1": {"x1"}, "a2": {"x1"}})))
+L = SymplecticModule.standard(PrimeField(2), 1, r=1)
+run(lambda: isotropic_perp_cover(L, "closed"))
+run(lambda: isotropic_perp_cover(L, "interval"))
+"""
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "one member set per index",
+        "members of 'a2' escape X",
+        "invalid cover",
+        "mode must be 'interval' or 'positive', not 'closed'",
+        "open interval needs L unimodular",
+    ]

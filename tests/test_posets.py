@@ -288,6 +288,37 @@ def test_fibers_from_the_preimage_index_match_a_scan():
                 scan = _scan_fiber(f, y, down)
                 assert fiber == scan
                 assert fiber.elements == scan.elements
+                assert fiber.up_sets() == scan.up_sets()
+
+
+def test_vertex_subposets_match_the_label_route():
+    # links and intervals come from vertex sets; each has the elements and
+    # up-sets of the label route through the public induced, on posets
+    # with labels out of insertion order, disconnected ones too
+    labels = [10, 9, "a", (1, 2), 2, "b", (0,), 100, "c", (2,), -1, "B"]
+    rng = random.Random(2303)
+    disconnected = 0
+    for _ in range(40):
+        n = rng.randint(1, len(labels))
+        R = random_poset(rng, n, rng.choice((0.1, 0.3, 0.6)))
+        names = rng.sample(labels, n)
+        P = FinitePoset(names, [(names[a], names[b])
+                                for a, b in R.relation_pairs()])
+        disconnected += reduced_homology(P, 0).betti_number(0) > 0
+        pairs = []
+        for x in P:
+            pairs.append((P.subposet_lt(x), P.induced(P.below(x))))
+            pairs.append((P.subposet_gt(x), P.induced(P.above(x))))
+            for y in P.above(x):
+                pairs.append((P.open_interval(x, y),
+                              P.induced(P.above(x) & P.below(y))))
+        for got, want in pairs:
+            assert got.elements == want.elements
+            assert got.up_sets() == want.up_sets()
+        # a fiber over every element is the source itself
+        f = constant_map(P, FinitePoset(["p"]), "p")
+        assert f.fiber_le("p") is P and f.fiber_ge("p") is P
+    assert disconnected >= 10
 
 
 def test_mapping_cone_gives_cofiber():

@@ -52,11 +52,11 @@ def test_certificate_sees_annotation():
 
 
 def test_utree_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         UTree(3, ((0, 1),), (0, 1, 2))  # disconnected
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         UTree(3, ((0, 1), (1, 2), (0, 2)), (0, 1, 2))  # cycle
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         # vertex 2 has degree 1 but carries no label
         UTree(3, ((0, 1), (1, 2)), (0, 1))
     T = UTree(3, ((0, 1), (1, 2)), (0, 1, 2))
@@ -99,8 +99,48 @@ def test_contract_path():
     assert S.n == 2 and len(S.edges) == 1
     assert sorted(S.annotation(v) for v in range(2)) == [(0, 1), (2, 3)]
     assert contract(T, T.edges) == T
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         contract(T, [])  # collapsing every edge is not a tree here
+
+
+def test_tree_checks_survive_optimized_python():
+    # under -O a plain assert accepted a forest as a tree, and a cycle
+    # handed to contraction_unique contracted into a collapsed or doubled
+    # kept edge
+    code = """
+from symposet.snf import CertificateError
+from symposet.trees import UTree, contract, contraction_unique
+
+def run(build):
+    try:
+        build()
+    except (ValueError, CertificateError) as e:
+        print(type(e).__name__, e)
+
+run(lambda: UTree(4, [(0, 1)], (0, 1)))
+run(lambda: UTree(2, [(0, 1)], (0, 2)))
+run(lambda: UTree(3, [(0, 1), (1, 2)], (0, 1)))
+T = UTree(3, [(0, 1), (1, 2)], (0, 1, 2))
+run(lambda: contract(T, []))
+run(lambda: contract(T, [(0, 2)]))
+triangle = ((0, 1), (0, 2), (1, 2))
+run(lambda: contraction_unique(3, triangle, [(0, 1)], [(1, 2)]))
+square = ((0, 1), (0, 3), (1, 2), (2, 3))
+run(lambda: contraction_unique(4, square, [(0, 1), (2, 3)], [(0, 1)]))
+"""
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "ValueError not a tree",
+        "ValueError labels must be vertices",
+        "ValueError labels must cover every vertex of degree at most 2",
+        "ValueError need a nonempty edge set",
+        "ValueError kept edges must be edges of the tree",
+        "CertificateError kept edge collapsed",
+        "CertificateError two kept edges join the same components",
+    ]
 
 
 def test_contraction_unique_examples():
