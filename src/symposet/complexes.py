@@ -2,7 +2,7 @@
 
 Vertices are the poset's vertex numbers (``FinitePoset.positions``), so a
 simplex is a tuple of ints.  Chains are enumerated one dimension at a time
-from the poset's sorted successor lists (``FinitePoset.successors``),
+from the poset's sorted successor tuples (``FinitePoset.successors``),
 which never touches a label, so simplex lists are deterministic and
 lexicographic within each dimension.
 
@@ -115,7 +115,7 @@ class OrderComplex:
 def order_complex(P: FinitePoset, max_dim=None, budget=DEFAULT_BUDGET) -> OrderComplex:
     """The chains of P through dimension ``max_dim`` (all when None), as
     tuples of vertex numbers.  They are read from the poset's sorted int
-    successor lists, so no label is hashed or compared; more than
+    successor tuples, so no label is hashed or compared; more than
     ``budget`` simplices raise BudgetExceeded.
 
     Each dimension is built from the one below, every chain extended by

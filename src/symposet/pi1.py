@@ -86,7 +86,9 @@ def edge_path_presentation(skeleton):
     while work:
         t = work.pop()
         if live[t] == 1:  # another kill may have emptied it meanwhile
-            e = next(e for e in sides[t] if not dead[e])
+            a, b, e = sides[t]
+            if dead[e]:
+                e = a if dead[b] else b
             dead[e] = 1
             for u in on[e]:
                 live[u] -= 1

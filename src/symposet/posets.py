@@ -2,18 +2,19 @@
 
 A poset numbers its elements 0..n-1 once, and that numbering is its
 vertex numbering (``positions()``): the constructor sorts the labels by
-``repr`` and numbers them in that order; induced subposets and opposites
-keep their parent's order instead of sorting again, and joins, cylinders
-and subdivisions number their new labels by ``repr`` the same way.  The
-order is stored once, as the up-set of each vertex: the frozenset of the
-vertex numbers strictly above it, transitively closed.  Labels (often
-nested tuples, whose hash is dear) appear only at the interface:
-``above``, ``below``, ``covers``, ``heights`` and ``relation_pairs``
-translate vertex numbers into labels, and ``induced`` translates its
-labels into vertex numbers with one lookup each.  Code below the poset,
-such as order complexes, reads the sorted successor lists
-(``successors()``) or the up-sets themselves (``up_sets()``) and never
-hashes or orders labels itself.
+``repr`` and numbers them in that order.  Induced subposets and opposites
+keep their parent's order instead of sorting again, and so do mapping
+cylinders and cones: the target's vertices, then the source's, then the
+tip.  Joins, thick joins and subdivisions number their new labels by
+``repr``, as the constructor does.  The order is stored once, as the
+up-set of each vertex: the frozenset of the vertex numbers strictly above
+it, transitively closed.  Labels (often nested tuples, whose hash is
+dear) appear only at the interface: ``above``, ``below``, ``covers``,
+``heights`` and ``relation_pairs`` translate vertex numbers into labels,
+and ``induced`` translates its labels into vertex numbers with one lookup
+each.  Code below the poset, such as order complexes, reads the sorted
+successor tuples (``successors()``) or the up-sets themselves
+(``up_sets()``) and never hashes or orders labels itself.
 
 The public constructor accepts any acyclic generating relation and closes
 it; derived constructions (induced subposets, opposites, joins, cylinders)
@@ -117,9 +118,12 @@ class FinitePoset:
         it: the up-sets of the opposite order."""
         return tuple(self._down_sets())
 
-    def successors(self) -> List[List[int]]:
-        """For each vertex number, the sorted vertex numbers above it."""
-        return [sorted(u) for u in self._up]
+    def successors(self) -> Tuple[Tuple[int, ...], ...]:
+        """For each vertex number, the sorted vertex numbers above it, as
+        tuples: unlike lists, the collector untracks tuples of ints, so
+        the successor lists of a large poset do not age into its oldest
+        generation and lengthen every full collection."""
+        return tuple(map(tuple, map(sorted, self._up)))
 
     def _labels(self, ids):
         return map(self._elements.__getitem__, ids)
@@ -234,8 +238,9 @@ class FinitePoset:
     def __eq__(self, other):
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        # the same labels sit in the same vertex order unless two of them
-        # share a repr, so compare through the other poset's numbering
+        # equal posets need not share a vertex order (a cylinder keeps its
+        # parents' orders, the constructor sorts by repr, and two labels
+        # may share a repr), so compare through the other poset's numbering
         pos = other.positions()
         perm = [pos.get(x) for x in self._elements]
         if len(self) != len(other) or None in perm:
@@ -482,30 +487,32 @@ def _cylinder(f: PosetMap, cone: bool):
     """(M, src, tgt, tip): the mapping cylinder, in which x lies above y
     exactly when f(x) >= y, a relation closed already; with ``cone`` also a
     tip below the whole source, else tip None.  The label maps tag ("src",
-    x) and ("tgt", y) only when source and target share a label."""
+    x) and ("tgt", y) only when source and target share a label.
+
+    M keeps its parents' vertex orders: the target's vertices first, in the
+    target's order, then the source's in the source's order, then the tip,
+    so target vertex j stays j and source vertex i becomes len(target) + i.
+    """
     X, Y = f.source, f.target
     if X.positions().keys().isdisjoint(Y.elements):
         src, tgt = dict(zip(X, X)), dict(zip(Y, Y))
     else:
         src = {x: ("src", x) for x in X}
         tgt = {y: ("tgt", y) for y in Y}
-    labels = list(tgt.values()) + list(src.values())
+    elements = tuple(tgt.values()) + tuple(src.values())
+    # one int object per source vertex, shared by every up-set holding it
+    sources = list(range(len(Y), len(Y) + len(X)))
+    shift = sources.__getitem__
+    up = [u.union(map(shift, f._preimage(chain(u, (j,)))))
+          for j, u in enumerate(Y._up)]
+    up.extend(frozenset(map(shift, u)) for u in X._up)
     tip = None
     if cone:
         tip = ("cone",)
-        while tip in labels:
+        while tip in tgt.values() or tip in src.values():
             tip = tip + ("cone",)
-        labels.append(tip)
-    elements, rank = _numbered(labels)
-    ry, rx = rank[:len(Y)], rank[len(Y):len(Y) + len(X)]
-    up = [None] * len(rank)
-    for j, u in enumerate(Y._up):
-        srcs = map(rx.__getitem__, f._preimage(chain(u, (j,))))
-        up[ry[j]] = frozenset(map(ry.__getitem__, u)).union(srcs)
-    for v, u in zip(rx, _renumbered(X, rx)):
-        up[v] = u
-    if cone:
-        up[rank[-1]] = frozenset(rx)
+        elements += (tip,)
+        up.append(frozenset(sources))
     return FinitePoset._trusted(elements, up), src, tgt, tip
 
 
@@ -523,7 +530,8 @@ def mapping_cone(f: PosetMap):
 
     Coning off the source leaves the homotopy cofiber of the map; the
     target part is untouched.  The tip is added to the cylinder's relation,
-    so one poset is built.  Returns (M, src, tgt, tip).
+    so one poset is built, numbered as the cylinder is with the tip last.
+    Returns (M, src, tgt, tip).
     """
     return _cylinder(f, True)
 

@@ -35,7 +35,8 @@ class SymplecticModule:
     def __init__(self, ring: EuclideanScalarRing, gram):
         n = len(gram)
         gram = [[ring.reduce(v) for v in row] for row in gram]
-        assert all(len(row) == n for row in gram), "gram must be square"
+        if any(len(row) != n for row in gram):
+            raise ValueError("gram must be square")
         for i in range(n):
             if ring.reduce(gram[i][i]) != 0:
                 raise ValueError("gram has a nonzero diagonal entry")
@@ -97,7 +98,8 @@ class SymplecticModule:
 
     def packed(self) -> PackedSpace:
         """The numbering of all p^rank vectors; finite fields only."""
-        assert isinstance(self.ring, PrimeField), "infinite ring"
+        if not isinstance(self.ring, PrimeField):
+            raise ValueError("packed vectors need a finite field")
         if self._packed is None:
             self._packed = PackedSpace(self.ring.p, self.rank)
         return self._packed
@@ -186,7 +188,8 @@ class Submodule:
         return self._perp
 
     def add(self, other: "Submodule") -> "Submodule":
-        assert self.module is other.module or self.module == other.module
+        if self.module is not other.module and self.module != other.module:
+            raise ValueError("submodules of different modules")
         return Submodule(self.module, list(self.basis) + list(other.basis))
 
     def intersect(self, other: "Submodule") -> "Submodule":
@@ -279,7 +282,8 @@ class RadicalQuotient:
 
     def __init__(self, L: SymplecticModule):
         ring = L.ring
-        assert ring.is_field(), "radical quotient needs a field"
+        if not ring.is_field():
+            raise ValueError("radical quotient needs a field")
         rad = [list(r) for r in L._radical_basis]
         pivots = set()
         for row in rad:
@@ -322,9 +326,11 @@ def symplectic_dual_family(u: Submodule, es: Sequence):
     B = [list(r) for r in u.basis]
     k = len(es)
     for i in range(k):
-        assert u.contains(es[i])
+        if not u.contains(es[i]):
+            raise ValueError("e_i must lie in u")
         for j in range(i + 1, k):
-            assert M.pair(es[i], es[j]) == 0, "e_i must be mutually orthogonal"
+            if M.pair(es[i], es[j]) != 0:
+                raise ValueError("e_i must be mutually orthogonal")
     P = [[M.pair(e, b) for e in es] for b in B]  # P[b][i] = <e_i, b>
     fs = []
     for j in range(k):

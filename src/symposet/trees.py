@@ -228,7 +228,8 @@ def _pruefer_to_edges(n: int, seq) -> Tuple:
 
 def enumerate_trees(m: int, strict: bool = False) -> List[UTree]:
     """All labeled trees on m label indices up to isomorphism."""
-    assert m >= 2
+    if m < 2:
+        raise ValueError(f"trees need at least 2 labels, not {m}")
     reps = enumerate_plain_trees(2 * m - 3)
     found: Dict[Tuple, UTree] = {}
     for n, edges in reps:

@@ -8,9 +8,14 @@ from symposet import pi1
 from symposet.complexes import order_complex
 from symposet.pi1 import (coset_enumeration_trivial, edge_path_presentation,
                           pi1_probe, tietze_reduce)
-from symposet.posets import FinitePoset, barycentric_subdivision, random_poset
+from symposet.posets import (FinitePoset, barycentric_subdivision,
+                             mapping_cone, random_poset)
+from symposet.rings import PrimeField
+from symposet.symplectic import SymplecticModule
+from symposet.trees import tree_forget_map
 
-from test_homology import RP2_FACES, face_poset, subsets_poset
+from test_homology import (RP2_FACES, _depth_first_order_complex, face_poset,
+                           subsets_poset)
 
 
 def skeleton_of(P):
@@ -119,6 +124,34 @@ def strip_skeleton(m):
     return [[(v,) for v in range(2 * m + 2)], sorted(edges), tris]
 
 
+def closure_oracle(skeleton):
+    """The collapsed presentation by plain rounds: from the spanning tree's
+    marks, each round kills the third edge of every triangle with exactly
+    two dead edges, until a round kills nothing.  The live edges are the
+    generators 1, 2, ... in edge order, and each triangle (x, y, z) with a
+    live edge gives its live letters of xy, yz, (xz)^-1."""
+    verts, edges, tris = (*skeleton, [], [], [])[:3]
+    marks = pi1._tree_edges(len(verts), edges)
+    if marks is None:
+        return None
+    dead = {e for e, m in zip(edges, marks) if m}
+    sides = [((x, y), (y, z), (x, z)) for x, y, z in tris]
+    while True:
+        kill = {e for s in sides if sum(e in dead for e in s) == 2
+                for e in s if e not in dead}
+        if not kill:
+            break
+        dead |= kill
+    gen = {e: k + 1 for k, e in enumerate(e for e in edges if e not in dead)}
+    relators = []
+    for xy, yz, xz in sides:
+        word = [g for g in (gen.get(xy, 0), gen.get(yz, 0), -gen.get(xz, 0))
+                if g]
+        if word:
+            relators.append(word)
+    return len(gen), relators
+
+
 def _random_presentation(rng):
     n = rng.randint(1, 9)
     relators = []
@@ -191,6 +224,39 @@ def test_collapse_has_no_round_cap(monkeypatch):
     assert edge_path_presentation(s) == (0, [])
     _agrees_with_the_raw_route(monkeypatch, s, rounds=1000)
     assert pi1_probe(s) == "trivial"
+
+
+def test_collapse_matches_the_closure_oracle():
+    # the worklist kills in whatever order its triangles come up; the
+    # oracle kills round by round; both reach the least closed set of dead
+    # edges that holds the tree
+    rng = random.Random(2402)
+    posets = []
+    for _ in range(120):
+        P = random_poset(rng, rng.randint(3, 8), p=rng.choice((0.3, 0.45, 0.6)))
+        posets += [P, barycentric_subdivision(P)]
+    posets += [face_poset(RP2_FACES), subsets_poset(5)]
+    L = SymplecticModule.standard(PrimeField(2), 2)
+    cone = mapping_cone(tree_forget_map(L))[0]
+    posets.append(cone)
+    checked = collapsed = 0
+    for P in posets:
+        succ = P.successors()
+        assert type(succ) is tuple and all(type(s) is tuple for s in succ)
+        cx = order_complex(P, max_dim=2)
+        assert (cx.by_dim, cx.complete) == _depth_first_order_complex(P, 2)
+        s = cx.by_dim
+        pres = edge_path_presentation(s)
+        assert pres == closure_oracle(s)
+        if pres is not None:
+            checked += 1
+            # fewer generators than the edges off the tree: a triangle fired
+            collapsed += pres[0] < len(s[1]) - len(s[0]) + 1
+    assert checked >= 100 and collapsed >= 80
+    s = strip_skeleton(150)
+    assert edge_path_presentation(s) == closure_oracle(s) == (0, [])
+    # the genus-2 forget map is a homotopy equivalence: its cone collapses
+    assert edge_path_presentation(skeleton_of(cone)) == (0, [])
 
 
 def test_tietze_kills_in_rounds_not_all_at_once():

@@ -14,7 +14,7 @@ from symposet.posets import (FinitePoset, PosetMap, barycentric_subdivision,
                              cylinder_link_check, join,
                              mapping_cone, mapping_cylinder,
                              random_monotone_map, random_poset, thick_join)
-from symposet.homology import reduced_homology
+from symposet.homology import reduced_homology, relative_homology
 from symposet.snf import CertificateError
 
 
@@ -270,6 +270,47 @@ def test_mapping_cone_is_the_cylinder_with_a_tip_under_the_source():
         assert not C.below(tip)
 
 
+def test_cylinders_keep_their_parents_orders():
+    # the target's vertices in its order, then the source's, then the tip,
+    # with disjoint labels, colliding ones (tagged "src"/"tgt"), an empty
+    # source and a source holding the first tip candidates; a copy numbered
+    # by repr has the same homology
+    rng = random.Random(2401)
+    maps = []
+    for _ in range(30):
+        X, _ = _random_labeled(rng, _MIXED, rng.randint(1, 8))
+        Y, _ = _random_labeled(rng, [("q", a) for a in _MIXED],
+                               rng.randint(1, 6))
+        maps.append(random_monotone_map(rng, X, Y))
+        maps.append(random_monotone_map(rng, X))
+        maps.append(PosetMap(antichain(0), Y, {}))
+    tips = FinitePoset([("cone",), ("cone", "cone")],
+                       [(("cone",), ("cone", "cone"))])
+    maps.append(constant_map(tips, chain(2), 1))
+    reordered = 0
+    for f in maps:
+        X, Y = f.source, f.target
+        tagged = not set(X.elements).isdisjoint(Y.elements)
+        if tagged:
+            want = tuple(("tgt", y) for y in Y) + tuple(("src", x) for x in X)
+        else:
+            want = Y.elements + X.elements
+        M, src, tgt = mapping_cylinder(f)
+        assert M.elements == want
+        C, src, tgt, tip = mapping_cone(f)
+        assert C.elements == want + (tip,)
+        assert tip not in want
+        if f.source is tips:
+            assert tip == ("cone",) * 3
+        reordered += C.elements != tuple(sorted(C.elements, key=repr))
+        copy = FinitePoset(C.elements, C.relation_pairs())
+        assert copy == C
+        assert reduced_homology(C) == reduced_homology(copy)
+        pair = set(src.values()) | {tip}
+        assert relative_homology(C, pair) == relative_homology(copy, pair)
+    assert reordered >= 30
+
+
 def _scan_fiber(f, y, down):
     """A fiber by testing the target order against every source element."""
     le = f.target.le
@@ -350,11 +391,12 @@ def test_check_isomorphism():
 class _Ref:
     """A poset as the closed relation {label: frozenset of labels above it},
     built and queried with label sets only: the reference that the
-    vertex-number core must agree with."""
+    vertex-number core must agree with.  Its vertex order is ``order``,
+    by default the labels sorted by repr."""
 
-    def __init__(self, above):
+    def __init__(self, above, order=None):
         self.above = {x: frozenset(u) for x, u in above.items()}
-        self.order = sorted(self.above, key=repr)
+        self.order = sorted(self.above, key=repr) if order is None else order
 
     @classmethod
     def close(cls, elements, relations):
@@ -464,13 +506,16 @@ def _ref_cylinder(X, Y, f, cone):
                          | {src[x] for x in X.above if f[x] in u | {y}})
     for x, u in X.above.items():
         above[src[x]] = {src[v] for v in u}
+    # the target in its order, then the source in its order, then the tip
+    order = [tgt[y] for y in Y.order] + [src[x] for x in X.order]
     tip = None
     if cone:
         tip = ("cone",)
         while tip in above:
             tip += ("cone",)
         above[tip] = set(src.values())
-    return _Ref(above), src, tgt, tip
+        order.append(tip)
+    return _Ref(above, order), src, tgt, tip
 
 
 def _ref_subdivision(R):

@@ -218,7 +218,7 @@ def test_radical_quotient():
 
 
 def test_quotient_requires_field():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="needs a field"):
         RadicalQuotient(std(ZZ, 1, r=1))
 
 
@@ -233,6 +233,48 @@ def test_symplectic_dual_family():
     for i in range(len(fs)):
         for j in range(len(fs)):
             assert L.pair(list(fs[i]), list(fs[j])) == 0
+
+
+def test_input_checks_survive_optimized_python():
+    # under -O a plain assert accepted a ragged gram as genus 1, built a
+    # radical quotient over the integers, packed an infinite ring, summed
+    # submodules of different modules and solved for duals of vectors
+    # outside u or not mutually orthogonal
+    code = """
+from symposet.rings import PrimeField, ZZ
+from symposet.symplectic import (RadicalQuotient, Submodule,
+                                 SymplecticModule, symplectic_dual_family)
+
+def run(check):
+    try:
+        check()
+    except ValueError as e:
+        print(e)
+
+F2, F3 = PrimeField(2), PrimeField(3)
+std = SymplecticModule.standard
+run(lambda: SymplecticModule(F2, [[0, 1, 0], [1, 0]]))
+run(lambda: std(ZZ, 1).packed())
+run(lambda: std(F2, 1).full_submodule().add(std(F2, 2).full_submodule()))
+run(lambda: RadicalQuotient(std(ZZ, 1, r=1)))
+L = std(F3, 2)
+run(lambda: symplectic_dual_family(Submodule(L, [[1, 0, 0, 0]]),
+                                   [(0, 1, 0, 0)]))
+run(lambda: symplectic_dual_family(L.full_submodule(),
+                                   [(1, 0, 0, 0), (0, 1, 0, 0)]))
+"""
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "gram must be square",
+        "packed vectors need a finite field",
+        "submodules of different modules",
+        "radical quotient needs a field",
+        "e_i must lie in u",
+        "e_i must be mutually orthogonal",
+    ]
 
 
 def test_image_and_dual_certificates_survive_optimized_python():

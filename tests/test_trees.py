@@ -104,12 +104,13 @@ def test_contract_path():
 
 
 def test_tree_checks_survive_optimized_python():
-    # under -O a plain assert accepted a forest as a tree, and a cycle
-    # handed to contraction_unique contracted into a collapsed or doubled
-    # kept edge
+    # under -O a plain assert accepted a forest as a tree, a cycle handed
+    # to contraction_unique contracted into a collapsed or doubled kept
+    # edge, and enumerate_trees(1) returned no trees
     code = """
 from symposet.snf import CertificateError
-from symposet.trees import UTree, contract, contraction_unique
+from symposet.trees import (UTree, contract, contraction_unique,
+                            enumerate_trees)
 
 def run(build):
     try:
@@ -127,6 +128,7 @@ triangle = ((0, 1), (0, 2), (1, 2))
 run(lambda: contraction_unique(3, triangle, [(0, 1)], [(1, 2)]))
 square = ((0, 1), (0, 3), (1, 2), (2, 3))
 run(lambda: contraction_unique(4, square, [(0, 1), (2, 3)], [(0, 1)]))
+run(lambda: enumerate_trees(1))
 """
     src = os.path.dirname(os.path.dirname(symposet.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -140,6 +142,7 @@ run(lambda: contraction_unique(4, square, [(0, 1), (2, 3)], [(0, 1)]))
         "ValueError kept edges must be edges of the tree",
         "CertificateError kept edge collapsed",
         "CertificateError two kept edges join the same components",
+        "ValueError trees need at least 2 labels, not 1",
     ]
 
 
