@@ -427,7 +427,8 @@ def build_O(n: int, ring: EuclideanScalarRing, bound: int = None,
 
 def rho_vector(ring: EuclideanScalarRing, w_i: Sequence, v: Sequence, n: int):
     """v minus the Euclidean quotient of last coordinates times w_i."""
-    assert ring.norm(w_i[n - 1]) > 0, "pivot vector needs a nonzero last coordinate"
+    if not ring.norm(w_i[n - 1]) > 0:
+        raise ValueError("pivot vector needs a nonzero last coordinate")
     q = ring.euclid_q(v[n - 1], w_i[n - 1])
     out = tuple(ring.sub(a, ring.mul(q, b)) for a, b in zip(v, w_i))
     if not ring.norm(out[n - 1]) < ring.norm(w_i[n - 1]):

@@ -13,15 +13,17 @@ The sign of that entry is fixed, (-1)^i, so the rows are the whole matrix;
 they are built by one dict lookup per face through ``map`` and checked for
 d_{k-1} d_k = 0 by comparing whole rows (``OrderComplex.dd_zero_check``).
 ``columns`` turns certified rows into the ``{simplex: {face: sign}}``
-columns that the sparse Smith normal form reduces.  A budget caps the
-number of simplices; blowing it raises BudgetExceeded so callers can
-report an inconclusive verdict instead of thrashing.
+columns that the sparse Smith normal form reduces, after splitting off
+the free pivots: the columns that hold a face no other column names.  A
+budget caps the number of simplices; blowing it raises BudgetExceeded so
+callers can report an inconclusive verdict instead of thrashing.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import itemgetter
+from collections import Counter
+from itertools import chain, compress, filterfalse, repeat
+from operator import eq, itemgetter, mod
 
 from .posets import FinitePoset
 from .snf import CertificateError
@@ -151,35 +153,62 @@ def relative_boundary_rows(cx: OrderComplex, sub, k):
     return _face_rows(cx, k, frozenset(sub))
 
 
-def columns(rows, skip=()):
+def columns(rows, skip=(), free=None):
     """The columns ``{simplex: {face: sign}}`` of the face rows ``rows``,
     as the sparse Smith normal form takes them.
 
     The simplices in ``skip`` (those the twist cleared) are left out, and
     so are -1 faces and the simplices left with no face (those inside the
     subcomplex of a pair).  A column that names a face twice raises
-    CertificateError: its dict would merge the two entries into one.
+    CertificateError, whether its dict is built or not: a dict would merge
+    the two entries into one.
+
+    A list passed as ``free`` receives the free pivots, and their columns
+    are not returned.  A face is free when exactly one kept column names
+    it; a -1 face never is.  Faces are counted once, over the kept
+    columns.  A column that names a free face is a pivot there, with entry
+    +-1 and no arithmetic, and ``free`` gets one face per such column: the
+    free face in the last row that holds one.  No other kept column meets
+    those faces, so with the free pivots first the pivot minor is block
+    triangular with a unit diagonal: the invariant factors of the
+    boundary are one 1 per free pivot, then those of the columns returned.
     """
     if not rows:
         return {}
     keep = range(len(rows[0]))
     if skip:
-        keep = sorted(set(keep).difference(skip))
+        keep = list(filterfalse(skip.__contains__, keep))
     relative = any(-1 in row for row in rows)
     if relative:
         highest = list(map(max, zip(*rows)))
         keep = [j for j in keep if highest[j] >= 0]
     if skip or relative:
         rows = [list(map(row.__getitem__, keep)) for row in rows]
+    for l, b in enumerate(rows):
+        for a in rows[:l]:
+            # only a face inside the subcomplex, -1, may repeat in a column
+            if any(map(eq, a, b)) and set(compress(a, map(eq, a, b))) - {-1}:
+                raise CertificateError("a boundary column repeats a face")
+    if free is not None:
+        count = Counter(chain.from_iterable(rows))
+        count.pop(-1, None)
+        single = list(compress(count, map((1).__eq__, count.values())))
+        if single:
+            # single is in row-major order, so each column keeps the free
+            # face of the last row that has one
+            n = len(keep)
+            at = dict(zip(chain.from_iterable(rows), range(n * len(rows))))
+            pivots = dict(zip(map(mod, map(at.__getitem__, single),
+                                  repeat(n)), single))
+            free.extend(pivots.values())
+            rest = list(filterfalse(pivots.__contains__, range(n)))
+            keep = map(keep.__getitem__, rest)
+            rows = [list(map(row.__getitem__, rest)) for row in rows]
     cols = dict(zip(keep, map(dict, map(zip, zip(*rows),
                                         repeat(_signs(len(rows)))))))
-    faces = sum(map(len, rows))
     if relative:
-        faces -= sum(row.count(-1) for row in rows)
         for col in cols.values():
             col.pop(-1, None)
-    if sum(map(len, cols.values())) != faces:
-        raise CertificateError("a boundary column repeats a face")
     return cols
 
 

@@ -7,7 +7,11 @@ group fixes them.  Boundary matrices come from ``complexes`` as face rows
 vertex position), and the SNF gets the columns built from those rows.
 Reduced and relative homology differ only in their generator counts and
 boundary matrices, and share one loop, ``_profile``, that walks the
-degrees top-down.  Each SNF reports the rows of its unit pivots, and the
+degrees top-down.  Each boundary first splits off its free pivots, the
+columns that hold a face no other kept column names (an elementary
+reduction, Kaczynski-Mrozek-Slusarek): each is a +-1 pivot and an
+invariant factor 1, and only the other columns go to the SNF.  The free
+pivots and the SNF report the rows of their pivots, and the
 twist (Chen-Kerber) drops the columns at those rows from the next lower
 boundary before its SNF: since d_k d_{k+1} = 0 they are integer
 combinations of the columns kept, so the invariant factors do not
@@ -131,16 +135,30 @@ def _profile(cx, cap, counts, boundary, known) -> HomologyProfile:
     ... that need no SNF: that of d_0 always, and those of d_1 and d_2 too
     when a trivial fundamental group fixes them; those boundaries are free
     of torsion, and a known rank that does not fit its matrix raises
-    CertificateError.  The other boundaries go through ``smith_invariants``
-    top-down, from d_top to d_{len(known)}: the rank of d_k is the length
-    of its invariant factors, and those above 1 are torsion in degree
-    k - 1.
+    CertificateError.  The other boundaries go through ``columns`` and
+    ``smith_invariants`` top-down, from d_top to d_{len(known)}: the rank
+    of d_k is the number of its invariant factors, and those above 1 are
+    torsion in degree k - 1.
 
-    The twist (Chen-Kerber): ``smith_invariants`` puts into ``lows`` the
-    rows of its unit pivots, and d_k goes to it without its columns at the
-    rows that d_{k+1} put there.  Each pivot z of d_{k+1} is an integer
-    combination of its columns, so d_k z = 0; on the pivot rows the pivots
-    form a triangular matrix with +-1 on the diagonal, invertible over the
+    Free pivots: ``columns`` splits off each column of d_k that holds a
+    free face, a face that no other kept column names, and reports one
+    such face per column into ``free``.  Its entry there is +-1, so the
+    rank of d_k is the number of free pivots plus the length of the
+    invariant factors of the remaining columns, which go to
+    ``smith_invariants`` even when there are none.  That is exact: with
+    the free pivots first, their rows hold no entry of any other kept
+    column, so the pivot minor is block triangular with a unit diagonal
+    and the invariant factors are 1 per free pivot followed by the SNF of
+    the rest.
+
+    The twist (Chen-Kerber): ``lows`` collects the free faces and, from
+    ``smith_invariants``, the rows of its unit pivots, and d_k goes to
+    ``columns`` without its columns at the rows that d_{k+1} put there.
+    Each pivot z of d_{k+1}, a free column or a reduced one, is an integer
+    combination of its columns, so d_k z = 0.  On the pivot rows the free
+    pivots come first: their rows meet no reduced pivot, so the minor is
+    block triangular, a unit diagonal block for the free pivots and the
+    SNF's triangular block with +-1 on the diagonal, invertible over the
     integers.  So d_k's columns at the pivot rows are integer combinations
     of its other columns: the columns kept span the same lattice as all of
     them, and ranks and torsion are unchanged.  That rests on
@@ -177,9 +195,11 @@ def _profile(cx, cap, counts, boundary, known) -> HomologyProfile:
         if k == 1 and not any(-1 in row for row in rows):
             ranks[1] = _graph_rank(rows, cleared, cx.n_simplices(0))
             continue
-        inv = smith_invariants(columns(rows, cleared), lows)
+        free = []
+        inv = smith_invariants(columns(rows, cleared, free), lows)
+        lows.update(free)
         cleared = lows
-        ranks[k] = len(inv)
+        ranks[k] = len(free) + len(inv)
         tors = tuple(v for v in inv if v > 1)
         if tors:
             torsion[k - 1] = tors

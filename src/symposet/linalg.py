@@ -30,11 +30,13 @@ def transpose(M, ncols):
 def mat_mul(ring, A, B, bcols=None):
     """A @ B with entries reduced in the ring."""
     if bcols is None:
-        assert B, "need bcols for an empty right factor"
+        if not B:
+            raise ValueError("need bcols for an empty right factor")
         bcols = len(B[0])
     out = []
     for row in A:
-        assert len(row) == len(B)
+        if len(row) != len(B):
+            raise ValueError("factor shapes do not fit")
         acc = [0] * bcols
         for a, brow in zip(row, B):
             if a:
@@ -121,7 +123,8 @@ def solve_left(ring: EuclideanScalarRing, A, b, ncols=None):
     m = ncols if ncols is not None else (len(A[0]) if A else len(b))
     R, T, pivots = rref_with_transform(ring, A, m)
     res = [ring.reduce(v) for v in b]
-    assert len(res) == m
+    if len(res) != m:
+        raise ValueError("b must have one entry per column of A")
     x = [0] * len(A)
     for i, pc in enumerate(pivots):
         # later rows vanish at this pivot column, so a nonzero remainder
@@ -275,7 +278,8 @@ def bareiss_det(M):
     n = len(M)
     if n == 0:
         return 1
-    assert all(len(row) == n for row in M)
+    if any(len(row) != n for row in M):
+        raise ValueError("determinant needs a square matrix")
     A = [[int(x) for x in row] for row in M]
     sign = 1
     prev = 1

@@ -3,7 +3,12 @@
 A sparse matrix is given by its columns, ``{column: {row: value}}``.
 ``complexes`` stores a boundary matrix as face rows, checks d d = 0 on
 them, and builds these columns from the checked rows (``columns``), with
-the columns that the twist clears left out.  The sparse
+the columns that the twist clears left out.  ``columns`` also splits off
+the free pivots: a column that holds a face no other kept column
+names is a pivot there with entry +-1.  With those pivots first the
+pivot minor is block triangular with a unit diagonal, so the boundary's
+invariant factors are one 1 per free pivot followed by those of the
+columns that reach this module.  The sparse
 phase is a column reduction, as in persistent homology: each column is
 reduced by its lowest row against the unit (+-1) pivots found so far,
 which is exact over the integers because every pivot entry is a unit.
@@ -104,8 +109,9 @@ def smith_invariants(cols, lows=None):
     form as a list (ones first, then the rest in divisibility order).  The
     input is left as it was: each column is copied as it is reduced.  A
     set passed as ``lows`` receives the low rows of the unit pivots; for a
-    boundary d_{k+1} those are the columns of d_k that the twist clears
-    (see ``homology._profile``).  Deferred columns add none.
+    boundary d_{k+1} those, with the free pivots' faces that ``columns``
+    split off, are the columns of d_k that the twist clears (see
+    ``homology._profile``).  Deferred columns add none.
 
     Columns are reduced in ascending key order by their lowest (largest)
     row; on boundary matrices other orders fill in far more (reversed

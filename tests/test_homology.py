@@ -750,12 +750,158 @@ def test_a_broken_boundary_stops_the_twist_before_it_clears(monkeypatch):
         return rows
 
     monkeypatch.setattr(OrderComplex, "boundary_rows", broken)
-    handed = _count_calls(monkeypatch, (homology,), "smith_invariants")
+    handed = []
+
+    def split(rows, skip=(), free=None):
+        cols = columns(rows, skip, free)
+        handed.append(len(free) + len(cols))
+        return cols
+
+    monkeypatch.setattr(homology, "columns", split)
     s2 = subsets_poset(4)
     with pytest.raises(CertificateError):
         reduced_homology(s2)
-    assert [len(args[0]) for args in handed] == \
-        [order_complex(s2).n_simplices(2)]
+    # every column of d_2 went to the SNF or was split off as a free pivot
+    assert handed == [order_complex(s2).n_simplices(2)]
+
+
+# ---------------------------------------------------------------------------
+# free pivots: columns splits off every column that holds a free face
+
+def _split_cases(rng):
+    """(poset, vertex numbers of a subcomplex or None): seeded random
+    posets, RP^2, S^2, cones with the apex as the minimum and as the
+    maximum, and seeded random mapping-cone pairs (cone, source with the
+    tip)."""
+    randoms = [random_poset(rng, rng.randint(1, 10),
+                            p=rng.choice((0.05, 0.1, 0.3, 0.5)))
+               for _ in range(24)]
+    apex = FinitePoset(["apex"])
+    cases = [(P, None) for P in randoms]
+    cases += [(face_poset(RP2_FACES), None), (subsets_poset(4), None)]
+    cases += [(join(apex, P), None) for P in randoms[:8]]
+    cases += [(join(P, apex), None) for P in randoms[8:16]]
+    for C, src, _, tip in map(mapping_cone, _random_maps(rng, 12)):
+        pos = C.positions()
+        cases.append((C, frozenset(pos[x] for x in src.values())
+                      | {pos[tip]}))
+    return cases
+
+
+def test_free_pivots_match_the_plain_snf_and_sympy():
+    # the split (one 1 per free pivot, then the SNF of the rest) against
+    # the SNF of every kept column and against sympy, with and without
+    # columns cleared; each free face lies in exactly one kept column, no
+    # column returned meets one, and a -1 face is never free
+    rng = random.Random(2503)
+    disconnected = split = rest_left = 0
+    for P, sub in _split_cases(rng):
+        cx = order_complex(P)
+        for k in range(1, len(cx.by_dim)):
+            rows = _rows(cx, sub, k)
+            width = len(rows[0])
+            for skip in (set(), set(rng.sample(range(width), width // 3))):
+                kept = columns(rows, skip)
+                free = []
+                rest = columns(rows, skip, free)
+                plain = smith_invariants(kept)
+                assert [1] * len(free) + smith_invariants(rest) == plain
+                assert _sympy_invariants(kept) == plain
+                assert rest == {j: kept[j] for j in rest}
+                assert len(free) + len(rest) == len(kept)
+                assert len(set(free)) == len(free) and -1 not in free
+                holders = [[j for j, col in kept.items() if f in col]
+                           for f in free]
+                assert all(len(h) == 1 for h in holders)
+                assert sorted(h[0] for h in holders) == \
+                    sorted(kept.keys() - rest.keys())
+                split += len(free)
+                rest_left += len(rest)
+        prof = reduced_homology(P) if sub is None else \
+            relative_homology(P, {P.elements[v] for v in sub})
+        counts, boundary, rank0 = _chain_complex(
+            P, None if sub is None else {P.elements[v] for v in sub})
+        assert _untwisted(counts, boundary, rank0, _sympy_invariants) == \
+            (prof.betti, prof.torsion)
+        if sub is None:
+            disconnected += prof.betti_number(0) > 0
+    # both routes are exercised, and the random posets include some that
+    # are not connected
+    assert split > 0 and rest_left > 0
+    assert disconnected >= 3
+
+
+def test_free_pivots_keep_the_torsion_of_rp2():
+    # RP^2 with a fin, a triangle glued along the edge 12: the fin's other
+    # edges are free faces of d_2, and the columns left after the split
+    # still carry RP^2's invariant 2
+    fin = face_poset(RP2_FACES + [(1, 2, 7)])
+    rows = order_complex(fin).boundary_rows(2)
+    free = []
+    rest = columns(rows, (), free)
+    assert free and rest
+    assert smith_invariants(rest) == smith_invariants(columns(rows))[
+        len(free):]
+    assert smith_invariants(rest)[-1] == 2
+    prof = reduced_homology(fin)
+    assert (prof.betti, prof.torsion) == ({}, {1: (2,)})
+
+
+def test_a_minus_one_face_is_never_free():
+    # column 0 names faces 0 and 1, which column 1 names too, and one face
+    # of the subcomplex (-1), named once; only column 1, through face 2,
+    # is a free pivot
+    rows = [[0, 0], [1, 1], [-1, 2]]
+    free = []
+    assert columns(rows, (), free) == {0: {0: 1, 1: -1}}
+    assert free == [2]
+
+
+def test_free_column_certificates_survive_optimized_python():
+    # the one triangle of a 3-chain: all its faces are free, so its column
+    # is split off without a dict; a copy that names one face twice, in
+    # adjacent rows and in rows 0 and 2, still raises, directly and
+    # through the reduced homology
+    code = """
+chain3 = FinitePoset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+rows = complexes.order_complex(chain3).boundary_rows(2)
+free = []
+complexes.columns(rows, (), free)
+print(len(free))
+for i in (1, 2):
+    bad = [list(row) for row in rows]
+    bad[i][0] = bad[0][0]
+    tripped(lambda: complexes.columns(bad, (), []))
+boundary_rows = complexes.OrderComplex.boundary_rows
+def doubled(cx, k):
+    rows = boundary_rows(cx, k)
+    if k == 2:
+        rows[1][0] = rows[0][0]
+    return rows
+patched(complexes.OrderComplex, "boundary_rows", doubled,
+        lambda: homology.reduced_homology(chain3))
+"""
+    assert _run_optimized(code) == ["1"] + \
+        ["a boundary column repeats a face"] * 3
+
+
+def test_the_genus3_cones_split_with_no_subtraction(monkeypatch):
+    # the 673-element cones (0, L] and [0, L) of the genus-3 U, and the
+    # whole link sweeps of U and of I(genus 2, radical 1): every column
+    # that reaches a pivot is free or pivots with no subtraction
+    subtract = _count_calls(monkeypatch, (snf,), "_subtract")
+    L = SymplecticModule.standard(PrimeField(2), 3)
+    U = build_U(L)
+    h = U.heights()
+    bottom, top = min(U, key=h.__getitem__), max(U, key=h.__getitem__)
+    for cone in (U.subposet_gt(bottom), U.subposet_lt(top)):
+        assert len(cone) == 673
+        prof = reduced_homology(cone)
+        assert (prof.betti, prof.torsion) == ({}, {})
+    I = build_I(SymplecticModule.standard(PrimeField(2), 2, r=1))
+    assert cohen_macaulay_check(U, 3).detail == {"links_checked": 9414}
+    assert cohen_macaulay_check(I, 1).detail == {"links_checked": 1501}
+    assert subtract == []
 
 
 def _graph_rows(P):

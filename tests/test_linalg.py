@@ -9,10 +9,14 @@ matrices.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import symposet
 from symposet import linalg
 from symposet.linalg import (bareiss_det, canonical_span_basis, left_kernel,
                              mat_mul, matrix_rank, right_kernel,
@@ -176,3 +180,38 @@ def test_matrix_rank_over_Z_agrees_with_sympy():
     for M, m in _cases(ZZ, 23, 200):
         want = sympy.Matrix(len(M), m, [x for row in M for x in row]).rank()
         assert matrix_rank(ZZ, M, m) == want
+
+
+def test_shape_checks_survive_optimized_python():
+    # under -O a plain assert let mat_mul drop the third entry of a row
+    # ([[3]]), bareiss_det reduce a ragged matrix (-2), solve_left read a
+    # vector longer than A's rows, and rho_vector divide by a vector whose
+    # last coordinate is zero
+    code = """
+from symposet.builders import rho_vector
+from symposet.linalg import bareiss_det, mat_mul, solve_left
+from symposet.rings import ZZ
+
+def run(check):
+    try:
+        print(check())
+    except ValueError as e:
+        print(e)
+
+run(lambda: mat_mul(ZZ, [[1, 2, 3]], [[1], [1]]))
+run(lambda: mat_mul(ZZ, [[1]], []))
+run(lambda: bareiss_det([[1, 2], [3, 4, 5]]))
+run(lambda: solve_left(ZZ, [[1, 0]], [1, 0, 0]))
+run(lambda: rho_vector(ZZ, (1, 0), (0, 3), 2))
+"""
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "factor shapes do not fit",
+        "need bcols for an empty right factor",
+        "determinant needs a square matrix",
+        "b must have one entry per column of A",
+        "pivot vector needs a nonzero last coordinate",
+    ]
