@@ -1,27 +1,30 @@
 """Finite posets stored as one strict order relation over vertex numbers.
 
 A poset numbers its elements 0..n-1 once, and that numbering is its
-vertex numbering (``positions()``): the constructor sorts the labels by
-``repr`` and numbers them in that order.  Induced subposets and opposites
-keep their parent's order instead of sorting again, and so do mapping
-cylinders and cones: the target's vertices, then the source's, then the
-tip.  Joins, thick joins and subdivisions number their new labels by
-``repr``, as the constructor does.  The order is stored once, as the
-up-set of each vertex: the frozenset of the vertex numbers strictly above
-it, transitively closed.  Labels (often nested tuples, whose hash is
-dear) appear only at the interface: ``above``, ``below``, ``covers``,
-``heights`` and ``relation_pairs`` translate vertex numbers into labels,
-and ``induced`` translates its labels into vertex numbers with one lookup
-each.  Code below the poset, such as order complexes, reads the sorted
-successor tuples (``successors()``) or the up-sets themselves
-(``up_sets()``) and never hashes or orders labels itself.
+vertex numbering (``positions()``).  Only the public constructor sorts
+labels by ``repr``; every derived poset keeps its parents' orders.
+Induced subposets and opposites keep their parent's order.  A join
+numbers the first factor's vertices, then the second's; a thick join
+X's, then Y's, then the products row-major; a mapping cylinder or cone
+the target's vertices, then the source's, then the tip; a subdivision
+its chains lexicographically on the parent's vertex numbers.  The order
+is stored once, as the up-set of each vertex: the frozenset of the vertex
+numbers strictly above it, transitively closed.  Labels (often nested
+tuples, whose hash is dear) appear only at the interface: ``above``,
+``below``, ``covers``, ``heights`` and ``relation_pairs`` translate
+vertex numbers into labels, and ``induced`` translates its labels into
+vertex numbers with one lookup each.  Code below the poset, such as order
+complexes, reads the sorted successor tuples (``successors()``) or the
+up-sets themselves (``up_sets()``) and never hashes or orders labels
+itself.
 
 The public constructor accepts any acyclic generating relation and closes
-it; derived constructions (induced subposets, opposites, joins, cylinders)
-produce relations that are closed by construction and go through a
-trusted path.  Both still check irreflexivity, antisymmetry and
-transitivity on the vertex numbers, raising CertificateError that names
-the labels involved, so the check survives ``python -O``.
+it; derived constructions (induced subposets, opposites, joins, thick
+joins, subdivisions, cylinders) build their closed relations over vertex
+numbers and go through a trusted path.  Both still check irreflexivity,
+antisymmetry and transitivity on the vertex numbers, raising
+CertificateError that names the labels involved, so the check survives
+``python -O``.
 
 Heights are derived from the order, never supplied: the height of an
 element is the length of the longest chain ending at it, so minimal
@@ -238,8 +241,8 @@ class FinitePoset:
     def __eq__(self, other):
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        # equal posets need not share a vertex order (a cylinder keeps its
-        # parents' orders, the constructor sorts by repr, and two labels
+        # equal posets need not share a vertex order (a derived poset keeps
+        # its parents' orders, the constructor sorts by repr, and two labels
         # may share a repr), so compare through the other poset's numbering
         pos = other.positions()
         perm = [pos.get(x) for x in self._elements]
@@ -260,17 +263,6 @@ def _induced_up_sets(up, keep):
     new = {v: k for k, v in enumerate(ids)}
     return ids, tuple(frozenset(map(new.__getitem__, up[v] & keep))
                       for v in ids)
-
-
-def _numbered(labels):
-    """``labels`` sorted by repr, and each one's vertex number in that
-    order: the numbering of a poset built on new labels."""
-    reprs = list(map(repr, labels))
-    order = sorted(range(len(labels)), key=reprs.__getitem__)
-    rank = [0] * len(order)
-    for v, k in enumerate(order):
-        rank[k] = v
-    return tuple(map(labels.__getitem__, order)), rank
 
 
 def _close(succ) -> List[FrozenSet[int]]:
@@ -302,13 +294,9 @@ def _close(succ) -> List[FrozenSet[int]]:
     return up
 
 
-def _renumbered(P: FinitePoset, rank) -> List[FrozenSet[int]]:
-    """P's up-sets with vertex i renamed rank[i]."""
-    return [frozenset(map(rank.__getitem__, u)) for u in P._up]
-
-
 def barycentric_subdivision(P: FinitePoset) -> FinitePoset:
-    """Poset of nonempty chains of P ordered by refinement."""
+    """Poset of nonempty chains of P ordered by refinement, numbered in the
+    order ``grow`` meets them: lexicographic on P's vertex numbers."""
     succ = P.successors()
     chains = []
 
@@ -319,14 +307,14 @@ def barycentric_subdivision(P: FinitePoset) -> FinitePoset:
 
     for v in range(len(succ)):
         grow((v,))
-    elements, rank = _numbered([tuple(P._labels(c)) for c in chains])
-    index = {c: rank[k] for k, c in enumerate(chains)}
+    index = {c: k for k, c in enumerate(chains)}
     covers = [set() for _ in chains]
     for c, v in index.items():
         if len(c) > 1:
             for i in range(len(c)):
                 covers[index[c[:i] + c[i + 1:]]].add(v)
-    return FinitePoset._trusted(elements, _close(covers))
+    return FinitePoset._trusted(tuple(tuple(P._labels(c)) for c in chains),
+                                _close(covers))
 
 
 def check_isomorphism(P: FinitePoset, Q: FinitePoset, mapping: Dict) -> bool:
@@ -422,7 +410,8 @@ def constant_map(P: FinitePoset, Q: FinitePoset, q) -> PosetMap:
 # joins and cylinders
 
 def join(X: FinitePoset, Y: FinitePoset) -> FinitePoset:
-    """Ordinal sum with every X element below every Y element."""
+    """Ordinal sum with every X element below every Y element, numbered X's
+    vertices first, then Y's shifted by len(X)."""
     if len(X) == 0:
         return Y
     if len(Y) == 0:
@@ -430,14 +419,13 @@ def join(X: FinitePoset, Y: FinitePoset) -> FinitePoset:
     collide = not X.positions().keys().isdisjoint(Y.elements)
     lx = (lambda x: (0, x)) if collide else (lambda x: x)
     ly = (lambda y: (1, y)) if collide else (lambda y: y)
-    elements, rank = _numbered([lx(x) for x in X] + [ly(y) for y in Y])
-    rx, ry = rank[:len(X)], rank[len(X):]
-    ytop = frozenset(ry)
-    up = [None] * len(rank)
-    for v, u in zip(rx, _renumbered(X, rx)):
-        up[v] = u | ytop
-    for v, u in zip(ry, _renumbered(Y, ry)):
-        up[v] = u
+    elements = tuple(map(lx, X)) + tuple(map(ly, Y))
+    # one int object per Y vertex, shared by every up-set holding it
+    ys = list(range(len(X), len(elements)))
+    shift = ys.__getitem__
+    ytop = frozenset(ys)
+    up = [u | ytop for u in X._up]
+    up.extend(frozenset(map(shift, u)) for u in Y._up)
     return FinitePoset._trusted(elements, up)
 
 
@@ -446,6 +434,8 @@ def thick_join(X: FinitePoset, Y: FinitePoset, tag_always: bool = False) -> Fini
 
     Labels stay as-is when the three families cannot collide; otherwise
     X elements become ("x", x), Y elements ("y", y), products ("p", x, y).
+    The vertices are X's, then Y's shifted by len(X), then the products
+    row-major: (x_i, y_j) is len(X) + len(Y) + i * len(Y) + j.
     """
     if len(Y) == 0 and not tag_always:
         return X
@@ -464,22 +454,23 @@ def thick_join(X: FinitePoset, Y: FinitePoset, tag_always: bool = False) -> Fini
         ly = lambda y: ("y", y)
         lp = lambda x, y: ("p", x, y)
     nx, ny = len(X), len(Y)
-    elements, rank = _numbered([lx(x) for x in X] + [ly(y) for y in Y]
-                               + [lp(x, y) for x in X for y in Y])
-    rx, ry = rank[:nx], rank[nx:nx + ny]
-    rp = [rank[nx + ny + i * ny:nx + ny + (i + 1) * ny] for i in range(nx)]
+    elements = (tuple(map(lx, X)) + tuple(map(ly, Y))
+                + tuple(lp(x, y) for x in X for y in Y))
+    # one int object per vertex, shared by every up-set holding it
+    ids = list(range(len(elements)))
+    ry = ids[nx:nx + ny]
+    rp = [ids[nx + ny + i * ny:nx + ny + (i + 1) * ny] for i in range(nx)]
     # each vertex with the vertices above it
     xle = [u | {i} for i, u in enumerate(X._up)]
     yle = [u | {j} for j, u in enumerate(Y._up)]
-    up = [None] * len(rank)
-    for i, u in enumerate(_renumbered(X, rx)):
-        up[rx[i]] = u.union(rp[v][w] for v in xle[i] for w in range(ny))
-    for j, u in enumerate(_renumbered(Y, ry)):
-        up[ry[j]] = u.union(rp[v][w] for v in range(nx) for w in yle[j])
+    up = [u.union(*(rp[v] for v in xle[i])) for i, u in enumerate(X._up)]
+    for j, u in enumerate(Y._up):
+        up.append(frozenset(map(ry.__getitem__, u)).union(
+            rp[v][w] for v in range(nx) for w in yle[j]))
     for i in range(nx):
         for j in range(ny):
-            k = rp[i][j]
-            up[k] = frozenset(rp[v][w] for v in xle[i] for w in yle[j]) - {k}
+            up.append(frozenset(rp[v][w] for v in xle[i] for w in yle[j])
+                      - {rp[i][j]})
     return FinitePoset._trusted(elements, up)
 
 

@@ -273,11 +273,12 @@ def is_isotropic_sequence(L: SymplecticModule, lifts: Sequence) -> bool:
 
 
 class RadicalQuotient:
-    """L/radical together with projection and a section.
+    """L/radical as a unimodular module, with a section ``lift``.
 
     The complement of the radical is spanned by the standard basis vectors
-    at the non-pivot columns of the radical's canonical basis, so over the
-    standard modules the projection is just a coordinate selection.
+    at the non-pivot columns of the radical's canonical basis; ``lift``
+    sends a quotient vector to its combination of those basis vectors, so
+    the lifts and the radical together span L.
     """
 
     def __init__(self, L: SymplecticModule):
@@ -299,15 +300,7 @@ class RadicalQuotient:
         if self.module.radical_rank() != 0 or self.module.genus != L.genus:
             raise CertificateError("quotient by the radical is not unimodular "
                                    "of the ambient genus")
-        self._stack = rad + C
-        self._nrad = len(rad)
         self._comp = C
-
-    def project(self, v):
-        x = solve_left(self.ambient.ring, self._stack, list(v), self.ambient.rank)
-        if x is None:
-            raise CertificateError("vector is not in the span of the stack")
-        return tuple(x[self._nrad:])
 
     def lift(self, w):
         return tuple(linalg.vec_mat(self.ambient.ring, list(w), self._comp,

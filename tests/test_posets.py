@@ -1,6 +1,7 @@
 """Order-theoretic core: construction, derived posets, joins, cylinders."""
 
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -311,6 +312,109 @@ def test_cylinders_keep_their_parents_orders():
     assert reordered >= 30
 
 
+def _chains_in_vertex_order(P):
+    """Every nonempty chain of P, bottom to top, sorted lexicographically
+    on P's vertex numbers."""
+    pos, h = P.positions(), P.heights()
+    found = []
+    for r in range(1, len(P) + 1):
+        for c in itertools.combinations(P.elements, r):
+            if all(P.lt(a, b) or P.lt(b, a)
+                   for a, b in itertools.combinations(c, 2)):
+                found.append(tuple(sorted(c, key=h.__getitem__)))
+    return tuple(sorted(found, key=lambda c: [pos[x] for x in c]))
+
+
+def test_joins_and_subdivisions_keep_their_parents_orders():
+    # a join numbers X's vertices, then Y's; a thick join X's, Y's, then the
+    # products row-major; a subdivision its chains lexicographically on the
+    # parent's vertex numbers; with disjoint and colliding labels, and a
+    # copy numbered by repr has the same homology
+    rng = random.Random(2601)
+    reordered = {"join": 0, "thick": 0, "sd": 0}
+    for _ in range(30):
+        X, _ = _random_labeled(rng, _MIXED, rng.randint(1, 5))
+        Y, _ = _random_labeled(rng, [("q", a) for a in _MIXED],
+                               rng.randint(1, 4))
+        built = []
+        for A, B in ((X, Y), (X, X)):
+            J = join(A, B)
+            if A is B:
+                want = tuple((0, a) for a in A) + tuple((1, b) for b in B)
+            else:
+                want = A.elements + B.elements
+            assert J.elements == want
+            built.append(("join", J))
+        for A, B, tag, tagged in ((X, Y, False, False), (X, X, False, True),
+                                  (X, Y, True, True)):
+            T = thick_join(A, B, tag_always=tag)
+            if tagged:
+                want = (tuple(("x", a) for a in A) + tuple(("y", b) for b in B)
+                        + tuple(("p", a, b) for a in A for b in B))
+            else:
+                want = (A.elements + B.elements
+                        + tuple((a, b) for a in A for b in B))
+            assert T.elements == want
+            built.append(("thick", T))
+        S = barycentric_subdivision(X)
+        assert S.elements == _chains_in_vertex_order(X)
+        built.append(("sd", S))
+        for kind, P in built:
+            reordered[kind] += P.elements != tuple(sorted(P.elements,
+                                                          key=repr))
+            copy = FinitePoset(P.elements, P.relation_pairs())
+            assert copy == P
+            assert reduced_homology(P) == reduced_homology(copy)
+    assert min(reordered.values()) >= 10, reordered
+
+
+class _Unprintable:
+    """A label whose repr raises once the class is armed."""
+
+    armed = False
+
+    def __init__(self, n):
+        self.n = n
+
+    def __eq__(self, other):
+        if not isinstance(other, _Unprintable):
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash(self.n)
+
+    def __repr__(self):
+        if _Unprintable.armed:
+            raise AssertionError("a label was turned into a string")
+        return f"_Unprintable({self.n})"
+
+
+def test_derived_posets_never_turn_a_label_into_a_string():
+    rng = random.Random(2602)
+    labels = [_Unprintable(i) for i in range(7)]
+    X = FinitePoset(labels[:4], [(labels[0], labels[1]), (labels[0], labels[2]),
+                                 (labels[1], labels[3])])
+    Y = FinitePoset(labels[4:], [(labels[4], labels[5])])
+    f = random_monotone_map(rng, X, Y)
+    g = random_monotone_map(rng, X)
+    _Unprintable.armed = True
+    try:
+        assert len(X.induced(labels[1:3])) == 2
+        assert X.opposite().elements == X.elements
+        assert (len(join(X, Y)), len(join(X, X))) == (7, 8)
+        assert len(thick_join(X, Y)) == 4 + 3 + 12
+        assert len(thick_join(X, X)) == 4 + 4 + 16
+        assert len(thick_join(X, Y, tag_always=True)) == 4 + 3 + 12
+        assert len(barycentric_subdivision(X)) == 4 + 4 + 1
+        for h in (f, g):
+            M, _, _ = mapping_cylinder(h)
+            C, _, _, _ = mapping_cone(h)
+            assert len(C) == len(M) + 1 == len(h.source) + len(h.target) + 1
+    finally:
+        _Unprintable.armed = False
+
+
 def _scan_fiber(f, y, down):
     """A fiber by testing the target order against every source element."""
     le = f.target.le
@@ -466,7 +570,8 @@ def _ref_join(X, Y):
     ytop = frozenset(map(ly, Y.above))
     above = {lx(x): frozenset(map(lx, u)) | ytop for x, u in X.above.items()}
     above.update((ly(y), frozenset(map(ly, u))) for y, u in Y.above.items())
-    return _Ref(above)
+    # X in its order, then Y in its order
+    return _Ref(above, [lx(x) for x in X.order] + [ly(y) for y in Y.order])
 
 
 def _ref_thick_join(X, Y, tag_always=False):
@@ -491,7 +596,10 @@ def _ref_thick_join(X, Y, tag_always=False):
         for y, w in Y.above.items():
             above[lp(x, y)] = {lp(a, b) for a in u | {x}
                                for b in w | {y}} - {lp(x, y)}
-    return _Ref(above)
+    # X in its order, then Y in its order, then the products row-major
+    order = ([lx(x) for x in X.order] + [ly(y) for y in Y.order]
+             + [lp(x, y) for x in X.order for y in Y.order])
+    return _Ref(above, order)
 
 
 def _ref_cylinder(X, Y, f, cone):
@@ -527,7 +635,9 @@ def _ref_subdivision(R):
             grow(c + (y,))
     for x in R.order:
         grow((x,))
-    return _Ref({c: {d for d in chains if set(c) < set(d)} for c in chains})
+    # the chains in the order grow meets them
+    return _Ref({c: {d for d in chains if set(c) < set(d)} for c in chains},
+                chains)
 
 
 _MIXED = [10, 9, "a", (1, 2), 2, "b", (0,), 100, "c", (2,), -1, "B",

@@ -202,19 +202,26 @@ def test_Lv_submodule():
 
 
 def test_radical_quotient():
-    L = std(F2, 2, r=2)
-    quot = RadicalQuotient(L)
-    M = quot.module
-    assert M.radical_rank() == 0 and M.genus == 2 and M.rank == 4
     rng = random.Random(13)
-    for _ in range(12):
-        v = [rng.randrange(2) for _ in range(6)]
-        w = [rng.randrange(2) for _ in range(6)]
-        assert L.pair(v, w) == M.pair(list(quot.project(v)),
-                                      list(quot.project(w)))
-    for _ in range(6):
-        vb = [rng.randrange(2) for _ in range(4)]
-        assert list(quot.project(quot.lift(vb))) == vb
+    for L in (std(F2, 2, r=2), std(F3, 1, r=1),
+              # a radical spanned by e_1 + e_2, off the coordinate axes
+              SymplecticModule(F2, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])):
+        quot = RadicalQuotient(L)
+        M = quot.module
+        assert M.radical_rank() == 0 and M.genus == L.genus
+        assert M.rank == L.rank - L.radical_rank()
+        # lift preserves the pairing
+        p = L.ring.p
+        for _ in range(12):
+            v = [rng.randrange(p) for _ in range(M.rank)]
+            w = [rng.randrange(p) for _ in range(M.rank)]
+            assert L.pair(list(quot.lift(v)),
+                          list(quot.lift(w))) == M.pair(v, w)
+        # the lifts of a basis of the quotient and the radical span L
+        lifts = [list(quot.lift(b)) for b in linalg.identity(M.rank)]
+        rad = [list(r) for r in L.radical().basis]
+        assert len(linalg.canonical_span_basis(L.ring, rad + lifts,
+                                               L.rank)) == L.rank
 
 
 def test_quotient_requires_field():
