@@ -29,7 +29,11 @@ established, ``basis`` says with which tools; a fundamental-group probe can
 upgrade a homological verdict or refute it, and a blown budget yields
 "inconclusive", never a guess.  A verdict builds one poset and enumerates
 its order complex once; a verdict that probes pi_1 does so first, on the
-simplices of dimensions 0 to 2, before any homology.  A map's poset is its
+simplices of dimensions 0 to 2, before any homology.  The probe gets the
+poset with them: it collapses an edge whose ends share a dead neighbour,
+which on an order complex (a flag complex) is the last live edge of a
+triangle, so it needs no triangle index, and it raises ValueError on a
+skeleton that is not the poset's.  A map's poset is its
 mapping cone, whose pair with the coned source has the chains of the
 cylinder-source pair.  On reduced homology a trivial group makes the
 complex connected with H_1 = 0 (Hurewicz: H_1 is the abelianization of
@@ -305,7 +309,7 @@ def _homology_step(P: FinitePoset, level: int, through: int, budget,
     try:
         cx = order_complex(P, max_dim=_cap(level), budget=budget)
         if probe and through >= 1:
-            res = pi1.pi1_probe(cx.by_dim[:3])
+            res = pi1.pi1_probe(P, cx.by_dim[:3])
         if sub is not None:
             prof = relative_homology(P, sub, level, budget, cx=cx)
         elif res == "trivial":

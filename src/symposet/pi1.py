@@ -12,14 +12,21 @@ The presentation is the edge-path one, read off after two collapses
 (Forman's discrete Morse theory): the edges of a spanning tree die, then
 the last live edge of each triangle whose other edges are dead.  The
 surviving edges generate and the triangles that keep one give relators;
-Tietze reduction runs its rounds on those.  Rooting the tree at a
-maximal-degree vertex makes cones collapse at once, since every non-tree
-edge closes a triangle with two tree edges through the apex.
+Tietze reduction runs its rounds on those.  An order complex is a flag
+complex: three pairwise comparable vertices form a chain, so a triangle.
+The second collapse is therefore read off the vertices alone, with no
+triangle index: an edge xz dies when x and z have a common dead
+neighbour.  That rule holds only on an order complex, so the probe takes
+the poset with its skeleton and raises ValueError when the skeleton is
+not the poset's.  Rooting the tree at a vertex of largest degree makes
+cones collapse at once: every other edge has two ends that the tree
+joins to the apex, a common dead neighbour.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import mul
 
 # bench/test_bench.py looks order_complex up here
 from .complexes import order_complex  # noqa: F401
@@ -30,78 +37,99 @@ _MAX_RELATOR_MASS = 400_000
 _TIETZE_ROUNDS = 200
 
 
-def _tree_edges(n_verts, edges):
-    """Marks on the edges of a breadth-first spanning tree, or None if the
-    graph is empty or disconnected.  The root is a vertex of largest
-    degree, the largest number among those; neighbours are taken in
-    vertex-number order."""
-    if not n_verts:
-        return None
-    adj = [[] for _ in range(n_verts)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    root = max(range(n_verts), key=lambda v: (len(adj[v]), v))
-    seen = {root}
-    tree = set()
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adj[v]):
-            if w not in seen:
-                seen.add(w)
-                # both orientations, so the complex's own edge matches
-                tree.update(((v, w), (w, v)))
-                queue.append(w)
-    if len(seen) < n_verts:
-        return None
-    return bytearray(map(tree.__contains__, edges))
+def _check_skeleton(succ, down, verts, edges, tris):
+    """Raise ValueError unless the skeleton has the poset's vertex count,
+    exactly its order pairs as edges, and as many triangles as it has
+    3-chains.  The kill rule relies on that, since it takes any three
+    pairwise joined vertices for a triangle.  The successor tuples
+    ``succ`` and the down lists ``down`` are the poset's."""
+    if len(verts) != len(succ):
+        raise ValueError("the skeleton does not have the poset's vertices")
+    if edges != [(x, y) for x, s in enumerate(succ) for y in s]:
+        raise ValueError("the skeleton's edges are not the poset's order pairs")
+    # the 3-chains through a middle y: one below it, one above it
+    if len(tris) != sum(map(mul, map(len, down), map(len, succ))):
+        raise ValueError("the skeleton's triangles are not the poset's 3-chains")
 
 
-def edge_path_presentation(skeleton):
-    """(n_gens, relators) of the 2-skeleton ``skeleton`` (the simplex lists
-    ``OrderComplex.by_dim[:3]``, on vertices 0 to n - 1), or None if it is
-    empty or disconnected.
+def edge_path_presentation(P, skeleton):
+    """(n_gens, relators) of the 2-skeleton ``skeleton`` of P's order
+    complex (the simplex lists ``OrderComplex.by_dim[:3]``), or None if it
+    is empty or disconnected.  Raises ValueError when ``skeleton`` is not
+    P's (see ``_check_skeleton``).
 
-    The spanning tree's edges die, then, through one worklist over an
-    edge -> triangle index, the last live edge of every triangle whose
-    other edges are dead.  The surviving edges are the generators 1, 2,
-    ... in edge order; each triangle (x, y, z) that keeps one gives the
-    relator of its live letters of xy, yz, (xz)^-1, in that order, where
-    an edge (a, b) read from b to a is -g.
+    The edges of a breadth-first spanning tree die first.  Then an edge xz
+    dies when x and z have a common dead neighbour y: {x, y, z} is then
+    pairwise comparable, a chain, so a triangle of the order complex whose
+    other two edges are dead.  One pass goes over the edges in edge order;
+    each later pass rescans only the live neighbours of the vertices whose
+    dead sets grew in the pass before.  The rule only ever adds dead
+    edges, so the closure is the least set of dead edges that holds the
+    tree and is closed under it, whatever order the kills come in.  The
+    surviving edges are the generators 1, 2, ... in edge order; each
+    triangle (x, y, z) that keeps one gives the relator of its live
+    letters of xy, yz, (xz)^-1, in that order, where an edge (a, b) read
+    from b to a is -g.  The triangles are read only then.
     """
     verts, edges, tris = (*skeleton, [], [], [])[:3]
-    dead = _tree_edges(len(verts), edges)
-    if dead is None:
+    succ = P.successors()
+    up = P.up_sets()
+    down = [[] for _ in succ]
+    for x, s in enumerate(succ):
+        for y in s:
+            down[y].append(x)
+    _check_skeleton(succ, down, verts, edges, tris)
+    n = len(succ)
+    if not n:
         return None
-    edge_id = {e: i for i, e in enumerate(edges)}
-    sides = [(edge_id[(x, y)], edge_id[(y, z)], edge_id[(x, z)])
-             for x, y, z in tris]
-    live = [3 - dead[a] - dead[b] - dead[c] for a, b, c in sides]
-    on = [[] for _ in edges]  # edge -> the triangles through it
-    for t, s in enumerate(sides):
-        for e in s:
-            on[e].append(t)
-    work = [t for t, n in enumerate(live) if n == 1]
-    while work:
-        t = work.pop()
-        if live[t] == 1:  # another kill may have emptied it meanwhile
-            a, b, e = sides[t]
-            if dead[e]:
-                e = a if dead[b] else b
-            dead[e] = 1
-            for u in on[e]:
-                live[u] -= 1
-                if live[u] == 1:
-                    work.append(u)
-    gen = [0] * len(edges)
-    n = 0
-    for i, d in enumerate(dead):
-        if not d:
-            n += 1
-            gen[i] = n
-    return n, [[g for g in (gen[a], gen[b], -gen[c]) if g]
-               for (a, b, c), k in zip(sides, live) if k]
+    deg = [len(a) + len(b) for a, b in zip(up, down)]
+    # the root is a vertex of largest degree, the largest number among
+    # those, and each vertex meets its new neighbours in number order
+    root = max(range(n), key=lambda v: (deg[v], v))
+    dead = [None] * n  # each vertex's dead neighbours
+    dead[root] = set()
+    seen = {root}
+    order = [root]
+    for v in order:  # breadth first: the list grows as it is read
+        if len(order) == n:
+            break
+        new = sorted(up[v].union(down[v]) - seen)
+        seen.update(new)
+        dead[v].update(new)
+        for w in new:
+            dead[w] = {v}
+        order += new
+    if len(order) < n:
+        return None
+    grown = set()
+    for x, s in enumerate(succ):
+        dx = dead[x]
+        for z in s:
+            if z not in dx and not dx.isdisjoint(dead[z]):
+                dx.add(z)
+                dead[z].add(x)
+                grown.update((x, z))
+    while grown:
+        # a live edge uv can newly die only through a dead neighbour that
+        # u or v gained in the last pass, so u or v is in grown
+        again = set()
+        for v in grown:
+            dv = dead[v]
+            if len(dv) == deg[v]:  # no live edge left at v
+                continue
+            for u in up[v].union(down[v]) - dv:
+                if u not in dv and not dv.isdisjoint(dead[u]):
+                    dv.add(u)
+                    dead[u].add(v)
+                    again.update((u, v))
+        grown = again
+    if sum(map(len, dead)) == 2 * len(edges):
+        return 0, []
+    gen = {e: i for i, e in enumerate(
+        (e for e in edges if e[1] not in dead[e[0]]), 1)}
+    relators = ([g for g in (gen.get((x, y), 0), gen.get((y, z), 0),
+                             -gen.get((x, z), 0)) if g] for x, y, z in tris)
+    return len(gen), [w for w in relators if w]
 
 
 def _free_cyclic_reduce(w):
@@ -307,11 +335,11 @@ def coset_enumeration_trivial(n_gens, relators, max_cosets=MAX_COSETS):
     return len(live)
 
 
-def pi1_probe(skeleton) -> str:
-    """"trivial" / "nontrivial" / "unknown" for the group of the complex
-    whose simplices of dimensions 0 to 2 are ``skeleton``; see
-    ``edge_path_presentation``."""
-    pres = edge_path_presentation(skeleton)
+def pi1_probe(P, skeleton) -> str:
+    """"trivial" / "nontrivial" / "unknown" for the group of P's order
+    complex, whose simplices of dimensions 0 to 2 are ``skeleton``; see
+    ``edge_path_presentation``, whose ValueError it passes on."""
+    pres = edge_path_presentation(P, skeleton)
     if pres is None:
         return "unknown"
     n, rels = tietze_reduce(*pres)

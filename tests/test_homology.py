@@ -42,7 +42,9 @@ def face_poset(faces):
         for r in range(1, len(f) + 1):
             for s in itertools.combinations(sorted(f), r):
                 cells.add(frozenset(s))
-    rel = [(a, b) for a in cells for b in cells if a < b]
+    # each cell over its proper faces: the order is the closure of these
+    rel = {(frozenset(s), c) for c in cells for r in range(1, len(c))
+           for s in itertools.combinations(sorted(c), r)}
     return FinitePoset(cells, rel)
 
 
@@ -1306,7 +1308,7 @@ def _reference_step(P, level, through, degree, probe):
     if prof.torsion_at(degree):
         return None, ("refuted", "homology",
                       {"degree": degree, "torsion": prof.torsion_at(degree)})
-    res = pi1.pi1_probe(order_complex(P, max_dim=2).by_dim) if probe \
+    res = pi1.pi1_probe(P, order_complex(P, max_dim=2).by_dim) if probe \
         else "unknown"
     if res == "nontrivial":
         return None, ("refuted", "pi1",

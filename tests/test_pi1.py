@@ -1,10 +1,17 @@
 """The fundamental-group layer on its own: Tietze reduction, coset
 enumeration and the probe's verdicts on spaces with known groups."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 
+import pytest
+
+import symposet
 from symposet import pi1
+from symposet.builders import build_O, flag_to_decomposition
 from symposet.complexes import order_complex
 from symposet.pi1 import (coset_enumeration_trivial, edge_path_presentation,
                           pi1_probe, tietze_reduce)
@@ -16,6 +23,9 @@ from symposet.trees import tree_forget_map
 
 from test_homology import (RP2_FACES, _depth_first_order_complex, face_poset,
                            subsets_poset)
+
+
+F2, F3 = PrimeField(2), PrimeField(3)
 
 
 def skeleton_of(P):
@@ -74,10 +84,13 @@ def reference_tietze(n_gens, relators, rounds=200):
     return len(alive), words
 
 
-def raw_edge_path_presentation(skeleton):
-    """Every non-tree edge a generator, every triangle a relator."""
-    verts, edges, tris = (*skeleton, [], [], [])[:3]
-    n_verts = len(verts)
+def _tree(n_verts, edges):
+    """The edges of the probe's breadth-first spanning tree, in both
+    orientations, or None if the graph is empty or disconnected: the root
+    is a vertex of largest degree, the largest number among those, and
+    neighbours are taken in vertex-number order."""
+    if not n_verts:
+        return None
     adj = [[] for _ in range(n_verts)]
     for a, b in edges:
         adj[a].append(b)
@@ -94,6 +107,15 @@ def raw_edge_path_presentation(skeleton):
                 tree.update(((v, w), (w, v)))
                 queue.append(w)
     if len(seen) < n_verts:
+        return None
+    return tree
+
+
+def raw_edge_path_presentation(skeleton):
+    """Every non-tree edge a generator, every triangle a relator."""
+    verts, edges, tris = (*skeleton, [], [], [])[:3]
+    tree = _tree(len(verts), edges)
+    if tree is None:
         return None
     gen_of = {}
     n = 0
@@ -124,24 +146,38 @@ def strip_skeleton(m):
     return [[(v,) for v in range(2 * m + 2)], sorted(edges), tris]
 
 
+def strip_poset(m):
+    """The face poset of the strip: its order complex is the strip's
+    barycentric subdivision, a disk whose kill chain is as deep."""
+    return face_poset(strip_skeleton(m)[2])
+
+
 def closure_oracle(skeleton):
-    """The collapsed presentation by plain rounds: from the spanning tree's
-    marks, each round kills the third edge of every triangle with exactly
-    two dead edges, until a round kills nothing.  The live edges are the
-    generators 1, 2, ... in edge order, and each triangle (x, y, z) with a
-    live edge gives its live letters of xy, yz, (xz)^-1."""
+    """The collapsed presentation by the triangle rule: from the spanning
+    tree's edges, the third edge of every triangle with two dead edges
+    dies, through a worklist over an edge -> triangle index, until no
+    triangle has exactly one live edge.  The live edges are the generators
+    1, 2, ... in edge order, and each triangle (x, y, z) with a live edge
+    gives its live letters of xy, yz, (xz)^-1."""
     verts, edges, tris = (*skeleton, [], [], [])[:3]
-    marks = pi1._tree_edges(len(verts), edges)
-    if marks is None:
+    tree = _tree(len(verts), edges)
+    if tree is None:
         return None
-    dead = {e for e, m in zip(edges, marks) if m}
+    dead = tree.intersection(edges)
     sides = [((x, y), (y, z), (x, z)) for x, y, z in tris]
-    while True:
-        kill = {e for s in sides if sum(e in dead for e in s) == 2
-                for e in s if e not in dead}
-        if not kill:
-            break
-        dead |= kill
+    on = {e: [] for e in edges}
+    for s in sides:
+        for e in s:
+            on[e].append(s)
+    # each dead edge is looked at once; the later of a triangle's two
+    # dead edges finds its third edge still live, if it is
+    work = list(dead)
+    while work:
+        for s in on[work.pop()]:
+            live = [e for e in s if e not in dead]
+            if len(live) == 1:
+                dead.add(live[0])
+                work.append(live[0])
     gen = {e: k + 1 for k, e in enumerate(e for e in edges if e not in dead)}
     relators = []
     for xy, yz, xz in sides:
@@ -186,19 +222,21 @@ def test_tietze_keeps_the_abelianization_on_random_presentations():
         assert given == relators  # the input is not rewritten
 
 
-def _agrees_with_the_raw_route(monkeypatch, s, rounds=200):
-    """The collapsed presentation reduces as the raw one does, and the
-    probe answers the same on both."""
-    pres = edge_path_presentation(s)
+def _agrees_with_the_raw_route(monkeypatch, P, rounds=200):
+    """The collapsed presentation of P's order complex reduces as the raw
+    one does, and the probe answers the same on both."""
+    s = skeleton_of(P)
+    pres = edge_path_presentation(P, s)
     raw = raw_edge_path_presentation(s)
     if raw is None:
         assert pres is None
         return False
     assert tietze_reduce(*pres) == reference_tietze(*raw, rounds)
-    answer = pi1_probe(s)
+    answer = pi1_probe(P, s)
     with monkeypatch.context() as m:
-        m.setattr(pi1, "edge_path_presentation", raw_edge_path_presentation)
-        assert pi1_probe(s) == answer
+        m.setattr(pi1, "edge_path_presentation",
+                  lambda P, s: raw_edge_path_presentation(s))
+        assert pi1_probe(P, s) == answer
     return True
 
 
@@ -208,37 +246,41 @@ def test_collapsed_presentation_matches_the_raw_route(monkeypatch):
     for _ in range(60):
         P = random_poset(rng, rng.randint(2, 9), p=rng.choice((0.2, 0.35, 0.5)))
         for Q in (P, barycentric_subdivision(P)):
-            checked += _agrees_with_the_raw_route(monkeypatch, skeleton_of(Q))
+            checked += _agrees_with_the_raw_route(monkeypatch, Q)
     assert checked >= 40
     for P in (face_poset(RP2_FACES), subsets_poset(3), subsets_poset(4),
               subsets_poset(5), FinitePoset([0, 1])):
-        _agrees_with_the_raw_route(monkeypatch, skeleton_of(P))
+        _agrees_with_the_raw_route(monkeypatch, P)
 
 
 def test_collapse_has_no_round_cap(monkeypatch):
-    # the raw route's kill rounds run out before the strip is gone; the
-    # collapse clears it, as the round loop does given rounds enough
-    s = strip_skeleton(150)
-    raw = raw_edge_path_presentation(s)
+    # the raw route's Tietze rounds run out before the strip is gone (668
+    # of its 1,800 generators are left after 200 rounds); the collapse
+    # clears it, as the rounds do given rounds enough
+    P = strip_poset(150)
+    raw = raw_edge_path_presentation(skeleton_of(P))
     assert reference_tietze(*raw)[0] > 0
-    assert edge_path_presentation(s) == (0, [])
-    _agrees_with_the_raw_route(monkeypatch, s, rounds=1000)
-    assert pi1_probe(s) == "trivial"
+    assert edge_path_presentation(P, skeleton_of(P)) == (0, [])
+    _agrees_with_the_raw_route(monkeypatch, P, rounds=1000)
+    assert pi1_probe(P, skeleton_of(P)) == "trivial"
 
 
 def test_collapse_matches_the_closure_oracle():
-    # the worklist kills in whatever order its triangles come up; the
-    # oracle kills round by round; both reach the least closed set of dead
-    # edges that holds the tree
+    # the collapse kills an edge whose ends share a dead neighbour, the
+    # oracle the last live edge of a triangle; on an order complex the
+    # two rules are one, and each reaches the least closed set of dead
+    # edges that holds the tree, whatever order it kills in
     rng = random.Random(2402)
     posets = []
     for _ in range(120):
         P = random_poset(rng, rng.randint(3, 8), p=rng.choice((0.3, 0.45, 0.6)))
         posets += [P, barycentric_subdivision(P)]
-    posets += [face_poset(RP2_FACES), subsets_poset(5)]
-    L = SymplecticModule.standard(PrimeField(2), 2)
+    posets += [face_poset(RP2_FACES), subsets_poset(5), build_O(2, F3)]
+    L = SymplecticModule.standard(F2, 2)
     cone = mapping_cone(tree_forget_map(L))[0]
-    posets.append(cone)
+    flag_cone = mapping_cone(flag_to_decomposition(L))[0]
+    strip = strip_poset(150)
+    posets += [cone, flag_cone, strip]
     checked = collapsed = 0
     for P in posets:
         succ = P.successors()
@@ -246,17 +288,65 @@ def test_collapse_matches_the_closure_oracle():
         cx = order_complex(P, max_dim=2)
         assert (cx.by_dim, cx.complete) == _depth_first_order_complex(P, 2)
         s = cx.by_dim
-        pres = edge_path_presentation(s)
+        pres = edge_path_presentation(P, s)
         assert pres == closure_oracle(s)
         if pres is not None:
             checked += 1
             # fewer generators than the edges off the tree: a triangle fired
             collapsed += pres[0] < len(s[1]) - len(s[0]) + 1
     assert checked >= 100 and collapsed >= 80
-    s = strip_skeleton(150)
-    assert edge_path_presentation(s) == closure_oracle(s) == (0, [])
-    # the genus-2 forget map is a homotopy equivalence: its cone collapses
-    assert edge_path_presentation(skeleton_of(cone)) == (0, [])
+    # the cones of the genus-2 forget and flag maps collapse entirely, as
+    # does the strip, a disk
+    for P in (cone, flag_cone, strip):
+        assert edge_path_presentation(P, skeleton_of(P)) == (0, [])
+    # a kill chain thousands of edges deep: a loop that sweeps every edge
+    # until a sweep kills nothing takes quadratic time here
+    P = strip_poset(2400)
+    s = skeleton_of(P)
+    assert len(s[1]) == 48_002
+    assert edge_path_presentation(P, s) == closure_oracle(s) == (0, [])
+
+
+@pytest.mark.slow
+def test_the_genus3_complexes_collapse_on_both_routes():
+    # the two probes of the large benchmark: the cone of the genus-3
+    # forget map and O(3, F_3)
+    L = SymplecticModule.standard(F2, 3)
+    for P in (mapping_cone(tree_forget_map(L))[0], build_O(3, F3)):
+        s = skeleton_of(P)
+        assert edge_path_presentation(P, s) == closure_oracle(s) == (0, [])
+
+
+def test_the_kill_rule_refuses_a_skeleton_not_of_its_poset():
+    # the hollow triangle is a circle, but every edge of it has ends with
+    # a common neighbour, so without the check the rule would collapse it;
+    # it is the 3-chain's skeleton with its triangle missing and has edges
+    # the antichain does not.  The check is a raised error, so it holds
+    # under -O too
+    code = """
+from symposet.pi1 import edge_path_presentation, pi1_probe
+from symposet.posets import FinitePoset
+hollow = [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], []]
+chain = FinitePoset([0, 1, 2], [(0, 1), (1, 2)])
+for P in (chain, FinitePoset([0, 1, 2])):
+    for call in (edge_path_presentation, pi1_probe):
+        try:
+            call(P, hollow)
+        except ValueError as e:
+            print(e)
+"""
+    src = os.path.dirname(os.path.dirname(symposet.__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == \
+        ["the skeleton's triangles are not the poset's 3-chains"] * 2 + \
+        ["the skeleton's edges are not the poset's order pairs"] * 2
+    # a vertex short, and the deeper complex of a 3-chain is accepted
+    chain = FinitePoset([0, 1, 2], [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="vertices"):
+        edge_path_presentation(chain, [[(0,), (1,)], [(0, 1)], []])
+    assert edge_path_presentation(chain, skeleton_of(chain)) == (0, [])
 
 
 def test_tietze_kills_in_rounds_not_all_at_once():
@@ -314,13 +404,13 @@ def test_probe_verdicts_on_known_spaces():
                       (subsets_poset(4), "trivial"),  # a 2-sphere
                       (FinitePoset([0, 1]), "unknown"),  # disconnected
                       (FinitePoset([]), "unknown")):  # empty, so not connected
-        assert pi1_probe(skeleton_of(P)) == answer
+        assert pi1_probe(P, skeleton_of(P)) == answer
 
 
 def test_probe_reads_only_the_skeleton_it_is_given():
     # the verdicts hand over by_dim[:3] of a deeper complex
     for P in (subsets_poset(3), subsets_poset(4), face_poset(RP2_FACES)):
         deep = order_complex(P, max_dim=3).by_dim
-        assert edge_path_presentation(deep[:3]) == \
-            edge_path_presentation(skeleton_of(P))
-        assert pi1_probe(deep[:3]) == pi1_probe(skeleton_of(P))
+        assert edge_path_presentation(P, deep[:3]) == \
+            edge_path_presentation(P, skeleton_of(P))
+        assert pi1_probe(P, deep[:3]) == pi1_probe(P, skeleton_of(P))
