@@ -42,8 +42,11 @@ stops at d_3.  Every other answer, and every answer for a map, waits for
 the full homology, so a homology refutation still comes first.
 
 The Cohen-Macaulay sweep walks its links as vertex sets of the poset's
-stored order and keys each by its target and renumbered up-sets; only a
-key it has not seen builds a poset.
+stored order.  An empty link, and a lower or upper link that holds the
+global minimum or maximum (a cone), is settled from its dimension alone,
+with no key and no poset; every other task, the whole poset first, is
+keyed by its target and renumbered up-sets, and only a key the sweep has
+not seen builds a poset.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ from typing import Dict, Optional, Tuple
 
 from .complexes import BudgetExceeded, DEFAULT_BUDGET, OrderComplex, \
     columns, order_complex, relative_boundary_rows
-from .posets import FinitePoset, PosetMap, _induced_up_sets, \
-    mapping_cone
+from .posets import FinitePoset, PosetMap, _chain_heights, \
+    _induced_up_sets, mapping_cone
 from .snf import CertificateError, smith_invariants
 from . import pi1
 
@@ -381,34 +384,78 @@ def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
     return verdict
 
 
+def _settled(dim: int, target: int) -> ConnectivityVerdict:
+    """``homology_spherical(link, target, probe=False)`` on a link of
+    dimension ``dim`` that is empty (dim -1) or a cone: both are
+    contractible or empty, so only the dimension can fail."""
+    if dim != target:
+        return ConnectivityVerdict(target, "refuted", "dimension",
+                                   {"dim": dim, "expected": target})
+    if dim == -1:
+        return ConnectivityVerdict(target, "verified", "empty")
+    return ConnectivityVerdict(target, "verified", "homology-only",
+                               {"spheres": 0})
+
+
 def _cm_tasks(P: FinitePoset, n: int):
-    """The sweep's tasks in order, each as (kind, tag, ids, key).
+    """The sweep's tasks in order, each as (kind, tag, ids, key), or as
+    (kind, tag, None, verdict) for a task settled from the ints.
 
     The tasks are the whole poset, then the lower and the upper link of
     each vertex v, then the open interval (v, w) for each w in
     ``sorted(up[v])``, v in vertex order: an order that follows the vertex
-    numbers, never a label's hash.  ``ids`` are the task's vertex numbers
-    in P, sorted, read from P's stored order (``down[v]``, ``up[v]`` and
-    ``up[v] & down[w]``), and ``key`` is (target, up-sets of the full
+    numbers, never a label's hash.  Each task is a vertex set of P's
+    stored order: ``down[v]``, ``up[v]`` or ``up[v] & down[w]``.
+
+    A task other than the whole poset is settled in O(1), with no key and
+    no poset, when it is empty, when it is a lower link that holds the
+    global minimum of P, or an upper link that holds the global maximum:
+    those links are cones.  A lower link has dimension h(v) - 1, its
+    target; an upper link the longest chain above v less one, which in a
+    poset that is not graded need not be its target.  The verdict is
+    ``_settled``'s.  Every other task is keyed: ``ids`` are its vertex
+    numbers in P, sorted, and ``key`` is (target, up-sets of the full
     subposet on ``ids``, renumbered in that order), the very up-sets that
     ``P.induced`` gives that subposet.
     """
     up, down, el = P.up_sets(), P.down_sets(), P.elements
-    heights = P.heights()
-    h = list(map(heights.__getitem__, el))
+    h = P._heights()
+    last = len(el) - 1
+    # the global minimum and maximum, or -1, which no vertex set holds
+    bottom = next((v for v, u in enumerate(up) if len(u) == last), -1)
+    top = next((v for v, d in enumerate(down) if len(d) == last), -1)
+    depth = _chain_heights(down)
+    settled = {}
 
-    def task(kind, tag, keep, target):
+    def keyed(kind, tag, keep, target):
         ids, order = _induced_up_sets(up, keep)
         return kind, tag, ids, (target, order)
 
-    yield task("whole", None, frozenset(range(len(el))), n)
+    def settle(kind, tag, dim, target):
+        v = settled.get((dim, target))
+        if v is None:
+            v = settled[dim, target] = _settled(dim, target)
+        return kind, tag, None, v
+
+    yield keyed("whole", None, frozenset(range(len(el))), n)
     for v, x in enumerate(el):
-        yield task("below", x, down[v], h[v] - 1)
-        yield task("above", x, up[v], n - 1 - h[v])
+        d, u = down[v], up[v]
+        if not d or bottom in d:
+            yield settle("below", x, h[v] - 1, h[v] - 1)
+        else:
+            yield keyed("below", x, d, h[v] - 1)
+        if not u or top in u:
+            yield settle("above", x, depth[v] - 1, n - 1 - h[v])
+        else:
+            yield keyed("above", x, u, n - 1 - h[v])
     for v, x in enumerate(el):
-        for w in sorted(up[v]):
-            yield task("interval", (x, el[w]), up[v] & down[w],
-                       h[w] - h[v] - 2)
+        u = up[v]
+        for w in sorted(u):
+            keep = u & down[w]
+            if keep:
+                yield keyed("interval", (x, el[w]), keep, h[w] - h[v] - 2)
+            else:
+                yield settle("interval", (x, el[w]), -1, h[w] - h[v] - 2)
 
 
 def cohen_macaulay_check(P: FinitePoset, n: int,
@@ -423,7 +470,13 @@ def cohen_macaulay_check(P: FinitePoset, n: int,
     inconclusive, and a verdict of the sweep records in ``links_checked``
     how many tasks passed before it ended.
 
-    Each task is first a key, (target, up-sets), read from P's stored
+    An empty task, and a link that is a cone on the global minimum or
+    maximum, comes settled: its verdict is the one ``homology_spherical``
+    would give, read off its dimension.  The budget cannot turn such a task
+    inconclusive, because the whole poset runs first under the same budget
+    and every link's complex is a subcomplex of the whole poset's.
+
+    Every other task is a key, (target, up-sets), read from P's stored
     order over vertex numbers; no poset is built and no label is hashed for
     it.  Each distinct key is computed once per sweep: only a new key has
     its poset built, by ``P.induced``, whose ``up_sets()`` must equal the
@@ -442,7 +495,8 @@ def cohen_macaulay_check(P: FinitePoset, n: int,
     seen = {}
     el = P.elements
     for kind, tag, ids, key in _cm_tasks(P, n):
-        v = seen.get(key)
+        # a settled task carries its verdict where a keyed one has its key
+        v = key if ids is None else seen.get(key)
         if v is None:
             sub = P.induced(map(el.__getitem__, ids))
             if sub.up_sets() != key[1]:

@@ -177,18 +177,7 @@ class FinitePoset:
     def _heights(self) -> List[int]:
         """Longest-chain height of every vertex, computed once."""
         if self._height is None:
-            up = self._up
-            sizes = list(map(len, up))
-            h = [0] * len(up)
-            # a vertex lies below vertices with smaller up-sets only, so
-            # falling up-set size is a linear extension
-            for i in sorted(range(len(up)), key=sizes.__getitem__,
-                            reverse=True):
-                hi = h[i] + 1
-                for j in up[i]:
-                    if h[j] < hi:
-                        h[j] = hi
-            self._height = h
+            self._height = _chain_heights(self._up)
         return self._height
 
     def heights(self) -> Dict:
@@ -253,6 +242,22 @@ class FinitePoset:
 
     def __repr__(self):
         return f"FinitePoset({len(self._elements)} elements, dim {self.dim()})"
+
+
+def _chain_heights(up) -> List[int]:
+    """The length of the longest chain ending at each vertex of the order
+    whose up-sets are ``up``; given the down-sets, the longest chain
+    starting at each vertex."""
+    sizes = list(map(len, up))
+    h = [0] * len(up)
+    # a vertex lies below vertices with smaller up-sets only, so falling
+    # up-set size is a linear extension
+    for i in sorted(range(len(up)), key=sizes.__getitem__, reverse=True):
+        hi = h[i] + 1
+        for j in up[i]:
+            if h[j] < hi:
+                h[j] = hi
+    return h
 
 
 def _induced_up_sets(up, keep):

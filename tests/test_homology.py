@@ -1096,14 +1096,15 @@ def test_cohen_macaulay_stops_at_the_first_refuted_task(monkeypatch):
     assert len(calls) == 1
     # a cone over an edge and a point: the whole poset and six links pass,
     # then the upper link of c, one point where a circle is due, fails;
-    # two of those links repeat an earlier (target, order), so five tasks
-    # compute
+    # the empty links and the upper links, cones on t, come settled, so
+    # only the whole poset and the lower link of b compute
     calls.clear()
     cone = FinitePoset("abct", [("a", "b"), ("b", "t"), ("c", "t")])
     v = cohen_macaulay_check(cone, 2)
     assert (v.status, v.detail["part"], v.detail["at"]) == ("refuted", "above", "c")
     assert v.detail["links_checked"] == 6
-    assert len(calls) == 5
+    assert v.detail["sub"] == {"dim": 0, "expected": 1}
+    assert len(calls) == 2
 
 
 def test_cohen_macaulay_budget_reaches_the_links():
@@ -1181,7 +1182,9 @@ def test_cohen_macaulay_memo_matches_the_plain_loop(monkeypatch):
     assert computed < tasks
     L1 = SymplecticModule.standard(PrimeField(2), 1, 1)
     L2 = SymplecticModule.standard(PrimeField(2), 2)
-    for P, n in ((build_U(L2), 2), (build_D(L2), 1), (build_I(L1), 0)):
+    L3 = SymplecticModule.standard(PrimeField(2), 3)
+    for P, n in ((build_U(L2), 2), (build_D(L2), 1), (build_I(L1), 0),
+                 (build_U(L3), 3)):
         want = _reference_cm(P, n)
         got, calls = _counted_sweep(monkeypatch, P, n)
         assert got == want
@@ -1203,9 +1206,62 @@ def test_cohen_macaulay_memo_refutes_after_many_hits(monkeypatch):
     assert calls < got[2]["links_checked"] / 4
 
 
+def _with_bounds(P, bottom, top):
+    """P with a global minimum "bot" adjoined when ``bottom``, and a global
+    maximum "top" when ``top``."""
+    elements, rel = list(P), list(P.relation_pairs())
+    if bottom:
+        rel += [("bot", x) for x in elements]
+        elements.append("bot")
+    if top:
+        rel += [(x, "top") for x in elements]
+        elements.append("top")
+    return FinitePoset(elements, rel)
+
+
+def test_cohen_macaulay_settled_tasks_match_the_plain_loop(monkeypatch):
+    # random posets with a global bottom, top or both: their links on the
+    # bounds are cones, and a poset that is not graded has an upper cone
+    # link of the wrong dimension (the genus-2 and U_3(F_2) sweeps are in
+    # test_cohen_macaulay_memo_matches_the_plain_loop)
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(120):
+        bottom, top = rng.choice(((True, False), (False, True), (True, True)))
+        P = _with_bounds(random_poset(rng, rng.randint(0, 7),
+                                      p=rng.choice((0.15, 0.3, 0.5))),
+                         bottom, top)
+        for n in (P.dim(), P.dim() + 1):
+            want = _reference_cm(P, n)
+            got, _ = _counted_sweep(monkeypatch, P, n)
+            assert got == want
+            detail = got[2]
+            # a refuted link of dimension 0 or more is a cone of the wrong
+            # dimension; one of dimension -1 is empty
+            seen.add((got[0], detail.get("part"),
+                      detail.get("sub", {}).get("dim", -1) >= 0))
+    assert {("verified", None, False), ("refuted", "above", True),
+            ("refuted", "above", False)} <= seen
+
+
+def test_cohen_macaulay_sweeps_compute_three_links(monkeypatch):
+    # the U_3(F_2) sweep computes the whole poset, the antichain Ubar_2 and
+    # the graph (0, L); the I(genus 2, radical 1) sweep three links too;
+    # every other task is a repeated key or settled from the ints
+    F2 = PrimeField(2)
+    U = build_U(SymplecticModule.standard(F2, 3))
+    I = build_I(SymplecticModule.standard(F2, 2, r=1))
+    for P, n, tasks in ((U, 3, 9414), (I, 1, 1501)):
+        (status, basis, detail), calls = _counted_sweep(monkeypatch, P, n)
+        assert (status, basis, detail) == \
+            ("verified", "homology-only", {"links_checked": tasks})
+        assert calls == 3
+
+
 def test_cohen_macaulay_keys_are_the_links_orders():
-    # every task's int key, read from the parent's up-sets, is the target
-    # and the order of the link that the public constructors build
+    # every keyed task's int key, read from the parent's up-sets, is the
+    # target and the order of the link that the public constructors build;
+    # every settled task's link is empty or has a minimum or a maximum
     rng = random.Random(19)
     cases = []
     for _ in range(150):
@@ -1217,16 +1273,25 @@ def test_cohen_macaulay_keys_are_the_links_orders():
     L3 = SymplecticModule.standard(PrimeField(2), 3)
     cases += [(build_U(L2), 2), (build_D(L2), 1), (build_I(L1), 0),
               (build_U(L3), 3)]
-    tasks = 0
+    tasks = settled = 0
     for P, n in cases:
         for (kind, tag, ids, key), (rkind, rtag, link, target) in zip(
                 homology._cm_tasks(P, n), _reference_tasks(P, n),
                 strict=True):
             assert (kind, tag) == (rkind, rtag)
+            tasks += 1
+            if ids is None:
+                assert kind != "whole"
+                assert len(link) == 0 or any(
+                    len(u) == len(link) - 1
+                    for ends in (link.up_sets(), link.down_sets())
+                    for u in ends)
+                settled += 1
+                continue
             assert tuple(map(P.elements.__getitem__, ids)) == link.elements
             assert key == (target, link.up_sets())
-            tasks += 1
     assert tasks > 9414
+    assert 0 < settled < tasks
 
 
 def test_cohen_macaulay_detail_does_not_follow_label_hashes():
