@@ -28,12 +28,11 @@ A verdict never overstates its evidence.  ``status`` says what was
 established, ``basis`` says with which tools; a fundamental-group probe can
 upgrade a homological verdict or refute it, and a blown budget yields
 "inconclusive", never a guess.  A verdict builds one poset and enumerates
-its order complex once; a verdict that probes pi_1 does so first, on the
-simplices of dimensions 0 to 2, before any homology.  The probe gets the
-poset with them: it collapses an edge whose ends share a dead neighbour,
-which on an order complex (a flag complex) is the last live edge of a
-triangle, so it needs no triangle index, and it raises ValueError on a
-skeleton that is not the poset's.  A map's poset is its
+its order complex once; a verdict that probes pi_1 does so first, from
+the poset alone, before any homology.  The probe collapses an edge whose
+ends share a dead neighbour, which on an order complex (a flag complex)
+is the last live edge of a triangle, so it needs no triangle index and
+reads the edges and triangles off the poset's order.  A map's poset is its
 mapping cone, whose pair with the coned source has the chains of the
 cylinder-source pair.  On reduced homology a trivial group makes the
 complex connected with H_1 = 0 (Hurewicz: H_1 is the abelianization of
@@ -297,22 +296,21 @@ def _homology_step(P: FinitePoset, level: int, through: int, budget,
     The homology is reduced, or with ``sub`` (a set of labels) that of the
     pair (P, sub), through ``level``, on P's order complex enumerated here
     once through dimension ``level + 1``.  With ``probe``, and ``through``
-    at least 1, the fundamental group of P is probed first, on the
-    simplices of dimensions 0 to 2 of that complex.  On the reduced route a
-    trivial answer means a connected complex with H_1 = 0, so rank d_1 =
-    c_0 - 1 and rank d_2 = c_1 - rank d_1, both free, and the SNF stops at
-    d_3.  Any other answer, and any answer on the pair route, is held
-    until the homology has run in full, so refutations keep their basis
-    and detail.  A budget overrun settles the verdict as inconclusive; a
-    nonzero degree at or below ``through``, or torsion in ``level``, as
-    refuted by homology; then a nontrivial group as refuted by pi_1.  A
-    trivial one gives the basis homology+pi1.
+    at least 1, the fundamental group of P is probed first, from P alone.
+    On the reduced route a trivial answer means a connected complex with
+    H_1 = 0, so rank d_1 = c_0 - 1 and rank d_2 = c_1 - rank d_1, both
+    free, and the SNF stops at d_3.  Any other answer, and any answer on
+    the pair route, is held until the homology has run in full, so
+    refutations keep their basis and detail.  A budget overrun settles the
+    verdict as inconclusive; a nonzero degree at or below ``through``, or
+    torsion in ``level``, as refuted by homology; then a nontrivial group
+    as refuted by pi_1.  A trivial one gives the basis homology+pi1.
     """
     res = None
     try:
         cx = order_complex(P, max_dim=_cap(level), budget=budget)
         if probe and through >= 1:
-            res = pi1.pi1_probe(P, cx.by_dim[:3])
+            res = pi1.pi1_probe(P)
         if sub is not None:
             prof = relative_homology(P, sub, level, budget, cx=cx)
         elif res == "trivial":

@@ -1,12 +1,12 @@
 """Bounded fundamental-group probe for order complexes.
 
 The probe answers "trivial", "nontrivial", or "unknown" about the
-fundamental group of an order complex, given its simplices of dimensions
-0 to 2, and it is sound: a definite answer is backed either by a
-nontrivial abelianization (certainly nontrivial), by a completed coset
-enumeration (exact group order), or by a presentation that simplifies
-away entirely.  Whenever a bound trips, and on an empty or disconnected
-complex, it says "unknown" instead of guessing.
+fundamental group of a poset's order complex, and it is sound: a definite
+answer is backed either by a nontrivial abelianization (certainly
+nontrivial), by a completed coset enumeration (exact group order), or by
+a presentation that simplifies away entirely.  Whenever a bound trips,
+and on an empty or disconnected complex, it says "unknown" instead of
+guessing.
 
 The presentation is the edge-path one, read off after two collapses
 (Forman's discrete Morse theory): the edges of a spanning tree die, then
@@ -16,9 +16,10 @@ Tietze reduction runs its rounds on those.  An order complex is a flag
 complex: three pairwise comparable vertices form a chain, so a triangle.
 The second collapse is therefore read off the vertices alone, with no
 triangle index: an edge xz dies when x and z have a common dead
-neighbour.  That rule holds only on an order complex, so the probe takes
-the poset with its skeleton and raises ValueError when the skeleton is
-not the poset's.  Rooting the tree at a vertex of largest degree makes
+neighbour.  That rule holds only on an order complex, so the probe
+takes the poset alone and reads the vertices, edges and triangles off
+its sorted successor tuples, in the order ``complexes.order_complex``
+lists them.  Rooting the tree at a vertex of largest degree makes
 cones collapse at once: every other edge has two ends that the tree
 joins to the apex, a common dead neighbour.
 """
@@ -26,7 +27,6 @@ joins to the apex, a common dead neighbour.
 from __future__ import annotations
 
 from collections import deque
-from operator import mul
 
 # bench/test_bench.py looks order_complex up here
 from .complexes import order_complex  # noqa: F401
@@ -37,28 +37,14 @@ _MAX_RELATOR_MASS = 400_000
 _TIETZE_ROUNDS = 200
 
 
-def _check_skeleton(succ, down, verts, edges, tris):
-    """Raise ValueError unless the skeleton has the poset's vertex count,
-    exactly its order pairs as edges, and as many triangles as it has
-    3-chains.  The kill rule relies on that, since it takes any three
-    pairwise joined vertices for a triangle.  The successor tuples
-    ``succ`` and the down lists ``down`` are the poset's."""
-    if len(verts) != len(succ):
-        raise ValueError("the skeleton does not have the poset's vertices")
-    if edges != [(x, y) for x, s in enumerate(succ) for y in s]:
-        raise ValueError("the skeleton's edges are not the poset's order pairs")
-    # the 3-chains through a middle y: one below it, one above it
-    if len(tris) != sum(map(mul, map(len, down), map(len, succ))):
-        raise ValueError("the skeleton's triangles are not the poset's 3-chains")
+def edge_path_presentation(P):
+    """(n_gens, relators) of the 2-skeleton of P's order complex, or None
+    if it is empty or disconnected.
 
-
-def edge_path_presentation(P, skeleton):
-    """(n_gens, relators) of the 2-skeleton ``skeleton`` of P's order
-    complex (the simplex lists ``OrderComplex.by_dim[:3]``), or None if it
-    is empty or disconnected.  Raises ValueError when ``skeleton`` is not
-    P's (see ``_check_skeleton``).
-
-    The edges of a breadth-first spanning tree die first.  Then an edge xz
+    The vertices are P's vertex numbers, the edges the pairs (x, y) with y
+    in ``succ[x]`` and the triangles the chains (x, y, z) with z in
+    ``succ[y]``, for the successor tuples ``succ``, in that order.  The
+    edges of a breadth-first spanning tree die first.  Then an edge xz
     dies when x and z have a common dead neighbour y: {x, y, z} is then
     pairwise comparable, a chain, so a triangle of the order complex whose
     other two edges are dead.  One pass goes over the edges in edge order;
@@ -69,16 +55,14 @@ def edge_path_presentation(P, skeleton):
     surviving edges are the generators 1, 2, ... in edge order; each
     triangle (x, y, z) that keeps one gives the relator of its live
     letters of xy, yz, (xz)^-1, in that order, where an edge (a, b) read
-    from b to a is -g.  The triangles are read only then.
+    from b to a is -g.  The triangles are streamed only then.
     """
-    verts, edges, tris = (*skeleton, [], [], [])[:3]
     succ = P.successors()
     up = P.up_sets()
     down = [[] for _ in succ]
     for x, s in enumerate(succ):
         for y in s:
             down[y].append(x)
-    _check_skeleton(succ, down, verts, edges, tris)
     n = len(succ)
     if not n:
         return None
@@ -123,10 +107,12 @@ def edge_path_presentation(P, skeleton):
                     dead[u].add(v)
                     again.update((u, v))
         grown = again
-    if sum(map(len, dead)) == 2 * len(edges):
+    if sum(map(len, dead)) == sum(deg):
         return 0, []
     gen = {e: i for i, e in enumerate(
-        (e for e in edges if e[1] not in dead[e[0]]), 1)}
+        ((x, y) for x, s in enumerate(succ) for y in s
+         if y not in dead[x]), 1)}
+    tris = ((x, y, z) for x, s in enumerate(succ) for y in s for z in succ[y])
     relators = ([g for g in (gen.get((x, y), 0), gen.get((y, z), 0),
                              -gen.get((x, z), 0)) if g] for x, y, z in tris)
     return len(gen), [w for w in relators if w]
@@ -335,11 +321,10 @@ def coset_enumeration_trivial(n_gens, relators, max_cosets=MAX_COSETS):
     return len(live)
 
 
-def pi1_probe(P, skeleton) -> str:
+def pi1_probe(P) -> str:
     """"trivial" / "nontrivial" / "unknown" for the group of P's order
-    complex, whose simplices of dimensions 0 to 2 are ``skeleton``; see
-    ``edge_path_presentation``, whose ValueError it passes on."""
-    pres = edge_path_presentation(P, skeleton)
+    complex; see ``edge_path_presentation``."""
+    pres = edge_path_presentation(P)
     if pres is None:
         return "unknown"
     n, rels = tietze_reduce(*pres)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
@@ -50,7 +51,7 @@ from .posets import (FinitePoset, barycentric_subdivision,
 from .rings import PrimeField, ZZ, ring_from_name
 from .snf import CertificateError
 from .symplectic import SymplecticModule
-from .trees import (build_T, build_TD, contraction_unique,
+from .trees import (build_T, build_TD, contraction_certificate,
                     enumerate_plain_trees, tree_forget_map)
 
 SUITE_NAMES = ("um", "dec", "maazen", "stability", "nerve", "trees",
@@ -249,7 +250,7 @@ def criterion_decomposition_cm(cfg: SuiteConfig) -> Iterator[dict]:
         "proper genus-2 decompositions form a 10-element antichain with "
         "9 reduced zero-cycles", ok,
         elements=len(P2), dim=P2.dim(), betti=_jsonable(prof.betti))
-    f2 = flag_to_decomposition(L2)
+    f2 = flag_to_decomposition(L2, D=D2)
     rep = fiber_transfer_check(f2, None, 1, budget=cfg.budget)
     yield make_record(
         "dec.g2.flag",
@@ -275,7 +276,7 @@ def criterion_decomposition_cm(cfg: SuiteConfig) -> Iterator[dict]:
             "dec.g3.proper",
             "proper genus-3 decompositions: 1456 elements, dim 1, connected",
             ok, elements=len(P3), dim=P3.dim())
-        f3 = flag_to_decomposition(L3)
+        f3 = flag_to_decomposition(L3, D=D3)
         v = map_connectivity(f3, 2, budget=cfg.budget)
         yield make_record(
             "dec.g3.flag",
@@ -615,20 +616,24 @@ def _nerve_negative_controls(F: CoverFamily,
 # ---------------------------------------------------------------------------
 # trees
 
-def criterion_tree_posets(cfg: SuiteConfig) -> Iterator[dict]:
-    violations = 0
-    pairs = 0
-    for n, edges in enumerate_plain_trees(6):
+def _contraction_counts(max_edges: int) -> Tuple[int, int]:
+    """(pairs, violations): the ordered pairs of nonempty edge subsets of
+    each tree with at most ``max_edges`` edges, and those that
+    ``contraction_unique`` rejects, m (m - 1) in a certificate class of m."""
+    pairs = violations = 0
+    for n, edges in enumerate_plain_trees(max_edges):
         m = len(edges)
-        subsets = []
-        for mask in range(1, 1 << m):
-            subsets.append(tuple(edges[i] for i in range(m)
-                                 if mask & (1 << i)))
-        for E in subsets:
-            for Ep in subsets:
-                pairs += 1
-                if not contraction_unique(n, edges, E, Ep):
-                    violations += 1
+        classes = Counter(
+            contraction_certificate(
+                n, edges, [e for i, e in enumerate(edges) if mask >> i & 1])
+            for mask in range(1, 1 << m))
+        pairs += ((1 << m) - 1) ** 2
+        violations += sum(c * (c - 1) for c in classes.values())
+    return pairs, violations
+
+
+def criterion_tree_posets(cfg: SuiteConfig) -> Iterator[dict]:
+    pairs, violations = _contraction_counts(6)
     yield make_record(
         "trees.contraction.unique",
         "over every tree with at most 6 edges, distinct nonempty edge sets "

@@ -174,23 +174,25 @@ def contract(T: UTree, E: Iterable[Tuple[int, int]]) -> UTree:
     return UTree(n2, edges2, tuple(comp[v] for v in T.labeling))
 
 
+def contraction_certificate(n: int, edges, keep) -> Tuple:
+    """The certificate of the quotient of the tree (n, edges) keeping the
+    edges ``keep``, each vertex annotated with the tree's degree-<=2
+    vertices that it contracts; see ``contraction_unique``."""
+    edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+    deg = _degrees(n, edges)
+    n2, edges2, comp = _contract_plain(n, edges, keep)
+    sets = [tuple(v for v in range(n) if deg[v] <= 2 and comp[v] == c)
+            for c in range(n2)]
+    return tree_certificate(n2, edges2, sets.__getitem__)
+
+
 def contraction_unique(n: int, edges, E, Eprime) -> bool:
     """True unless E != E' yet the two quotients are isomorphic compatibly
     with the projections on the degree-<=2 vertices."""
-    edges = tuple(sorted(tuple(sorted(e)) for e in edges))
     E = frozenset(tuple(sorted(e)) for e in E)
     Eprime = frozenset(tuple(sorted(e)) for e in Eprime)
-    if E == Eprime:
-        return True
-    deg = _degrees(n, edges)
-    t00 = [v for v in range(n) if deg[v] <= 2]
-
-    def cert(keep):
-        n2, edges2, comp = _contract_plain(n, edges, keep)
-        sets = [tuple(v for v in t00 if comp[v] == c) for c in range(n2)]
-        return tree_certificate(n2, edges2, lambda c: sets[c])
-
-    return cert(E) != cert(Eprime)
+    return E == Eprime or contraction_certificate(n, edges, E) != \
+        contraction_certificate(n, edges, Eprime)
 
 
 def enumerate_plain_trees(max_edges: int) -> List[Tuple[int, Tuple]]:

@@ -1373,8 +1373,7 @@ def _reference_step(P, level, through, degree, probe):
     if prof.torsion_at(degree):
         return None, ("refuted", "homology",
                       {"degree": degree, "torsion": prof.torsion_at(degree)})
-    res = pi1.pi1_probe(P, order_complex(P, max_dim=2).by_dim) if probe \
-        else "unknown"
+    res = pi1.pi1_probe(P) if probe else "unknown"
     if res == "nontrivial":
         return None, ("refuted", "pi1",
                       {"reason": "fundamental group is nontrivial"})

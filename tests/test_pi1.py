@@ -1,16 +1,12 @@
 """The fundamental-group layer on its own: Tietze reduction, coset
 enumeration and the probe's verdicts on spaces with known groups."""
 
-import os
 import random
-import subprocess
-import sys
 from collections import deque
 
 import pytest
 
-import symposet
-from symposet import pi1
+from symposet import complexes, pi1
 from symposet.builders import build_O, flag_to_decomposition
 from symposet.complexes import order_complex
 from symposet.pi1 import (coset_enumeration_trivial, edge_path_presentation,
@@ -225,18 +221,17 @@ def test_tietze_keeps_the_abelianization_on_random_presentations():
 def _agrees_with_the_raw_route(monkeypatch, P, rounds=200):
     """The collapsed presentation of P's order complex reduces as the raw
     one does, and the probe answers the same on both."""
-    s = skeleton_of(P)
-    pres = edge_path_presentation(P, s)
-    raw = raw_edge_path_presentation(s)
+    pres = edge_path_presentation(P)
+    raw = raw_edge_path_presentation(skeleton_of(P))
     if raw is None:
         assert pres is None
         return False
     assert tietze_reduce(*pres) == reference_tietze(*raw, rounds)
-    answer = pi1_probe(P, s)
+    answer = pi1_probe(P)
     with monkeypatch.context() as m:
         m.setattr(pi1, "edge_path_presentation",
-                  lambda P, s: raw_edge_path_presentation(s))
-        assert pi1_probe(P, s) == answer
+                  lambda P: raw_edge_path_presentation(skeleton_of(P)))
+        assert pi1_probe(P) == answer
     return True
 
 
@@ -260,9 +255,9 @@ def test_collapse_has_no_round_cap(monkeypatch):
     P = strip_poset(150)
     raw = raw_edge_path_presentation(skeleton_of(P))
     assert reference_tietze(*raw)[0] > 0
-    assert edge_path_presentation(P, skeleton_of(P)) == (0, [])
+    assert edge_path_presentation(P) == (0, [])
     _agrees_with_the_raw_route(monkeypatch, P, rounds=1000)
-    assert pi1_probe(P, skeleton_of(P)) == "trivial"
+    assert pi1_probe(P) == "trivial"
 
 
 def test_collapse_matches_the_closure_oracle():
@@ -288,7 +283,7 @@ def test_collapse_matches_the_closure_oracle():
         cx = order_complex(P, max_dim=2)
         assert (cx.by_dim, cx.complete) == _depth_first_order_complex(P, 2)
         s = cx.by_dim
-        pres = edge_path_presentation(P, s)
+        pres = edge_path_presentation(P)
         assert pres == closure_oracle(s)
         if pres is not None:
             checked += 1
@@ -298,13 +293,13 @@ def test_collapse_matches_the_closure_oracle():
     # the cones of the genus-2 forget and flag maps collapse entirely, as
     # does the strip, a disk
     for P in (cone, flag_cone, strip):
-        assert edge_path_presentation(P, skeleton_of(P)) == (0, [])
+        assert edge_path_presentation(P) == (0, [])
     # a kill chain thousands of edges deep: a loop that sweeps every edge
     # until a sweep kills nothing takes quadratic time here
     P = strip_poset(2400)
     s = skeleton_of(P)
     assert len(s[1]) == 48_002
-    assert edge_path_presentation(P, s) == closure_oracle(s) == (0, [])
+    assert edge_path_presentation(P) == closure_oracle(s) == (0, [])
 
 
 @pytest.mark.slow
@@ -313,40 +308,8 @@ def test_the_genus3_complexes_collapse_on_both_routes():
     # forget map and O(3, F_3)
     L = SymplecticModule.standard(F2, 3)
     for P in (mapping_cone(tree_forget_map(L))[0], build_O(3, F3)):
-        s = skeleton_of(P)
-        assert edge_path_presentation(P, s) == closure_oracle(s) == (0, [])
-
-
-def test_the_kill_rule_refuses_a_skeleton_not_of_its_poset():
-    # the hollow triangle is a circle, but every edge of it has ends with
-    # a common neighbour, so without the check the rule would collapse it;
-    # it is the 3-chain's skeleton with its triangle missing and has edges
-    # the antichain does not.  The check is a raised error, so it holds
-    # under -O too
-    code = """
-from symposet.pi1 import edge_path_presentation, pi1_probe
-from symposet.posets import FinitePoset
-hollow = [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], []]
-chain = FinitePoset([0, 1, 2], [(0, 1), (1, 2)])
-for P in (chain, FinitePoset([0, 1, 2])):
-    for call in (edge_path_presentation, pi1_probe):
-        try:
-            call(P, hollow)
-        except ValueError as e:
-            print(e)
-"""
-    src = os.path.dirname(os.path.dirname(symposet.__file__))
-    out = subprocess.run([sys.executable, "-O", "-c", code],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == \
-        ["the skeleton's triangles are not the poset's 3-chains"] * 2 + \
-        ["the skeleton's edges are not the poset's order pairs"] * 2
-    # a vertex short, and the deeper complex of a 3-chain is accepted
-    chain = FinitePoset([0, 1, 2], [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match="vertices"):
-        edge_path_presentation(chain, [[(0,), (1,)], [(0, 1)], []])
-    assert edge_path_presentation(chain, skeleton_of(chain)) == (0, [])
+        assert edge_path_presentation(P) == \
+            closure_oracle(skeleton_of(P)) == (0, [])
 
 
 def test_tietze_kills_in_rounds_not_all_at_once():
@@ -404,13 +367,24 @@ def test_probe_verdicts_on_known_spaces():
                       (subsets_poset(4), "trivial"),  # a 2-sphere
                       (FinitePoset([0, 1]), "unknown"),  # disconnected
                       (FinitePoset([]), "unknown")):  # empty, so not connected
-        assert pi1_probe(P, skeleton_of(P)) == answer
+        assert pi1_probe(P) == answer
 
 
-def test_probe_reads_only_the_skeleton_it_is_given():
-    # the verdicts hand over by_dim[:3] of a deeper complex
-    for P in (subsets_poset(3), subsets_poset(4), face_poset(RP2_FACES)):
-        deep = order_complex(P, max_dim=3).by_dim
-        assert edge_path_presentation(P, deep[:3]) == \
-            edge_path_presentation(P, skeleton_of(P))
-        assert pi1_probe(P, deep[:3]) == pi1_probe(P, skeleton_of(P))
+def test_probe_reads_only_the_poset(monkeypatch):
+    # the probe enumerates no complex: its edges and triangles come from
+    # the successor tuples, and its presentation is the one the closure
+    # oracle reads off the enumerated 2-skeleton
+    L = SymplecticModule.standard(F2, 2)
+    posets = [(build_O(2, F3), "nontrivial"),  # a graph: free of rank 41
+              (face_poset(RP2_FACES), "nontrivial"),  # Z/2
+              (mapping_cone(flag_to_decomposition(L))[0], "trivial")]
+    expected = [closure_oracle(skeleton_of(P)) for P, _ in posets]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe enumerated an order complex")
+
+    monkeypatch.setattr(complexes, "order_complex", refuse)
+    monkeypatch.setattr(pi1, "order_complex", refuse)
+    for (P, answer), pres in zip(posets, expected):
+        assert edge_path_presentation(P) == pres
+        assert pi1_probe(P) == answer

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import symposet
-from symposet import linalg
+from symposet import linalg, suites, trees
 from symposet.builders import build_D
 from symposet.homology import reduced_homology
 from symposet.posets import check_isomorphism
@@ -160,6 +160,39 @@ def test_contraction_unique_exhaustive_small():
         for E in subsets:
             for Ep in subsets:
                 assert contraction_unique(n, edges, E, Ep)
+
+
+def _pairwise_contraction_counts(max_edges):
+    pairs = violations = 0
+    for n, edges in enumerate_plain_trees(max_edges):
+        m = len(edges)
+        subsets = [tuple(c) for k in range(1, m + 1)
+                   for c in itertools.combinations(edges, k)]
+        for E in subsets:
+            for Ep in subsets:
+                pairs += 1
+                violations += not contraction_unique(n, edges, E, Ep)
+    return pairs, violations
+
+
+def test_contraction_classes_count_the_pairwise_violations(monkeypatch):
+    # the trees suite computes one certificate per edge subset and counts
+    # m (m - 1) violations in a class of m subsets; that is the count of
+    # ordered pairs that contraction_unique rejects, with the real
+    # certificate and with one blind to the annotations, which merges
+    # quotients of the same shape
+    assert suites._contraction_counts(4) == \
+        _pairwise_contraction_counts(4) == (783, 0)
+
+    def blind(n, edges, keep):
+        n2, edges2, _ = trees._contract_plain(n, edges, keep)
+        return tree_certificate(n2, edges2, lambda c: ())
+
+    monkeypatch.setattr(trees, "contraction_certificate", blind)
+    monkeypatch.setattr(suites, "contraction_certificate", blind)
+    pairs, violations = suites._contraction_counts(4)
+    assert (pairs, violations) == _pairwise_contraction_counts(4)
+    assert pairs == 783 and violations > 0
 
 
 def test_T_counts_and_contractibility():
