@@ -8,22 +8,28 @@ lexicographic within each dimension.
 
 A boundary d_k is stored as its face rows: k + 1 int lists, where
 ``rows[i][j]`` is the index in ``by_dim[k - 1]`` of the k-simplex j with
-its vertex i removed, and -1 for a face inside the subcomplex of a pair.
-The sign of that entry is fixed, (-1)^i, so the rows are the whole matrix;
-they are built by one dict lookup per face through ``map`` and checked for
+its vertex i removed.  The sign of that entry is fixed, (-1)^i, so the
+rows are the whole matrix.  A pair, P relative to the full subcomplex on
+a vertex set, has as generators only the chains outside that subcomplex
+(``OrderComplex.split``): there j is the position of the k-simplex among
+the outside k-chains, an outside face reads its position among the
+outside (k - 1)-chains, and a face inside the subcomplex reads -1.  Rows
+are built by one dict lookup per face through ``map`` and checked for
 d_{k-1} d_k = 0 by comparing whole rows (``OrderComplex.dd_zero_check``).
 ``columns`` turns certified rows into the ``{simplex: {face: sign}}``
 columns that the sparse Smith normal form reduces, after splitting off
-the free pivots: the columns that hold a face no other column names.  A
-budget caps the number of simplices; blowing it raises BudgetExceeded so
-callers can report an inconclusive verdict instead of thrashing.
+the free pivots: the columns that hold a face no other column names.
+The chains of dimensions 0 to 2 can also be counted off the poset with
+none listed (``count_chains``).  A budget caps the number of simplices;
+blowing it raises BudgetExceeded so callers can report an inconclusive
+verdict instead of thrashing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress, filterfalse, repeat
-from operator import eq, itemgetter, mod
+from operator import eq, itemgetter, mod, mul, not_
 
 from .posets import FinitePoset
 from .snf import CertificateError
@@ -67,7 +73,19 @@ class OrderComplex:
         """
         if k <= 0:
             return [[0] * self.n_simplices(0)]
-        return _face_rows(self, k, frozenset())
+        return _face_rows(self.by_dim[k - 1], self.by_dim[k], k)
+
+    def split(self, sub):
+        """(outside, inside): the simplices of each dimension outside and
+        inside the full subcomplex on the vertex set ``sub``, each list in
+        ``by_dim``'s order.  One ``issuperset`` test per simplex."""
+        sub = frozenset(sub)
+        outside, inside = [], []
+        for simplices in self.by_dim:
+            within = list(map(sub.issuperset, simplices))
+            inside.append(list(compress(simplices, within)))
+            outside.append(list(compress(simplices, map(not_, within))))
+        return outside, inside
 
     @staticmethod
     def dd_zero_check(lower, upper):
@@ -144,13 +162,40 @@ def order_complex(P: FinitePoset, max_dim=None, budget=DEFAULT_BUDGET) -> OrderC
     return OrderComplex(by_dim, complete=True)
 
 
-def relative_boundary_rows(cx: OrderComplex, sub, k):
-    """d_k, as face rows, of the quotient complex by the full subcomplex on
-    ``sub``, a set of vertex numbers of ``cx``: a face inside it reads -1.
-    The empty simplex lies in every subcomplex, so d_0 is all -1."""
+def count_chains(P: FinitePoset, budget=DEFAULT_BUDGET):
+    """(counts, complete) of ``order_complex(P, max_dim=2, budget)``, read
+    off P's stored order with no chain listed.
+
+    The 0-chains are the n vertices, the 1-chains the pairs v < w, and the
+    2-chains x < y < w are counted by their middle vertex y, as
+    |down(y)| |up(y)|; counts end at the last nonzero one, as
+    ``by_dim`` does.  ``complete`` says that no 3-chain exists: P has
+    dimension at most 2.  More than ``budget`` chains raise
+    BudgetExceeded, as they do in ``order_complex``, which counts a level
+    before it lists it.  |down(y)| is counted here, not read from
+    ``P.down_sets()``, which would keep its sets on P.
+    """
+    up = P.up_sets()
+    below = [0] * len(up)
+    for w, n in Counter(chain.from_iterable(up)).items():
+        below[w] = n
+    counts = (len(up), sum(map(len, up)), sum(map(mul, map(len, up), below)))
+    if sum(counts) > budget:
+        raise BudgetExceeded(f"order complex exceeds {budget} simplices")
+    while counts and not counts[-1]:
+        counts = counts[:-1]
+    return counts, P.dim() <= 2
+
+
+def relative_boundary_rows(outside, inside, k):
+    """d_k, as face rows, of the quotient complex by a subcomplex, from the
+    simplices of each dimension ``outside`` and ``inside`` it
+    (``OrderComplex.split``): a column per outside k-simplex, and a face
+    inside the subcomplex reads -1.  The empty simplex lies in every
+    subcomplex, so d_0 is all -1."""
     if k < 1:
-        return [[-1] * cx.n_simplices(0)]
-    return _face_rows(cx, k, frozenset(sub))
+        return [[-1] * len(outside[0] if outside else ())]
+    return _face_rows(outside[k - 1], outside[k], k, inside[k - 1])
 
 
 def columns(rows, skip=(), free=None):
@@ -158,8 +203,10 @@ def columns(rows, skip=(), free=None):
     as the sparse Smith normal form takes them.
 
     The simplices in ``skip`` (those the twist cleared) are left out, and
-    so are -1 faces and the simplices left with no face (those inside the
-    subcomplex of a pair).  A column that names a face twice raises
+    so are -1 faces, those inside the subcomplex of a pair.  The rows of a
+    pair have a column per simplex outside the subcomplex, and each such
+    simplex of dimension 1 or more has a face outside it, so no column is
+    left empty above d_0.  A column that names a face twice raises
     CertificateError, whether its dict is built or not: a dict would merge
     the two entries into one.
 
@@ -178,12 +225,8 @@ def columns(rows, skip=(), free=None):
     keep = range(len(rows[0]))
     if skip:
         keep = list(filterfalse(skip.__contains__, keep))
-    relative = any(-1 in row for row in rows)
-    if relative:
-        highest = list(map(max, zip(*rows)))
-        keep = [j for j in keep if highest[j] >= 0]
-    if skip or relative:
         rows = [list(map(row.__getitem__, keep)) for row in rows]
+    relative = any(-1 in row for row in rows)
     for l, b in enumerate(rows):
         for a in rows[:l]:
             # only a face inside the subcomplex, -1, may repeat in a column
@@ -217,16 +260,14 @@ def _signs(n):
     return (1, -1) * (n // 2) + (1,) * (n % 2)
 
 
-def _face_rows(cx, k, sub):
-    """d_k (k >= 1) as face rows, relative to the full subcomplex on
-    ``sub``: faces inside ``sub`` read -1, and any other face missing from
-    the face index raises KeyError."""
-    lower, simplices = cx.by_dim[k - 1], cx.by_dim[k]
+def _face_rows(lower, simplices, k, inside=()):
+    """d_k (k >= 1) of the k-simplices ``simplices`` as face rows: a face
+    reads its index in ``lower``, or -1 when it is one of ``inside``, and
+    any other face raises KeyError."""
     faces = dict(zip(lower, range(len(lower))))
-    if len(faces) != len(lower):
+    faces.update(dict.fromkeys(inside, -1))
+    if len(faces) != len(lower) + len(inside):
         raise CertificateError(f"duplicate simplex in dimension {k - 1}")
-    if sub:
-        faces.update(dict.fromkeys(filter(sub.issuperset, lower), -1))
     rows = []
     for i in range(k + 1):
         keyed = map(itemgetter(*(m for m in range(k + 1) if m != i)),

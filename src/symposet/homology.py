@@ -18,8 +18,10 @@ combinations of the columns kept, so the invariant factors do not
 change.  That identity is certified, not assumed: on every complex the
 loop checks, on the face rows that the SNF's columns are then built from,
 that each pair of consecutive boundaries composes to zero, before the
-twist clears against the pair.  A d_1 with
-no face inside a subcomplex (always so on reduced homology) is the
+twist clears against the pair.  A pair's generators are the chains
+outside its subcomplex, split from the rest once per dimension, and its
+face rows are built for those alone, indexed among them.  A d_1 with no
+face inside a subcomplex (always so on reduced homology) is the
 incidence matrix of a graph, of rank the number of vertices minus the
 number of components and with every invariant factor 1, so a union-find
 ranks it instead of the SNF.
@@ -28,17 +30,21 @@ A verdict never overstates its evidence.  ``status`` says what was
 established, ``basis`` says with which tools; a fundamental-group probe can
 upgrade a homological verdict or refute it, and a blown budget yields
 "inconclusive", never a guess.  A verdict builds one poset and enumerates
-its order complex once; a verdict that probes pi_1 does so first, from
-the poset alone, before any homology.  The probe collapses an edge whose
-ends share a dead neighbour, which on an order complex (a flag complex)
-is the last live edge of a triangle, so it needs no triangle index and
-reads the edges and triangles off the poset's order.  A map's poset is its
+its order complex at most once, before any probe; a verdict that probes
+pi_1 does so from the poset alone, before any homology.  The probe
+collapses an edge whose ends share a dead neighbour, which on an order
+complex (a flag complex) is the last live edge of a triangle, so it
+needs no triangle index and reads the edges and triangles off the
+poset's order.  A map's poset is its
 mapping cone, whose pair with the coned source has the chains of the
 cylinder-source pair.  On reduced homology a trivial group makes the
 complex connected with H_1 = 0 (Hurewicz: H_1 is the abelianization of
 pi_1), which fixes the ranks of d_1 and d_2 with no torsion, so the SNF
-stops at d_3.  Every other answer, and every answer for a map, waits for
-the full homology, so a homology refutation still comes first.
+stops at d_3.  At level 1 that leaves no boundary to reduce: the chains
+of dimensions 0 to 2 are only counted, off the poset and under the same
+budget, and listed only if the probe does not say trivial.  Every other
+answer, and every answer for a map, waits for the full homology, so a
+homology refutation still comes first.
 
 The Cohen-Macaulay sweep walks its links as vertex sets of the poset's
 stored order.  An empty link, and a lower or upper link that holds the
@@ -54,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .complexes import BudgetExceeded, DEFAULT_BUDGET, OrderComplex, \
-    columns, order_complex, relative_boundary_rows
+    columns, count_chains, order_complex, relative_boundary_rows
 from .posets import FinitePoset, PosetMap, _chain_heights, \
     _induced_up_sets, mapping_cone
 from .snf import CertificateError, smith_invariants
@@ -132,19 +138,23 @@ def _graph_rank(rows, skip, n):
     return rank
 
 
-def _profile(cx, cap, counts, boundary, known) -> HomologyProfile:
-    """Betti numbers and torsion of one chain complex on the simplices of cx.
+def _profile(counts, complete, cap, boundary, known) -> HomologyProfile:
+    """Betti numbers and torsion of one chain complex.
 
-    ``counts[k]`` generators sit in degree k and ``boundary(k)`` is the
-    boundary d_k as face rows, which ``columns`` turns into the sparse
-    columns an SNF takes.  ``known`` holds the ranks of d_0, d_1,
-    ... that need no SNF: that of d_0 always, and those of d_1 and d_2 too
-    when a trivial fundamental group fixes them; those boundaries are free
-    of torsion, and a known rank that does not fit its matrix raises
-    CertificateError.  The other boundaries go through ``columns`` and
-    ``smith_invariants`` top-down, from d_top to d_{len(known)}: the rank
-    of d_k is the number of its invariant factors, and those above 1 are
-    torsion in degree k - 1.
+    ``counts[k]`` generators sit in degree k, through dimension ``cap``
+    when ``complete`` is false (the chains were cut off there), and
+    ``boundary(k)`` is the boundary d_k as face rows, which ``columns``
+    turns into the sparse columns an SNF takes.  ``known`` holds the ranks
+    of d_0, d_1, ... that need no SNF: that of d_0 always, and those of
+    d_1 and d_2 too when a trivial fundamental group fixes them; those
+    boundaries are free of torsion, and a known rank that does not fit its
+    matrix raises CertificateError.  The other boundaries go through
+    ``columns`` and ``smith_invariants`` top-down, from d_top to
+    d_{len(known)}: the rank of d_k is the number of its invariant
+    factors, and those above 1 are torsion in degree k - 1.  When
+    ``known`` covers every degree in ``counts``, no boundary is built and
+    ``boundary`` is never called, so the counts need not come from listed
+    chains; the rank-fit and negative-Betti certificates still run.
 
     Free pivots: ``columns`` splits off each column of d_k that holds a
     free face, a face that no other kept column names, and reports one
@@ -176,11 +186,12 @@ def _profile(cx, cap, counts, boundary, known) -> HomologyProfile:
     the SNFs reduce.
 
     A d_1 whose face rows hold no -1, no face inside a subcomplex, is the
-    oriented incidence matrix of a graph on all ``cx.n_simplices(0)``
-    vertices, on the reduced route and on a pair alike; its columns that
-    survive the twist go to ``_graph_rank``, a union-find, instead of the
-    SNF, after its face rows are built and certified against d_2, like
-    those of every other boundary.  A d_1 with a -1 face keeps the SNF.
+    oriented incidence matrix of a graph on the ``counts[0]`` vertices
+    that are generators, on the reduced route and on a pair alike; its
+    columns that survive the twist go to ``_graph_rank``, a union-find,
+    instead of the SNF, after its face rows are built and certified
+    against d_2, like those of every other boundary.  A d_1 with a -1
+    face keeps the SNF.
     """
     top = len(counts) - 1
     ranks = list(known) + [0] * (top + 2 - len(known))
@@ -199,7 +210,7 @@ def _profile(cx, cap, counts, boundary, known) -> HomologyProfile:
         # d_{k+1} is freed before this SNF; d_k is kept for d_{k-1}'s check
         upper, lows = rows, set()
         if k == 1 and not any(-1 in row for row in rows):
-            ranks[1] = _graph_rank(rows, cleared, cx.n_simplices(0))
+            ranks[1] = _graph_rank(rows, cleared, counts[0])
             continue
         free = []
         inv = smith_invariants(columns(rows, cleared, free), lows)
@@ -209,7 +220,7 @@ def _profile(cx, cap, counts, boundary, known) -> HomologyProfile:
         tors = tuple(v for v in inv if v > 1)
         if tors:
             torsion[k - 1] = tors
-    through = None if cx.complete else cap - 1
+    through = None if complete else cap - 1
     lim = top if through is None else min(top, through)
     betti = {}
     for k in range(lim + 1):
@@ -228,17 +239,20 @@ def _cap(through_degree):
     return None if through_degree is None else max(through_degree + 1, 0)
 
 
-def _reduced(P, through_degree, budget, cx=None,
-             known=(1,)) -> HomologyProfile:
-    """Reduced homology of P; ``known`` goes to ``_profile`` (d_0 is the
-    augmentation of a nonempty complex, of rank 1)."""
-    if len(P) == 0:
-        return HomologyProfile(betti={-1: 1}, torsion={}, through=None, counts=())
-    cap = _cap(through_degree)
+def _complex(P, cap, budget, cx):
+    """P's order complex through dimension ``cap`` (all of it when None):
+    enumerated here, or the caller's ``cx``, which must have a vertex per
+    element of P and be complete or reach dimension ``cap``; a shorter one
+    would pass its missing degrees off as zero."""
     if cx is None:
-        cx = order_complex(P, max_dim=cap, budget=budget)
-    counts = tuple(len(simplices) for simplices in cx.by_dim)
-    return _profile(cx, cap, counts, cx.boundary_rows, known)
+        return order_complex(P, max_dim=cap, budget=budget)
+    if cx.n_simplices(0) != len(P):
+        raise ValueError(f"cx has {cx.n_simplices(0)} vertices, "
+                         f"P has {len(P)} elements")
+    if not cx.complete and (cap is None or len(cx.by_dim) <= cap):
+        raise ValueError(f"cx stops at dimension {len(cx.by_dim) - 1}, "
+                         f"short of {'its top' if cap is None else cap}")
+    return cx
 
 
 def reduced_homology(P: FinitePoset, through_degree=None,
@@ -246,28 +260,35 @@ def reduced_homology(P: FinitePoset, through_degree=None,
     """Reduced integral homology of P through ``through_degree`` (all
     degrees when None).  ``cx``, when the caller has enumerated P's order
     complex, must reach dimension ``through_degree + 1`` (be complete when
-    that is None)."""
-    return _reduced(P, through_degree, budget, cx)
+    that is None), else ValueError.  d_0 is the augmentation of a
+    nonempty complex, of rank 1."""
+    if len(P) == 0:
+        return HomologyProfile(betti={-1: 1}, torsion={}, through=None,
+                               counts=())
+    cap = _cap(through_degree)
+    cx = _complex(P, cap, budget, cx)
+    return _profile(tuple(map(len, cx.by_dim)), cx.complete, cap,
+                    cx.boundary_rows, (1,))
 
 
 def relative_homology(P: FinitePoset, sub, through_degree=None,
                       budget=DEFAULT_BUDGET, cx=None) -> HomologyProfile:
     """Homology of the pair (P, full subposet on the vertex set ``sub``).
 
-    Computed from the quotient chain complex; unreduced, no degree -1.
-    ``cx`` is as for ``reduced_homology``.
+    Computed from the quotient chain complex, whose generators are the
+    chains outside the subcomplex, split from the rest in one scan
+    (``OrderComplex.split``); unreduced, no degree -1.  ``cx`` is as for
+    ``reduced_homology``.
     """
     sub, positions = frozenset(sub), P.positions()
     if not sub <= positions.keys():
         raise ValueError("sub must be a set of elements of P")
     sub = frozenset(map(positions.__getitem__, sub))
     cap = _cap(through_degree)
-    if cx is None:
-        cx = order_complex(P, max_dim=cap, budget=budget)
-    counts = tuple(len(simplices) - sum(map(sub.issuperset, simplices))
-                   for simplices in cx.by_dim)
-    return _profile(cx, cap, counts,
-                    lambda k: relative_boundary_rows(cx, sub, k), (0,))
+    cx = _complex(P, cap, budget, cx)
+    outside, inside = cx.split(sub)
+    return _profile(tuple(map(len, outside)), cx.complete, cap,
+                    lambda k: relative_boundary_rows(outside, inside, k), (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -294,28 +315,41 @@ def _homology_step(P: FinitePoset, level: int, through: int, budget,
     the homology verified.
 
     The homology is reduced, or with ``sub`` (a set of labels) that of the
-    pair (P, sub), through ``level``, on P's order complex enumerated here
-    once through dimension ``level + 1``.  With ``probe``, and ``through``
-    at least 1, the fundamental group of P is probed first, from P alone.
-    On the reduced route a trivial answer means a connected complex with
-    H_1 = 0, so rank d_1 = c_0 - 1 and rank d_2 = c_1 - rank d_1, both
-    free, and the SNF stops at d_3.  Any other answer, and any answer on
-    the pair route, is held until the homology has run in full, so
-    refutations keep their basis and detail.  A budget overrun settles the
-    verdict as inconclusive; a nonzero degree at or below ``through``, or
-    torsion in ``level``, as refuted by homology; then a nontrivial group
-    as refuted by pi_1.  A trivial one gives the basis homology+pi1.
+    pair (P, sub), through ``level``, on P's order complex through
+    dimension ``level + 1``, enumerated here at most once and before any
+    probe, so that a blown budget is found first.  With ``probe``, and
+    ``through`` at least 1, the fundamental group of P is probed first,
+    from P alone.  On the reduced route a trivial answer means a connected
+    complex with H_1 = 0, so rank d_1 = c_0 - 1 and rank d_2 = c_1 - rank
+    d_1, both free, and the SNF stops at d_3.  At level 1 that leaves no
+    boundary to reduce, so there the chains are only counted, under the
+    same budget (``count_chains``), and listed only when the probe is not
+    trivial.  Any other answer, and any answer on the pair route, is held
+    until the homology has run in full, so refutations keep their basis
+    and detail.  A budget overrun settles the verdict as inconclusive; a
+    nonzero degree at or below ``through``, or torsion in ``level``, as
+    refuted by homology; then a nontrivial group as refuted by pi_1.  A
+    trivial one gives the basis homology+pi1.
     """
-    res = None
+    res = cx = None
+    cap = _cap(level)
+    probing = probe and through >= 1
+    counted = probing and sub is None and level == 1
     try:
-        cx = order_complex(P, max_dim=_cap(level), budget=budget)
-        if probe and through >= 1:
+        if counted:
+            counts, complete = count_chains(P, budget)
+        else:
+            cx = order_complex(P, max_dim=cap, budget=budget)
+            counts, complete = tuple(map(len, cx.by_dim)), cx.complete
+        if probing:
             res = pi1.pi1_probe(P)
         if sub is not None:
             prof = relative_homology(P, sub, level, budget, cx=cx)
         elif res == "trivial":
-            c0, c1 = cx.n_simplices(0), cx.n_simplices(1)
-            prof = _reduced(P, level, budget, cx, (1, c0 - 1, c1 - (c0 - 1)))
+            c0, c1 = (counts + (0,))[:2]
+            prof = _profile(counts, complete, cap,
+                            None if cx is None else cx.boundary_rows,
+                            (1, c0 - 1, c1 - (c0 - 1)))
         else:
             prof = reduced_homology(P, level, budget, cx=cx)
     except BudgetExceeded as e:

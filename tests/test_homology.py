@@ -16,7 +16,7 @@ import pytest
 import symposet
 from symposet import complexes, homology, pi1, posets, snf
 from symposet.complexes import BudgetExceeded, OrderComplex, columns, \
-    order_complex, relative_boundary_rows
+    count_chains, order_complex, relative_boundary_rows
 from symposet.homology import (HomologyProfile, cohen_macaulay_check,
                                homologically_connected, homology_spherical,
                                map_connectivity, reduced_homology,
@@ -252,6 +252,75 @@ def test_relative_homology_pairs():
     assert reduced_homology(disk).betti == {1: 1}
 
 
+def test_a_short_complex_is_refused():
+    # the proper part of the Boolean lattice on 4 atoms is a 2-sphere; its
+    # complex cut at dimension 1 cannot show H_2 and would read H_1 off a
+    # d_2 it lacks, so homology through degree 3 from it is refused, on
+    # both routes; so is another poset's complex.  A complex cut at
+    # dimension through_degree + 1 is enough, and so is a complete one
+    s2 = subsets_poset(4)
+    short = order_complex(s2, max_dim=1)
+    for run in (lambda cx: reduced_homology(s2, 3, cx=cx),
+                lambda cx: relative_homology(s2, (), 3, cx=cx),
+                lambda cx: reduced_homology(s2, cx=cx)):
+        with pytest.raises(ValueError):
+            run(short)
+        with pytest.raises(ValueError):
+            run(order_complex(subsets_poset(3)))
+    assert reduced_homology(s2, 0, cx=short).betti == {}
+    s3 = subsets_poset(5)
+    prof = reduced_homology(s3, 1, cx=order_complex(s3, max_dim=2))
+    assert (prof.betti, prof.through) == ({}, 1)
+    prof = reduced_homology(s2, 3, cx=order_complex(s2, max_dim=2))
+    assert (prof.betti, prof.through) == ({2: 1}, None)
+    assert reduced_homology(s2, 3, cx=order_complex(s2)).betti == {2: 1}
+    assert relative_homology(s2, (), 3, cx=order_complex(s2)).betti == \
+        {0: 1, 2: 1}
+
+
+def _nonconvex(P, rng):
+    """A vertex set of P that holds both ends of a 2-chain but not its
+    middle, so that its full subcomplex holds an edge over an outside
+    vertex; None when P has no 2-chain."""
+    by_dim = order_complex(P, max_dim=2).by_dim
+    if len(by_dim) < 3:
+        return None
+    x, y, z = rng.choice(by_dim[2])
+    more = {v for v in range(len(P)) if v != y and rng.random() < 0.3}
+    return {P.elements[v] for v in more | {x, z}}
+
+
+def test_pair_route_matches_sympy_on_every_kind_of_subcomplex():
+    # the quotient complex, built from the chains outside the subcomplex
+    # alone, against sympy on the reference columns: an empty subcomplex,
+    # every vertex (no outside chain at all), isolated vertices, vertex
+    # sets that are not convex, and the 13 mapping-cone pairs
+    rng = random.Random(3001)
+    cases, nonconvex = [], 0
+    for _ in range(12):
+        P = random_poset(rng, rng.randint(1, 8), p=rng.choice((0.2, 0.4, 0.6)))
+        iso = [("iso", i) for i in range(rng.randint(1, 3))]
+        cases += [(P, set()), (P, set(P.elements)),
+                  (FinitePoset(list(P.elements) + iso, P.relation_pairs()),
+                   set(iso))]
+        sub = _nonconvex(P, rng)
+        if sub is not None:
+            cases.append((P, sub))
+            nonconvex += 1
+    maps = list(_random_maps(rng, 12))
+    cases += [(C, set(src.values()) | {tip})
+              for C, src, _, tip in map(mapping_cone, maps)]
+    assert len(maps) == 13 and nonconvex >= 5
+    for P, sub in cases:
+        prof = relative_homology(P, sub)
+        counts, boundary, rank0 = _chain_complex(P, sub)
+        assert prof.counts == counts
+        assert _untwisted(counts, boundary, rank0, _sympy_invariants) == \
+            (prof.betti, prof.torsion)
+        if len(sub) == len(P):
+            assert (prof.betti, prof.torsion) == ({}, {}) and not any(counts)
+
+
 def test_relative_homology_matches_the_mapping_cone():
     # H(M, A) is the reduced homology of M with a cone on A attached
     rng = random.Random(31)
@@ -283,15 +352,21 @@ def _count_calls(monkeypatch, owners, name):
 
 
 def test_verdicts_enumerate_the_order_complex_once(monkeypatch):
+    # zero times on a trivial level-1 probe, which fixes every rank the
+    # verdict needs, and at most once otherwise: after a level-1 probe
+    # that is not trivial (RP^2's), or on a verdict that reduces d_3
     calls = _count_calls(monkeypatch, (complexes, homology, pi1),
                          "order_complex")
     s2 = subsets_poset(4)
     v = homologically_connected(s2, 1)
     assert (v.status, v.basis) == ("verified", "homology+pi1")
-    assert len(calls) == 1
-    calls.clear()
+    assert len(calls) == 0
     v = homology_spherical(s2, 2)
     assert (v.status, v.basis) == ("verified", "homology+pi1")
+    assert len(calls) == 1
+    calls.clear()
+    v = homologically_connected(face_poset(RP2_FACES), 1)
+    assert (v.status, v.basis) == ("refuted", "homology")
     assert len(calls) == 1
 
 
@@ -341,9 +416,31 @@ def test_cone_pair_has_the_cylinder_pair_homology():
     assert collided >= 5
 
 
+def _outside_positions(cx, k, sub):
+    """Each k-simplex's index in ``cx.by_dim[k]`` mapped to its position
+    among the k-simplices outside the full subcomplex on ``sub`` (all of
+    them when ``sub`` is None): the indices of a pair's face rows."""
+    sub = frozenset(sub or ())
+    if not 0 <= k < len(cx.by_dim):
+        return {}
+    outside = (j for j, c in enumerate(cx.by_dim[k]) if not sub.issuperset(c))
+    return {j: i for i, j in enumerate(outside)}
+
+
+def _reindexed(cols, cx, k, sub):
+    """Dict columns ``{simplex index: {face index: sign}}`` of d_k with
+    indices among all simplices, renumbered to the positions among the
+    simplices outside ``sub``."""
+    at = _outside_positions(cx, k, sub)
+    below = _outside_positions(cx, k - 1, sub)
+    return {at[j]: {below[r]: v for r, v in col.items()}
+            for j, col in cols.items()}
+
+
 def _reference_boundary_rows(cx, k, sub=None):
     """d_k in the row form that the column builder replaced:
-    {face index: {simplex index: sign}}, relative to ``sub`` if given."""
+    {face index: {simplex index: sign}}, relative to ``sub`` if given,
+    and then indexed among the simplices outside it."""
     if k <= 0:
         return {} if sub is not None else \
             {0: {j: 1 for j in range(cx.n_simplices(0))}}
@@ -360,7 +457,7 @@ def _reference_boundary_rows(cx, k, sub=None):
             if r is not None:
                 rows.setdefault(r, {})[j] = sign
             sign = -sign
-    return rows
+    return _transpose(_reindexed(_transpose(rows), cx, k, sub))
 
 
 def _transpose(rows):
@@ -375,9 +472,12 @@ def _reference_columns(cx, k, sub=None):
     """d_k as the dict columns that the face rows replaced, {simplex index:
     {face index: sign}}, built one sliced face tuple at a time as the old
     column builder did; simplices and faces inside ``sub`` (vertex
-    numbers), when given, are left out."""
+    numbers), when given, are left out, and the rest indexed among the
+    simplices outside it.  The d_0 of a pair is zero, a column with no
+    face per outside vertex."""
     if k <= 0:
-        return {} if sub is not None else \
+        return {j: {} for j in _outside_positions(cx, 0, sub).values()} \
+            if sub is not None else \
             {j: {0: 1} for j in range(cx.n_simplices(0))}
     sub = frozenset(sub or ())
     lower = cx.by_dim[k - 1]
@@ -395,7 +495,7 @@ def _reference_columns(cx, k, sub=None):
                 col[r] = sign
             sign = -sign
         cols[j] = col
-    return cols
+    return _reindexed(cols, cx, k, sub)
 
 
 def _reference_dd_zero(lower, upper):
@@ -445,7 +545,7 @@ def _face_row_cases():
 def _rows(cx, sub, k):
     if sub is None:
         return cx.boundary_rows(k)
-    return relative_boundary_rows(cx, sub, k)
+    return relative_boundary_rows(*cx.split(sub), k)
 
 
 def test_boundary_columns_match_the_row_form_reference():
@@ -458,12 +558,17 @@ def test_boundary_columns_match_the_row_form_reference():
             assert columns(cx.boundary_rows(k)) == \
                 _transpose(_reference_boundary_rows(cx, k))
             if k >= 1:
-                assert relative_boundary_rows(cx, (), k) == cx.boundary_rows(k)
+                assert relative_boundary_rows(*cx.split(()), k) == \
+                    cx.boundary_rows(k)
             for _ in range(3):
                 sub = frozenset(rng.sample(range(n), rng.randint(0, n)))
-                got = columns(relative_boundary_rows(cx, sub, k))
-                assert got == _transpose(_reference_boundary_rows(cx, k, sub))
-                relative += bool(got) and bool(sub)
+                got = columns(relative_boundary_rows(*cx.split(sub), k))
+                # a column per outside simplex; the row form has no zero
+                # columns, which only the d_0 of a pair holds
+                ref = _transpose(_reference_boundary_rows(cx, k, sub))
+                assert got == {j: ref.get(j, {}) for j in
+                               _outside_positions(cx, k, sub).values()}
+                relative += any(got.values()) and bool(sub)
     assert relative > 50
 
 
@@ -504,9 +609,11 @@ def _redirected(rows, i, j, size, rng):
 def test_corrupted_face_rows_raise():
     # a redirected face index raises with the old check on the reduced
     # route, and whenever the old check does on a pair; a column that
-    # names one face twice and a face of the subcomplex that names its own
-    # index instead of -1 raise too, though the old dict check merged the
-    # first and could not see the second
+    # names one face twice raises too, though the old dict check merged
+    # it, and so does a face of the subcomplex that names an outside face
+    # instead of -1: on a pair every index is that of an outside face, and
+    # each outside face of dimension 1 or more has an outside face of its
+    # own, which the other path to it reads as -1
     rng = random.Random(2117)
     redirected = repeated = sentinels = 0
     for P, cx, sub in _face_row_cases():
@@ -537,14 +644,13 @@ def test_corrupted_face_rows_raise():
                         columns(bad)
                     repeated += 1
             if sub is not None:
-                index = {c: r for r, c in enumerate(cx.by_dim[k - 1])}
-                for j, c in enumerate(cx.by_dim[k]):
+                for j in range(len(upper[0])):
                     i = next((i for i in range(k + 1) if upper[i][j] < 0),
                              None)
-                    if i is None or sub.issuperset(c):
+                    if i is None:
                         continue
                     bad = [list(row) for row in upper]
-                    bad[i][j] = index[c[:i] + c[i + 1:]]
+                    bad[i][j] = rng.randrange(len(lower[0]))
                     with pytest.raises(CertificateError):
                         OrderComplex.dd_zero_check(lower, bad)
                     sentinels += 1
@@ -553,12 +659,12 @@ def test_corrupted_face_rows_raise():
 
 
 def test_boundary_faces_must_be_simplices():
-    # the face (1,) of (0, 1) is not a simplex
+    # the face (1,) of (0, 1) is not a simplex, outside {0} or inside it
     cx = OrderComplex([[(0,)], [(0, 1)]], True)
     with pytest.raises(KeyError):
         cx.boundary_rows(1)
     with pytest.raises(KeyError):
-        relative_boundary_rows(cx, {0}, 1)
+        relative_boundary_rows(*cx.split({0}), 1)
 
 
 def test_dd_zero_check_rejects_a_pair_that_does_not_compose_to_zero(
@@ -597,9 +703,10 @@ def test_dd_zero_is_checked_on_a_large_complex(monkeypatch):
 
 def test_certificates_survive_optimized_python():
     # on the octahedron: a triangle whose faces are one edge, a redirected
-    # face index, equal signs, a column that names a face twice, and a face
-    # of the subcomplex {a, c, e} that names its own index instead of -1;
-    # then a pair whose subcomplex is not a set of elements
+    # face index, equal signs, a column that names a face twice, and an
+    # edge outside the subcomplex {a, c, e} whose outside face reads -1, so
+    # that the triangles that name it name a face of the subcomplex; then a
+    # pair whose subcomplex is not a set of elements
     code = """
 from symposet.complexes import OrderComplex, columns, order_complex, \\
     relative_boundary_rows
@@ -616,11 +723,11 @@ patched(complexes, "_signs", lambda n: (1,) * n, lambda: check(d1, d2))
 bad = [list(row) for row in d2]
 bad[1][0] = bad[0][0]
 tripped(lambda: columns(bad))
-sub = {0, 2, 4}
-r1, r2 = (relative_boundary_rows(cx, sub, k) for k in (1, 2))
-bad = [list(row) for row in r2]
-bad[2][cx.by_dim[2].index((0, 2, 5))] = cx.by_dim[1].index((0, 2))
-tripped(lambda: check(r1, bad))
+outside, inside = cx.split({0, 2, 4})
+r1, r2 = (relative_boundary_rows(outside, inside, k) for k in (1, 2))
+bad = [list(row) for row in r1]
+bad[0][outside[1].index((0, 3))] = -1
+tripped(lambda: check(bad, r2))
 try:
     homology.relative_homology(circle, {"z"})
 except ValueError as e:
@@ -984,7 +1091,8 @@ def test_d1_goes_to_the_union_find_unless_a_face_lies_in_the_subcomplex(
     # a d_1 whose face rows hold no -1 is a graph's incidence matrix on
     # either route: the reduced route, the pair with an empty subcomplex and
     # a pair whose subcomplex is isolated vertices rank it by union-find,
-    # over every vertex, and only the boundaries above it reach the SNF; a
+    # over every vertex outside the subcomplex, and only the boundaries
+    # above it reach the SNF; a
     # mapping-cone pair, whose tip has edges into the coned source, keeps
     # the SNF for d_1.  Every answer is sympy's.
     graphs = _count_calls(monkeypatch, (homology,), "_graph_rank")
@@ -1016,14 +1124,16 @@ def test_d1_goes_to_the_union_find_unless_a_face_lies_in_the_subcomplex(
         assert routed(lambda: relative_homology(P, set()), True) == \
             sympy_pair(P, set())
         ranked += bool(graphs)
-        # the isolated vertices take the lowest vertex numbers, so a vertex
-        # count without them would leave face indices out of range
+        # the isolated vertices take the lowest vertex numbers, so face
+        # indices among all vertices, over a vertex count without them,
+        # would run out of range; the faces are the outside positions
         iso = [("iso", i) for i in range(rng.randint(1, 3))]
         Q = FinitePoset(list(P.elements) + iso, P.relation_pairs())
         assert min(Q.positions()[v] for v in P.elements) == len(iso)
         assert routed(lambda: relative_homology(Q, iso), True) == \
             sympy_pair(Q, iso)
-        assert [args[2] for args in graphs] == [len(Q)] * len(graphs)
+        assert [args[2] for args in graphs] == \
+            [len(Q) - len(iso)] * len(graphs)
     assert ranked >= 10
     cones = 0
     for f in _random_maps(rng, 12):
@@ -1501,6 +1611,68 @@ def test_trivial_probe_skips_the_low_degree_snfs(monkeypatch):
     built.clear()
     assert homology_spherical(subsets_poset(4), 2, probe=False).ok()
     assert built == [2, 1]
+
+
+def _count_cases(rng):
+    """Seeded random posets, some not connected, bare and with a global
+    minimum, maximum or both; then RP^2, O(2, F_3) and O(3, F_2)."""
+    cases = []
+    for i in range(48):
+        P = random_poset(rng, rng.randint(1, 10),
+                         p=rng.choice((0.05, 0.15, 0.3, 0.5)))
+        cases.append(_with_bounds(P, i % 4 in (1, 3), i % 4 in (2, 3)))
+    cases.append(face_poset(RP2_FACES))
+    cases += [build_O(2, PrimeField(3)), build_O(3, PrimeField(2))]
+    return cases
+
+
+def test_counted_chains_match_the_order_complex():
+    # the counts of dimensions 0 to 2 and the completeness flag, read off
+    # the poset, are those of the complex cut at dimension 2, and both
+    # raise BudgetExceeded at the same budgets; the count leaves no
+    # down-sets stored on the poset
+    rng = random.Random(3003)
+    disconnected = cut = 0
+    for P in _count_cases(rng):
+        cx = order_complex(P, max_dim=2)
+        counts, complete = count_chains(P)
+        assert (counts, complete) == (tuple(map(len, cx.by_dim)), cx.complete)
+        assert P._down is None
+        total = sum(counts)
+        with pytest.raises(BudgetExceeded):
+            count_chains(P, total - 1)
+        with pytest.raises(BudgetExceeded):
+            order_complex(P, max_dim=2, budget=total - 1)
+        assert count_chains(P, total) == (counts, complete)
+        assert order_complex(P, max_dim=2, budget=total).by_dim == cx.by_dim
+        disconnected += reduced_homology(P, 0).betti_number(0) > 0
+        cut += not complete
+    assert disconnected >= 5 and cut >= 5
+
+
+def test_counted_level1_verdicts_match_the_enumerating_route(monkeypatch):
+    # a level-1 verdict with a trivial probe lists no chain; any other
+    # lists them once; either way its status, basis and detail are those
+    # of homology first and the probe after it, and the budget that the
+    # complex cut at dimension 2 just fits is the one it just passes
+    rng = random.Random(3007)
+    listed = _count_calls(monkeypatch, (complexes, homology, pi1),
+                          "order_complex")
+    counted = enumerated = 0
+    for P in _count_cases(rng):
+        listed.clear()
+        got = _triple(homologically_connected(P, 1))
+        trivial = got[1] == "homology+pi1"
+        assert len(listed) == (0 if trivial else 1)
+        assert got == reference_connected(P, 1)
+        total = sum(count_chains(P)[0])
+        assert homologically_connected(P, 1, budget=total - 1).status == \
+            "inconclusive"
+        assert homologically_connected(P, 1, budget=total).status != \
+            "inconclusive"
+        counted += trivial
+        enumerated += not trivial
+    assert counted >= 5 and enumerated >= 5
 
 
 def test_hurewicz_ranks_that_do_not_fit_raise(monkeypatch):
