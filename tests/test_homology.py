@@ -1206,15 +1206,16 @@ def test_cohen_macaulay_stops_at_the_first_refuted_task(monkeypatch):
     assert len(calls) == 1
     # a cone over an edge and a point: the whole poset and six links pass,
     # then the upper link of c, one point where a circle is due, fails;
-    # the empty links and the upper links, cones on t, come settled, so
-    # only the whole poset and the lower link of b compute
+    # the empty links, the upper links (cones on t) and the lower link of
+    # b (at height 1, an antichain) come settled, so only the whole poset
+    # computes
     calls.clear()
     cone = FinitePoset("abct", [("a", "b"), ("b", "t"), ("c", "t")])
     v = cohen_macaulay_check(cone, 2)
     assert (v.status, v.detail["part"], v.detail["at"]) == ("refuted", "above", "c")
     assert v.detail["links_checked"] == 6
     assert v.detail["sub"] == {"dim": 0, "expected": 1}
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_cohen_macaulay_budget_reaches_the_links():
@@ -1354,24 +1355,30 @@ def test_cohen_macaulay_settled_tasks_match_the_plain_loop(monkeypatch):
             ("refuted", "above", False)} <= seen
 
 
-def test_cohen_macaulay_sweeps_compute_three_links(monkeypatch):
-    # the U_3(F_2) sweep computes the whole poset, the antichain Ubar_2 and
-    # the graph (0, L); the I(genus 2, radical 1) sweep three links too;
-    # every other task is a repeated key or settled from the ints
+def test_cohen_macaulay_sweeps_compute_the_whole_poset_and_the_graph(
+        monkeypatch):
+    # the U_3(F_2) sweep computes the whole poset and the graph (0, L); the
+    # I(genus 2, radical 1) sweep the whole poset alone; every other task
+    # is settled from the ints: empty, a cone on a global bound, or an
+    # antichain by heights (the intervals of span 2 are U_3's Ubar_2)
     F2 = PrimeField(2)
     U = build_U(SymplecticModule.standard(F2, 3))
     I = build_I(SymplecticModule.standard(F2, 2, r=1))
-    for P, n, tasks in ((U, 3, 9414), (I, 1, 1501)):
+    for P, n, tasks, computed in ((U, 3, 9414, 2), (I, 1, 1501, 1)):
         (status, basis, detail), calls = _counted_sweep(monkeypatch, P, n)
         assert (status, basis, detail) == \
             ("verified", "homology-only", {"links_checked": tasks})
-        assert calls == 3
+        assert calls == computed
+        keyed = [ids for _, _, ids, _ in homology._cm_tasks(P, n)
+                 if ids is not None]
+        assert len(keyed) == computed
 
 
 def test_cohen_macaulay_keys_are_the_links_orders():
     # every keyed task's int key, read from the parent's up-sets, is the
     # target and the order of the link that the public constructors build;
-    # every settled task's link is empty or has a minimum or a maximum
+    # every settled task's link is empty, has a minimum or a maximum, or is
+    # an antichain
     rng = random.Random(19)
     cases = []
     for _ in range(150):
@@ -1383,7 +1390,7 @@ def test_cohen_macaulay_keys_are_the_links_orders():
     L3 = SymplecticModule.standard(PrimeField(2), 3)
     cases += [(build_U(L2), 2), (build_D(L2), 1), (build_I(L1), 0),
               (build_U(L3), 3)]
-    tasks = settled = 0
+    tasks = settled = antichains = 0
     for P, n in cases:
         for (kind, tag, ids, key), (rkind, rtag, link, target) in zip(
                 homology._cm_tasks(P, n), _reference_tasks(P, n),
@@ -1392,16 +1399,123 @@ def test_cohen_macaulay_keys_are_the_links_orders():
             tasks += 1
             if ids is None:
                 assert kind != "whole"
-                assert len(link) == 0 or any(
+                assert link.dim() <= 0 or any(
                     len(u) == len(link) - 1
                     for ends in (link.up_sets(), link.down_sets())
                     for u in ends)
+                antichains += link.dim() == 0 and len(link) > 1
                 settled += 1
                 continue
             assert tuple(map(P.elements.__getitem__, ids)) == link.elements
             assert key == (target, link.up_sets())
     assert tasks > 9414
-    assert 0 < settled < tasks
+    assert 0 < antichains < settled < tasks
+
+
+def _settled_cases(rng, count):
+    """(P, n) for ``count`` seeded random posets, most of them not graded,
+    bare or with a global bottom, top or both, each at its own dimension,
+    then U_2, U_3 and D_2 over F_2 and I(genus 2, radical 1)."""
+    cases = []
+    for _ in range(count):
+        P = random_poset(rng, rng.randint(1, 9),
+                         p=rng.choice((0.15, 0.3, 0.5)))
+        bottom, top = rng.choice(((False, False), (True, False),
+                                  (False, True), (True, True)))
+        if bottom or top:
+            P = _with_bounds(P, bottom, top)
+        cases.append((P, P.dim()))
+    F2 = PrimeField(2)
+    L2 = SymplecticModule.standard(F2, 2)
+    cases += [(build_U(L2), 2), (build_U(SymplecticModule.standard(F2, 3)), 3),
+              (build_D(L2), 1),
+              (build_I(SymplecticModule.standard(F2, 2, r=1)), 1)]
+    return cases
+
+
+def test_cohen_macaulay_settled_verdicts_are_homology_spherical():
+    # every task settled from the ints (empty, a cone on a global bound, or
+    # an antichain by heights) carries the status, basis, level and detail
+    # that homology_spherical without a probe gives on the link that the
+    # public constructors build; and an interval of span 1 is empty
+    seen = set()
+    for P, n in _settled_cases(random.Random(31), 300):
+        for (kind, tag, ids, v), (_, _, link, target) in zip(
+                homology._cm_tasks(P, n), _reference_tasks(P, n),
+                strict=True):
+            if ids is not None:
+                continue
+            want = homology_spherical(link, target, probe=False)
+            assert (v.status, v.basis, v.level, v.detail) == \
+                (want.status, want.basis, want.level, want.detail)
+            shape = "empty" if len(link) == 0 else \
+                "points" if link.dim() == 0 and len(link) > 1 else "cone"
+            seen.add((kind, shape, v.status))
+        h = P.heights()
+        for x in P:
+            for y in P.above(x):
+                if h[y] - h[x] == 1:
+                    assert len(P.open_interval(x, y)) == 0
+    # antichains of every kind, verified and refuted, and the empty span-2
+    # intervals of posets that are not graded
+    assert {("below", "points", "verified"), ("above", "points", "verified"),
+            ("above", "points", "refuted"),
+            ("interval", "points", "verified"),
+            ("interval", "empty", "refuted")} <= seen
+
+
+def _reduced_euler(up):
+    """The reduced Euler characteristic of the order complex of the order
+    whose up-sets are ``up``: by P. Hall's theorem, the Moebius value
+    mu(0, 1) of the order with a bottom 0 and a top 1 adjoined.  One pass
+    over the order pairs, in falling up-set size (a linear extension), sets
+    m[x] = mu(0, x) = -1 - sum of m[y] over y < x; then mu(0, 1) is -1 less
+    the sum of every m[x].  No chain and no matrix."""
+    below = [0] * len(up)
+    total = 0
+    for y in sorted(range(len(up)), key=lambda v: len(up[v]), reverse=True):
+        m = -1 - below[y]
+        total += m
+        for x in up[y]:
+            below[x] += m
+    return -1 - total
+
+
+def test_sphere_counts_match_the_mobius_function(monkeypatch):
+    # (-1)^n * spheres is the reduced Euler characteristic, read here off
+    # the up-sets alone, for every computed link and every settled task of
+    # the U_3(F_2) and I(genus 2, radical 1) sweeps
+    assert [_reduced_euler(P.up_sets()) for P in (
+        FinitePoset([]), FinitePoset("a"), FinitePoset("abc"),
+        subsets_poset(3), subsets_poset(4))] == [-1, 0, 2, -1, 1]
+    F2 = PrimeField(2)
+    U = build_U(SymplecticModule.standard(F2, 3))
+    I = build_I(SymplecticModule.standard(F2, 2, r=1))
+    for P, n, wanted in ((U, 3, 2), (I, 1, 1)):
+        computed = []
+
+        def spherical(*args, **kwargs):
+            v = homology_spherical(*args, **kwargs)
+            computed.append((args[0], args[1], v))
+            return v
+
+        with monkeypatch.context() as m:
+            m.setattr(homology, "homology_spherical", spherical)
+            assert cohen_macaulay_check(P, n).ok()
+        assert len(computed) == wanted
+        points = 0
+        for (_, _, ids, v), (_, _, link, target) in zip(
+                homology._cm_tasks(P, n), _reference_tasks(P, n),
+                strict=True):
+            if ids is None:
+                assert v.ok()
+                computed.append((link, target, v))
+                points += link.dim() == 0 and len(link) > 1
+        assert points > 0
+        for link, target, v in computed:
+            # an empty link is the one (-1)-sphere
+            spheres = 1 if v.basis == "empty" else v.detail["spheres"]
+            assert (-1) ** target * spheres == _reduced_euler(link.up_sets())
 
 
 def test_cohen_macaulay_detail_does_not_follow_label_hashes():
