@@ -14,8 +14,18 @@ an index over U, and ``build_D`` finds the parts inside the perp of the
 parts chosen so far from an index over the parts' perps.  Every pair an
 index yields is confirmed by ``Submodule.contains_submodule``, raising
 CertificateError, so a false bit cannot pass under ``python -O``.
-Sequence posets (I, HU, O, partition sequences) are generated by their
-one-letter deletions and closed by ``FinitePoset``.
+Member masks are made by ``linalg.PackedSpace.extend``, which translates a
+whole mask by shifts, and ``build_D`` carries what remains of L as the
+mask of an intersection, whose canonical basis is never computed.
+
+Every builder numbers its elements by their place in the list it made and
+hands its relation as those ids to ``FinitePoset._from_ids``, which
+numbers the labels by ``repr`` as the public constructor does and closes
+and certifies the order on ints; no label is hashed per relation pair.
+``build_U`` hands each whole up-set read from its index; the others hand
+generating relations: the one-letter deletions of the sequence posets (I,
+HU, O, partition sequences), and the merges of two parts or blocks of the
+decomposition and partition posets.
 """
 
 from __future__ import annotations
@@ -41,20 +51,24 @@ def build_U(L: SymplecticModule) -> FinitePoset:
     The submodules containing S are read from a containment index over
     the whole list, one AND per basis vector of S, and each pair it yields
     is confirmed with ``contains_submodule``; no pair of submodules is
-    tested otherwise.
+    tested otherwise.  The index gives every submodule containing S, so
+    each up-set is whole and is handed over as ids, with no closure.
     """
     subs = enumerate_unimodular_submodules(L)
     index = ContainmentIndex(L.packed(), [s.members() for s in subs])
-    keys = [s.key() for s in subs]
-    rel = []
+    # one int object per list position, shared by every up-set holding it
+    ids = list(range(len(subs)))
+    above = []
     for k, s in enumerate(subs):
-        for t in set_bits(index.containing(s.basis) & ~(1 << k)):
+        up = [ids[t] for t in set_bits(index.containing(s.basis) & ~(1 << k))]
+        for t in up:
             if not subs[t].contains_submodule(s):
                 raise CertificateError(
                     "containment index put a submodule inside one that "
                     "does not contain it")
-            rel.append((keys[k], keys[t]))
-    return FinitePoset(keys, rel)
+        above.append(up)
+    del index, ids
+    return FinitePoset._from_ids([s.key() for s in subs], above, closed=True)
 
 
 def submodule_from_key(L: SymplecticModule, key) -> Submodule:
@@ -93,22 +107,23 @@ def build_I(L: SymplecticModule) -> FinitePoset:
 def _subword_poset(elements) -> FinitePoset:
     """Nonempty sequences ordered by subword.
 
-    The relation given is the one-letter deletions, closed by
-    ``FinitePoset``.  Each one-letter deletion of an element longer than
-    one must be an element too, so by induction on length every nonempty
-    proper subword is, and a sequence's height, the longest chain below
-    it, is its length - 1.
+    The relation given is the one-letter deletions, as ids into
+    ``elements``, closed by ``FinitePoset._from_ids``.  Each one-letter
+    deletion of an element longer than one must be an element too, so by
+    induction on length every nonempty proper subword is, and a sequence's
+    height, the longest chain below it, is its length - 1.
     """
-    in_poset = set(elements)
-    rel = []
-    for seq in elements:
+    ids = {seq: i for i, seq in enumerate(elements)}
+    above = [[] for _ in elements]
+    for j, seq in enumerate(elements):
         if len(seq) > 1:
             for i in range(len(seq)):
-                sub = seq[:i] + seq[i + 1:]
-                if sub not in in_poset:
+                sub = ids.get(seq[:i] + seq[i + 1:])
+                if sub is None:
                     raise CertificateError("subword escaped the poset")
-                rel.append((sub, seq))
-    return FinitePoset(elements, rel)
+                above[sub].append(j)
+    del ids
+    return FinitePoset._from_ids(elements, above)
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +139,13 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
     Parts are chosen in list order, each inside the perp of those chosen
     before it.  As L is unimodular, a part lies in that perp exactly when
     its own perp contains the parts chosen, so the candidates are read
-    from a containment index over the parts' perps.  In a decomposition
-    the span of two parts is the perp of the others, the AND of their
-    perp masks, and is looked up among the parts by that mask.
+    from a containment index over the parts' perps.  What remains of L is
+    the intersection of the perps chosen, held as a member mask, so the
+    recursion tests containment and rank with no echelon form.  A
+    decomposition is held as the places of its parts in key order.  In a
+    decomposition the span of two parts is the perp of the others, the
+    AND of their perp masks, and is looked up among the parts by that
+    mask.
     """
     if not isinstance(L.ring, PrimeField):
         raise ValueError("enumerable over finite fields only")
@@ -134,9 +153,17 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
         raise ValueError("L must be unimodular")
     parts = [s for s in enumerate_unimodular_submodules(L) if s.rank > 0]
     perps = [s.perp().members() for s in parts]
-    perp_mask = {s.key(): m for s, m in zip(parts, perps)}
     orthogonal = ContainmentIndex(L.packed(), perps)
-    key_of = {s.members(): s.key() for s in parts}
+    beside = [orthogonal.containing(s.basis) for s in parts]
+    # a decomposition is held as the sorted places of its parts in key
+    # order, so its label is its parts' keys in that order
+    order = sorted(range(len(parts)), key=lambda t: parts[t].key())
+    place = [0] * len(parts)
+    for r, t in enumerate(order):
+        place[t] = r
+    keys = [parts[t].key() for t in order]
+    perp_at = [perps[t] for t in order]
+    part_at = {parts[t].members(): r for r, t in enumerate(order)}
     decs: List[Tuple] = []
 
     def extend(chosen, remaining: Submodule, fits: int):
@@ -153,37 +180,38 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
             rest = remaining.intersect(s.perp())
             if rest.rank != remaining.rank - s.rank:
                 raise CertificateError("perp complement has the wrong rank")
-            chosen.append(s.key())
+            chosen.append(place[t])
             later = fits >> (t + 1) << (t + 1)
-            extend(chosen, rest, later & orthogonal.containing(s.basis))
+            extend(chosen, rest, later & beside[t])
             chosen.pop()
 
     extend([], L.full_submodule(), orthogonal.everything)
+    del orthogonal, beside
     if strict:
         decs = [d for d in decs if len(d) > 1]
-    decset = set(decs)
+    ids = {d: i for i, d in enumerate(decs)}
     everything = (1 << len(L.packed().vectors)) - 1
-    rel = []
-    for d in decs:
+    above = [[] for _ in decs]
+    for i_d, d in enumerate(decs):
         if len(d) < 2 or (strict and len(d) == 2):
             continue
         for i, j in itertools.combinations(range(len(d)), 2):
-            rest = tuple(k for t, k in enumerate(d) if t not in (i, j))
+            rest = d[:i] + d[i + 1:j] + d[j + 1:]
             mask = everything
-            for k in rest:
-                mask &= perp_mask[k]
-            merged = key_of.get(mask)
-            coarser = (tuple(sorted(rest + (merged,)))
+            for r in rest:
+                mask &= perp_at[r]
+            merged = part_at.get(mask)
+            coarser = (ids.get(tuple(sorted(rest + (merged,))))
                        if merged is not None else None)
-            if coarser not in decset:
+            if coarser is None:
                 raise CertificateError("merge left the decomposition poset")
-            rel.append((coarser, d))
+            above[coarser].append(i_d)
     if not strict:
-        full = (L.full_submodule().key(),)
-        for d in decs:
-            if len(d) > 1:
-                rel.append((full, d))
-    return FinitePoset(decs, rel)
+        full = ids[(part_at[everything],)]
+        above[full].extend(i_d for i_d, d in enumerate(decs) if len(d) > 1)
+    del ids
+    return FinitePoset._from_ids(
+        [tuple(map(keys.__getitem__, d)) for d in decs], above)
 
 
 def flag_to_decomposition(L: SymplecticModule, U_gt=None, D=None) -> PosetMap:
@@ -254,18 +282,18 @@ def partitions_poset(X: Iterable) -> FinitePoset:
         raise ValueError("need at least two elements")
     partitions = [_canonical_partition(p) for p in set_partitions(ground)
                   if len(p) > 1]
-    pset = set(partitions)
-    rel = []
-    for p in partitions:
+    ids = {p: i for i, p in enumerate(partitions)}
+    above = [[] for _ in partitions]
+    for i_p, p in enumerate(partitions):
         if len(p) == 2:
             continue
         for i, j in itertools.combinations(range(len(p)), 2):
             rest = [b for t, b in enumerate(p) if t not in (i, j)]
-            coarser = _canonical_partition(rest + [p[i] + p[j]])
-            if coarser not in pset:
+            coarser = ids.get(_canonical_partition(rest + [p[i] + p[j]]))
+            if coarser is None:
                 raise CertificateError("coarsening is not a partition")
-            rel.append((coarser, p))
-    return FinitePoset(partitions, rel)
+            above[coarser].append(i_p)
+    return FinitePoset._from_ids(partitions, above)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ output of one echelon routine, ``rref_with_transform``, which follows the
 Euclidean contract of ``rings`` and so gives the reduced row echelon form
 over a field and the row Hermite form over the integers.  The exceptions
 are ``PackedSpace``, which holds subspaces of a small F_p^n as bitmasks over
-its p^n vectors, and ``ContainmentIndex``, which finds among a list of
-such subspaces those that contain a given one.
+its p^n vectors and extends a span by translating its whole mask with
+shifts, never listing its members, and ``ContainmentIndex``, which finds
+among a list of such subspaces those that contain a given one.
 """
 
 from __future__ import annotations
@@ -150,6 +151,13 @@ class PackedSpace:
     Because the numbering is base-p, the nonzero vectors whose first
     nonzero coordinate sits at position j are exactly the numbers in
     [p^(n-1-j), p^(n-j)); ``lead[j]`` is the mask of that range.
+
+    Coordinate j is the base-p digit of weight p^(n-1-j), so adding d to it
+    (mod p) moves each vector whose digit there is below p - d up by
+    d * p^(n-1-j), and every other vector down by (p - d) * p^(n-1-j).  For
+    a whole mask that is two masked shifts: ``moves[j][d]`` holds the mask
+    of the first kind, the mask of the second and the two shift lengths,
+    computed once per space.
     """
 
     def __init__(self, p: int, n: int):
@@ -158,23 +166,36 @@ class PackedSpace:
         self.index = {v: i for i, v in enumerate(self.vectors)}
         self.lead = [(1 << p ** (n - j)) - (1 << p ** (n - 1 - j))
                      for j in range(n)]
+        everything = (1 << p ** n) - 1
+        self.moves = []
+        for j in range(n):
+            weight = p ** (n - 1 - j)
+            period = p * weight
+            # one bit at the start of each run of p * weight vectors
+            starts = everything // ((1 << period) - 1)
+            row = [None]
+            for d in range(1, p):
+                low = ((1 << (p - d) * weight) - 1) * starts
+                row.append((low, everything ^ low, d * weight,
+                            (p - d) * weight))
+            self.moves.append(row)
 
     def index_of(self, v) -> int:
         return self.index[tuple(x % self.p for x in v)]
 
     def extend(self, mask: int, v) -> int:
-        """Mask of span(S + v), given the mask of a subspace S."""
+        """Mask of span(S + v), given the mask of a subspace S: the union
+        of the translates S + c * v, each made from the one before by
+        adding v, one pair of masked shifts per nonzero coordinate of v."""
         p = self.p
-        multiples = [[c * x % p for x in v] for c in range(1, p)]
-        out = mask
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            w = self.vectors[low.bit_length() - 1]
-            for cv in multiples:
-                out |= 1 << self.index[tuple((a + b) % p
-                                             for a, b in zip(w, cv))]
+        steps = [self.moves[j][x % p] for j, x in enumerate(v) if x % p]
+        if not steps:
+            return mask
+        out = moved = mask
+        for _ in range(p - 1):
+            for low, high, up, down in steps:
+                moved = (moved & low) << up | (moved & high) >> down
+            out |= moved
         return out
 
     def span_mask(self, rows) -> int:

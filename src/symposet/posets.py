@@ -1,8 +1,10 @@
 """Finite posets stored as one strict order relation over vertex numbers.
 
 A poset numbers its elements 0..n-1 once, and that numbering is its
-vertex numbering (``positions()``).  Only the public constructor sorts
-labels by ``repr``; every derived poset keeps its parents' orders.
+vertex numbering (``positions()``).  Only a poset built from labels, by
+the public constructor or by the builders' id path ``_from_ids``, sorts
+them by ``repr`` (``_numbered``, the one rule for both); every derived
+poset keeps its parents' orders.
 Induced subposets and opposites keep their parent's order.  A join
 numbers the first factor's vertices, then the second's; a thick join
 X's, then Y's, then the products row-major; a mapping cylinder or cone
@@ -18,10 +20,13 @@ complexes, reads the sorted successor tuples (``successors()``) or the
 up-sets themselves (``up_sets()``) and never hashes or orders labels
 itself.
 
-The public constructor accepts any acyclic generating relation and closes
-it; derived constructions (induced subposets, opposites, joins, thick
-joins, subdivisions, cylinders) build their closed relations over vertex
-numbers and go through a trusted path.  Both still check irreflexivity,
+The public constructor accepts any acyclic generating relation between
+labels and closes it.  The builders hold their relations as ids into the
+label lists they made and hand them to ``_from_ids``, which renumbers
+them and closes them, or takes them whole, with no label hashed per pair.
+Derived constructions (induced subposets, opposites, joins, thick joins,
+subdivisions, cylinders) build their closed relations over vertex numbers
+and go through a trusted path.  All of them still check irreflexivity,
 antisymmetry and transitivity on the vertex numbers, raising
 CertificateError that names the labels involved, so the check survives
 ``python -O``.
@@ -43,8 +48,7 @@ from .snf import CertificateError
 
 class FinitePoset:
     def __init__(self, elements: Iterable, relations: Iterable[Tuple] = ()):
-        labels = sorted(elements, key=repr)
-        pos = {x: i for i, x in enumerate(labels)}
+        labels, pos = _numbered(elements)
         if len(pos) != len(labels):
             raise ValueError("duplicate elements")
         succ = [set() for _ in labels]
@@ -56,7 +60,42 @@ class FinitePoset:
             if i == j:
                 raise ValueError(f"reflexive pair {a!r}")
             succ[i].add(j)
-        self._init(tuple(labels), _close(succ), pos)
+        self._init(labels, _close(succ), pos)
+
+    @classmethod
+    def _from_ids(cls, labels, above, closed=False) -> "FinitePoset":
+        """The poset on ``labels``, a list in any order, in which labels[i]
+        lies below labels[j] for each id j in ``above[i]``: a generating
+        relation, closed here, or with ``closed`` the whole up-set.
+
+        The labels are numbered as the public constructor numbers them
+        (``_numbered``), and the relation is renumbered, closed and
+        certified on ints, so builders that hold their relation as ids
+        hash no label per relation pair.  A label given twice or an id
+        above itself raises CertificateError.
+        """
+        elements, pos = _numbered(labels)
+        if len(pos) != len(elements):
+            raise CertificateError("two vertex ids name one label")
+        # new[i]: the vertex number of labels[i], one int object per
+        # vertex, shared by every up-set holding it
+        new = list(map(pos.__getitem__, labels))
+        renumber = new.__getitem__
+        up = [None] * len(new)
+        for i, k in enumerate(new):
+            u = set(map(renumber, above[i]))
+            if k in u:
+                raise CertificateError(
+                    f"vertex id above itself at {elements[k]!r}")
+            up[k] = u
+        del new
+        # copied from a set, a frozenset is sized by its member count, as
+        # _close sizes its up-sets; built from an iterator it is sized by
+        # its growth steps (866 KB against 522 KB for U_3(F_2)'s up-sets)
+        self = cls.__new__(cls)
+        self._init(elements, list(map(frozenset, up)) if closed
+                   else _close(up), pos)
+        return self
 
     def _init(self, elements, up, pos=None):
         # elements: the labels in vertex order; up[i]: the frozenset of
@@ -258,6 +297,15 @@ def _chain_heights(up) -> List[int]:
             if h[j] < hi:
                 h[j] = hi
     return h
+
+
+def _numbered(labels):
+    """The one numbering of a poset's labels: sorted by ``repr``, stably,
+    so labels with equal reprs keep their given order.  Returns the labels
+    in vertex order and each label's vertex number, a dict shorter than
+    the labels when one is given twice."""
+    elements = tuple(sorted(labels, key=repr))
+    return elements, dict(zip(elements, range(len(elements))))
 
 
 def _induced_up_sets(up, keep):

@@ -12,8 +12,10 @@ use, its member bitmask: bit i is set when the i-th vector of F_p^n in
 base-p order (``linalg.PackedSpace``) lies in the span.  A mask costs p^n
 bits, 64 at genus 3 over F_2, and the module caches the vector/index
 table it refers to.  Containment of a vector or a submodule is then a bit
-test and an intersection is an AND of two masks, followed by one echelon
-call for the canonical basis.  Over the integers the module is infinite,
+test and an intersection is an AND of two masks.  An intersection or a
+perp keeps only its mask and its rank, read from the mask's popcount; its
+canonical basis takes one echelon call, made when the basis is first
+read.  Over the integers the module is infinite,
 so these operations stay with linear algebra on the Hermite form, which
 ``linalg.rref_with_transform`` gives over the integers as it gives the
 reduced echelon form over a field.
@@ -117,18 +119,56 @@ class SymplecticModule:
 
 
 class Submodule:
-    """A saturated submodule in canonical basis form."""
+    """A saturated submodule in canonical basis form.
+
+    Over a field an intersection or a perp is born from its member mask
+    alone: its rank is read from the mask's popcount, p^rank, and its
+    canonical basis is computed from the mask only when ``basis``,
+    ``key()``, ``==`` or ``hash`` first reads it.  A chain of intersections
+    that only tests containment and rank, as ``builders.build_D`` does,
+    runs no echelon form.
+    """
 
     def __init__(self, module: SymplecticModule, rows, _canonical=False):
         self.module = module
         if _canonical:
-            self.basis = tuple(tuple(r) for r in rows)
+            self._basis = tuple(tuple(r) for r in rows)
         else:
-            self.basis = canonical_span_basis(
+            self._basis = canonical_span_basis(
                 module.ring, [list(r) for r in rows], module.rank)
-        self.rank = len(self.basis)
+        self.rank = len(self._basis)
         self._mask = None
         self._perp = None
+
+    @classmethod
+    def _from_mask(cls, module: SymplecticModule, mask: int) -> "Submodule":
+        """The subspace of F_p^n whose member mask is ``mask``."""
+        self = cls.__new__(cls)
+        self.module = module
+        self._basis = None
+        self._mask = mask
+        self._perp = None
+        p = module.ring.p
+        size, rank = mask.bit_count(), 0
+        while size > 1 and size % p == 0:
+            size //= p
+            rank += 1
+        if size != 1:
+            raise CertificateError("a member mask is not a subspace")
+        self.rank = rank
+        return self
+
+    @property
+    def basis(self) -> Tuple:
+        if self._basis is None:
+            M = self.module
+            basis = canonical_span_basis(
+                M.ring, M.packed().spanning_rows(self._mask), M.rank)
+            if len(basis) != self.rank:
+                raise CertificateError(
+                    "a member mask's echelon rank differs from its size")
+            self._basis = basis
+        return self._basis
 
     def key(self) -> Tuple:
         return self.basis
@@ -184,7 +224,12 @@ class Submodule:
                 C = mat_mul(M.ring, M.gram,
                             transpose([list(r) for r in self.basis], M.rank),
                             bcols=self.rank)
-                self._perp = Submodule(M, left_kernel(M.ring, C, self.rank))
+                rows = left_kernel(M.ring, C, self.rank)
+                if M.ring.is_field():
+                    self._perp = Submodule._from_mask(
+                        M, M.packed().span_mask(rows))
+                else:
+                    self._perp = Submodule(M, rows)
         return self._perp
 
     def add(self, other: "Submodule") -> "Submodule":
@@ -195,10 +240,7 @@ class Submodule:
     def intersect(self, other: "Submodule") -> "Submodule":
         M = self.module
         if M.ring.is_field():
-            mask = self.members() & other.members()
-            out = Submodule(M, M.packed().spanning_rows(mask))
-            out._mask = mask
-            return out
+            return Submodule._from_mask(M, self.members() & other.members())
         eq = (list(linalg.right_kernel(M.ring, [list(r) for r in self.basis], M.rank))
               + list(linalg.right_kernel(M.ring, [list(r) for r in other.basis], M.rank)))
         rows = linalg.right_kernel(M.ring, eq, M.rank)

@@ -252,17 +252,17 @@ def enumerate_trees(m: int, strict: bool = False) -> List[UTree]:
 def build_T(m: int) -> FinitePoset:
     """The poset of labeled trees on m indices under edge contraction."""
     trees = enumerate_trees(m)
-    by_cert = {T.certificate(): T for T in trees}
-    rel = []
-    for T in trees:
+    certs = [T.certificate() for T in trees]
+    ids = {c: i for i, c in enumerate(certs)}
+    above = [[] for _ in certs]
+    for j, T in enumerate(trees):
         for k in range(1, len(T.edges)):
             for E in itertools.combinations(T.edges, k):
-                S = contract(T, E)
-                c = S.certificate()
-                if c not in by_cert:
+                i = ids.get(contract(T, E).certificate())
+                if i is None:
                     raise CertificateError("contraction is not a tree")
-                rel.append((c, T.certificate()))
-    return FinitePoset(list(by_cert), rel)
+                above[i].append(j)
+    return FinitePoset._from_ids(certs, above)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +270,9 @@ def build_T(m: int) -> FinitePoset:
 
 def _contraction_templates(T: UTree) -> List[Tuple]:
     """Every contraction of T to a proper nonempty subset of its edges, as
-    (vertex count, edges, vertex_of): vertex_of maps each group of label
-    indices that land on one vertex of the quotient to that vertex."""
+    (vertex count, edges, vertex_of, grouping): vertex_of maps each group of
+    label indices that land on one vertex of the quotient to that vertex,
+    and grouping is the frozenset of those groups."""
     out = []
     for k in range(1, len(T.edges)):
         for E in itertools.combinations(T.edges, k):
@@ -279,8 +280,8 @@ def _contraction_templates(T: UTree) -> List[Tuple]:
             groups: Dict[int, List[int]] = {}
             for j, v in enumerate(T.labeling):
                 groups.setdefault(comp[v], []).append(j)
-            out.append((n2, edges2, {frozenset(js): c
-                                     for c, js in groups.items()}))
+            vertex_of = {frozenset(js): c for c, js in groups.items()}
+            out.append((n2, edges2, vertex_of, frozenset(vertex_of)))
     return out
 
 
@@ -291,25 +292,33 @@ def build_TD(L, DP: FinitePoset = None) -> FinitePoset:
 
     Contraction depends only on the tree shape, so each strict tree on m
     labels is contracted once, into templates that group its label
-    indices.  A decomposition's coarsenings are read from ``DP.below``,
+    indices.  A decomposition's coarsenings are read from DP's down-sets,
     each matched to the grouping of the parts it sums by member-mask
     containment; the identity grouping stands for the decomposition
-    itself (an edge contracted at an unlabeled vertex).  The certificate
-    of a contracted labeled tree is computed once per (vertex count,
-    edges, labeling).  A grouping with no coarsening in ``DP``, a
-    contracted tree that is not strict and a relation endpoint that is
-    not an element raise ``CertificateError``.
+    itself (an edge contracted at an unlabeled vertex).  The place of a
+    contracted labeled tree among the certificates is found once per
+    (vertex count, edges, labeling).  The pairs are numbered in DP's
+    vertex order, each decomposition's certificates in a row, so the
+    relation is handed to ``FinitePoset._from_ids`` as those numbers.  A
+    grouping with no coarsening in ``DP``, a contracted tree that is not
+    strict and a contracted pair that is not an element raise
+    ``CertificateError``.
     """
     from .builders import build_D, submodule_from_key
 
     if DP is None:
         DP = build_D(L, strict=True)
+    decs = DP.elements
     shapes: Dict[int, List[Tuple]] = {}
-    for m in sorted({len(dec) for dec in DP}):
+    for m in sorted(set(map(len, decs))):
         shapes[m] = [(T.certificate(), _contraction_templates(T))
                      for T in enumerate_trees(m, strict=True)]
-    elements = [(dec, cert) for dec in DP for cert, _ in shapes[len(dec)]]
-    eset = set(elements)
+    # the pair (decs[v], the c-th certificate on len(decs[v]) labels) is
+    # element first[v] + c
+    first = list(itertools.accumulate(
+        (len(shapes[len(dec)]) for dec in decs), initial=0))
+    place = {m: {cert: c for c, (cert, _) in enumerate(shape)}
+             for m, shape in shapes.items()}
     masks: Dict[Tuple, int] = {}
 
     def members(key) -> int:
@@ -317,37 +326,44 @@ def build_TD(L, DP: FinitePoset = None) -> FinitePoset:
             masks[key] = submodule_from_key(L, key).members()
         return masks[key]
 
-    certs: Dict[Tuple, Tuple] = {}
-    rel = []
-    for dec in DP:
+    parts = [list(map(members, dec)) for dec in decs]
+    below = DP.down_sets()
+    # a contracted labeled tree's place among the certificates
+    certs: Dict[Tuple, int] = {}
+    above = [[] for _ in range(first[-1])]
+    for v, dec in enumerate(decs):
         # each coarsening with the group of dec's part indices under each
         # of its parts, keyed by the grouping
         singletons = tuple(frozenset([j]) for j in range(len(dec)))
-        coarsenings = {frozenset(singletons): (dec, singletons)}
-        for coarse in DP.below(dec):
-            groups = tuple(frozenset(j for j, k in enumerate(dec)
-                                     if members(k) & ~members(big) == 0)
-                           for big in coarse)
-            coarsenings[frozenset(groups)] = (coarse, groups)
-        for cert, templates in shapes[len(dec)]:
-            for n2, edges2, vertex_of in templates:
-                hit = coarsenings.get(frozenset(vertex_of))
+        coarsenings = {frozenset(singletons): (v, singletons)}
+        for u in below[v]:
+            groups = tuple(frozenset(j for j, mj in enumerate(parts[v])
+                                     if mj & ~big == 0)
+                           for big in parts[u])
+            coarsenings[frozenset(groups)] = (u, groups)
+        for c, (cert, templates) in enumerate(shapes[len(dec)]):
+            here = first[v] + c
+            for n2, edges2, vertex_of, grouping in templates:
+                hit = coarsenings.get(grouping)
                 if hit is None:
                     raise CertificateError(
                         "a grouping of parts has no coarsening in DP")
-                dec2, groups = hit
+                u, groups = hit
                 key = (n2, edges2, tuple(vertex_of[g] for g in groups))
-                if key not in certs:
+                c2 = certs.get(key)
+                if c2 is None:
                     S = UTree(*key)
                     if not S.strict:
                         raise CertificateError("contracted tree is not strict")
-                    certs[key] = S.certificate()
-                label2 = (dec2, certs[key])
-                if label2 not in eset:
-                    raise CertificateError(
-                        "contracted pair is not an element of TD")
-                rel.append((label2, (dec, cert)))
-    return FinitePoset(elements, rel)
+                    c2 = place[len(decs[u])].get(S.certificate())
+                    if c2 is None:
+                        raise CertificateError(
+                            "contracted pair is not an element of TD")
+                    certs[key] = c2
+                above[first[u] + c2].append(here)
+    del masks, parts, certs
+    return FinitePoset._from_ids(
+        [(dec, cert) for dec in decs for cert, _ in shapes[len(dec)]], above)
 
 
 def tree_forget_map(L, TD: FinitePoset = None, DP: FinitePoset = None) -> PosetMap:

@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 
 import symposet
-from symposet import linalg
+from symposet import builders, linalg
 from symposet.builders import (_subword_poset, build_D, build_HU, build_I,
                                build_O, build_U, flag_to_decomposition,
                                genus_one_count, hu_decomposition_map,
@@ -428,6 +428,105 @@ def test_D_matches_the_pairwise_scan(ring, g, strict):
 def test_sequence_posets_match_all_subwords(build):
     P = build()
     assert same_poset(P, all_subwords(P.elements))
+
+
+# -- references: the label pairs of the public constructor ------------------
+# the builders hand their relations as vertex ids to FinitePoset._from_ids;
+# each must number and order its elements exactly as the public
+# constructor does from the label pairs that the builders once made (U and
+# D are compared so above, with the pairwise scans)
+
+def deletion_pairs(elements):
+    """Each sequence above its one-letter deletions, as label pairs."""
+    return [(seq[:i] + seq[i + 1:], seq) for seq in elements if len(seq) > 1
+            for i in range(len(seq))]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_O(2, F2), lambda: build_O(2, F3), lambda: build_O(3, F2),
+    lambda: build_O(3, F3), lambda: build_I(std(F2, 2, 1)),
+    lambda: build_I(std(F3, 1, 1)), lambda: build_I(std(F3, 2)),
+    lambda: build_HU(2, F2), lambda: build_HU(1, F3),
+    lambda: partition_sequences_poset([1, 2, 3, 4], [[1], [2, 3], [4]])])
+def test_sequence_posets_match_the_label_pair_reference(build, monkeypatch):
+    made = []
+
+    def recorded(elements):
+        made.append(list(elements))
+        return _subword_poset(elements)
+
+    monkeypatch.setattr(builders, "_subword_poset", recorded)
+    P = build()
+    assert same_poset(P, FinitePoset(made[0], deletion_pairs(made[0])))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_partitions_poset_matches_the_label_pair_reference(n):
+    def canonical(blocks):
+        return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+    partitions, rel = [], []
+    for blocks in builders.set_partitions(list(range(n))):
+        if len(blocks) > 1:
+            p = canonical(blocks)
+            partitions.append(p)
+            if len(p) > 2:
+                for i, j in itertools.combinations(range(len(p)), 2):
+                    rest = [b for t, b in enumerate(p) if t not in (i, j)]
+                    rel.append((canonical(rest + [p[i] + p[j]]), p))
+    assert same_poset(partitions_poset(range(n)),
+                      FinitePoset(partitions, rel))
+
+
+def test_id_path_certificates_survive_optimized_python():
+    # an index that says every listed subspace holds every span, a perp
+    # complement that keeps the rank it had, a subword outside the poset,
+    # and ids handed to FinitePoset._from_ids that put a vertex above
+    # itself (as a generating relation and as a whole up-set) or name one
+    # label twice; under -O a plain assert would let each through
+    code = """
+from symposet import builders, linalg, symplectic
+from symposet.builders import build_D, build_U
+from symposet.posets import FinitePoset
+from symposet.rings import PrimeField
+from symposet.snf import CertificateError
+
+L = symplectic.SymplecticModule.standard(PrimeField(2), 2)
+
+def run(build):
+    try:
+        build()
+    except CertificateError as e:
+        print(e)
+
+def patched(owner, name, value, build):
+    original = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        run(build)
+    finally:
+        setattr(owner, name, original)
+
+everything = lambda self, rows: self.everything
+patched(linalg.ContainmentIndex, "containing", everything, lambda: build_U(L))
+patched(linalg.ContainmentIndex, "containing", everything, lambda: build_D(L))
+patched(symplectic.Submodule, "intersect", lambda self, other: self,
+        lambda: build_D(L))
+run(lambda: builders._subword_poset([(1,), (1, 2)]))
+run(lambda: FinitePoset._from_ids(["a", "b"], [[0, 1], []]))
+run(lambda: FinitePoset._from_ids(["a", "b"], [[1], [1]], closed=True))
+run(lambda: FinitePoset._from_ids(["a", "b", "a"], [[1], [], []]))
+"""
+    assert _run_optimized(code) == [
+        "containment index put a submodule inside one that does not "
+        "contain it",
+        "containment index put a part outside the perp of the parts chosen",
+        "perp complement has the wrong rank",
+        "subword escaped the poset",
+        "vertex id above itself at 'a'",
+        "vertex id above itself at 'b'",
+        "two vertex ids name one label",
+    ]
 
 
 @pytest.mark.slow

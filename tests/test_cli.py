@@ -115,6 +115,9 @@ PINNED_EXPORTS = {
     "U.p3.json": ["--poset", "U", "--ring", "p3", "--genus", "2"],
     "D.p3.json": ["--poset", "D", "--ring", "p3", "--genus", "2"],
     "O.g3.p3.json": ["--poset", "O", "--genus", "3", "--ring", "p3"],
+    # the frontier poset U_3(F_3), 14,744 elements: its builder runs on
+    # masks and vertex ids, so its every byte is pinned
+    "U.g3.p3.json": ["--poset", "U", "--genus", "3", "--ring", "p3"],
 }
 
 

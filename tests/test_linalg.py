@@ -8,6 +8,7 @@ matrices.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -215,3 +216,66 @@ run(lambda: rho_vector(ZZ, (1, 0), (0, 3), 2))
         "b must have one entry per column of A",
         "pivot vector needs a nonzero last coordinate",
     ]
+
+
+# -- the span kernel against tuple arithmetic ------------------------------
+
+def tuple_extend(space, mask, v):
+    """Mask of span(S + v) by tuple arithmetic: every member of S plus
+    every nonzero multiple of v, one tuple per member per multiple."""
+    p = space.p
+    multiples = [[c * x % p for x in v] for c in range(1, p)]
+    out = mask
+    for i in linalg.set_bits(mask):
+        w = space.vectors[i]
+        for cv in multiples:
+            out |= 1 << space.index[tuple((a + b) % p for a, b in zip(w, cv))]
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5)
+                                 for n in range(1, 7)] + [(2, 8)])
+def test_span_kernel_matches_tuple_arithmetic(p, n):
+    rng = random.Random(100 * p + n)
+    space = linalg.PackedSpace(p, n)
+    everything = (1 << p ** n) - 1
+    zero = 1  # the zero subspace holds the zero vector only
+    trials = 40 if p ** n <= 729 else 4
+    for _ in range(trials):
+        mask = reference = zero
+        for _ in range(rng.randrange(n + 2)):
+            v = [rng.randrange(-p, 2 * p) for _ in range(n)]
+            mask = space.extend(mask, v)
+            reference = tuple_extend(space, reference, v)
+            assert mask == reference
+        v = [rng.randrange(p) for _ in range(n)]
+        # the zero subspace grows to the line through v; the whole space
+        # and the zero vector change nothing
+        assert space.extend(zero, v) == tuple_extend(space, zero, v)
+        assert space.extend(everything, v) == everything
+        assert space.extend(mask, [0] * n) == mask
+    assert space.span_mask(linalg.identity(n)) == everything
+    assert space.span_mask([]) == zero
+
+
+def _span_by_combinations(space, basis):
+    """Mask of every linear combination of the basis rows."""
+    p = space.p
+    n = len(space.vectors[0])
+    mask = 0
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        v = [0] * n
+        for c, row in zip(coeffs, basis):
+            v = [(a + c * b) % p for a, b in zip(v, row)]
+        mask |= 1 << space.index[tuple(v)]
+    return mask
+
+
+@pytest.mark.parametrize("p,g", [(3, 2), (2, 3)])
+def test_unimodular_members_match_their_combinations(p, g):
+    from symposet.symplectic import (SymplecticModule,
+                                     enumerate_unimodular_submodules)
+    L = SymplecticModule.standard(PrimeField(p), g)
+    space = L.packed()
+    for S in enumerate_unimodular_submodules(L):
+        assert S.members() == _span_by_combinations(space, S.basis)

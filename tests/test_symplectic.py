@@ -179,6 +179,52 @@ def test_mask_route_matches_linear_algebra(ring, g, r, seed):
         assert perp.key() == linalg.canonical_span_basis(ring, orthogonal, n)
 
 
+@pytest.mark.parametrize("ring,g,r,seed", [
+    (F2, 2, 0, 21), (F2, 3, 0, 22), (F2, 1, 2, 23), (F3, 2, 0, 24),
+    (F3, 1, 1, 25), (PrimeField(5), 1, 1, 26)])
+def test_mask_born_submodules_match_the_echelon_route(ring, g, r, seed):
+    # an intersection over a field keeps only its member mask; it must be
+    # the submodule that an echelon form of the same span gives
+    rng = random.Random(seed)
+    L = std(ring, g, r)
+    n = L.rank
+    zero, full = L.zero_submodule(), L.full_submodule()
+    pairs = [(full, full), (zero, full), (full, L.radical())]
+    for _ in range(10):
+        S, T = (L.submodule([[rng.randrange(ring.p) for _ in range(n)]
+                             for _ in range(rng.randrange(n + 1))])
+                for _ in range(2))
+        pairs += [(S, T), (S, S.perp())]
+    for S, T in pairs:
+        X = S.intersect(T)
+        R = Submodule(L, _kernel_intersection(S, T))
+        assert X._basis is None  # born from its mask
+        assert X.rank == R.rank
+        assert X.members() == R.members()
+        assert X._basis is None  # rank and members read no basis
+        assert X.key() == R.key() and X.basis == R.basis
+        assert X == R and R == X and hash(X) == hash(R)
+        perp = Submodule(L, [v for v in L.vectors()
+                             if all(L.pair(v, b) == 0 for b in R.basis)])
+        for P in (X.perp(), R.perp()):
+            assert P == perp and hash(P) == hash(perp)
+            assert P.rank == perp.rank and P.members() == perp.members()
+    assert full.intersect(full) == full and zero.intersect(full) == zero
+
+
+def test_integer_intersection_keeps_the_kernel_route():
+    rng = random.Random(27)
+    L = std(ZZ, 2)
+    for _ in range(20):
+        S, T = (L.submodule([[rng.randrange(-3, 4) for _ in range(4)]
+                             for _ in range(rng.randrange(5))])
+                for _ in range(2))
+        X = S.intersect(T)
+        assert X._mask is None
+        assert X.key() == _kernel_intersection(S, T)
+        assert X.rank == len(X.basis)
+
+
 def test_isotropic_sequences():
     L = std(F2, 2)
     e1 = [1, 0, 0, 0]

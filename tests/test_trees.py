@@ -13,7 +13,7 @@ import symposet
 from symposet import linalg, suites, trees
 from symposet.builders import build_D
 from symposet.homology import reduced_homology
-from symposet.posets import check_isomorphism
+from symposet.posets import FinitePoset, check_isomorphism
 from symposet.rings import PrimeField
 from symposet.symplectic import SymplecticModule
 from symposet.trees import (UTree, build_T, build_TD, contract,
@@ -277,6 +277,59 @@ def test_TD_genus3_needs_no_echelon_form(genus3, monkeypatch):
     monkeypatch.setattr(linalg, "rref_with_transform", counted)
     assert len(build_TD(L, DP)) == 4816
     assert not calls
+
+
+# -- references: the label pairs of the public constructor ------------------
+
+def summed_TD(L, DP):
+    """TD from label pairs: every strict tree on every decomposition
+    contracted to each proper nonempty edge subset, with the parts that
+    land on one quotient vertex summed by an echelon form."""
+    shapes = {m: enumerate_trees(m, strict=True) for m in {len(d) for d in DP}}
+    elements, rel = [], []
+    for dec in DP:
+        for T in shapes[len(dec)]:
+            here = (dec, T.certificate())
+            elements.append(here)
+            for k in range(1, len(T.edges)):
+                for E in itertools.combinations(T.edges, k):
+                    S = contract(T, E)
+                    rows = {}
+                    for j, v in enumerate(S.labeling):
+                        rows.setdefault(v, []).extend(dec[j])
+                    key = {v: L.submodule(r).key() for v, r in rows.items()}
+                    coarse = tuple(sorted(key.values()))
+                    labeling = [v for c in coarse for v in key if key[v] == c]
+                    cert = UTree(S.n, S.edges, labeling).certificate()
+                    rel.append(((coarse, cert), here))
+    return FinitePoset(elements, rel)
+
+
+def _same_numbering(P, Q):
+    return P.elements == Q.elements and P.up_sets() == Q.up_sets()
+
+
+@pytest.mark.parametrize("ring", [F2, PrimeField(3)])
+def test_TD_genus2_matches_the_label_pair_reference(ring):
+    L = SymplecticModule.standard(ring, 2)
+    DP = build_D(L, strict=True)
+    assert _same_numbering(build_TD(L, DP), summed_TD(L, DP))
+
+
+def test_TD_genus3_matches_the_label_pair_reference(genus3, forget3):
+    L, DP = genus3
+    TD, _ = forget3
+    assert _same_numbering(TD, summed_TD(L, DP))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_T_matches_the_label_pair_reference(m):
+    shapes = enumerate_trees(m)
+    rel = [(contract(T, E).certificate(), T.certificate()) for T in shapes
+           for k in range(1, len(T.edges))
+           for E in itertools.combinations(T.edges, k)]
+    reference = FinitePoset([T.certificate() for T in shapes], rel)
+    assert _same_numbering(build_T(m), reference)
 
 
 def test_merge_certificates_survive_optimized_python():
