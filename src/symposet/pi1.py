@@ -16,12 +16,16 @@ Tietze reduction runs its rounds on those.  An order complex is a flag
 complex: three pairwise comparable vertices form a chain, so a triangle.
 The second collapse is therefore read off the vertices alone, with no
 triangle index: an edge xz dies when x and z have a common dead
-neighbour.  That rule holds only on an order complex, so the probe
-takes the poset alone and reads the vertices, edges and triangles off
-its sorted successor tuples, in the order ``complexes.order_complex``
-lists them.  Rooting the tree at a vertex of largest degree makes
-cones collapse at once: every other edge has two ends that the tree
-joins to the apex, a common dead neighbour.
+neighbour.  It runs as one sweep over the vertices in tree order, each
+vertex rescanned until it kills nothing and visited again only when a
+neighbour kills one of its edges.  That rule holds only on an order
+complex, so the probe takes the poset alone and reads the vertices and
+edges off its up-sets; only when some edge survives does it read the
+sorted successor tuples, to number the generators and stream the
+triangles in the order ``complexes.order_complex`` lists them.  Rooting
+the tree at a vertex of largest degree makes cones collapse at once:
+every other edge has two ends that the tree joins to the apex, a common
+dead neighbour.
 """
 
 from __future__ import annotations
@@ -47,68 +51,74 @@ def edge_path_presentation(P):
     edges of a breadth-first spanning tree die first.  Then an edge xz
     dies when x and z have a common dead neighbour y: {x, y, z} is then
     pairwise comparable, a chain, so a triangle of the order complex whose
-    other two edges are dead.  One pass goes over the edges in edge order;
-    each later pass rescans only the live neighbours of the vertices whose
-    dead sets grew in the pass before.  The rule only ever adds dead
-    edges, so the closure is the least set of dead edges that holds the
-    tree and is closed under it, whatever order the kills come in.  The
-    surviving edges are the generators 1, 2, ... in edge order; each
-    triangle (x, y, z) that keeps one gives the relator of its live
-    letters of xy, yz, (xz)^-1, in that order, where an edge (a, b) read
-    from b to a is -g.  The triangles are streamed only then.
+    other two edges are dead.  The kills are made in one sweep over the
+    vertices in tree order: at each vertex v every live edge vu whose ends
+    share a dead neighbour dies, and v is rescanned until it kills
+    nothing; a vertex u that gains a dead neighbour so is queued to be
+    visited again, as a live edge can newly die only at an end whose dead
+    set grew.  The sweep ends when no vertex is queued.  The rule only
+    ever adds dead edges, so the closure is the least set of dead edges
+    that holds the tree and is closed under it, whatever order the kills
+    come in.  Only when some edge survives are the successor tuples
+    sorted: the surviving edges are the generators 1, 2, ... in edge
+    order, and each triangle (x, y, z) that keeps one gives the relator of
+    its live letters of xy, yz, (xz)^-1, in that order, where an edge
+    (a, b) read from b to a is -g.
     """
-    succ = P.successors()
     up = P.up_sets()
-    down = [[] for _ in succ]
-    for x, s in enumerate(succ):
-        for y in s:
-            down[y].append(x)
-    n = len(succ)
+    n = len(up)
     if not n:
         return None
-    deg = [len(a) + len(b) for a, b in zip(up, down)]
+    down = [[] for _ in up]
+    for x, u in enumerate(up):
+        for y in u:
+            down[y].append(x)
+    # each vertex's neighbours, the ones above and then the ones below
+    nbrs = [(*u, *d) for u, d in zip(up, down)]
+    del down
+    deg = list(map(len, nbrs))
     # the root is a vertex of largest degree, the largest number among
     # those, and each vertex meets its new neighbours in number order
     root = max(range(n), key=lambda v: (deg[v], v))
     dead = [None] * n  # each vertex's dead neighbours
     dead[root] = set()
-    seen = {root}
+    seen = bytearray(n)
+    seen[root] = 1
     order = [root]
     for v in order:  # breadth first: the list grows as it is read
         if len(order) == n:
             break
-        new = sorted(up[v].union(down[v]) - seen)
-        seen.update(new)
-        dead[v].update(new)
+        new = sorted(w for w in nbrs[v] if not seen[w])
         for w in new:
+            seen[w] = 1
             dead[w] = {v}
+        dead[v].update(new)
         order += new
     if len(order) < n:
         return None
-    grown = set()
-    for x, s in enumerate(succ):
-        dx = dead[x]
-        for z in s:
-            if z not in dx and not dx.isdisjoint(dead[z]):
-                dx.add(z)
-                dead[z].add(x)
-                grown.update((x, z))
-    while grown:
-        # a live edge uv can newly die only through a dead neighbour that
-        # u or v gained in the last pass, so u or v is in grown
-        again = set()
-        for v in grown:
-            dv = dead[v]
-            if len(dv) == deg[v]:  # no live edge left at v
-                continue
-            for u in up[v].union(down[v]) - dv:
+    # sweep the vertices in tree order; a vertex is rescanned until it
+    # kills nothing, and queued again when a neighbour kills its edge
+    queued = bytearray(b"\x01") * n
+    work = deque(order)
+    while work:
+        v = work.popleft()
+        queued[v] = 0
+        dv = dead[v]
+        d = deg[v]
+        killed = True
+        while killed and len(dv) < d:
+            killed = False
+            for u in nbrs[v]:
                 if u not in dv and not dv.isdisjoint(dead[u]):
                     dv.add(u)
                     dead[u].add(v)
-                    again.update((u, v))
-        grown = again
+                    killed = True
+                    if not queued[u]:
+                        queued[u] = 1
+                        work.append(u)
     if sum(map(len, dead)) == sum(deg):
         return 0, []
+    succ = P.successors()
     gen = {e: i for i, e in enumerate(
         ((x, y) for x, s in enumerate(succ) for y in s
          if y not in dead[x]), 1)}

@@ -9,6 +9,7 @@ import pytest
 from symposet import complexes, pi1
 from symposet.builders import build_O, flag_to_decomposition
 from symposet.complexes import order_complex
+from symposet.homology import map_connectivity
 from symposet.pi1 import (coset_enumeration_trivial, edge_path_presentation,
                           pi1_probe, tietze_reduce)
 from symposet.posets import (FinitePoset, barycentric_subdivision,
@@ -260,17 +261,42 @@ def test_collapse_has_no_round_cap(monkeypatch):
     assert pi1_probe(P) == "trivial"
 
 
+def renumbered(P, perm):
+    """P with vertex i renumbered perm[i]: the same order, so the same
+    complex, met by the collapse in another order."""
+    up = P.up_sets()
+    elements, new_up = [None] * len(up), [None] * len(up)
+    for i, u in enumerate(up):
+        elements[perm[i]] = P.elements[i]
+        new_up[perm[i]] = frozenset(map(perm.__getitem__, u))
+    return FinitePoset._trusted(elements, new_up)
+
+
 def test_collapse_matches_the_closure_oracle():
     # the collapse kills an edge whose ends share a dead neighbour, the
     # oracle the last live edge of a triangle; on an order complex the
     # two rules are one, and each reaches the least closed set of dead
-    # edges that holds the tree, whatever order it kills in
-    rng = random.Random(2402)
+    # edges that holds the tree, whatever order it kills in.  The collapse
+    # sweeps the vertices in tree order, so each poset is also met with
+    # its vertices shuffled: kills then reach vertices the sweep has
+    # passed, which must be visited again
+    rng, shuffler = random.Random(2402), random.Random(3307)
+
+    def shuffled(P):
+        perm = list(range(len(P)))
+        shuffler.shuffle(perm)
+        return renumbered(P, perm)
+
     posets = []
     for _ in range(120):
         P = random_poset(rng, rng.randint(3, 8), p=rng.choice((0.3, 0.45, 0.6)))
-        posets += [P, barycentric_subdivision(P)]
-    posets += [face_poset(RP2_FACES), subsets_poset(5), build_O(2, F3)]
+        Q = barycentric_subdivision(P)
+        posets += [P, Q, shuffled(P), shuffled(Q)]
+    # O(3, F_2) collapses entirely, but one sweep in tree order that
+    # visits no vertex twice leaves some of its edges live
+    O = build_O(3, F2)
+    posets += [face_poset(RP2_FACES), subsets_poset(5), build_O(2, F3),
+               O, O.opposite(), shuffled(O)]
     L = SymplecticModule.standard(F2, 2)
     cone = mapping_cone(tree_forget_map(L))[0]
     flag_cone = mapping_cone(flag_to_decomposition(L))[0]
@@ -289,27 +315,68 @@ def test_collapse_matches_the_closure_oracle():
             checked += 1
             # fewer generators than the edges off the tree: a triangle fired
             collapsed += pres[0] < len(s[1]) - len(s[0]) + 1
-    assert checked >= 100 and collapsed >= 80
+    assert checked >= 200 and collapsed >= 160
     # the cones of the genus-2 forget and flag maps collapse entirely, as
-    # does the strip, a disk
-    for P in (cone, flag_cone, strip):
+    # do O(3, F_2) and the strip, a disk
+    for P in (cone, flag_cone, O, strip):
         assert edge_path_presentation(P) == (0, [])
     # a kill chain thousands of edges deep: a loop that sweeps every edge
-    # until a sweep kills nothing takes quadratic time here
+    # until a sweep kills nothing takes quadratic time here.  Reversing
+    # the vertex numbers, or the order, runs the chain against the sweep
     P = strip_poset(2400)
-    s = skeleton_of(P)
-    assert len(s[1]) == 48_002
-    assert edge_path_presentation(P) == closure_oracle(s) == (0, [])
+    backwards = renumbered(P, range(len(P))[::-1])
+    for Q in (P, backwards, P.opposite(), backwards.opposite()):
+        s = skeleton_of(Q)
+        assert len(s[1]) == 48_002
+        assert edge_path_presentation(Q) == closure_oracle(s) == (0, [])
+
+
+def test_successors_are_sorted_only_when_an_edge_survives(monkeypatch):
+    # a collapse that leaves nothing numbers no generator and streams no
+    # triangle, so it sorts no successor list; a probing map verdict then
+    # sorts them once, for its order complex
+    calls = []
+    successors = FinitePoset.successors
+
+    def counted(self):
+        calls.append(self)
+        return successors(self)
+
+    monkeypatch.setattr(FinitePoset, "successors", counted)
+    L = SymplecticModule.standard(F2, 2)
+    maps = (tree_forget_map(L), flag_to_decomposition(L))
+    # each poset with the number of sorts its probe makes
+    cases = [(mapping_cone(f)[0], 0) for f in maps]
+    cases += [(strip_poset(150), 0), (face_poset(RP2_FACES), 1),
+              (build_O(2, F3), 1)]
+    for P, sorts in cases:
+        calls.clear()
+        n_gens, _ = edge_path_presentation(P)
+        assert (n_gens > 0) == sorts and len(calls) == sorts
+        calls.clear()
+        pi1_probe(P)
+        assert len(calls) == sorts
+    for f in maps:
+        calls.clear()
+        assert map_connectivity(f, 2).basis == "homology+pi1"
+        assert len(calls) == 1
 
 
 @pytest.mark.slow
 def test_the_genus3_complexes_collapse_on_both_routes():
-    # the two probes of the large benchmark: the cone of the genus-3
-    # forget map and O(3, F_3)
+    # the two probes of the large benchmark, the cone of the genus-3
+    # forget map and O(3, F_3), collapse entirely; the forget map's ends,
+    # D_3^+ and TD_3, keep large presentations, which number generators
+    # and stream triangles from the successor lists
     L = SymplecticModule.standard(F2, 3)
-    for P in (mapping_cone(tree_forget_map(L))[0], build_O(3, F3)):
+    f = tree_forget_map(L)
+    for P in (mapping_cone(f)[0], build_O(3, F3)):
         assert edge_path_presentation(P) == \
             closure_oracle(skeleton_of(P)) == (0, [])
+    for P, n_gens, n_relators in ((f.target, 1905, 0), (f.source, 5805, 3900)):
+        pres = edge_path_presentation(P)
+        assert pres == closure_oracle(skeleton_of(P))
+        assert (pres[0], len(pres[1])) == (n_gens, n_relators)
 
 
 def test_tietze_kills_in_rounds_not_all_at_once():
