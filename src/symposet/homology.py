@@ -307,9 +307,6 @@ class ConnectivityVerdict:
     def ok(self) -> bool:
         return self.status == "verified"
 
-    def summary(self) -> str:
-        return f"{self.status} (level {self.level}, {self.basis})"
-
 
 def _homology_step(P: FinitePoset, level: int, through: int, budget,
                    probe: bool, sub=None):

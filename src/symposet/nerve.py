@@ -184,7 +184,7 @@ class NerveWitness:
 
     ``s[a]`` maps each b < a to an element of X, ``e[a]`` maps pairs
     (b, x in X_a) to X, and ``zigzag[a]`` is a list of maps (as dicts) on
-    the tagged thick join of (A_{<a})^op with X_a, consecutive ones
+    the thick join of (A_{<a})^op with X_a, consecutive ones
     pointwise comparable, the first the assembled map, the last constant.
     """
 
@@ -194,8 +194,7 @@ class NerveWitness:
 
 
 def witness_domain(F: CoverFamily, a) -> FinitePoset:
-    return thick_join(F.A.subposet_lt(a).opposite(), F.member_poset(a),
-                      tag_always=True)
+    return thick_join(F.A.subposet_lt(a).opposite(), F.member_poset(a))
 
 
 def assembled_map(F: CoverFamily, W: NerveWitness, a) -> Dict:

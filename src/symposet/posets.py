@@ -9,7 +9,12 @@ Induced subposets and opposites keep their parent's order.  A join
 numbers the first factor's vertices, then the second's; a thick join
 X's, then Y's, then the products row-major; a mapping cylinder or cone
 the target's vertices, then the source's, then the tip; a subdivision
-its chains lexicographically on the parent's vertex numbers.  The order
+its chains lexicographically on the parent's vertex numbers.  Joins,
+thick joins, cylinders and cones label each element by its origin,
+whatever labels their inputs share, empty factors included: a join (0, x)
+and (1, y); a thick join ("x", x), ("y", y) and ("p", x, y); a cylinder or
+cone, as the join of the target below the source, (0, y) and (1, x), with
+the cone's tip ("cone",).  The order
 is stored once, as the up-set of each vertex: the frozenset of the vertex
 numbers strictly above it, transitively closed.  Labels (often nested
 tuples, whose hash is dear) appear only at the interface: ``above``,
@@ -386,8 +391,8 @@ def check_isomorphism(P: FinitePoset, Q: FinitePoset, mapping: Dict) -> bool:
 
 class PosetMap:
     """A monotone map between finite posets, validated on construction:
-    a map that is not total, leaves the target or is not monotone raises
-    CertificateError."""
+    a map that is not total, has keys outside the source, leaves the
+    target or is not monotone raises CertificateError."""
 
     def __init__(self, source: FinitePoset, target: FinitePoset, mapping: Dict):
         try:
@@ -395,7 +400,7 @@ class PosetMap:
         except KeyError:
             raise CertificateError("mapping must be total") from None
         if len(mapping) != len(values):
-            raise CertificateError("mapping must be total")
+            raise CertificateError("mapping has keys outside the source")
         tpos = target.positions()
         f = []
         for v in values:
@@ -463,16 +468,10 @@ def constant_map(P: FinitePoset, Q: FinitePoset, q) -> PosetMap:
 # joins and cylinders
 
 def join(X: FinitePoset, Y: FinitePoset) -> FinitePoset:
-    """Ordinal sum with every X element below every Y element, numbered X's
-    vertices first, then Y's shifted by len(X)."""
-    if len(X) == 0:
-        return Y
-    if len(Y) == 0:
-        return X
-    collide = not X.positions().keys().isdisjoint(Y.elements)
-    lx = (lambda x: (0, x)) if collide else (lambda x: x)
-    ly = (lambda y: (1, y)) if collide else (lambda y: y)
-    elements = tuple(map(lx, X)) + tuple(map(ly, Y))
+    """Ordinal sum with every X element below every Y element, the X
+    element x labeled (0, x) and the Y element y labeled (1, y).  Numbered
+    X's vertices first, then Y's shifted by len(X)."""
+    elements = tuple((0, x) for x in X) + tuple((1, y) for y in Y)
     # one int object per Y vertex, shared by every up-set holding it
     ys = list(range(len(X), len(elements)))
     shift = ys.__getitem__
@@ -482,33 +481,16 @@ def join(X: FinitePoset, Y: FinitePoset) -> FinitePoset:
     return FinitePoset._trusted(elements, up)
 
 
-def thick_join(X: FinitePoset, Y: FinitePoset, tag_always: bool = False) -> FinitePoset:
+def thick_join(X: FinitePoset, Y: FinitePoset) -> FinitePoset:
     """X and Y side by side with the product X x Y glued in above both.
 
-    Labels stay as-is when the three families cannot collide; otherwise
-    X elements become ("x", x), Y elements ("y", y), products ("p", x, y).
-    The vertices are X's, then Y's shifted by len(X), then the products
-    row-major: (x_i, y_j) is len(X) + len(Y) + i * len(Y) + j.
+    X elements are labeled ("x", x), Y elements ("y", y) and products
+    ("p", x, y).  The vertices are X's, then Y's shifted by len(X), then
+    the products row-major: (x_i, y_j) is len(X) + len(Y) + i * len(Y) + j.
     """
-    if len(Y) == 0 and not tag_always:
-        return X
-    if len(X) == 0 and not tag_always:
-        return Y
-    plain = not tag_always
-    if plain:
-        labels = set(X.elements) | set(Y.elements) | {(x, y) for x in X for y in Y}
-        plain = len(labels) == len(X) + len(Y) + len(X) * len(Y)
-    if plain:
-        lx = lambda x: x
-        ly = lambda y: y
-        lp = lambda x, y: (x, y)
-    else:
-        lx = lambda x: ("x", x)
-        ly = lambda y: ("y", y)
-        lp = lambda x, y: ("p", x, y)
     nx, ny = len(X), len(Y)
-    elements = (tuple(map(lx, X)) + tuple(map(ly, Y))
-                + tuple(lp(x, y) for x in X for y in Y))
+    elements = (tuple(("x", x) for x in X) + tuple(("y", y) for y in Y)
+                + tuple(("p", x, y) for x in X for y in Y))
     # one int object per vertex, shared by every up-set holding it
     ids = list(range(len(elements)))
     ry = ids[nx:nx + ny]
@@ -530,19 +512,17 @@ def thick_join(X: FinitePoset, Y: FinitePoset, tag_always: bool = False) -> Fini
 def _cylinder(f: PosetMap, cone: bool):
     """(M, src, tgt, tip): the mapping cylinder, in which x lies above y
     exactly when f(x) >= y, a relation closed already; with ``cone`` also a
-    tip below the whole source, else tip None.  The label maps tag ("src",
-    x) and ("tgt", y) only when source and target share a label.
+    tip ("cone",) below the whole source, else tip None.  Labeled as the
+    join of the target below the source: the label maps send the target
+    element y to (0, y) and the source element x to (1, x).
 
     M keeps its parents' vertex orders: the target's vertices first, in the
     target's order, then the source's in the source's order, then the tip,
     so target vertex j stays j and source vertex i becomes len(target) + i.
     """
     X, Y = f.source, f.target
-    if X.positions().keys().isdisjoint(Y.elements):
-        src, tgt = dict(zip(X, X)), dict(zip(Y, Y))
-    else:
-        src = {x: ("src", x) for x in X}
-        tgt = {y: ("tgt", y) for y in Y}
+    src = {x: (1, x) for x in X}
+    tgt = {y: (0, y) for y in Y}
     elements = tuple(tgt.values()) + tuple(src.values())
     # one int object per source vertex, shared by every up-set holding it
     sources = list(range(len(Y), len(Y) + len(X)))
@@ -553,8 +533,6 @@ def _cylinder(f: PosetMap, cone: bool):
     tip = None
     if cone:
         tip = ("cone",)
-        while tip in tgt.values() or tip in src.values():
-            tip = tip + ("cone",)
         elements += (tip,)
         up.append(frozenset(sources))
     return FinitePoset._trusted(elements, up), src, tgt, tip
@@ -564,18 +542,20 @@ def mapping_cylinder(f: PosetMap):
     """Cylinder of a monotone map, with the target glued in below the source.
 
     Returns (M, src, tgt) where src and tgt map original labels to labels
-    in M.
+    in M: the source element x is (1, x) and the target element y is
+    (0, y).
     """
     return _cylinder(f, False)[:3]
 
 
 def mapping_cone(f: PosetMap):
-    """Cylinder plus a fresh vertex, the tip, below all of the source.
+    """Cylinder plus a fresh vertex, the tip ("cone",), below all of the
+    source.
 
     Coning off the source leaves the homotopy cofiber of the map; the
     target part is untouched.  The tip is added to the cylinder's relation,
-    so one poset is built, numbered as the cylinder is with the tip last.
-    Returns (M, src, tgt, tip).
+    so one poset is built, labeled and numbered as the cylinder is with the
+    tip last.  Returns (M, src, tgt, tip).
     """
     return _cylinder(f, True)
 
@@ -586,10 +566,9 @@ def cylinder_link_check(f: PosetMap, y) -> bool:
     In the cylinder truncated at the height of y, the link of y, which is
     everything below y and the sources above it, equals the join of the
     open lower set under y with the fiber {x : f(x) >= y} as labeled
-    posets.  Raises ValueError unless the label sets are disjoint.
+    posets: both label a target element y' as (0, y') and a source element
+    x as (1, x), whatever labels source and target share.
     """
-    if not f.target.positions().keys().isdisjoint(f.source.elements):
-        raise ValueError("cylinder link check needs disjoint label sets")
     M, src, tgt = mapping_cylinder(f)
     link = M.induced(M.below(tgt[y]) | (M.above(tgt[y]) & set(src.values())))
     expected = join(f.target.subposet_lt(y), f.fiber_ge(y))

@@ -45,16 +45,18 @@ def test_constructor_rejects_cycles():
 
 def test_input_checks_survive_optimized_python():
     # a doubled label, a relation to a label that is not an element, an
-    # open interval of a pair that is not x < y, and a cylinder link check
-    # on a map whose source and target share labels; under -O a plain
-    # assert would let each through
+    # open interval of a pair that is not x < y, and a map that misses a
+    # source element or has a key outside the source; under -O a plain
+    # assert would let each through.  The cylinder link identity of a map
+    # whose source and target share labels holds under -O too.
     code = """
 from symposet.posets import FinitePoset, PosetMap, cylinder_link_check
+from symposet.snf import CertificateError
 
 def run(build):
     try:
         build()
-    except ValueError as e:
+    except (ValueError, CertificateError) as e:
         print(e)
 
 run(lambda: FinitePoset(['a', 'a', 'b'], [('a', 'b')]))
@@ -62,8 +64,10 @@ run(lambda: FinitePoset('ab', [('a', 'z')]))
 run(lambda: FinitePoset('abc', [('a', 'b')]).open_interval('c', 'a'))
 run(lambda: FinitePoset('abc', [('a', 'b')]).open_interval('b', 'a'))
 edge = FinitePoset('ab', [('a', 'b')])
-run(lambda: cylinder_link_check(PosetMap(edge, edge, {'a': 'a', 'b': 'b'}),
-                                'b'))
+run(lambda: PosetMap(edge, edge, {'a': 'a'}))
+run(lambda: PosetMap(edge, edge, {'a': 'a', 'b': 'b', 'c': 'b'}))
+f = PosetMap(edge, edge, {'a': 'a', 'b': 'b'})
+print([cylinder_link_check(f, y) for y in edge])
 """
     src = os.path.dirname(os.path.dirname(symposet.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -74,7 +78,9 @@ run(lambda: cylinder_link_check(PosetMap(edge, edge, {'a': 'a', 'b': 'b'}),
         "relation endpoint not an element: ('a', 'z')",
         "open interval needs 'c' < 'a'",
         "open interval needs 'b' < 'a'",
-        "cylinder link check needs disjoint label sets",
+        "mapping must be total",
+        "mapping has keys outside the source",
+        "[True, True]",
     ]
 
 
@@ -174,9 +180,16 @@ def test_join_of_zero_spheres_is_circle():
 
 
 def test_join_empty_factor():
-    P = chain(3)
-    assert join(P, FinitePoset([])) == P
-    assert join(FinitePoset([]), P) == P
+    # an empty factor is tagged as any other: the join is the other factor
+    # with its labels tagged by origin, in its order
+    P, E = chain(3), FinitePoset([])
+    assert join(P, E).elements == ((0, 0), (0, 1), (0, 2))
+    assert join(E, P).elements == ((1, 0), (1, 1), (1, 2))
+    assert thick_join(P, E).elements == (("x", 0), ("x", 1), ("x", 2))
+    assert thick_join(E, P).elements == (("y", 0), ("y", 1), ("y", 2))
+    for J in (join(P, E), join(E, P), thick_join(P, E), thick_join(E, P)):
+        assert J.up_sets() == P.up_sets()
+    assert len(join(E, E)) == len(thick_join(E, E)) == 0
 
 
 def test_thick_join_matches_join_homology():
@@ -190,12 +203,18 @@ def test_thick_join_matches_join_homology():
 
 
 def test_thick_join_tagging():
+    # tagged by origin whether the factors share labels or not
     X = antichain(2)
-    W = thick_join(X, X, tag_always=True)
+    W = thick_join(X, X)
     assert ("x", 0) in W and ("y", 0) in W and ("p", 0, 1) in W
     assert W.lt(("x", 0), ("p", 0, 1))
     assert W.lt(("y", 1), ("p", 0, 1))
     assert not W.le(("x", 0), ("y", 0)) and not W.le(("y", 0), ("x", 0))
+    V = thick_join(X, FinitePoset("ab"))
+    assert V.elements == (("x", 0), ("x", 1), ("y", "a"), ("y", "b"),
+                          ("p", 0, "a"), ("p", 0, "b"),
+                          ("p", 1, "a"), ("p", 1, "b"))
+    assert V.up_sets() == W.up_sets()
 
 
 def test_poset_map_validates_monotonicity():
@@ -205,6 +224,15 @@ def test_poset_map_validates_monotonicity():
         PosetMap(P, Q, {0: 0, 1: 1})
     f = PosetMap(P, P, {0: 0, 1: 1})
     assert f(1) == 1
+
+
+def test_poset_map_names_missing_and_extra_keys():
+    P = chain(2)
+    with pytest.raises(CertificateError, match="mapping must be total"):
+        PosetMap(P, P, {0: 0})
+    with pytest.raises(CertificateError,
+                       match="mapping has keys outside the source"):
+        PosetMap(P, P, {0: 0, 1: 1, 2: 1})
 
 
 def test_poset_map_fibers():
@@ -249,6 +277,23 @@ def test_cylinder_link_identity():
             assert cylinder_link_check(f, y)
 
 
+def test_cylinder_link_identity_holds_on_colliding_labels():
+    # the link of (0, y) in the cylinder and the join of Y_{<y} with the
+    # fiber carry the same tags, so the identity holds when source and
+    # target share labels: the identity of an edge, and random maps
+    # between int-labelled posets
+    edge = chain(2)
+    maps = [identity_map(edge)]
+    rng = random.Random(3401)
+    for _ in range(40):
+        X = random_poset(rng, rng.randint(1, 7), p=rng.choice((0.2, 0.45)))
+        Y = random_poset(rng, rng.randint(1, 6), p=rng.choice((0.2, 0.45)))
+        maps += [random_monotone_map(rng, X, Y), random_monotone_map(rng, X)]
+    for f in maps:
+        for y in f.target:
+            assert cylinder_link_check(f, y)
+
+
 def test_mapping_cone_of_identity_is_contractible():
     P = FinitePoset(range(4), [(0, 2), (1, 2), (0, 3)])
     C, src, _, tip = mapping_cone(identity_map(P))
@@ -272,10 +317,10 @@ def test_mapping_cone_is_the_cylinder_with_a_tip_under_the_source():
 
 
 def test_cylinders_keep_their_parents_orders():
-    # the target's vertices in its order, then the source's, then the tip,
-    # with disjoint labels, colliding ones (tagged "src"/"tgt"), an empty
-    # source and a source holding the first tip candidates; a copy numbered
-    # by repr has the same homology
+    # the target's vertices (0, y) in its order, then the source's (1, x),
+    # then the tip ("cone",), with disjoint labels, colliding ones, an
+    # empty source and a source holding the tip's label; a copy numbered by
+    # repr has the same homology
     rng = random.Random(2401)
     maps = []
     for _ in range(30):
@@ -290,19 +335,13 @@ def test_cylinders_keep_their_parents_orders():
     maps.append(constant_map(tips, chain(2), 1))
     reordered = 0
     for f in maps:
-        X, Y = f.source, f.target
-        tagged = not set(X.elements).isdisjoint(Y.elements)
-        if tagged:
-            want = tuple(("tgt", y) for y in Y) + tuple(("src", x) for x in X)
-        else:
-            want = Y.elements + X.elements
+        want = (tuple((0, y) for y in f.target)
+                + tuple((1, x) for x in f.source))
         M, src, tgt = mapping_cylinder(f)
         assert M.elements == want
         C, src, tgt, tip = mapping_cone(f)
-        assert C.elements == want + (tip,)
-        assert tip not in want
-        if f.source is tips:
-            assert tip == ("cone",) * 3
+        assert C.elements == want + (("cone",),)
+        assert tip == ("cone",) and tip not in want
         reordered += C.elements != tuple(sorted(C.elements, key=repr))
         copy = FinitePoset(C.elements, C.relation_pairs())
         assert copy == C
@@ -326,10 +365,11 @@ def _chains_in_vertex_order(P):
 
 
 def test_joins_and_subdivisions_keep_their_parents_orders():
-    # a join numbers X's vertices, then Y's; a thick join X's, Y's, then the
-    # products row-major; a subdivision its chains lexicographically on the
-    # parent's vertex numbers; with disjoint and colliding labels, and a
-    # copy numbered by repr has the same homology
+    # a join numbers X's vertices (0, x), then Y's (1, y); a thick join X's
+    # ("x", x), Y's ("y", y), then the products ("p", x, y) row-major; a
+    # subdivision its chains lexicographically on the parent's vertex
+    # numbers; with disjoint and colliding labels, and a copy numbered by
+    # repr has the same homology
     rng = random.Random(2601)
     reordered = {"join": 0, "thick": 0, "sd": 0}
     for _ in range(30):
@@ -338,24 +378,18 @@ def test_joins_and_subdivisions_keep_their_parents_orders():
                                rng.randint(1, 4))
         built = []
         for A, B in ((X, Y), (X, X)):
-            J = join(A, B)
-            if A is B:
-                want = tuple((0, a) for a in A) + tuple((1, b) for b in B)
-            else:
-                want = A.elements + B.elements
-            assert J.elements == want
-            built.append(("join", J))
-        for A, B, tag, tagged in ((X, Y, False, False), (X, X, False, True),
-                                  (X, Y, True, True)):
-            T = thick_join(A, B, tag_always=tag)
-            if tagged:
-                want = (tuple(("x", a) for a in A) + tuple(("y", b) for b in B)
-                        + tuple(("p", a, b) for a in A for b in B))
-            else:
-                want = (A.elements + B.elements
-                        + tuple((a, b) for a in A for b in B))
-            assert T.elements == want
+            T = thick_join(A, B)
+            assert T.elements == (tuple(("x", a) for a in A)
+                                  + tuple(("y", b) for b in B)
+                                  + tuple(("p", a, b) for a in A for b in B))
             built.append(("thick", T))
+        # the tags keep a factor in repr order in repr order, so join a
+        # thick join, whose products come last, to reorder
+        for A, B in ((X, Y), (X, X), (T, Y)):
+            J = join(A, B)
+            assert J.elements == (tuple((0, a) for a in A)
+                                  + tuple((1, b) for b in B))
+            built.append(("join", J))
         S = barycentric_subdivision(X)
         assert S.elements == _chains_in_vertex_order(X)
         built.append(("sd", S))
@@ -405,7 +439,6 @@ def test_derived_posets_never_turn_a_label_into_a_string():
         assert (len(join(X, Y)), len(join(X, X))) == (7, 8)
         assert len(thick_join(X, Y)) == 4 + 3 + 12
         assert len(thick_join(X, X)) == 4 + 4 + 16
-        assert len(thick_join(X, Y, tag_always=True)) == 4 + 3 + 12
         assert len(barycentric_subdivision(X)) == 4 + 4 + 1
         for h in (f, g):
             M, _, _ = mapping_cylinder(h)
@@ -560,13 +593,8 @@ def _agrees(P, R):
 
 
 def _ref_join(X, Y):
-    if not X.above:
-        return Y
-    if not Y.above:
-        return X
-    collide = bool(set(X.above) & set(Y.above))
-    lx = (lambda x: (0, x)) if collide else (lambda x: x)
-    ly = (lambda y: (1, y)) if collide else (lambda y: y)
+    lx = lambda x: (0, x)
+    ly = lambda y: (1, y)
     ytop = frozenset(map(ly, Y.above))
     above = {lx(x): frozenset(map(lx, u)) | ytop for x, u in X.above.items()}
     above.update((ly(y), frozenset(map(ly, u))) for y, u in Y.above.items())
@@ -574,17 +602,10 @@ def _ref_join(X, Y):
     return _Ref(above, [lx(x) for x in X.order] + [ly(y) for y in Y.order])
 
 
-def _ref_thick_join(X, Y, tag_always=False):
-    if not Y.above and not tag_always:
-        return X
-    if not X.above and not tag_always:
-        return Y
-    plain = not tag_always and len(
-        set(X.above) | set(Y.above) | {(x, y) for x in X.above for y in Y.above}
-    ) == len(X.above) + len(Y.above) + len(X.above) * len(Y.above)
-    lx = (lambda x: x) if plain else (lambda x: ("x", x))
-    ly = (lambda y: y) if plain else (lambda y: ("y", y))
-    lp = (lambda x, y: (x, y)) if plain else (lambda x, y: ("p", x, y))
+def _ref_thick_join(X, Y):
+    lx = lambda x: ("x", x)
+    ly = lambda y: ("y", y)
+    lp = lambda x, y: ("p", x, y)
     above = {}
     for x, u in X.above.items():
         above[lx(x)] = ({lx(v) for v in u}
@@ -603,11 +624,8 @@ def _ref_thick_join(X, Y, tag_always=False):
 
 
 def _ref_cylinder(X, Y, f, cone):
-    if set(X.above) & set(Y.above):
-        src = {x: ("src", x) for x in X.above}
-        tgt = {y: ("tgt", y) for y in Y.above}
-    else:
-        src, tgt = {x: x for x in X.above}, {y: y for y in Y.above}
+    src = {x: (1, x) for x in X.above}
+    tgt = {y: (0, y) for y in Y.above}
     above = {}
     for y, u in Y.above.items():
         above[tgt[y]] = ({tgt[w] for w in u}
@@ -619,8 +637,6 @@ def _ref_cylinder(X, Y, f, cone):
     tip = None
     if cone:
         tip = ("cone",)
-        while tip in above:
-            tip += ("cone",)
         above[tip] = set(src.values())
         order.append(tip)
     return _Ref(above, order), src, tgt, tip
@@ -689,8 +705,6 @@ def test_vertex_number_core_matches_a_label_set_reference():
         _agrees(join(X, X), _ref_join(RX, RX))
         _agrees(thick_join(X, Y), _ref_thick_join(RX, RY))
         _agrees(thick_join(X, X), _ref_thick_join(RX, RX))
-        _agrees(thick_join(X, Y, tag_always=True),
-                _ref_thick_join(RX, RY, tag_always=True))
         _agrees(barycentric_subdivision(X), _ref_subdivision(RX))
         if not len(Y):
             continue
@@ -706,21 +720,21 @@ def test_vertex_number_core_matches_a_label_set_reference():
             RC, rsrc, rtgt, rtip = _ref_cylinder(RX, RT, f.mapping, True)
             assert (src, tgt, tip) == (rsrc, rtgt, rtip)
             _agrees(C, RC)
-        f = maps[0][0]
-        RM, src, tgt, _ = _ref_cylinder(RX, RY, f.mapping, False)
-        for y in Y:
-            fiber = RX.induced(x for x in RX.above
-                               if f(x) == y or f(x) in RY.above[y])
-            _agrees(f.fiber_ge(y), fiber)
-            _agrees(f.fiber_le(y), RX.induced(
-                x for x in RX.above if f(x) == y or y in RY.above[f(x)]))
-            # the link of y in the cylinder, and the join it must equal
-            link = RM.induced(RM.below(tgt[y])
-                              | (RM.above[tgt[y]] & set(src.values())))
-            expected = _ref_join(RY.induced(RY.below(y)), fiber)
-            _agrees(join(Y.subposet_lt(y), f.fiber_ge(y)), expected)
-            assert link.above == expected.above
-            assert cylinder_link_check(f, y)
+            # on disjoint labels (X -> Y) and colliding ones (X -> X)
+            for y in f.target:
+                fiber = RX.induced(x for x in RX.above
+                                   if f(x) == y or f(x) in RT.above[y])
+                _agrees(f.fiber_ge(y), fiber)
+                _agrees(f.fiber_le(y), RX.induced(
+                    x for x in RX.above if f(x) == y or y in RT.above[f(x)]))
+                # the link of y in the cylinder, and the join it must equal
+                link = RM.induced(RM.below(rtgt[y])
+                                  | (RM.above[rtgt[y]] & set(rsrc.values())))
+                expected = _ref_join(RT.induced(RT.below(y)), fiber)
+                _agrees(join(f.target.subposet_lt(y), f.fiber_ge(y)),
+                        expected)
+                assert link.above == expected.above
+                assert cylinder_link_check(f, y)
     assert min(seen.values()) >= 3, seen
 
 
