@@ -49,12 +49,12 @@ homology refutation still comes first.
 The Cohen-Macaulay sweep walks its links as vertex sets of the poset's
 stored order.  An empty link, and a lower or upper link that holds the
 global minimum or maximum (a cone), is settled from its dimension alone,
-with no key and no poset.  So is a link that heights show to be an
-antichain, from its size: an interval of span 2, a lower link at height
-1, an upper link with no chain of length 2 above its vertex; and an
-interval of span 1, which heights show to be empty.  Every other task is
-keyed by its target and renumbered up-sets, the whole poset first by its
-own, and only a key the sweep has not seen builds a poset.
+with no poset.  So is a link that heights show to be an antichain, from
+its size: an interval of span 2, a lower link at height 1, an upper link
+with no chain of length 2 above its vertex; and an interval of span 1,
+which heights show to be empty.  Every other task, the whole poset
+first, builds its link once, by ``P.induced``, and runs the full
+homology route on it.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ from typing import Dict, Optional, Tuple
 
 from .complexes import BudgetExceeded, DEFAULT_BUDGET, OrderComplex, \
     columns, count_chains, order_complex, relative_boundary_rows
-from .posets import FinitePoset, PosetMap, _chain_heights, \
-    _induced_up_sets, mapping_cone
+from .posets import FinitePoset, PosetMap, _chain_heights, mapping_cone
 from .snf import CertificateError, smith_invariants
 from . import pi1
 
@@ -432,33 +431,30 @@ def _settled(dim: int, target: int, points: int = 1) -> ConnectivityVerdict:
 
 
 def _cm_tasks(P: FinitePoset, n: int):
-    """The sweep's tasks in order, each as (kind, tag, ids, key), or as
-    (kind, tag, None, verdict) for a task settled from the ints.
+    """The sweep's tasks in order, each as (kind, tag, keep, target), or
+    as (kind, tag, None, verdict) for a task settled from the ints.
 
     The tasks are the whole poset, then the lower and the upper link of
     each vertex v, then the open interval (v, w) for each w in
     ``sorted(up[v])``, v in vertex order: an order that follows the vertex
     numbers, never a label's hash.  Each task is a vertex set of P's
-    stored order: ``down[v]``, ``up[v]`` or ``up[v] & down[w]``.
+    stored order: ``range(len(P))``, ``down[v]``, ``up[v]`` or
+    ``up[v] & down[w]``.
 
-    A task other than the whole poset is settled in O(1), with no key and
-    no poset, when it is empty, when it is a lower link that holds the
-    global minimum of P, or an upper link that holds the global maximum:
-    those links are cones.  A lower link has dimension h(v) - 1, its
-    target; an upper link the longest chain above v less one, which in a
-    poset that is not graded need not be its target.  Heights settle more:
-    an element x strictly between v and w lies below no other such element
-    y when h(w) - h(v) <= 2, for v < x < y < w would make h(w) >= h(v) + 3.
-    So an interval of span h(w) - h(v) = 1 is empty, with no intersection
+    A task other than the whole poset is settled in O(1), with no poset,
+    when it is empty, when it is a lower link that holds the global
+    minimum of P, or an upper link that holds the global maximum: those
+    links are cones.  A lower link has dimension h(v) - 1, its target; an
+    upper link the longest chain above v less one, which in a poset that
+    is not graded need not be its target.  Heights settle more: an element
+    x strictly between v and w lies below no other such element y when
+    h(w) - h(v) <= 2, for v < x < y < w would make h(w) >= h(v) + 3.  So
+    an interval of span h(w) - h(v) = 1 is empty, with no intersection
     taken, and one of span 2 is an antichain, as is a lower link with
     h(v) = 1 and an upper link whose longest chain above v has length 1.
     An antichain of m elements is settled by m alone.  The verdict is
-    ``_settled``'s.  Every other task is keyed: ``ids`` are its vertex
-    numbers in P, sorted, and ``key`` is (target, up-sets of the full
-    subposet on ``ids``, renumbered in that order), the very up-sets that
-    ``P.induced`` gives that subposet.  The whole poset needs no
-    renumbering: its ids are ``range(len(P))`` and its key (n, P's
-    up-sets).
+    ``_settled``'s.  Every other task carries ``keep``, its vertex set, and
+    the target its link must be spherical in.
     """
     up, down, el = P.up_sets(), P.down_sets(), P.elements
     h = P._heights()
@@ -469,17 +465,13 @@ def _cm_tasks(P: FinitePoset, n: int):
     depth = _chain_heights(down)
     settled = {}
 
-    def keyed(kind, tag, keep, target):
-        ids, order = _induced_up_sets(up, keep)
-        return kind, tag, ids, (target, order)
-
     def settle(kind, tag, dim, target, points=1):
         v = settled.get((dim, target, points))
         if v is None:
             v = settled[dim, target, points] = _settled(dim, target, points)
         return kind, tag, None, v
 
-    yield "whole", None, range(len(el)), (n, up)
+    yield "whole", None, range(len(el)), n
     for v, x in enumerate(el):
         d, u = down[v], up[v]
         if not d or bottom in d:
@@ -487,13 +479,13 @@ def _cm_tasks(P: FinitePoset, n: int):
         elif h[v] == 1:
             yield settle("below", x, 0, 0, len(d))
         else:
-            yield keyed("below", x, d, h[v] - 1)
+            yield "below", x, d, h[v] - 1
         if not u or top in u:
             yield settle("above", x, depth[v] - 1, n - 1 - h[v])
         elif depth[v] == 1:
             yield settle("above", x, 0, n - 1 - h[v], len(u))
         else:
-            yield keyed("above", x, u, n - 1 - h[v])
+            yield "above", x, u, n - 1 - h[v]
     for v, x in enumerate(el):
         u, hv = up[v], h[v]
         for w in sorted(u):
@@ -506,7 +498,7 @@ def _cm_tasks(P: FinitePoset, n: int):
                 yield settle("interval", (x, el[w]), 0 if keep else -1, 0,
                              len(keep))
             elif keep:
-                yield keyed("interval", (x, el[w]), keep, span - 2)
+                yield "interval", (x, el[w]), keep, span - 2
             else:
                 yield settle("interval", (x, el[w]), -1, span - 2)
 
@@ -536,37 +528,21 @@ def cohen_macaulay_check(P: FinitePoset, n: int,
     the whole poset and the graph (0, L); on I(genus 2, radical 1), 1,500
     of 1,501, and only the whole poset is computed.
 
-    Every other task is a key, (target, up-sets), read from P's stored
-    order over vertex numbers; no poset is built and no label is hashed for
-    it.  Each distinct key is computed once per sweep: only a new key has
-    its poset built, by ``P.induced``, whose ``up_sets()`` must equal the
-    key (else CertificateError), and a repeated key reuses that verdict.
-    That is exact, because ``homology_spherical`` without a probe reads
-    only the up-sets (heights, successor lists and the order complex over
-    vertex numbers), never a label, and the budget is the same for every
-    task.  So each distinct link still runs the full homology route with
-    its dd=0 check, and a repeat can only repeat a verdict that was
-    established.
+    Every other task has its link built once, by ``P.induced`` on the
+    labels of its vertex set (the whole poset's is P itself), and runs
+    ``homology_spherical`` on it without a probe: the full homology route
+    with its dd=0 check.
     """
     if P.dim() != n:
         return ConnectivityVerdict(n, "refuted", "dimension",
                                    {"dim": P.dim(), "expected": n})
     checked = 0
-    seen = {}
     el = P.elements
-    for kind, tag, ids, key in _cm_tasks(P, n):
-        # a settled task carries its verdict where a keyed one has its key
-        v = key if ids is None else seen.get(key)
-        if v is None:
-            sub = P.induced(map(el.__getitem__, ids))
-            if sub.up_sets() != key[1]:
-                raise CertificateError(
-                    "an induced subposet does not have its key's order")
-            # the memo keys on the link's own up-sets, so the task's copy
-            # of them is freed
-            key = (key[0], sub.up_sets())
-            v = seen[key] = homology_spherical(sub, key[0], budget=budget,
-                                               probe=False)
+    for kind, tag, keep, v in _cm_tasks(P, n):
+        # a settled task carries its verdict where another has its target
+        if keep is not None:
+            v = homology_spherical(P.induced(map(el.__getitem__, keep)), v,
+                                   budget=budget, probe=False)
         if v.status == "refuted":
             return ConnectivityVerdict(n, "refuted", "homology",
                                        {"part": kind, "at": tag, "sub": v.detail,

@@ -245,8 +245,12 @@ class FinitePoset:
         whole poset is this poset itself."""
         if len(keep) == len(self):
             return self
-        ids, up = _induced_up_sets(self._up, keep)
-        return FinitePoset._trusted(tuple(self._labels(ids)), up)
+        ids = sorted(keep)
+        new = {v: k for k, v in enumerate(ids)}
+        return FinitePoset._trusted(
+            tuple(self._labels(ids)),
+            tuple(frozenset(map(new.__getitem__, self._up[v] & keep))
+                  for v in ids))
 
     def opposite(self) -> "FinitePoset":
         return FinitePoset._trusted(self._elements, self._down_sets(),
@@ -311,16 +315,6 @@ def _numbered(labels):
     the labels when one is given twice."""
     elements = tuple(sorted(labels, key=repr))
     return elements, dict(zip(elements, range(len(elements))))
-
-
-def _induced_up_sets(up, keep):
-    """The vertex numbers in the set ``keep``, sorted, and the up-sets of
-    the full subposet on them, with the k-th of them renumbered k: the
-    order of the induced subposet, read from the parent's up-sets ``up``."""
-    ids = sorted(keep)
-    new = {v: k for k, v in enumerate(ids)}
-    return ids, tuple(frozenset(map(new.__getitem__, up[v] & keep))
-                      for v in ids)
 
 
 def _close(succ) -> List[FrozenSet[int]]:

@@ -28,6 +28,8 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 from typing import Dict, Iterator, List, Tuple
 
 from . import __version__
@@ -175,6 +177,38 @@ def unimodular_count(q: int, g: int) -> int:
                for a in range(g + 1))
 
 
+def genus_one_submodules(q: int, g: int) -> int:
+    """The a = 1 term of ``unimodular_count``."""
+    return _symplectic_group_order(q, g) // (
+        _symplectic_group_order(q, 1) * _symplectic_group_order(q, g - 1))
+
+
+def decomposition_count(q: int, g: int) -> int:
+    """|D| at genus g = 2 or 3 over F_q: {L}; a genus-1 part with its perp,
+    each pair met twice at genus 2; and at genus 3 three genus-1 parts, met
+    as V_1 and then V_2 in its genus-2 perp in all 3! orders."""
+    n2 = genus_one_submodules(q, 2)
+    if g == 2:
+        return 1 + n2 // 2
+    n3 = genus_one_submodules(q, 3)
+    return 1 + n3 + n3 * n2 // 6
+
+
+def isotropic_sequence_count(q: int, g: int, r: int = 0) -> int:
+    """|I(L)| for L of genus g and radical rank r over F_q: the vector after
+    i of them lies in their span's perp, off the span: q^(2g+r-i) - q^(r+i)
+    ways."""
+    return sum(accumulate((q ** (2 * g + r - i) - q ** (r + i)
+                           for i in range(g)), mul))
+
+
+def split_unimodular_count(q: int, g: int) -> int:
+    """|HU| at genus g over F_q: the hyperbolic pair after i of them lies in
+    their genus-(g - i) perp: (q^(2(g-i)) - 1) q^(2(g-i)-1) ways."""
+    return sum(accumulate(((q ** (2 * (g - i)) - 1) * q ** (2 * (g - i) - 1)
+                           for i in range(g)), mul))
+
+
 def criterion_unimodular_genus2(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
     L = SymplecticModule.standard(ring, 2)
@@ -234,20 +268,22 @@ def criterion_decomposition_cm(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
     L2 = SymplecticModule.standard(ring, 2)
     D2 = build_D(L2)
+    count = decomposition_count(ring.p, 2)
     yield _expect("dec.g2.count",
-                  "genus-2 decomposition poset has 11 elements",
-                  len(D2), 11)
+                  f"genus-2 decomposition poset has {count} elements",
+                  len(D2), count)
     v = cohen_macaulay_check(D2, 1, budget=cfg.budget)
     yield make_record(
         "dec.g2.cm", "genus-2 decomposition poset is homologically "
         "Cohen-Macaulay of dim 1", v)
     P2 = build_D(L2, strict=True)
     prof = reduced_homology(P2, budget=cfg.budget)
-    ok = (len(P2) == 10 and P2.dim() == 0 and prof.betti == {0: 9})
+    ok = (len(P2) == count - 1 and P2.dim() == 0
+          and prof.betti == {0: count - 2})
     yield make_record(
         "dec.g2.proper",
-        "proper genus-2 decompositions form a 10-element antichain with "
-        "9 reduced zero-cycles", ok,
+        f"proper genus-2 decompositions form a {count - 1}-element antichain "
+        f"with {count - 2} reduced zero-cycles", ok,
         elements=len(P2), dim=P2.dim(), betti=_jsonable(prof.betti))
     f2 = flag_to_decomposition(L2, D=D2)
     rep = fiber_transfer_check(f2, None, 1, budget=cfg.budget)
@@ -260,20 +296,22 @@ def criterion_decomposition_cm(cfg: SuiteConfig) -> Iterator[dict]:
     if cfg.genus >= 3:
         L3 = SymplecticModule.standard(ring, 3)
         D3 = build_D(L3)
+        count = decomposition_count(ring.p, 3)
         yield _expect("dec.g3.count",
-                      "genus-3 decomposition poset has 1457 elements",
-                      len(D3), 1457)
+                      f"genus-3 decomposition poset has {count} elements",
+                      len(D3), count)
         v = cohen_macaulay_check(D3, 2, budget=cfg.budget)
         yield make_record(
             "dec.g3.cm", "genus-3 decomposition poset is homologically "
             "Cohen-Macaulay of dim 2", v)
         P3 = build_D(L3, strict=True)
         prof = reduced_homology(P3, through_degree=0, budget=cfg.budget)
-        ok = (len(P3) == 1456 and P3.dim() == 1
+        ok = (len(P3) == count - 1 and P3.dim() == 1
               and prof.betti.get(0, 0) == 0)
         yield make_record(
             "dec.g3.proper",
-            "proper genus-3 decompositions: 1456 elements, dim 1, connected",
+            f"proper genus-3 decompositions: {count - 1} elements, dim 1, "
+            "connected",
             ok, elements=len(P3), dim=P3.dim())
         f3 = flag_to_decomposition(L3, D=D3)
         v = map_connectivity(f3, 2, budget=cfg.budget)
@@ -400,12 +438,10 @@ def _rho_retraction_record(cfg: SuiteConfig) -> dict:
 
 def criterion_isotropic_cm(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
-    cases = [("g1", SymplecticModule.standard(ring, 1), 0, 3),
-             ("g2", SymplecticModule.standard(ring, 2), 1, 105),
-             ("g1r1", SymplecticModule.standard(ring, 1, r=1), 0, 6),
-             ("g2r1", SymplecticModule.standard(ring, 2, r=1), 1, 390)]
-    for tag, L, n, count in cases:
-        I = build_I(L)
+    for tag, g, r in (("g1", 1, 0), ("g2", 2, 0), ("g1r1", 1, 1),
+                      ("g2r1", 2, 1)):
+        I = build_I(SymplecticModule.standard(ring, g, r=r))
+        count, n = isotropic_sequence_count(ring.p, g, r), g - 1
         yield _expect(f"stability.iso.{tag}.count",
                       f"isotropic-sequence poset {tag} has {count} "
                       "elements", len(I), count)
@@ -420,9 +456,10 @@ def criterion_split_unimodular(cfg: SuiteConfig) -> Iterator[dict]:
     ring = cfg.ring_object()
     g = 2
     HU = build_HU(g, ring)
+    count = split_unimodular_count(ring.p, g)
     yield _expect("stability.hu.count",
-                  "genus-2 split-unimodular sequence poset has 840 "
-                  "elements", len(HU), 840)
+                  f"genus-2 split-unimodular sequence poset has {count} "
+                  "elements", len(HU), count)
     h = hu_decomposition_map(g, ring, HU=HU)
     DP = h.target
     ineq_ok = True
@@ -509,10 +546,11 @@ def criterion_cover_nerve(cfg: SuiteConfig) -> Iterator[dict]:
         "matching the two-way transfer at the level below",
         vA.ok() and vX.ok())
     prof = reduced_homology(F.X, budget=cfg.budget)
+    cycles = genus_one_submodules(ring.p, 2) - 1
     yield _expect(
         "nerve.interval.sharpness",
-        "without a witness the target is not 0-connected: 19 reduced "
-        "zero-cycles remain", prof.betti, {0: 19})
+        f"without a witness the target is not 0-connected: {cycles} reduced "
+        "zero-cycles remain", prof.betti, {0: cycles})
 
     F1, W1 = isotropic_perp_cover(L, "positive")
     rep1 = validate_cover(F1)
@@ -661,9 +699,13 @@ def criterion_tree_posets(cfg: SuiteConfig) -> Iterator[dict]:
         DP3 = build_D(L3, strict=True)
         TD3 = build_TD(L3, DP=DP3)
         p3 = tree_forget_map(L3, TD=TD3, DP=DP3)
+        # 1 strict tree on 2 parts, an edge, and 4 on 3 parts, a path with
+        # any part in the middle or a star
+        pairs = genus_one_submodules(ring.p, 3)
+        count = pairs + 4 * (decomposition_count(ring.p, 3) - 1 - pairs)
         yield _expect(
-            "trees.g3.count", "genus-3 tree poset has 4816 elements",
-            len(TD3), 4816)
+            "trees.g3.count", f"genus-3 tree poset has {count} elements",
+            len(TD3), count)
         M, _, _ = mapping_cylinder(p3)
         v = map_connectivity(p3, M.dim(), budget=cfg.budget)
         yield make_record(

@@ -17,7 +17,7 @@ contraction or part sum is redone per decomposition.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .posets import FinitePoset, PosetMap
 from .snf import CertificateError
@@ -197,35 +197,21 @@ def contraction_unique(n: int, edges, E, Eprime) -> bool:
 
 def enumerate_plain_trees(max_edges: int) -> List[Tuple[int, Tuple]]:
     """One representative (n, edges) per isomorphism class, up to the given
-    edge count, via Pruefer sequences."""
-    out = []
-    for n in range(2, max_edges + 2):
-        seen: Set[Tuple] = set()
-        for seq in itertools.product(range(n), repeat=max(0, n - 2)):
-            edges = _pruefer_to_edges(n, seq)
-            c = tree_certificate(n, edges, lambda v: ())
-            if c not in seen:
-                seen.add(c)
-                out.append((n, edges))
+    edge count, by edge count: each class with k + 1 edges is grown from
+    those with k by a leaf at every vertex, and the first tree per
+    certificate is kept."""
+    layer = [(2, ((0, 1),))] if max_edges >= 1 else []
+    out = list(layer)
+    for _ in range(max_edges - 1):
+        grown: Dict[Tuple, Tuple[int, Tuple]] = {}
+        for n, edges in layer:
+            for v in range(n):
+                tree = tuple(sorted(edges + ((v, n),)))
+                grown.setdefault(tree_certificate(n + 1, tree, lambda v: ()),
+                                 (n + 1, tree))
+        layer = list(grown.values())
+        out += layer
     return out
-
-
-def _pruefer_to_edges(n: int, seq) -> Tuple:
-    if n == 2:
-        return ((0, 1),)
-    seq = list(seq)
-    deg = [1] * n
-    for v in seq:
-        deg[v] += 1
-    edges = []
-    for v in seq:
-        leaf = min(i for i in range(n) if deg[i] == 1)
-        edges.append(tuple(sorted((leaf, v))))
-        deg[leaf] -= 1
-        deg[v] -= 1
-    last = [i for i in range(n) if deg[i] == 1]
-    edges.append(tuple(sorted(last)))
-    return tuple(sorted(edges))
 
 
 def enumerate_trees(m: int, strict: bool = False) -> List[UTree]:

@@ -7,10 +7,15 @@ import time
 import pytest
 
 from symposet import suites
+from symposet.builders import build_D, build_HU, build_I, build_U
 from symposet.homology import ConnectivityVerdict
+from symposet.rings import PrimeField
 from symposet.suites import (SUITE_NAMES, SuiteConfig, VerificationReport,
-                             exit_status, make_record, run_suite,
+                             decomposition_count, exit_status,
+                             genus_one_submodules, isotropic_sequence_count,
+                             make_record, run_suite, split_unimodular_count,
                              unimodular_count)
+from symposet.symplectic import SymplecticModule
 
 
 def rec(verdict):
@@ -121,6 +126,41 @@ def test_unimodular_counts_follow_the_ring():
     assert run_suite("um", SuiteConfig(ring="p3")).to_json() == want
     records = json.loads(want)["records"]
     assert [r["verdict"] for r in records] == ["verified"] * 3
+
+
+def test_expected_counts_follow_closed_formulas():
+    # the suites expect counts from closed formulas in q, never from the
+    # builders they check; here the formulas meet the builders' sizes
+    for q in (2, 3):
+        F = PrimeField(q)
+        L2 = SymplecticModule.standard(F, 2)
+        assert genus_one_submodules(q, 2) == len(build_U(L2)) - 2
+        assert decomposition_count(q, 2) == len(build_D(L2))
+        for g, r in ((1, 0), (2, 0), (1, 1)):
+            assert isotropic_sequence_count(q, g, r) == \
+                len(build_I(SymplecticModule.standard(F, g, r=r)))
+    F2 = PrimeField(2)
+    assert isotropic_sequence_count(2, 2, 1) == \
+        len(build_I(SymplecticModule.standard(F2, 2, r=1)))
+    assert split_unimodular_count(2, 2) == len(build_HU(2, F2))
+    L3 = SymplecticModule.standard(F2, 3)
+    DP3 = build_D(L3, strict=True)
+    assert genus_one_submodules(2, 3) == sum(len(d) == 2 for d in DP3)
+    assert decomposition_count(2, 3) == len(DP3) + 1 == len(build_D(L3))
+    # the F_2 numbers the goldens hold (trees.g3.json checks the genus-3
+    # tree count), and the F_3 ones of the p3 goldens
+    assert [decomposition_count(2, 2), genus_one_submodules(2, 2) - 1,
+            split_unimodular_count(2, 2), decomposition_count(2, 3)] == \
+        [11, 19, 840, 1457]
+    assert [decomposition_count(3, 2), genus_one_submodules(3, 2) - 1,
+            isotropic_sequence_count(3, 2, 1),
+            split_unimodular_count(3, 2)] == [46, 89, 17520, 54000]
+    # the dec.p3.json golden, from ``symposet dec --genus 2 --ring p3 --out``
+    with open(os.path.join(GOLDEN, "dec.p3.json"), encoding="utf-8") as fh:
+        want = fh.read()
+    report = run_suite("dec", SuiteConfig(ring="p3"))
+    assert report.ok
+    assert report.to_json() == want
 
 
 @pytest.mark.slow
