@@ -6,17 +6,18 @@ canonical basis tuple, a sequence of vectors by a tuple of coordinate
 tuples, and a decomposition by the sorted tuple of its members' keys.
 Equality of labels is then exactly equality of the mathematical objects.
 
-Over F_p no builder scans pairs of submodules for containment.  A
-``linalg.ContainmentIndex`` maps each vector to the bitmask of the listed
-submodules that hold it, so the submodules containing S are the AND of
-that mask over S's basis: ``build_U`` reads each submodule's up-set from
-an index over U, and ``build_D`` finds the parts inside the perp of the
-parts chosen so far from an index over the parts' perps.  Every pair an
-index yields is confirmed by ``Submodule.contains_submodule``, raising
-CertificateError, so a false bit cannot pass under ``python -O``.
-Member masks are made by ``linalg.PackedSpace.extend``, which translates a
-whole mask by shifts, and ``build_D`` carries what remains of L as the
-mask of an intersection, whose canonical basis is never computed.
+Over F_p no builder scans pairs of submodules.  A ``ContainmentIndex``
+maps each vector to the bitmask of the listed submodules that hold it, so
+the submodules containing S are the AND of that mask over S's basis:
+``build_U`` reads up-sets from an index over U, and ``build_D`` the parts
+that fit beside those chosen from an index over the parts' perps.  Each
+pair an index yields is confirmed by ``contains_submodule``, raising
+CertificateError also under ``python -O``.  ``build_I`` and ``build_HU``
+draw each next vector from the AND of their members' masks in
+``SymplecticModule.perp_masks``, with no pairing scan, and
+``flag_to_decomposition`` looks each piece of a flag up by member mask.
+Masks grow by ``PackedSpace.extend``, which translates a whole mask by
+shifts.
 
 Every builder numbers its elements by their place in the list it made and
 hands its relation as those ids to ``FinitePoset._from_ids``, which
@@ -31,7 +32,7 @@ decomposition and partition posets.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .linalg import ContainmentIndex, PackedSpace, matrix_rank, set_bits
 from .posets import FinitePoset, PosetMap, barycentric_subdivision
@@ -83,23 +84,23 @@ def build_I(L: SymplecticModule) -> FinitePoset:
     ordered by subword, height = length - 1.
 
     As in ``build_O``, each sequence carries the ``PackedSpace`` bitmask of
-    span(radical + sequence); a vector extends the sequence exactly when
-    its bit is clear and it pairs to zero with every member, which is
-    ``is_isotropic_sequence`` without an echelon form.
+    span(radical + sequence), and also ``allowed``, the AND of its members'
+    masks in ``L.perp_masks()``; the vectors extending it are the bits of
+    ``allowed & ~span``, as ``is_isotropic_sequence`` with no echelon form.
     """
     if not isinstance(L.ring, PrimeField):
         raise ValueError("enumerable over finite fields only")
-    packed = L.packed()
-    current = [((), L.radical().members())]
+    packed, perp = L.packed(), L.perp_masks()
+    current = [((), L.radical().members(), perp[0])]
     elements = []
     while current:
         nxt = []
-        for seq, span in current:
-            for i, v in enumerate(packed.vectors):
-                if span >> i & 1 or any(L.pair(v, w) for w in seq):
-                    continue
-                nxt.append((seq + (v,), packed.extend(span, v)))
-        elements.extend(seq for seq, _ in nxt)
+        for seq, span, allowed in current:
+            for i in set_bits(allowed & ~span):
+                v = packed.vectors[i]
+                nxt.append((seq + (v,), packed.extend(span, v),
+                            allowed & perp[i]))
+        elements.extend(seq for seq, _, _ in nxt)
         current = nxt
     return _subword_poset(elements)
 
@@ -217,38 +218,27 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
 def flag_to_decomposition(L: SymplecticModule, U_gt=None, D=None) -> PosetMap:
     """The map from chains of nonzero unimodular submodules to decompositions:
     successive perpendicular differences, plus the top perp when the chain
-    does not reach L."""
+    does not reach L.  Each piece, cur AND perp(prev) on member masks, is
+    certified by finding its mask among those of ``U_gt``'s elements."""
     if U_gt is None:
         U_gt = build_U(L).subposet_gt(())
     if D is None:
         D = build_D(L)
     sd = barycentric_subdivision(U_gt)
     full_key = L.full_submodule().key()
-    step_cache: Dict[Tuple, Tuple] = {}
-    perp_cache: Dict[Tuple, Tuple] = {}
-
-    def perp_key(key):
-        if key not in perp_cache:
-            perp_cache[key] = submodule_from_key(L, key).perp().key()
-        return perp_cache[key]
-
-    def step(prev, cur):
-        if (prev, cur) not in step_cache:
-            piece = submodule_from_key(L, cur).intersect(
-                submodule_from_key(L, perp_key(prev)))
-            if not (piece.is_unimodular() and piece.rank > 0):
-                raise CertificateError("flag step is not unimodular")
-            step_cache[(prev, cur)] = piece.key()
-        return step_cache[(prev, cur)]
-
+    subs = {key: submodule_from_key(L, key) for key in U_gt}
+    perps = {key: s.perp().members() for key, s in subs.items()}
+    key_of = {s.members(): key for key, s in subs.items()}
     mapping = {}
     for chain in sd:
-        members = [chain[0]]
-        for prev, cur in zip(chain, chain[1:]):
-            members.append(step(prev, cur))
+        pieces = [subs[cur].members() & perps[prev]
+                  for prev, cur in zip(chain, chain[1:])]
         if chain[-1] != full_key:
-            members.append(perp_key(chain[-1]))
-        label = tuple(sorted(members))
+            pieces.append(perps[chain[-1]])
+        parts = [key_of.get(mask) for mask in pieces]
+        if None in parts:
+            raise CertificateError("flag step is not unimodular")
+        label = tuple(sorted(parts + [chain[0]]))
         if label not in D:
             raise CertificateError("flag image is not a decomposition")
         mapping[chain] = label
@@ -301,36 +291,28 @@ def partitions_poset(X: Iterable) -> FinitePoset:
 
 def build_HU(g: int, ring: EuclideanScalarRing) -> FinitePoset:
     """Sequences of hyperbolic pairs in the standard genus-g module, ordered
-    by subword of pairs."""
+    by subword of pairs.  With ``allowed`` the AND of a sequence's perp
+    masks, a pair (v, w) extends it when v is a bit of ``allowed`` and w a
+    bit of ``allowed & ~perp[v]`` with <v, w> = 1."""
     if not isinstance(ring, PrimeField):
         raise ValueError("enumerable over finite fields only")
     if g < 1:
         raise ValueError(f"genus must be at least 1, not {g}")
     L = SymplecticModule.standard(ring, g)
-    vectors = [tuple(v) for v in L.vectors()]
-    one = ring.reduce(1)
-
-    def extensions(seq):
-        out = []
-        flat = [v for pair in seq for v in pair]
-        for v in vectors:
-            if any(L.pair(v, w) != 0 for w in flat):
-                continue
-            for w in vectors:
-                if L.pair(v, w) != one:
-                    continue
-                if any(L.pair(w, x) != 0 for x in flat):
-                    continue
-                out.append(seq + ((v, w),))
-        return out
-
+    vectors, perp = L.packed().vectors, L.perp_masks()
     elements: List[Tuple] = []
-    current = extensions(())
+    current = [((), perp[0])]
     while current:
-        elements.extend(current)
         nxt = []
-        for seq in current:
-            nxt.extend(extensions(seq))
+        for seq, allowed in current:
+            for i in set_bits(allowed):
+                v = vectors[i]
+                for j in set_bits(allowed & ~perp[i]):
+                    w = vectors[j]
+                    if L.pair(v, w) == 1:
+                        nxt.append((seq + ((v, w),),
+                                    allowed & perp[i] & perp[j]))
+        elements.extend(seq for seq, _ in nxt)
         current = nxt
     return _subword_poset(elements)
 

@@ -29,7 +29,8 @@ def _suite_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--ring", default="p2",
                     help="scalar ring: p<prime> (default p2)")
     sp.add_argument("--genus", type=int, default=2,
-                    help="largest genus to exercise (default 2)")
+                    help="3 adds the genus-3 records of um, dec and trees; "
+                         "the others only record it (default 2)")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="simplex budget per homology computation")
     sp.add_argument("--seed", type=int, default=0,

@@ -31,8 +31,9 @@ class CoverFamily:
         self.A = A
         self.X = X
         self.members = {a: frozenset(s) for a, s in members.items()}
+        ground = frozenset(X.elements)
         for a, s in self.members.items():
-            if not s <= frozenset(X.elements):
+            if not s <= ground:
                 raise ValueError(f"members of {a!r} escape X")
         self._posets: Dict = {}
 
@@ -289,7 +290,8 @@ def isotropic_perp_cover(L: SymplecticModule, mode: str = "positive"):
 
     Returns (CoverFamily, NerveWitness or None).  The heights of both
     posets come from their order: length - 1 on sequences, genus - 1 on
-    targets.
+    targets.  A sequence's perp is the AND of its lifts' masks in
+    ``L.perp_masks()``.
     """
     from .builders import build_I, build_U
 
@@ -306,12 +308,18 @@ def isotropic_perp_cover(L: SymplecticModule, mode: str = "positive"):
         X = U.open_interval(zero, full)
     else:
         X = U.subposet_gt(zero)
+    packed, perp = L.packed(), L.perp_masks()
+    lift_perp = {v: perp[packed.index_of(quot.lift(v))]
+                 for v in quot.module.vectors()}
+    targets = [(u, Submodule(L, u, _canonical=True).members()) for u in X]
     members = {}
     for seq in A:
         # L_v: everything pairing to zero with the lifts
-        Lv = Submodule(L, [quot.lift(v) for v in seq]).perp()
+        allowed = perp[0]
+        for v in seq:
+            allowed &= lift_perp[v]
         members[seq] = frozenset(
-            u for u in X if Lv.contains_submodule(Submodule(L, u, _canonical=True)))
+            u for u, mask in targets if not mask & ~allowed)
     F = CoverFamily(A, X, members)
     if mode == "interval":
         return F, None

@@ -371,16 +371,12 @@ def barycentric_subdivision(P: FinitePoset) -> FinitePoset:
 
 def check_isomorphism(P: FinitePoset, Q: FinitePoset, mapping: Dict) -> bool:
     """Whether ``mapping`` is an order isomorphism from P onto Q."""
-    if set(mapping) != set(P.elements):
+    if set(mapping) != set(P) or len(set(mapping.values())) != len(P):
         return False
-    # as many values as elements of Q, all of them: a bijection
-    if len(P) != len(Q) or set(mapping.values()) != set(Q.elements):
-        return False
-    for x in P:
-        for y in P:
-            if x != y and P.lt(x, y) != Q.lt(mapping[x], mapping[y]):
-                return False
-    return True
+    # with distinct labels, P relabeled equals Q exactly when the map is a
+    # bijection onto Q that carries each up-set onto its image's
+    return FinitePoset._trusted(
+        tuple(map(mapping.__getitem__, P.elements)), P._up) == Q
 
 
 class PosetMap:

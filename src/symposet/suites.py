@@ -17,6 +17,9 @@ Suite names:
     trees       labeled trees over decompositions
     core-props  generic poset-homotopy machinery on random instances
 
+Only ``um``, ``dec`` and ``trees`` read ``--genus``: at 3 or more each adds
+its genus-3 records.  The others ignore it; every report records it.
+
 Verdicts never exceed their evidence: a check that relies on homology
 alone says so, and a refuted or budget-starved record drives the process
 exit status (1 and 2 respectively).

@@ -8,17 +8,14 @@ submodules have equal basis tuples and the basis tuple can serve as a
 dictionary key or poset label.
 
 Over a prime field F_p a submodule of F_p^n also carries, built on first
-use, its member bitmask: bit i is set when the i-th vector of F_p^n in
-base-p order (``linalg.PackedSpace``) lies in the span.  A mask costs p^n
-bits, 64 at genus 3 over F_2, and the module caches the vector/index
-table it refers to.  Containment of a vector or a submodule is then a bit
-test and an intersection is an AND of two masks.  An intersection or a
-perp keeps only its mask and its rank, read from the mask's popcount; its
-canonical basis takes one echelon call, made when the basis is first
-read.  Over the integers the module is infinite,
-so these operations stay with linear algebra on the Hermite form, which
-``linalg.rref_with_transform`` gives over the integers as it gives the
-reduced echelon form over a field.
+use, its member bitmask of p^n bits: bit i is set when the i-th vector of
+F_p^n in base-p order (``linalg.PackedSpace``) lies in the span.
+Containment is then a bit test and an intersection an AND of two masks;
+an intersection or a perp keeps only its mask and its rank, read from the
+popcount, and computes its canonical basis when that is first read.
+``SymplecticModule.perp_masks`` holds each vector's perp as a mask, so
+orthogonality to a set is an AND.  Over the integers these operations
+stay with linear algebra on the Hermite form (``rref_with_transform``).
 """
 
 from __future__ import annotations
@@ -55,6 +52,7 @@ class SymplecticModule:
             raise ValueError("form rank is odd")  # cannot happen for alternating
         self.genus = form_rank // 2
         self._packed = None
+        self._perp_masks = None
         if not ring.is_field():
             inv = dense_smith(gram, n)
             if any(v != 1 for v in inv):
@@ -109,6 +107,16 @@ class SymplecticModule:
     def vectors(self):
         """All vectors in base-p order; finite fields only."""
         return iter(self.packed().vectors)
+
+    def perp_masks(self) -> List[int]:
+        """For each packed vector w, the member mask of the vectors that
+        pair to zero with w, made once from all p^(2n) pairings."""
+        if self._perp_masks is None:
+            vs = self.packed().vectors
+            self._perp_masks = [int("".join(
+                "0" if self.pair(v, w) else "1" for v in reversed(vs)), 2)
+                for w in vs]
+        return self._perp_masks
 
     def __eq__(self, other):
         return (isinstance(other, SymplecticModule)

@@ -24,7 +24,8 @@ from symposet.builders import (_subword_poset, build_D, build_HU, build_I,
                                partitions_poset, rho_sequence, rho_vector,
                                submodule_from_key)
 from symposet.homology import reduced_homology
-from symposet.posets import FinitePoset, check_isomorphism
+from symposet.posets import (FinitePoset, barycentric_subdivision,
+                             check_isomorphism)
 from symposet.rings import IntegerRing, PrimeField, ZZ
 from symposet.symplectic import (Submodule, SymplecticModule,
                                  enumerate_unimodular_submodules,
@@ -143,6 +144,27 @@ def test_I_needs_no_echelon_form(monkeypatch):
     monkeypatch.setattr(linalg, "rref_with_transform", counted)
     assert len(build_I(L)) == 390
     assert not calls
+
+
+@pytest.mark.parametrize("ring,g,r,pairings", [(F2, 2, 1, 1024),
+                                               (F3, 2, 0, 6561)])
+def test_I_pairs_only_to_build_the_perp_table(ring, g, r, pairings,
+                                              monkeypatch):
+    # one pairing per (vector, vector): the p^n * p^n of L.perp_masks(),
+    # made once per module; the sequences are grown by ANDs of its masks
+    L = std(ring, g, r)
+    calls = []
+    original = SymplecticModule.pair
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    monkeypatch.setattr(SymplecticModule, "pair", counted)
+    I = build_I(L)
+    assert len(calls) == (ring.p ** L.rank) ** 2 == pairings
+    assert same_poset(build_I(L), I)
+    assert len(calls) == pairings
 
 
 def test_I_subword_closure():
@@ -395,6 +417,52 @@ def pairwise_D(L, strict=False):
     return FinitePoset(decs, rel)
 
 
+def pairwise_HU(g, ring):
+    """HU by pairing each candidate vector with every member so far."""
+    L = std(ring, g)
+    vectors = list(L.vectors())
+    one = ring.reduce(1)
+
+    def extensions(seq):
+        out = []
+        flat = [v for pair in seq for v in pair]
+        for v in vectors:
+            if any(L.pair(v, w) != 0 for w in flat):
+                continue
+            for w in vectors:
+                if L.pair(v, w) != one:
+                    continue
+                if any(L.pair(w, x) != 0 for x in flat):
+                    continue
+                out.append(seq + ((v, w),))
+        return out
+
+    elements = []
+    current = extensions(())
+    while current:
+        elements.extend(current)
+        current = [longer for seq in current for longer in extensions(seq)]
+    return FinitePoset(elements, deletion_pairs(elements))
+
+
+def submodule_flag_map(L, sd):
+    """The flag map's labels by submodules: each step an intersection
+    with the perp of the step before, certified by ``is_unimodular``."""
+    full_key = L.full_submodule().key()
+    mapping = {}
+    for chain in sd:
+        parts = [chain[0]]
+        for prev, cur in zip(chain, chain[1:]):
+            piece = submodule_from_key(L, cur).intersect(
+                submodule_from_key(L, prev).perp())
+            assert piece.rank > 0 and piece.is_unimodular()
+            parts.append(piece.key())
+        if chain[-1] != full_key:
+            parts.append(submodule_from_key(L, chain[-1]).perp().key())
+        mapping[chain] = tuple(sorted(parts))
+    return mapping
+
+
 def all_subwords(elements):
     """Nonempty sequences with every nonempty proper subword related."""
     rel = []
@@ -417,6 +485,30 @@ def test_U_matches_the_pairwise_scan(ring, g, r):
 def test_D_matches_the_pairwise_scan(ring, g, strict):
     L = std(ring, g)
     assert same_poset(build_D(L, strict=strict), pairwise_D(L, strict))
+
+
+@pytest.mark.parametrize("ring,g", [(F2, 2), (F3, 1), (F5, 1)])
+def test_HU_matches_the_pairwise_scan(ring, g):
+    assert same_poset(build_HU(g, ring), pairwise_HU(g, ring))
+
+
+@pytest.mark.parametrize("ring,g", [(F2, 2), (F3, 2), (F2, 3)])
+def test_flag_map_matches_the_submodule_route(ring, g, monkeypatch):
+    L = std(ring, g)
+    U_gt, D = build_U(L).subposet_gt(()), build_D(L)
+    sd = barycentric_subdivision(U_gt)
+    want = submodule_flag_map(L, sd)
+
+    # each piece is looked up by its member mask, with no echelon form
+    # of an intersection and no determinant
+    def refuse(self, *args):
+        raise AssertionError("the flag map built a piece as a submodule")
+
+    monkeypatch.setattr(Submodule, "intersect", refuse)
+    monkeypatch.setattr(Submodule, "is_unimodular", refuse)
+    f = flag_to_decomposition(L, U_gt, D)
+    assert f.mapping == want
+    assert f.source == sd and f.target is D
 
 
 @pytest.mark.parametrize("build", [

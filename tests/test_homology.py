@@ -1831,7 +1831,7 @@ patched(pi1, "pi1_probe", lambda *a, **k: "trivial",
         lambda: homology.homologically_connected(circle, 1))
 patched(Submodule, "perp", lambda self: self.module.zero_submodule(),
         lambda: build_D(L))
-patched(Submodule, "is_unimodular", lambda self: False,
+patched(Submodule, "perp", lambda self: self.module.zero_submodule(),
         lambda: flag_to_decomposition(L, U_gt, D))
 patched(nerve, "symplectic_dual_family", lambda full, es: es,
         lambda: nerve.isotropic_perp_cover(L, "positive"))

@@ -3,12 +3,15 @@ witnesses, exercised on a hand-built toy before the symplectic cases."""
 
 import copy
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import symposet
+from symposet import builders, nerve
+from symposet.builders import build_U
 from symposet.homology import reduced_homology
 from symposet.nerve import (CoverFamily, NerveWitness, assembled_map, build_Z,
                             fiber_transfer_check, check_nerve_hypotheses,
@@ -16,9 +19,10 @@ from symposet.nerve import (CoverFamily, NerveWitness, assembled_map, build_Z,
                             validate_cover, witness_domain)
 from symposet.posets import FinitePoset, PosetMap
 from symposet.rings import PrimeField
-from symposet.symplectic import SymplecticModule
+from symposet.symplectic import RadicalQuotient, Submodule, SymplecticModule
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 
 
 def toy_cover():
@@ -255,6 +259,52 @@ def test_perp_cover_radical_case():
     F, W = isotropic_perp_cover(L, "positive")
     assert validate_cover(F).ok
     assert check_nerve_witness(F, W).ok
+
+
+def submodule_members(L, X, A):
+    """Each sequence's member set by submodules: the perp of its lifts,
+    and ``contains_submodule`` against each target."""
+    quot = RadicalQuotient(L)
+    targets = [Submodule(L, u, _canonical=True) for u in X]
+    out = {}
+    for seq in A:
+        Lv = Submodule(L, [quot.lift(v) for v in seq]).perp()
+        out[seq] = frozenset(
+            t.key() for t in targets if Lv.contains_submodule(t))
+    return out
+
+
+@pytest.mark.parametrize("ring,r", [(F2, 0), (F2, 1), (F3, 0), (F3, 1)])
+def test_perp_cover_matches_the_submodule_route(ring, r, monkeypatch):
+    # each sequence's allowed mask is an AND of perp masks, and each
+    # target is a member mask read once, so no submodule is built per
+    # (sequence, target)
+    L = SymplecticModule.standard(ring, 2, r)
+    U = build_U(L)
+    monkeypatch.setattr(builders, "build_U", lambda L: U)
+    monkeypatch.setattr(nerve, "_perp_cover_witness", lambda *a: None)
+    made = []
+    original = Submodule.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Submodule, "__init__", counted)
+    F, _ = isotropic_perp_cover(L, "positive")
+    # one per target, and build_I's radical
+    assert len(made) == len(F.X) + 1
+    monkeypatch.undo()
+    assert F.members == submodule_members(L, F.X, F.A)
+
+
+def test_perp_cover_matches_the_submodule_route_at_genus_3():
+    L = SymplecticModule.standard(F2, 3)
+    F, _ = isotropic_perp_cover(L, "interval")
+    assert (len(F.A), len(F.X)) == (24633, 672)
+    sample = random.Random(37).sample(sorted(F.A.elements), 100)
+    want = submodule_members(L, F.X, sample)
+    assert {seq: F.members[seq] for seq in sample} == want
 
 
 def test_cover_input_checks_survive_optimized_python():

@@ -519,6 +519,44 @@ def test_check_isomorphism():
                                  {0: "a", 1: "a", 2: "b"})
 
 
+def pairwise_isomorphism(P, Q, mapping):
+    """The definition, pair by pair: the check that ``check_isomorphism``
+    replaced by one comparison of up-sets."""
+    if set(mapping) != set(P.elements):
+        return False
+    if len(P) != len(Q) or set(mapping.values()) != set(Q.elements):
+        return False
+    return all(P.lt(x, y) == Q.lt(mapping[x], mapping[y])
+               for x in P for y in P if x != y)
+
+
+def test_check_isomorphism_matches_the_pairwise_definition():
+    # seeded random posets and random bijections, against the definition;
+    # equality is the same comparison with every label kept
+    rng = random.Random(13)
+    outcomes = []
+    for trial in range(80):
+        n = rng.randrange(1, 9)
+        P = random_poset(rng, n, p=rng.choice((0.2, 0.4)))
+        # the other side is P itself, or a second random poset, each
+        # relabeled by a random bijection f
+        R = P if trial % 2 else random_poset(rng, n, p=0.3)
+        names = [f"q{k}" for k in range(n)]
+        rng.shuffle(names)
+        f = dict(zip(range(n), names))
+        Q = FinitePoset(names, [(f[x], f[y]) for x in R for y in R.above(x)])
+        for g in (f, dict(zip(range(n), rng.sample(names, n)))):
+            want = pairwise_isomorphism(P, Q, g)
+            assert check_isomorphism(P, Q, g) == want
+            outcomes.append(want)
+        same = FinitePoset(reversed(range(n)),
+                           [(x, y) for x in R for y in R.above(x)])
+        identity = {x: x for x in P}
+        assert (P == same) == pairwise_isomorphism(P, same, identity)
+        outcomes.append(P == same)
+    assert True in outcomes and False in outcomes
+
+
 # ---------------------------------------------------------------------------
 # the vertex-number core against a label-set reference
 

@@ -100,20 +100,28 @@ def test_run_suite_unknown_name():
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-@pytest.mark.parametrize("name, genus, filename",
-                         [(n, 2, f"{n}.json") for n in SUITE_NAMES]
-                         + [("um", 3, "um.g3.json"),
-                            ("maazen", 3, "maazen.g3.json"),
-                            pytest.param("dec", 3, "dec.g3.json",
-                                         marks=pytest.mark.slow),
-                            pytest.param("trees", 3, "trees.g3.json",
-                                         marks=pytest.mark.slow)])
-def test_report_matches_golden(name, genus, filename):
+def golden(name, genus, filename, ring="p2", slow=False):
+    # the test id leaves the ring out: the file name carries it
+    return pytest.param(name, genus, ring, filename,
+                        marks=[pytest.mark.slow] if slow else [],
+                        id=f"{name}-{genus}-{filename}")
+
+
+@pytest.mark.parametrize("name, genus, ring, filename",
+                         [golden(n, 2, f"{n}.json") for n in SUITE_NAMES]
+                         + [golden("um", 3, "um.g3.json"),
+                            golden("maazen", 3, "maazen.g3.json"),
+                            golden("stability", 2, "stability.p3.json", "p3"),
+                            golden("nerve", 2, "nerve.p3.json", "p3"),
+                            golden("dec", 3, "dec.g3.json", slow=True),
+                            golden("trees", 3, "trees.g3.json", slow=True)])
+def test_report_matches_golden(name, genus, ring, filename):
     """Refactors keep reports byte for byte; a deliberate report change
-    regenerates tests/golden with ``symposet <suite> --genus G --out``."""
+    regenerates tests/golden with
+    ``symposet <suite> --genus G --ring R --out``."""
     with open(os.path.join(GOLDEN, filename), encoding="utf-8") as fh:
         want = fh.read()
-    assert run_suite(name, SuiteConfig(genus=genus)).to_json() == want
+    assert run_suite(name, SuiteConfig(genus=genus, ring=ring)).to_json() == want
 
 
 def test_unimodular_counts_follow_the_ring():

@@ -212,6 +212,18 @@ def test_mask_born_submodules_match_the_echelon_route(ring, g, r, seed):
     assert full.intersect(full) == full and zero.intersect(full) == zero
 
 
+@pytest.mark.parametrize("ring,g,r", [(F2, 2, 1), (F3, 2, 0), (F3, 1, 1),
+                                      (PrimeField(5), 1, 0)])
+def test_perp_masks_match_the_submodule_perp(ring, g, r):
+    # bit i of the table's w-th mask: vector i pairs to zero with w
+    L = std(ring, g, r)
+    table = L.perp_masks()
+    assert table is L.perp_masks()
+    assert len(table) == ring.p ** L.rank
+    for i, w in enumerate(L.vectors()):
+        assert table[i] == Submodule(L, [w]).perp().members()
+
+
 def test_integer_intersection_keeps_the_kernel_route():
     rng = random.Random(27)
     L = std(ZZ, 2)
