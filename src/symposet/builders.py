@@ -132,10 +132,12 @@ def _subword_poset(elements) -> FinitePoset:
 
 def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
     """Orthogonal decompositions of L into unimodular summands of positive
-    genus, coarser below finer; ``strict`` drops the one-part minimum.
+    genus, coarser below finer.  With ``strict``, D+: D without its
+    one-part minimum {L}, taken from D by ``subposet_gt``.
 
     Merging two parts is a cover, so a decomposition into k parts sits at
-    height k - 1, or k - 2 when ``strict``.
+    height k - 1, or k - 2 in D+.  The merges are the generating relation,
+    and those of the two-part decompositions put {L} below every other.
 
     Parts are chosen in list order, each inside the perp of those chosen
     before it.  As L is unimodular, a part lies in that perp exactly when
@@ -188,14 +190,10 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
 
     extend([], L.full_submodule(), orthogonal.everything)
     del orthogonal, beside
-    if strict:
-        decs = [d for d in decs if len(d) > 1]
     ids = {d: i for i, d in enumerate(decs)}
     everything = (1 << len(L.packed().vectors)) - 1
     above = [[] for _ in decs]
     for i_d, d in enumerate(decs):
-        if len(d) < 2 or (strict and len(d) == 2):
-            continue
         for i, j in itertools.combinations(range(len(d)), 2):
             rest = d[:i] + d[i + 1:j] + d[j + 1:]
             mask = everything
@@ -207,12 +205,10 @@ def build_D(L: SymplecticModule, strict: bool = False) -> FinitePoset:
             if coarser is None:
                 raise CertificateError("merge left the decomposition poset")
             above[coarser].append(i_d)
-    if not strict:
-        full = ids[(part_at[everything],)]
-        above[full].extend(i_d for i_d, d in enumerate(decs) if len(d) > 1)
     del ids
-    return FinitePoset._from_ids(
+    D = FinitePoset._from_ids(
         [tuple(map(keys.__getitem__, d)) for d in decs], above)
+    return D.subposet_gt((keys[part_at[everything]],)) if strict else D
 
 
 def flag_to_decomposition(L: SymplecticModule, U_gt=None, D=None) -> PosetMap:

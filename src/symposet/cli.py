@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--genus", type=int, default=2,
                     help="genus, rank, or label count, depending on family")
     ex.add_argument("--radical", type=int, default=0,
-                    help="radical rank of the standard module (default 0)")
+                    help="radical rank of the standard module, for U and I "
+                         "only (default 0)")
     ex.add_argument("--format", default="text", choices=EXPORT_FORMATS)
     ex.add_argument("--out", default=None,
                     help="output file (default: stdout)")
@@ -135,9 +136,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--genus must be at least {least} for --poset {args.poset}")
         if args.radical < 0:
             parser.error("--radical must not be negative")
-        if args.radical and args.poset == "HU":
-            parser.error("--radical must be 0 for --poset HU: split unimodular "
-                         "sequences live in a unimodular module")
+        if args.radical and args.poset not in ("U", "I"):
+            parser.error(f"--radical must be 0 for --poset {args.poset}: "
+                         "only U and I take a module with a radical")
         P = _build_named_poset(args)
         if args.format == "dot" and len(P) > DOT_ELEMENT_LIMIT:
             parser.error(f"--format dot takes at most {DOT_ELEMENT_LIMIT} "

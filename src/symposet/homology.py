@@ -47,14 +47,12 @@ answer, and every answer for a map, waits for the full homology, so a
 homology refutation still comes first.
 
 The Cohen-Macaulay sweep walks its links as vertex sets of the poset's
-stored order.  An empty link, and a lower or upper link that holds the
-global minimum or maximum (a cone), is settled from its dimension alone,
-with no poset.  So is a link that heights show to be an antichain, from
-its size: an interval of span 2, a lower link at height 1, an upper link
-with no chain of length 2 above its vertex; and an interval of span 1,
-which heights show to be empty.  Every other task, the whole poset
-first, builds its link once, by ``P.induced``, and runs the full
-homology route on it.
+stored order.  Heights settle most of its tasks with no poset: an empty
+link, a lower or upper link that holds the global minimum or maximum (a
+cone), and a link that heights show to be an antichain.  The sweep counts
+those and looks only at the settled tasks whose dimension misses their
+target, which refute it.  Every other task, the whole poset first, builds
+its link once, by ``P.induced``, and runs the full homology route on it.
 """
 
 from __future__ import annotations
@@ -415,46 +413,40 @@ def homology_spherical(P: FinitePoset, n: int, budget=DEFAULT_BUDGET,
     return verdict
 
 
-def _settled(dim: int, target: int, points: int = 1) -> ConnectivityVerdict:
-    """``homology_spherical(link, target, probe=False)`` on a link of
-    dimension ``dim`` that is empty (dim -1), a cone, or an antichain of
-    ``points`` elements (dim 0): the first two are contractible or empty,
-    the last a wedge of points - 1 zero-spheres, so only the dimension can
-    fail."""
-    if dim != target:
-        return ConnectivityVerdict(target, "refuted", "dimension",
-                                   {"dim": dim, "expected": target})
-    if dim == -1:
-        return ConnectivityVerdict(target, "verified", "empty")
-    return ConnectivityVerdict(target, "verified", "homology-only",
-                               {"spheres": points - 1})
-
-
 def _cm_tasks(P: FinitePoset, n: int):
-    """The sweep's tasks in order, each as (kind, tag, keep, target), or
-    as (kind, tag, None, verdict) for a task settled from the ints.
+    """The sweep's tasks that need a look, in order, each as (index, kind,
+    tag, keep, target, dim), its index the number of tasks before it.
 
     The tasks are the whole poset, then the lower and the upper link of
     each vertex v, then the open interval (v, w) for each w in
     ``sorted(up[v])``, v in vertex order: an order that follows the vertex
-    numbers, never a label's hash.  Each task is a vertex set of P's
-    stored order: ``range(len(P))``, ``down[v]``, ``up[v]`` or
-    ``up[v] & down[w]``.
+    numbers, never a label's hash.  So there are 1 + 2|P| + (order pairs)
+    of them.  Each is a vertex set of P's stored order: ``range(len(P))``,
+    ``down[v]``, ``up[v]`` or ``up[v] & down[w]``.
 
-    A task other than the whole poset is settled in O(1), with no poset,
-    when it is empty, when it is a lower link that holds the global
-    minimum of P, or an upper link that holds the global maximum: those
-    links are cones.  A lower link has dimension h(v) - 1, its target; an
-    upper link the longest chain above v less one, which in a poset that
-    is not graded need not be its target.  Heights settle more: an element
-    x strictly between v and w lies below no other such element y when
-    h(w) - h(v) <= 2, for v < x < y < w would make h(w) >= h(v) + 3.  So
-    an interval of span h(w) - h(v) = 1 is empty, with no intersection
-    taken, and one of span 2 is an antichain, as is a lower link with
-    h(v) = 1 and an upper link whose longest chain above v has length 1.
-    An antichain of m elements is settled by m alone.  The verdict is
-    ``_settled``'s.  Every other task carries ``keep``, its vertex set, and
-    the target its link must be spherical in.
+    Heights settle a task in O(1), with no poset, when its link is empty,
+    a cone, or an antichain: then ``homology_spherical(link, target,
+    probe=False)`` refutes it exactly when its dimension misses its target.
+    A lower link that holds the global minimum of P, or an upper link that
+    holds the global maximum, is a cone.  An element x strictly between v
+    and w lies below no other such element y when h(w) - h(v) <= 2, for
+    v < x < y < w would make h(w) >= h(v) + 3.  So an interval of span
+    h(w) - h(v) = 1 is empty, with no intersection taken, and one of span 2
+    is an antichain, as is a lower link with h(v) = 1 and an upper link
+    whose longest chain above v has length 1.
+
+    Settled tasks are counted, and yielded only when refuted, with ``keep``
+    None and their dimension as ``dim``.  A settled lower link has
+    dimension h(v) - 1, its target, and an interval of span 1 dimension -1,
+    its target, so neither is ever yielded.  A settled upper link has the
+    longest chain above v less one, which in a poset that is not graded
+    need not be its target n - 1 - h(v); an empty interval of span 2 or
+    more has dimension -1 against a target span - 2 >= 0.  Every other
+    task is computed, the whole poset first, and comes with ``keep``, its
+    vertex set, the target its link must be spherical in, and ``dim``
+    None.  On U_3(F_2), 9,412 of the 9,414 tasks are settled and 2 are
+    computed, the whole poset and the graph (0, L); on I(genus 2,
+    radical 1), 1,500 of 1,501, and only the whole poset is computed.
     """
     up, down, el = P.up_sets(), P.down_sets(), P.elements
     h = P._heights()
@@ -463,44 +455,27 @@ def _cm_tasks(P: FinitePoset, n: int):
     bottom = next((v for v, u in enumerate(up) if len(u) == last), -1)
     top = next((v for v, d in enumerate(down) if len(d) == last), -1)
     depth = _chain_heights(down)
-    settled = {}
-
-    def settle(kind, tag, dim, target, points=1):
-        v = settled.get((dim, target, points))
-        if v is None:
-            v = settled[dim, target, points] = _settled(dim, target, points)
-        return kind, tag, None, v
-
-    yield "whole", None, range(len(el)), n
+    yield 0, "whole", None, range(len(el)), n, None
     for v, x in enumerate(el):
-        d, u = down[v], up[v]
-        if not d or bottom in d:
-            yield settle("below", x, h[v] - 1, h[v] - 1)
-        elif h[v] == 1:
-            yield settle("below", x, 0, 0, len(d))
-        else:
-            yield "below", x, d, h[v] - 1
-        if not u or top in u:
-            yield settle("above", x, depth[v] - 1, n - 1 - h[v])
-        elif depth[v] == 1:
-            yield settle("above", x, 0, n - 1 - h[v], len(u))
-        else:
-            yield "above", x, u, n - 1 - h[v]
+        d, u, target = down[v], up[v], n - 1 - h[v]
+        if h[v] > 1 and bottom not in d:
+            yield 1 + 2 * v, "below", x, d, h[v] - 1, None
+        if depth[v] > 1 and top not in u:
+            yield 2 + 2 * v, "above", x, u, target, None
+        elif depth[v] - 1 != target:
+            yield 2 + 2 * v, "above", x, None, target, depth[v] - 1
+    i = 1 + 2 * len(el)
     for v, x in enumerate(el):
         u, hv = up[v], h[v]
-        for w in sorted(u):
+        for j, w in enumerate(sorted(u), i):
             span = h[w] - hv
-            if span == 1:
-                yield settle("interval", (x, el[w]), -1, -1)
-                continue
-            keep = u & down[w]
-            if span == 2:
-                yield settle("interval", (x, el[w]), 0 if keep else -1, 0,
-                             len(keep))
-            elif keep:
-                yield "interval", (x, el[w]), keep, span - 2
-            else:
-                yield settle("interval", (x, el[w]), -1, span - 2)
+            if span > 1:
+                keep = u & down[w]
+                if not keep:
+                    yield j, "interval", (x, el[w]), None, span - 2, -1
+                elif span > 2:
+                    yield j, "interval", (x, el[w]), keep, span - 2, None
+        i += len(u)
 
 
 def cohen_macaulay_check(P: FinitePoset, n: int,
@@ -512,48 +487,41 @@ def cohen_macaulay_check(P: FinitePoset, n: int,
     Purely homological; no group probes on the links.  The sweep is one
     serial loop over ``_cm_tasks``, in vertex order, and each link gets the
     whole ``budget``.  The sweep stops at the first task that is refuted or
-    inconclusive, and a verdict of the sweep records in ``links_checked``
-    how many tasks passed before it ended.
+    inconclusive, and records in ``links_checked`` how many tasks passed
+    before it; a verified sweep records them all.
 
-    An empty task, and a link that is a cone on the global minimum or
-    maximum, comes settled: its verdict is the one ``homology_spherical``
-    would give, read off its dimension.  So does a task that heights show
-    to be empty or an antichain (``_cm_tasks``): no chain v < x < y < w
-    fits when h(w) - h(v) <= 2, so an interval of span 1 is empty and one
-    of span 2 is m points, verified with m - 1 spheres at target 0 and
-    refuted by its dimension otherwise.  The budget cannot turn a settled
-    task inconclusive, because the whole poset runs first under the same
-    budget and every link's complex is a subcomplex of the whole poset's.
-    On U_3(F_2), 9,412 of the 9,414 tasks are settled and 2 are computed,
-    the whole poset and the graph (0, L); on I(genus 2, radical 1), 1,500
-    of 1,501, and only the whole poset is computed.
-
-    Every other task has its link built once, by ``P.induced`` on the
-    labels of its vertex set (the whole poset's is P itself), and runs
+    A settled task is refuted by its dimension, with the detail that
+    ``homology_spherical`` gives.  The budget cannot turn a settled task
+    inconclusive, because the whole poset runs first under the same budget
+    and every link's complex is a subcomplex of the whole poset's.  Every
+    computed task has its link built once, by ``P.induced`` on the labels
+    of its vertex set (the whole poset's is P itself), and runs
     ``homology_spherical`` on it without a probe: the full homology route
     with its dd=0 check.
     """
     if P.dim() != n:
         return ConnectivityVerdict(n, "refuted", "dimension",
                                    {"dim": P.dim(), "expected": n})
-    checked = 0
     el = P.elements
-    for kind, tag, keep, v in _cm_tasks(P, n):
-        # a settled task carries its verdict where another has its target
-        if keep is not None:
-            v = homology_spherical(P.induced(map(el.__getitem__, keep)), v,
-                                   budget=budget, probe=False)
-        if v.status == "refuted":
-            return ConnectivityVerdict(n, "refuted", "homology",
-                                       {"part": kind, "at": tag, "sub": v.detail,
-                                        "links_checked": checked})
-        if v.status == "inconclusive":
-            return ConnectivityVerdict(n, "inconclusive", "budget",
-                                       {"part": kind, "at": tag,
-                                        "links_checked": checked})
-        checked += 1
-    return ConnectivityVerdict(n, "verified", "homology-only",
-                               {"links_checked": checked})
+    for checked, kind, tag, keep, target, dim in _cm_tasks(P, n):
+        if keep is None:
+            sub = {"dim": dim, "expected": target}
+        else:
+            v = homology_spherical(P.induced(map(el.__getitem__, keep)),
+                                   target, budget=budget, probe=False)
+            if v.status == "inconclusive":
+                return ConnectivityVerdict(n, "inconclusive", "budget",
+                                           {"part": kind, "at": tag,
+                                            "links_checked": checked})
+            if v.ok():
+                continue
+            sub = v.detail
+        return ConnectivityVerdict(n, "refuted", "homology",
+                                   {"part": kind, "at": tag, "sub": sub,
+                                    "links_checked": checked})
+    return ConnectivityVerdict(
+        n, "verified", "homology-only",
+        {"links_checked": 1 + 2 * len(el) + sum(map(len, P.up_sets()))})
 
 
 def map_connectivity(f: PosetMap, n: int,

@@ -279,7 +279,7 @@ def criterion_decomposition_cm(cfg: SuiteConfig) -> Iterator[dict]:
     yield make_record(
         "dec.g2.cm", "genus-2 decomposition poset is homologically "
         "Cohen-Macaulay of dim 1", v)
-    P2 = build_D(L2, strict=True)
+    P2 = D2.subposet_gt((L2.full_submodule().key(),))
     prof = reduced_homology(P2, budget=cfg.budget)
     ok = (len(P2) == count - 1 and P2.dim() == 0
           and prof.betti == {0: count - 2})
@@ -307,7 +307,7 @@ def criterion_decomposition_cm(cfg: SuiteConfig) -> Iterator[dict]:
         yield make_record(
             "dec.g3.cm", "genus-3 decomposition poset is homologically "
             "Cohen-Macaulay of dim 2", v)
-        P3 = build_D(L3, strict=True)
+        P3 = D3.subposet_gt((L3.full_submodule().key(),))
         prof = reduced_homology(P3, through_degree=0, budget=cfg.budget)
         ok = (len(P3) == count - 1 and P3.dim() == 1
               and prof.betti.get(0, 0) == 0)

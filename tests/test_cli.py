@@ -81,6 +81,11 @@ def test_export_rejects_out_of_range_sizes(flags, capsys):
     ["export", "--poset", "U", "--ring", "Z"],
     ["export", "--poset", "O", "--ring", "Z"],
     ["export", "--poset", "HU", "--radical", "1"],
+    ["export", "--poset", "D", "--radical", "1"],
+    ["export", "--poset", "D+", "--radical", "1"],
+    ["export", "--poset", "TD", "--radical", "1"],
+    ["export", "--poset", "O", "--radical", "1"],
+    ["export", "--poset", "T", "--radical", "1"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     # exit 1 means a refuted record, so bad input must not end that way

@@ -1292,7 +1292,7 @@ def test_cohen_macaulay_sweep_matches_the_plain_loop(monkeypatch):
         want = _reference_cm(P, n)
         got, calls = _counted_sweep(monkeypatch, P, n)
         assert got == want
-        assert calls < len(list(homology._cm_tasks(P, n)))
+        assert calls < len(list(_reference_tasks(P, n)))
 
 
 def test_cohen_macaulay_refutes_after_many_links(monkeypatch):
@@ -1351,61 +1351,131 @@ def test_cohen_macaulay_settled_tasks_match_the_plain_loop(monkeypatch):
 def test_cohen_macaulay_sweeps_compute_the_whole_poset_and_the_graph(
         monkeypatch):
     # the U_3(F_2) sweep computes the whole poset and the graph (0, L); the
-    # I(genus 2, radical 1) sweep the whole poset alone; every other task
-    # is settled from the ints: empty, a cone on a global bound, or an
-    # antichain by heights (the intervals of span 2 are U_3's Ubar_2)
+    # I(genus 2, radical 1) sweep the whole poset alone; heights settle
+    # every other task (empty, a cone on a global bound, or an antichain;
+    # the intervals of span 2 are U_3's Ubar_2), and none of them is
+    # yielded, since all of them pass
     F2 = PrimeField(2)
     U = build_U(SymplecticModule.standard(F2, 3))
     I = build_I(SymplecticModule.standard(F2, 2, r=1))
-    for P, n, tasks, computed in ((U, 3, 9414, 2), (I, 1, 1501, 1)):
+    h = U.heights()
+    bottom, top = min(U, key=h.__getitem__), max(U, key=h.__getitem__)
+    graph = [i for i, (kind, tag, _, _) in enumerate(_reference_tasks(U, 3))
+             if (kind, tag) == ("interval", (bottom, top))]
+    for P, n, tasks, computed in ((U, 3, 9414, [0] + graph), (I, 1, 1501, [0])):
         (status, basis, detail), calls = _counted_sweep(monkeypatch, P, n)
         assert (status, basis, detail) == \
             ("verified", "homology-only", {"links_checked": tasks})
-        assert calls == computed
-        assert sum(keep is not None
-                   for _, _, keep, _ in homology._cm_tasks(P, n)) == computed
+        assert calls == len(computed)
+        yielded = list(homology._cm_tasks(P, n))
+        assert [i for i, *_ in yielded] == computed
+        assert all(keep is not None and dim is None
+                   for _, _, _, keep, _, dim in yielded)
+
+
+def test_cohen_macaulay_counts_every_task():
+    # a verified sweep passed 1 + 2|P| + (order pairs) tasks: the whole
+    # poset, two links per element and one interval per order pair
+    F2 = PrimeField(2)
+    U = build_U(SymplecticModule.standard(F2, 3))
+    I = build_I(SymplecticModule.standard(F2, 2, r=1))
+    for P, n, parts in ((U, 3, (1, 1348, 8065)), (I, 1, (1, 780, 720))):
+        assert (1, 2 * len(P), len(list(P.relation_pairs()))) == parts
+        assert cohen_macaulay_check(P, n).detail == \
+            {"links_checked": sum(parts)}
+    rng = random.Random(38)
+    verified = 0
+    for _ in range(200):
+        bottom, top = rng.choice(((False, False), (True, False),
+                                  (False, True), (True, True)))
+        P = _with_bounds(random_poset(rng, rng.randint(0, 8),
+                                      p=rng.choice((0.15, 0.3, 0.5))),
+                         bottom, top)
+        v = cohen_macaulay_check(P, P.dim())
+        if v.ok():
+            verified += 1
+            tasks = 1 + 2 * len(P) + len(list(P.relation_pairs()))
+            assert v.detail == {"links_checked": tasks}
+            assert tasks == len(list(_reference_tasks(P, P.dim())))
+    assert verified >= 20
+
+
+def _settled_shape(link):
+    """"empty", "points" or "cone" for a link that heights may settle, or
+    None when it is none of them."""
+    if len(link) == 0:
+        return "empty"
+    if link.dim() == 0:
+        return "points" if len(link) > 1 else "cone"
+    if any(len(u) == len(link) - 1
+           for ends in (link.up_sets(), link.down_sets()) for u in ends):
+        return "cone"
+    return None
+
+
+def _walk_tasks(P, n):
+    """Walks ``_cm_tasks(P, n)`` against the reference tasks: yields, for
+    each reference task, its kind, its link's shape, and "computed" or
+    "refuted" when the sweep yields it, "passed" when it does not.
+
+    A yielded task sits at its reference index.  A computed one's vertex
+    set gives the reference link, with its order, and carries its target.
+    A task that is not yielded is empty, a cone or an antichain, and
+    ``homology_spherical`` without a probe verifies it; a yielded settled
+    task is one too, and that call refutes it by its dimension, with the
+    detail the sweep builds from the task."""
+    yielded = {i: rest for i, *rest in homology._cm_tasks(P, n)}
+    assert list(yielded) == sorted(yielded)
+    reference = list(_reference_tasks(P, n))
+    assert set(yielded) <= set(range(len(reference)))
+    for i, (kind, tag, link, target) in enumerate(reference):
+        shape = _settled_shape(link)
+        keep = dim = None
+        if i in yielded:
+            got_kind, got_tag, keep, got_target, dim = yielded[i]
+            assert (got_kind, got_tag, got_target) == (kind, tag, target)
+        if keep is not None:
+            assert dim is None
+            sub = P.induced(map(P.elements.__getitem__, keep))
+            assert sub.elements == link.elements
+            assert sub.up_sets() == link.up_sets()
+            assert (sub is P) == (kind == "whole")
+            yield kind, shape, "computed"
+            continue
+        assert kind != "whole" and shape is not None
+        v = homology_spherical(link, target, probe=False)
+        if i not in yielded:
+            assert v.ok()
+            yield kind, shape, "passed"
+        else:
+            assert (v.status, v.basis) == ("refuted", "dimension")
+            assert v.detail == {"dim": dim, "expected": target}
+            yield kind, shape, "refuted"
 
 
 def test_cohen_macaulay_task_vertex_sets_are_the_links():
-    # every computed task's vertex set, read from the parent's up-sets,
-    # gives through FinitePoset.induced the link that the public
-    # constructors build, with its order, and carries that link's target;
-    # every settled task's link is empty, has a minimum or a maximum, or is
-    # an antichain
+    # seeded random posets at their own dimension and one above, and the
+    # sweeps of U_2, D_2, I(genus 1, radical 1) and U_3 over F_2: each task
+    # is yielded exactly when it is computed or refuted by its dimension,
+    # at its reference index, and every computed vertex set is its link
     rng = random.Random(19)
     cases = []
     for _ in range(150):
         P = random_poset(rng, rng.randint(1, 8),
                          p=rng.choice((0.15, 0.3, 0.5)))
-        cases.append((P, P.dim()))
+        cases += [(P, P.dim()), (P, P.dim() + 1)]
     L1 = SymplecticModule.standard(PrimeField(2), 1, 1)
     L2 = SymplecticModule.standard(PrimeField(2), 2)
     L3 = SymplecticModule.standard(PrimeField(2), 3)
     cases += [(build_U(L2), 2), (build_D(L2), 1), (build_I(L1), 0),
               (build_U(L3), 3)]
-    tasks = settled = antichains = 0
+    seen = {}
     for P, n in cases:
-        for (kind, tag, keep, v), (rkind, rtag, link, target) in zip(
-                homology._cm_tasks(P, n), _reference_tasks(P, n),
-                strict=True):
-            assert (kind, tag) == (rkind, rtag)
-            tasks += 1
-            if keep is None:
-                assert kind != "whole"
-                assert link.dim() <= 0 or any(
-                    len(u) == len(link) - 1
-                    for ends in (link.up_sets(), link.down_sets())
-                    for u in ends)
-                antichains += link.dim() == 0 and len(link) > 1
-                settled += 1
-                continue
-            sub = P.induced(map(P.elements.__getitem__, keep))
-            assert sub.elements == link.elements
-            assert sub.up_sets() == link.up_sets()
-            assert v == target
-            assert (sub is P) == (kind == "whole")
-    assert tasks > 9414
-    assert 0 < antichains < settled < tasks
+        for kind, shape, how in _walk_tasks(P, n):
+            seen[how] = seen.get(how, 0) + 1
+    assert seen.keys() == {"computed", "passed", "refuted"}
+    assert seen["computed"] < seen["passed"]
+    assert sum(seen.values()) > 9414
 
 
 def _settled_cases(rng, count):
@@ -1430,33 +1500,28 @@ def _settled_cases(rng, count):
 
 
 def test_cohen_macaulay_settled_verdicts_are_homology_spherical():
-    # every task settled from the ints (empty, a cone on a global bound, or
-    # an antichain by heights) carries the status, basis, level and detail
-    # that homology_spherical without a probe gives on the link that the
-    # public constructors build; and an interval of span 1 is empty
+    # every task that heights settle (empty, a cone on a global bound, or
+    # an antichain) is verified by homology_spherical without a probe when
+    # the sweep passes it unseen, and refuted by its dimension, with the
+    # sweep's detail, when the sweep yields it; a lower link and an
+    # interval of span 1 are never yielded settled, and a span-1 interval
+    # is empty
     seen = set()
     for P, n in _settled_cases(random.Random(31), 300):
-        for (kind, tag, ids, v), (_, _, link, target) in zip(
-                homology._cm_tasks(P, n), _reference_tasks(P, n),
-                strict=True):
-            if ids is not None:
-                continue
-            want = homology_spherical(link, target, probe=False)
-            assert (v.status, v.basis, v.level, v.detail) == \
-                (want.status, want.basis, want.level, want.detail)
-            shape = "empty" if len(link) == 0 else \
-                "points" if link.dim() == 0 and len(link) > 1 else "cone"
-            seen.add((kind, shape, v.status))
+        seen.update(_walk_tasks(P, n))
         h = P.heights()
         for x in P:
             for y in P.above(x):
                 if h[y] - h[x] == 1:
                     assert len(P.open_interval(x, y)) == 0
-    # antichains of every kind, verified and refuted, and the empty span-2
-    # intervals of posets that are not graded
-    assert {("below", "points", "verified"), ("above", "points", "verified"),
-            ("above", "points", "refuted"),
-            ("interval", "points", "verified"),
+    assert ("below", "refuted") not in {(k, how) for k, _, how in seen}
+    # antichains of every kind, passed and refuted, cones on the bounds,
+    # and the empty span-2 intervals of posets that are not graded
+    assert {("below", "points", "passed"), ("above", "points", "passed"),
+            ("above", "points", "refuted"), ("above", "cone", "refuted"),
+            ("below", "cone", "passed"), ("above", "cone", "passed"),
+            ("interval", "points", "passed"),
+            ("interval", "empty", "passed"),
             ("interval", "empty", "refuted")} <= seen
 
 
@@ -1479,8 +1544,8 @@ def _reduced_euler(up):
 
 def test_sphere_counts_match_the_mobius_function(monkeypatch):
     # (-1)^n * spheres is the reduced Euler characteristic, read here off
-    # the up-sets alone, for every computed link and every settled task of
-    # the U_3(F_2) and I(genus 2, radical 1) sweeps
+    # the up-sets alone, for every computed link of the U_3(F_2) and
+    # I(genus 2, radical 1) sweeps
     assert [_reduced_euler(P.up_sets()) for P in (
         FinitePoset([]), FinitePoset("a"), FinitePoset("abc"),
         subsets_poset(3), subsets_poset(4))] == [-1, 0, 2, -1, 1]
@@ -1499,15 +1564,6 @@ def test_sphere_counts_match_the_mobius_function(monkeypatch):
             m.setattr(homology, "homology_spherical", spherical)
             assert cohen_macaulay_check(P, n).ok()
         assert len(computed) == wanted
-        points = 0
-        for (_, _, ids, v), (_, _, link, target) in zip(
-                homology._cm_tasks(P, n), _reference_tasks(P, n),
-                strict=True):
-            if ids is None:
-                assert v.ok()
-                computed.append((link, target, v))
-                points += link.dim() == 0 and len(link) > 1
-        assert points > 0
         for link, target, v in computed:
             # an empty link is the one (-1)-sphere
             spheres = 1 if v.basis == "empty" else v.detail["spheres"]
